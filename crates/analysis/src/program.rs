@@ -7,14 +7,13 @@
 //! from OpenMP source: work partitioning plus DEF/USE sets per loop.
 
 use hic_mem::Region;
-use serde::{Deserialize, Serialize};
 
 /// Index of an array in the program's array table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayId(pub usize);
 
 /// Per-iteration access pattern of one array reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pattern {
     /// Iteration `i` touches elements `[i*scale + lo, i*scale + hi)`.
     /// `Range{scale: 1, lo: 0, hi: 1}` is the plain `A[i]`;
@@ -98,7 +97,7 @@ impl Pattern {
 }
 
 /// One array reference of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Access {
     pub array: ArrayId,
     pub pattern: Pattern,
@@ -118,7 +117,7 @@ impl Access {
 }
 
 /// One node of the program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// A serial section, executed by thread 0 only (§V-A1: "our approach
     /// executes the serial section in only one thread").
@@ -150,7 +149,7 @@ impl Node {
 
 /// A whole program: arrays (with their allocated regions) and a node
 /// sequence, optionally repeated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Allocated region of each array.
     pub arrays: Vec<Region>,

@@ -5,10 +5,8 @@
 //! (§V-A2). Knowing the mapping of iteration to thread is what lets the
 //! compiler name producer and consumer threads.
 
-use serde::{Deserialize, Serialize};
-
 /// Chunked distribution of `iters` iterations over `threads` threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Chunks {
     pub iters: u64,
     pub threads: usize,

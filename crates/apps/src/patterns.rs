@@ -3,10 +3,8 @@
 //! Each application declares its main and other synchronization patterns;
 //! the `figures table1` harness prints the table from this metadata.
 
-use serde::{Deserialize, Serialize};
-
 /// A synchronization/communication pattern of §IV-A1 (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncPattern {
     /// Program-wide barrier (Figure 4a).
     Barrier,
@@ -33,7 +31,7 @@ impl SyncPattern {
 }
 
 /// Table I row: main pattern(s) plus others the application exhibits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternInfo {
     pub main: Vec<SyncPattern>,
     pub other: Vec<SyncPattern>,

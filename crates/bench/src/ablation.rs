@@ -13,10 +13,9 @@
 
 use hic_runtime::{Config, IntraConfig, ProgramBuilder};
 use hic_sim::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// One point of a sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationPoint {
     pub parameter: u64,
     pub cycles: u64,

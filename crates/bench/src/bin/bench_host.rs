@@ -42,6 +42,7 @@ use hic_bench::host::{
 };
 use hic_bench::{bench_with_setup, Timing};
 use hic_runtime::{Config, IntraConfig, ProgramBuilder};
+use hic_sim::Json;
 
 fn micro_timings() -> Vec<Timing> {
     // A small, representative micro set: one communication-heavy kernel
@@ -134,7 +135,7 @@ fn main() -> ExitCode {
     if baseline.is_none() {
         baseline = std::fs::read_to_string(&out_path)
             .ok()
-            .and_then(|prev| previous_wall_s(&prev));
+            .and_then(|prev| Json::parse(&prev).ok()?.get("wall_s")?.as_f64());
     }
 
     let mut report = run_suite(scale);
@@ -290,7 +291,7 @@ fn main() -> ExitCode {
     }
 
     let json = to_json(&report, baseline);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
         eprintln!("failed to write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -317,13 +318,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// Extract the top-level `"wall_s"` value from a previous report without
-/// a JSON parser (the serde shim is inert). The writer emits it as the
-/// third line, `  "wall_s": <secs>,` — scan for exactly that shape.
-fn previous_wall_s(json: &str) -> Option<f64> {
-    json.lines()
-        .find_map(|l| l.trim().strip_prefix("\"wall_s\":"))
-        .and_then(|rest| rest.trim().trim_end_matches(',').parse::<f64>().ok())
 }

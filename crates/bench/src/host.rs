@@ -6,17 +6,15 @@
 //! trajectory of the simulator itself is tracked PR over PR. The JSON
 //! records, per run and in aggregate: host wall time, simulated-machine
 //! ops executed, sim-ops per host second, and the engine's transport
-//! ledger (messages, batches, reply round-trips, wakeups).
-//!
-//! The serde shim is inert (see `crates/shims/README.md`), so the JSON is
-//! emitted by the tiny hand-rolled writer in this module.
+//! ledger (messages, batches, reply round-trips, wakeups). The document is
+//! built as a [`Json`] value.
 
 use std::time::{Duration, Instant};
 
 use hic_apps::{inter_apps, intra_apps, Scale};
 use hic_machine::{ResilienceStats, TrafficLedger};
 use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, IntraConfig, RunRequest, Scheduler};
-use hic_sim::{EngineStats, Topology, TopologyBuilder};
+use hic_sim::{EngineStats, Json, Topology, TopologyBuilder};
 
 use crate::harness::Timing;
 
@@ -650,241 +648,184 @@ pub fn run_check_overhead(scale: Scale) -> CheckOverhead {
     }
 }
 
-// ----------------------------------------------------------------------
-// Hand-rolled JSON writer
-// ----------------------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Seconds and percentages are recorded to 3 decimals (a non-finite
+/// value writes `null`).
+fn round3(v: f64) -> Json {
+    Json::Num((v * 1000.0).round() / 1000.0)
 }
 
-fn f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
+fn secs(d: Duration) -> Json {
+    round3(d.as_secs_f64())
 }
 
-fn engine_json(e: &EngineStats) -> String {
-    format!(
-        "{{\"ops_executed\":{},\"messages\":{},\"batches\":{},\
-         \"round_trips\":{},\"wakeups\":{},\"peak_parked\":{},\
-         \"shard_local_ops\":{},\"cross_shard_msgs\":{},\
-         \"lookahead_stalls\":{},\"lock_waits\":{}}}",
-        e.ops_executed,
-        e.messages,
-        e.batches,
-        e.round_trips,
-        e.wakeups,
-        e.peak_parked,
-        e.shard_local_ops,
-        e.cross_shard_msgs,
-        e.lookahead_stalls,
-        e.lock_waits
-    )
+fn nanos(d: Duration) -> Json {
+    Json::uint(d.as_nanos() as u64)
 }
 
 /// Render the report (plus the baseline-comparison header) as JSON.
-pub fn to_json(report: &HostReport, baseline_wall_s: Option<f64>) -> String {
+pub fn to_json(report: &HostReport, baseline_wall_s: Option<f64>) -> Json {
     let wall_s = report.wall.as_secs_f64();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", report.scale));
-    out.push_str(&format!("  \"wall_s\": {},\n", f(wall_s)));
-    match baseline_wall_s {
-        Some(b) => {
-            out.push_str(&format!("  \"baseline_wall_s\": {},\n", f(b)));
-            let speedup = if wall_s > 0.0 { b / wall_s } else { 0.0 };
-            out.push_str(&format!("  \"speedup_vs_baseline\": {},\n", f(speedup)));
-        }
-        None => {
-            out.push_str("  \"baseline_wall_s\": null,\n");
-            out.push_str("  \"speedup_vs_baseline\": null,\n");
-        }
-    }
-    out.push_str(&format!("  \"all_correct\": {},\n", report.all_correct()));
-    out.push_str(&format!("  \"sim_ops\": {},\n", report.total_ops()));
-    out.push_str(&format!(
-        "  \"sim_ops_per_sec\": {},\n",
-        f(report.sim_ops_per_sec())
-    ));
-    out.push_str(&format!(
-        "  \"engine\": {{\"messages\":{},\"round_trips\":{}}},\n",
-        report.total_messages(),
-        report.total_round_trips()
-    ));
-    match &report.check {
-        Some(c) => out.push_str(&format!(
-            "  \"check\": {{\"wall_s_off\":{},\"wall_s_report\":{},\
-             \"overhead_pct\":{},\"checks\":{},\"clean\":{}}},\n",
-            f(c.wall_off.as_secs_f64()),
-            f(c.wall_report.as_secs_f64()),
-            f(c.overhead_pct()),
-            c.checks,
-            c.clean
-        )),
-        None => out.push_str("  \"check\": null,\n"),
-    }
-    match &report.faults {
-        Some(fo) => out.push_str(&format!(
-            "  \"faults\": {{\"seed\":{},\"wall_s_clean\":{},\"wall_s_faulted\":{},\
-             \"wall_s_recovered\":{},\"overhead_pct\":{},\"recover_overhead_pct\":{},\
-             \"correct\":{},\"recover_correct\":{},\"retries\":{},\"retry_flits\":{},\
-             \"retry_cycles\":{},\"bit_flips\":{},\"flips_recovered\":{},\
-             \"recovery_flits\":{},\"delayed_acks\":{},\"ack_delay_cycles\":{},\
-             \"rollbacks\":{},\"rollback_cycles\":{},\"checkpoint_words\":{}}},\n",
-            fo.seed,
-            f(fo.wall_clean.as_secs_f64()),
-            f(fo.wall_faulted.as_secs_f64()),
-            f(fo.wall_recovered.as_secs_f64()),
-            f(fo.overhead_pct()),
-            f(fo.recover_overhead_pct()),
-            fo.correct,
-            fo.recover_correct,
-            fo.stats.retries,
-            fo.stats.retry_flits,
-            fo.stats.retry_cycles,
-            fo.stats.bit_flips,
-            fo.stats.flips_recovered,
-            fo.stats.recovery_flits,
-            fo.stats.delayed_acks,
-            fo.stats.ack_delay_cycles,
-            fo.recover_stats.rollbacks,
-            fo.recover_stats.rollback_cycles,
-            fo.recover_stats.checkpoint_words,
-        )),
-        None => out.push_str("  \"faults\": null,\n"),
-    }
-    match &report.parallel {
-        Some(p) => {
-            out.push_str(&format!(
-                "  \"parallel\": {{\"host_cores\":{},\"oracle_wall_s\":{},\
-                 \"all_correct\":{},\"curves\":[",
-                p.host_cores,
-                f(p.oracle_wall.as_secs_f64()),
-                p.all_correct()
-            ));
-            for (i, c) in p.curves.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}{{\"shards\":{},\"wall_s\":{},\"speedup\":{},\"identical\":{}}}",
-                    if i > 0 { "," } else { "" },
-                    c.shards,
-                    f(c.wall.as_secs_f64()),
-                    f(p.speedup(c)),
-                    c.identical
-                ));
-            }
-            out.push_str("]},\n");
-        }
-        None => out.push_str("  \"parallel\": null,\n"),
-    }
-    out.push_str("  \"lint\": [\n");
-    for (i, l) in report.lint.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\":\"{}\",\"config\":\"{}\",\"clean\":{},\"correct\":{},\
-             \"verify_ns\":{},\"optimize_ns\":{},\
-             \"ops_before\":{},\"ops_after\":{},\"pruned\":{},\"downgraded\":{},\
-             \"wbinv_flits_before\":{},\"wbinv_flits_after\":{},\
-             \"flit_savings_pct\":{},\
-             \"wbinv_ops_before\":{},\"wbinv_ops_after\":{}}}{}\n",
-            esc(&l.app),
-            esc(&l.config),
-            l.clean,
-            l.correct,
-            l.verify.as_nanos(),
-            l.optimize.as_nanos(),
-            l.ops_before,
-            l.ops_after,
-            l.pruned,
-            l.downgraded,
-            l.flits_before,
-            l.flits_after,
-            f(l.flit_savings_pct()),
-            l.wbinv_before,
-            l.wbinv_after,
-            if i + 1 < report.lint.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"geometry\": [\n");
-    for (i, g) in report.geometry.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\":\"{}\",\"blocks\":{},\"cores_per_block\":{},\
-             \"l2_banks\":{},\"scheme\":\"{}\",\"app\":\"{}\",\
-             \"correct\":{},\"cycles\":{},\
-             \"traffic\":{{\"linefill\":{},\"writeback\":{},\"invalidation\":{},\
-             \"memory\":{},\"l2l3\":{},\"sync\":{}}},\"wall_s\":{}}}{}\n",
-            esc(&g.shape),
-            g.blocks,
-            g.cores_per_block,
-            g.l2_banks,
-            esc(&g.scheme),
-            esc(&g.app),
-            g.correct,
-            g.cycles,
-            g.traffic.linefill,
-            g.traffic.writeback,
-            g.traffic.invalidation,
-            g.traffic.memory,
-            g.traffic.l2l3,
-            g.traffic.sync,
-            f(g.wall.as_secs_f64()),
-            if i + 1 < report.geometry.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in report.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\":\"{}\",\"config\":\"{}\",\"family\":\"{}\",\
-             \"correct\":{},\"cycles\":{},\"wall_s\":{},\
-             \"sim_ops_per_sec\":{},\"engine\":{}}}{}\n",
-            esc(&r.app),
-            esc(&r.config),
-            r.family,
-            r.correct,
-            r.cycles,
-            f(r.wall.as_secs_f64()),
-            f(r.sim_ops_per_sec()),
-            engine_json(&r.engine),
-            if i + 1 < report.runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"bench\": [\n");
-    for (i, t) in report.timings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\":\"{}\",\"iters\":{},\"total_ns\":{},\"mean_ns\":{}}}{}\n",
-            esc(&t.name),
-            t.iters,
-            t.total.as_nanos(),
-            t.mean().as_nanos(),
-            if i + 1 < report.timings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let speedup = baseline_wall_s.map(|b| if wall_s > 0.0 { b / wall_s } else { 0.0 });
+    let check = report.check.as_ref().map_or(Json::Null, |c| {
+        Json::obj([
+            ("wall_s_off", secs(c.wall_off)),
+            ("wall_s_report", secs(c.wall_report)),
+            ("overhead_pct", round3(c.overhead_pct())),
+            ("checks", Json::uint(c.checks)),
+            ("clean", Json::Bool(c.clean)),
+        ])
+    });
+    let faults = report.faults.as_ref().map_or(Json::Null, |fo| {
+        Json::obj([
+            ("seed", Json::uint(fo.seed)),
+            ("wall_s_clean", secs(fo.wall_clean)),
+            ("wall_s_faulted", secs(fo.wall_faulted)),
+            ("wall_s_recovered", secs(fo.wall_recovered)),
+            ("overhead_pct", round3(fo.overhead_pct())),
+            ("recover_overhead_pct", round3(fo.recover_overhead_pct())),
+            ("correct", Json::Bool(fo.correct)),
+            ("recover_correct", Json::Bool(fo.recover_correct)),
+            ("retries", Json::uint(fo.stats.retries)),
+            ("retry_flits", Json::uint(fo.stats.retry_flits)),
+            ("retry_cycles", Json::uint(fo.stats.retry_cycles)),
+            ("bit_flips", Json::uint(fo.stats.bit_flips)),
+            ("flips_recovered", Json::uint(fo.stats.flips_recovered)),
+            ("recovery_flits", Json::uint(fo.stats.recovery_flits)),
+            ("delayed_acks", Json::uint(fo.stats.delayed_acks)),
+            ("ack_delay_cycles", Json::uint(fo.stats.ack_delay_cycles)),
+            ("rollbacks", Json::uint(fo.recover_stats.rollbacks)),
+            (
+                "rollback_cycles",
+                Json::uint(fo.recover_stats.rollback_cycles),
+            ),
+            (
+                "checkpoint_words",
+                Json::uint(fo.recover_stats.checkpoint_words),
+            ),
+        ])
+    });
+    let parallel = report.parallel.as_ref().map_or(Json::Null, |p| {
+        let curves = p.curves.iter().map(|c| {
+            Json::obj([
+                ("shards", Json::uint(c.shards as u64)),
+                ("wall_s", secs(c.wall)),
+                ("speedup", round3(p.speedup(c))),
+                ("identical", Json::Bool(c.identical)),
+            ])
+        });
+        Json::obj([
+            ("host_cores", Json::uint(p.host_cores as u64)),
+            ("oracle_wall_s", secs(p.oracle_wall)),
+            ("all_correct", Json::Bool(p.all_correct())),
+            ("curves", Json::Arr(curves.collect())),
+        ])
+    });
+    let lint = report.lint.iter().map(|l| {
+        Json::obj([
+            ("app", Json::str(&l.app)),
+            ("config", Json::str(&l.config)),
+            ("clean", Json::Bool(l.clean)),
+            ("correct", Json::Bool(l.correct)),
+            ("verify_ns", nanos(l.verify)),
+            ("optimize_ns", nanos(l.optimize)),
+            ("ops_before", Json::uint(l.ops_before as u64)),
+            ("ops_after", Json::uint(l.ops_after as u64)),
+            ("pruned", Json::uint(l.pruned as u64)),
+            ("downgraded", Json::uint(l.downgraded as u64)),
+            ("wbinv_flits_before", Json::uint(l.flits_before)),
+            ("wbinv_flits_after", Json::uint(l.flits_after)),
+            ("flit_savings_pct", round3(l.flit_savings_pct())),
+            ("wbinv_ops_before", Json::uint(l.wbinv_before)),
+            ("wbinv_ops_after", Json::uint(l.wbinv_after)),
+        ])
+    });
+    let geometry = report.geometry.iter().map(|g| {
+        let t = &g.traffic;
+        Json::obj([
+            ("shape", Json::str(&g.shape)),
+            ("blocks", Json::uint(g.blocks as u64)),
+            ("cores_per_block", Json::uint(g.cores_per_block as u64)),
+            ("l2_banks", Json::uint(g.l2_banks as u64)),
+            ("scheme", Json::str(&g.scheme)),
+            ("app", Json::str(&g.app)),
+            ("correct", Json::Bool(g.correct)),
+            ("cycles", Json::uint(g.cycles)),
+            (
+                "traffic",
+                Json::obj([
+                    ("linefill", Json::uint(t.linefill)),
+                    ("writeback", Json::uint(t.writeback)),
+                    ("invalidation", Json::uint(t.invalidation)),
+                    ("memory", Json::uint(t.memory)),
+                    ("l2l3", Json::uint(t.l2l3)),
+                    ("sync", Json::uint(t.sync)),
+                ]),
+            ),
+            ("wall_s", secs(g.wall)),
+        ])
+    });
+    let runs = report.runs.iter().map(|r| {
+        let e = &r.engine;
+        Json::obj([
+            ("app", Json::str(&r.app)),
+            ("config", Json::str(&r.config)),
+            ("family", Json::str(r.family)),
+            ("correct", Json::Bool(r.correct)),
+            ("cycles", Json::uint(r.cycles)),
+            ("wall_s", secs(r.wall)),
+            ("sim_ops_per_sec", round3(r.sim_ops_per_sec())),
+            (
+                "engine",
+                Json::obj([
+                    ("ops_executed", Json::uint(e.ops_executed)),
+                    ("messages", Json::uint(e.messages)),
+                    ("batches", Json::uint(e.batches)),
+                    ("round_trips", Json::uint(e.round_trips)),
+                    ("wakeups", Json::uint(e.wakeups)),
+                    ("peak_parked", Json::uint(e.peak_parked)),
+                    ("shard_local_ops", Json::uint(e.shard_local_ops)),
+                    ("cross_shard_msgs", Json::uint(e.cross_shard_msgs)),
+                    ("lookahead_stalls", Json::uint(e.lookahead_stalls)),
+                    ("lock_waits", Json::uint(e.lock_waits)),
+                ]),
+            ),
+        ])
+    });
+    let bench = report.timings.iter().map(|t| {
+        Json::obj([
+            ("name", Json::str(&t.name)),
+            ("iters", Json::uint(t.iters)),
+            ("total_ns", nanos(t.total)),
+            ("mean_ns", nanos(t.mean())),
+        ])
+    });
+    Json::obj([
+        ("schema", Json::uint(1)),
+        ("scale", Json::str(report.scale)),
+        ("wall_s", round3(wall_s)),
+        (
+            "baseline_wall_s",
+            baseline_wall_s.map_or(Json::Null, round3),
+        ),
+        ("speedup_vs_baseline", speedup.map_or(Json::Null, round3)),
+        ("all_correct", Json::Bool(report.all_correct())),
+        ("sim_ops", Json::uint(report.total_ops())),
+        ("sim_ops_per_sec", round3(report.sim_ops_per_sec())),
+        (
+            "engine",
+            Json::obj([
+                ("messages", Json::uint(report.total_messages())),
+                ("round_trips", Json::uint(report.total_round_trips())),
+            ]),
+        ),
+        ("check", check),
+        ("faults", faults),
+        ("parallel", parallel),
+        ("lint", Json::Arr(lint.collect())),
+        ("geometry", Json::Arr(geometry.collect())),
+        ("runs", Json::Arr(runs.collect())),
+        ("bench", Json::Arr(bench.collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -1001,64 +942,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_contains_baseline_and_speedup() {
-        let j = to_json(&sample_report(), Some(0.02));
-        assert!(j.contains("\"baseline_wall_s\": 0.020"));
-        assert!(j.contains("\"speedup_vs_baseline\": 2.000"));
-        assert!(j.contains("\"sim_ops\": 1000"));
-        assert!(j.contains("\"iters\":7"));
-        assert!(j.contains("\"total_ns\":700"));
-        assert!(j.contains("\"round_trips\":50"));
-        assert!(j.contains("\"checks\":4242"));
-        assert!(j.contains("\"overhead_pct\":10.000"));
+    /// The rendered document, parsed back.
+    fn doc(r: &HostReport, baseline_wall_s: Option<f64>) -> Json {
+        Json::parse(&to_json(r, baseline_wall_s).to_string()).unwrap()
+    }
+
+    /// The value at a dotted `path`; numeric segments index arrays.
+    fn at<'a>(j: &'a Json, path: &str) -> &'a Json {
+        path.split('.')
+            .fold(j, |j, key| match key.parse::<usize>() {
+                Ok(i) => &j.as_arr().unwrap()[i],
+                Err(_) => j.get(key).unwrap_or_else(|| panic!("no {key:?} in {path}")),
+            })
+    }
+
+    fn num(j: &Json, path: &str) -> f64 {
+        at(j, path).as_f64().unwrap()
     }
 
     #[test]
-    fn json_without_check_sweep_is_null() {
+    fn json_contains_baseline_and_speedup() {
+        let j = doc(&sample_report(), Some(0.02));
+        assert_eq!(num(&j, "baseline_wall_s"), 0.02);
+        assert_eq!(num(&j, "speedup_vs_baseline"), 2.0);
+        assert_eq!(num(&j, "sim_ops"), 1000.0);
+        assert_eq!(num(&j, "bench.0.iters"), 7.0);
+        assert_eq!(num(&j, "bench.0.total_ns"), 700.0);
+        assert_eq!(num(&j, "engine.round_trips"), 50.0);
+        assert_eq!(num(&j, "check.checks"), 4242.0);
+        assert_eq!(num(&j, "check.overhead_pct"), 10.0);
+    }
+
+    #[test]
+    fn json_without_optional_sweeps_is_null() {
         let mut r = sample_report();
         r.check = None;
-        assert!(to_json(&r, None).contains("\"check\": null"));
+        r.faults = None;
+        r.parallel = None;
+        let j = doc(&r, None);
+        for key in [
+            "baseline_wall_s",
+            "speedup_vs_baseline",
+            "check",
+            "faults",
+            "parallel",
+        ] {
+            assert_eq!(at(&j, key), &Json::Null, "{key}");
+        }
     }
 
     #[test]
     fn json_carries_the_fault_sweep() {
-        let j = to_json(&sample_report(), None);
-        assert!(j.contains("\"faults\": {\"seed\":2026"));
-        assert!(j.contains("\"retries\":12"));
-        assert!(j.contains("\"flips_recovered\":5"));
-        assert!(j.contains("\"recovery_flits\":85"));
-        assert!(j.contains("\"overhead_pct\":5.000"));
-        assert!(j.contains("\"wall_s_recovered\":0.112"));
-        assert!(j.contains("\"recover_overhead_pct\":12.000"));
-        assert!(j.contains("\"recover_correct\":true"));
-        assert!(j.contains("\"rollbacks\":4"));
-        assert!(j.contains("\"rollback_cycles\":260"));
-        assert!(j.contains("\"checkpoint_words\":512"));
-        let mut r = sample_report();
-        r.faults = None;
-        assert!(to_json(&r, None).contains("\"faults\": null"));
+        let j = doc(&sample_report(), None);
+        for (path, want) in [
+            ("faults.seed", 2026.0),
+            ("faults.retries", 12.0),
+            ("faults.flips_recovered", 5.0),
+            ("faults.recovery_flits", 85.0),
+            ("faults.overhead_pct", 5.0),
+            ("faults.wall_s_recovered", 0.112),
+            ("faults.recover_overhead_pct", 12.0),
+            ("faults.rollbacks", 4.0),
+            ("faults.rollback_cycles", 260.0),
+            ("faults.checkpoint_words", 512.0),
+        ] {
+            assert_eq!(num(&j, path), want, "{path}");
+        }
+        assert_eq!(at(&j, "faults.recover_correct"), &Json::Bool(true));
     }
 
     #[test]
     fn json_carries_the_lint_sweep() {
-        let j = to_json(&sample_report(), None);
-        assert!(j.contains("\"ops_before\":728"));
-        assert!(j.contains("\"pruned\":309"));
-        assert!(j.contains("\"downgraded\":21"));
-        assert!(j.contains("\"flit_savings_pct\":10.000"));
-        assert!(j.contains("\"wbinv_ops_after\":400"));
+        let j = doc(&sample_report(), None);
+        assert_eq!(num(&j, "lint.0.ops_before"), 728.0);
+        assert_eq!(num(&j, "lint.0.pruned"), 309.0);
+        assert_eq!(num(&j, "lint.0.downgraded"), 21.0);
+        assert_eq!(num(&j, "lint.0.flit_savings_pct"), 10.0);
+        assert_eq!(num(&j, "lint.0.wbinv_ops_after"), 400.0);
+        assert_eq!(num(&j, "lint.0.verify_ns"), 120_000.0);
     }
 
     #[test]
     fn json_carries_the_parallel_sweep() {
-        let j = to_json(&sample_report(), None);
-        assert!(j.contains("\"parallel\": {\"host_cores\":8"));
-        assert!(j.contains("\"oracle_wall_s\":0.400"));
-        assert!(j.contains("{\"shards\":4,\"wall_s\":0.100,\"speedup\":4.000,\"identical\":true}"));
-        let mut r = sample_report();
-        r.parallel = None;
-        assert!(to_json(&r, None).contains("\"parallel\": null"));
+        let j = doc(&sample_report(), None);
+        assert_eq!(num(&j, "parallel.host_cores"), 8.0);
+        assert_eq!(num(&j, "parallel.oracle_wall_s"), 0.4);
+        let curve = at(&j, "parallel.curves.1");
+        assert_eq!(num(curve, "shards"), 4.0);
+        assert_eq!(num(curve, "wall_s"), 0.1);
+        assert_eq!(num(curve, "speedup"), 4.0);
+        assert_eq!(at(curve, "identical"), &Json::Bool(true));
     }
 
     #[test]
@@ -1070,8 +1043,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_json_carries_the_shard_counters() {
-        let e = EngineStats {
+    fn json_carries_the_engine_counters() {
+        let mut r = sample_report();
+        r.runs[0].engine = EngineStats {
             ops_executed: 10,
             shard_local_ops: 7,
             cross_shard_msgs: 3,
@@ -1079,21 +1053,21 @@ mod tests {
             lock_waits: 1,
             ..EngineStats::default()
         };
-        let j = engine_json(&e);
-        assert!(j.contains("\"shard_local_ops\":7"));
-        assert!(j.contains("\"cross_shard_msgs\":3"));
-        assert!(j.contains("\"lookahead_stalls\":2"));
-        assert!(j.contains("\"lock_waits\":1"));
+        let j = doc(&r, None);
+        assert_eq!(num(&j, "runs.0.engine.shard_local_ops"), 7.0);
+        assert_eq!(num(&j, "runs.0.engine.cross_shard_msgs"), 3.0);
+        assert_eq!(num(&j, "runs.0.engine.lookahead_stalls"), 2.0);
+        assert_eq!(num(&j, "runs.0.engine.lock_waits"), 1.0);
     }
 
     #[test]
     fn json_carries_the_geometry_matrix() {
-        let j = to_json(&sample_report(), None);
-        assert!(j.contains("\"shape\":\"2x4x4\""));
-        assert!(j.contains("\"scheme\":\"Dragon\""));
-        assert!(j.contains("\"cycles\":4321"));
-        assert!(j.contains("\"invalidation\":33"));
-        assert!(j.contains("\"l2l3\":55"));
+        let j = doc(&sample_report(), None);
+        assert_eq!(at(&j, "geometry.0.shape").as_str(), Some("2x4x4"));
+        assert_eq!(at(&j, "geometry.0.scheme").as_str(), Some("Dragon"));
+        assert_eq!(num(&j, "geometry.0.cycles"), 4321.0);
+        assert_eq!(num(&j, "geometry.0.traffic.invalidation"), 33.0);
+        assert_eq!(num(&j, "geometry.0.traffic.l2l3"), 55.0);
     }
 
     #[test]
@@ -1121,12 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn json_without_baseline_is_null() {
-        let j = to_json(&sample_report(), None);
-        assert!(j.contains("\"baseline_wall_s\": null"));
-    }
-
-    #[test]
     fn ops_per_sec_math() {
         let r = sample_report();
         assert!((r.sim_ops_per_sec() - 100_000.0).abs() < 1.0);
@@ -1134,7 +1102,12 @@ mod tests {
     }
 
     #[test]
-    fn strings_are_escaped() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn string_fields_round_trip() {
+        let mut r = sample_report();
+        r.runs[0].app = "a\"b\\c\nd".into();
+        assert_eq!(
+            at(&doc(&r, None), "runs.0.app").as_str(),
+            Some("a\"b\\c\nd")
+        );
     }
 }

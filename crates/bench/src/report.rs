@@ -11,11 +11,10 @@ use hic_apps::{inter_apps, intra_apps, App, Scale};
 use hic_machine::RunStats;
 use hic_runtime::{Config, InterConfig, IntraConfig};
 use hic_sim::StallLedger;
-use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 9: an (app, config) execution, with the stall
 /// breakdown, normalized to the app's HCC total.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     pub app: String,
     pub config: String,
@@ -86,7 +85,7 @@ pub fn fig9_rows(scale: Scale) -> Vec<Fig9Row> {
 
 /// One bar pair of Figure 10: B+M+I network traffic vs HCC, in flits,
 /// broken into the paper's four categories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     pub app: String,
     pub config: String,
@@ -132,7 +131,7 @@ pub fn fig10_rows(scale: Scale) -> Vec<Fig10Row> {
 
 /// One group of Figure 11: global WB / INV counts under Addr+L,
 /// normalized to Addr.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     pub app: String,
     pub addr_global_wbs: u64,
@@ -168,7 +167,7 @@ pub fn fig11_rows(scale: Scale) -> Vec<Fig11Row> {
 }
 
 /// One bar of Figure 12: inter-block normalized execution time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Row {
     pub app: String,
     pub config: String,

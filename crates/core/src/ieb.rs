@@ -20,11 +20,10 @@
 //! unaffected).
 
 use hic_mem::LineAddr;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What the read path must do, as decided by the IEB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IebAction {
     /// Proceed as a normal cached read.
     Normal,

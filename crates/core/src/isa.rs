@@ -20,10 +20,9 @@
 use hic_mem::addr::{Addr, Region, WORD_BYTES};
 use hic_mem::{LineAddr, WordAddr};
 use hic_sim::ThreadId;
-use serde::{Deserialize, Serialize};
 
 /// Data granularity of a single-operand WB/INV (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     Byte,
     HalfWord,
@@ -46,7 +45,7 @@ impl Granularity {
 }
 
 /// What a WB or INV operates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Target {
     /// A single operand of the given granularity at the given address.
     Operand(Addr, Granularity),
@@ -111,7 +110,7 @@ fn mask_for_span(line: LineAddr, start: WordAddr, end: WordAddr) -> u16 {
 }
 
 /// Destination scope of a writeback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WbScope {
     /// Plain `WB`: push dirty words from L1 to the block's shared L2.
     ToL2,
@@ -123,7 +122,7 @@ pub enum WbScope {
 }
 
 /// Source scope of a self-invalidation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InvScope {
     /// Plain `INV`: drop lines from the local L1.
     FromL1,
@@ -135,7 +134,7 @@ pub enum InvScope {
 }
 
 /// A fully-specified coherence-management instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CohInstr {
     Wb { target: Target, scope: WbScope },
     Inv { target: Target, scope: InvScope },

@@ -12,10 +12,8 @@
 //! simply skips slots that are no longer dirty. If the MEB overflows during
 //! the epoch, the terminating `WB ALL` executes normally (full traversal).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of draining the MEB at the end of an epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MebDrain {
     /// The MEB tracked every write: write back the lines at these IDs
     /// (skipping any whose slot is no longer dirty).

@@ -20,10 +20,9 @@
 //! load may bypass buffered WBs but never a buffered INV to its address.
 
 use hic_mem::WordAddr;
-use serde::{Deserialize, Serialize};
 
 /// Kind of access, for ordering-rule queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     Load,
     Store,
@@ -32,7 +31,7 @@ pub enum AccessKind {
 }
 
 /// Strength of the ordering between two same-address accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrderConstraint {
     /// Reordering would change program semantics: forbidden.
     Required,

@@ -15,7 +15,6 @@
 //! (4 blocks x 8 cores) machine; this model reproduces that number.
 
 use hic_sim::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// Bits per line-address entry in the IEB (Table III: 40-bit line address).
 pub const IEB_LINE_ADDR_BITS: u32 = 40;
@@ -25,7 +24,7 @@ pub const MESI_STATE_BITS: u64 = 4;
 pub const THREAD_ID_BITS: u32 = 16;
 
 /// Itemized storage bill for one hierarchy, in bits.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageReport {
     pub items: Vec<(String, u64)>,
 }

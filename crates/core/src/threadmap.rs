@@ -10,10 +10,9 @@
 //! invalidates only the L1 if `prod` is local, else L1 and L2.
 
 use hic_sim::{BlockId, ThreadId};
-use serde::{Deserialize, Serialize};
 
 /// Per-block thread-residency table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ThreadMap {
     /// `threads[b]` = thread IDs mapped to block `b`, sorted.
     threads: Vec<Vec<ThreadId>>,

@@ -36,11 +36,10 @@
 //!   surfaces the fatal.
 
 use hic_noc::{mix64, LinkFaults};
-use serde::{Deserialize, Serialize};
 
 /// A complete, seeded description of what to perturb. Fully determines
 /// every fault decision of a run; serializable into run diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Master seed. Every component derives its decisions from this.
     pub seed: u64,
@@ -219,7 +218,7 @@ impl FaultPlan {
 /// Running counts of injected faults and the work spent recovering from
 /// them. Lives in `RunStats`; merged from the backend and the machine's
 /// sync controller at `Machine::finish`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Flits lost to injected drops (each re-sent transfer re-counts its
     /// flits under `retry_flits`).

@@ -57,7 +57,7 @@ mod tests {
     use hic_runtime::InterConfig;
     use hic_sim::SplitMix64;
 
-    fn base_clean_desc() -> CaseDesc {
+    fn clean_base_case() -> CaseDesc {
         CaseDesc {
             scheme: InterConfig::Addr,
             blocks: 2,
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn clean_case_is_clean() {
-        let out = run_case(&base_clean_desc());
+        let out = run_case(&clean_base_case());
         assert_eq!(out.verdict.expect_tag(), "clean", "{}", out.detail);
     }
 
@@ -121,7 +121,7 @@ mod tests {
         // The acceptance criterion: on Addr/AddrL (range-scoped ops with
         // pairwise-distinct producers per round), deleting ANY single
         // WB or INV op must surface as covered sanitizer findings.
-        let base = base_clean_desc();
+        let base = clean_base_case();
         for (r, round) in base.rounds.iter().enumerate() {
             for e in 0..round.edges.len() {
                 for wb in [true, false] {
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn duplicate_and_widen_stay_clean() {
         for (kind, amount) in [(MutKind::Duplicate, 1), (MutKind::Widen, 5)] {
-            let mut d = base_clean_desc();
+            let mut d = clean_base_case();
             d.mutation = Some(MutationDesc {
                 kind,
                 wb: true,
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn racy_case_is_precision_not_violation() {
-        let mut d = base_clean_desc();
+        let mut d = clean_base_case();
         d.racy = true;
         let out = run_case(&d);
         assert_eq!(
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn recovery_audit_survives_on_a_clean_case() {
-        let mut d = base_clean_desc();
+        let mut d = clean_base_case();
         d.corrupt = true;
         let out = run_case(&d);
         assert_eq!(out.verdict.expect_tag(), "clean", "{}", out.detail);
@@ -198,7 +198,7 @@ mod tests {
         // Corpus lines written before the recovery audit existed carry
         // no corrupt field; they must parse (default false) and
         // re-render to the same key.
-        let legacy = base_clean_desc();
+        let legacy = clean_base_case();
         assert!(!legacy.key().contains("corrupt"), "{}", legacy.key());
         let parsed = CaseDesc::parse_key(&legacy.key()).unwrap();
         assert!(!parsed.corrupt);
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn minimize_preserves_expectation() {
-        let mut d = base_clean_desc();
+        let mut d = clean_base_case();
         d.racy = true;
         d.fault_seed = 123_456;
         let expect = run_case(&d).verdict.expect_tag();
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn corpus_line_round_trips() {
-        let d = base_clean_desc();
+        let d = clean_base_case();
         let line = corpus_line(&d, "clean");
         let (parsed, expect) = parse_corpus_line(&line).unwrap();
         assert_eq!(parsed, d);

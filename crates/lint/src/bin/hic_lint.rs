@@ -11,12 +11,14 @@
 //! "opt"}],"checked":N,"dirty":N}` with the stable finding schema of
 //! [`LintFinding::to_json`](hic_lint::LintFinding::to_json).
 //!
-//! Usage: `hic-lint [--scale test|small] [--json] [--verbose] [name-filter ...]`
+//! Usage: `hic-lint [--scale test|small|medium|large|paper] [--json] [--verbose]
+//! [name-filter ...]`
 
 use hic_apps::inter::ep::EpHier;
 use hic_apps::{inter_apps, App, Scale};
-use hic_lint::{json_str, lint, optimize};
+use hic_lint::{lint, optimize};
 use hic_runtime::{Config, InterConfig};
+use hic_sim::Json;
 
 fn main() {
     let mut scale = Scale::Test;
@@ -27,21 +29,18 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                scale = match args.next().as_deref() {
-                    Some("test") => Scale::Test,
-                    Some("small") => Scale::Small,
-                    Some("paper") => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
-                }
+                let name = args.next().unwrap_or_default();
+                scale = Scale::parse(&name).unwrap_or_else(|| {
+                    eprintln!("unknown scale {name:?} (use test|small|medium|large|paper)");
+                    std::process::exit(2);
+                });
             }
             "--verbose" | "-v" => verbose = true,
             "--json" => json = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: hic-lint [--scale test|small|paper] [--json] [--verbose] [name ...]"
+                    "usage: hic-lint [--scale test|small|medium|large|paper] [--json] \
+                     [--verbose] [name ...]"
                 );
                 return;
             }
@@ -59,7 +58,7 @@ fn main() {
 
     let mut checked = 0usize;
     let mut dirty = 0usize;
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     for app in &apps {
         let name = app.name();
         if !filters.is_empty()
@@ -83,17 +82,16 @@ fn main() {
             if json {
                 let opt = if report.is_clean() {
                     let out = optimize(&rec);
-                    format!("{{\"stats\":{},\"clean\":true}}", out.stats.to_json())
+                    Json::obj([("stats", out.stats.to_json()), ("clean", Json::Bool(true))])
                 } else {
-                    "null".to_string()
+                    Json::Null
                 };
-                records.push(format!(
-                    "{{\"app\":{},\"config\":{},\"report\":{},\"opt\":{}}}",
-                    json_str(name),
-                    json_str(config.name()),
-                    report.to_json(),
-                    opt
-                ));
+                records.push(Json::obj([
+                    ("app", Json::str(name)),
+                    ("config", Json::str(config.name())),
+                    ("report", report.to_json()),
+                    ("opt", opt),
+                ]));
                 continue;
             }
             if report.is_clean() {
@@ -123,10 +121,12 @@ fn main() {
         }
     }
     if json {
-        println!(
-            "{{\"records\":[{}],\"checked\":{checked},\"dirty\":{dirty}}}",
-            records.join(",")
-        );
+        let doc = Json::obj([
+            ("records", Json::Arr(records)),
+            ("checked", Json::uint(checked as u64)),
+            ("dirty", Json::uint(dirty as u64)),
+        ]);
+        println!("{doc}");
     } else {
         println!("---");
         println!("{checked} records linted, {dirty} with findings");

@@ -32,7 +32,7 @@ mod optimize;
 mod report;
 
 pub use optimize::{apply_overrides, optimize};
-pub use report::{json_str, LintCoverage, LintFinding, LintReport, OptOutcome, OptStats};
+pub use report::{LintCoverage, LintFinding, LintReport, OptOutcome, OptStats};
 
 use hic_runtime::ProgramRecord;
 

@@ -11,26 +11,7 @@
 use hic_check::{FindingKind, SyncRef};
 use hic_mem::{Region, WordAddr};
 use hic_runtime::{Config, PlanOverrides};
-use hic_sim::ThreadId;
-
-/// Quote and escape `s` as a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use hic_sim::{Json, ThreadId};
 
 /// Which parts of the static analysis a verification exercised — the
 /// coverage signal the fuzzer's generation feedback loop consumes.
@@ -111,13 +92,8 @@ impl LintCoverage {
     }
 
     /// One stable JSON object, all counters by name.
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
-            .features()
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", json_str(k)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.features().into_iter().map(|(k, v)| (k, Json::uint(v))))
     }
 }
 
@@ -194,32 +170,27 @@ impl LintFinding {
     }
 
     /// Stable machine-readable JSON object (the `--json` schema).
-    pub fn to_json(&self) -> String {
-        let region = match &self.region {
-            Some(r) => json_str(r),
-            None => "null".to_string(),
-        };
-        let hint = match &self.sync_hint {
-            Some(s) => format!(
-                "{{\"op\":{},\"id\":{},\"at\":{}}}",
-                json_str(s.op.tag()),
-                s.id,
-                s.at
+    pub fn to_json(&self) -> Json {
+        let hint = self.sync_hint.map_or(Json::Null, |s| {
+            Json::obj([
+                ("op", Json::str(s.op.tag())),
+                ("id", Json::uint(s.id as u64)),
+                ("at", Json::uint(s.at)),
+            ])
+        });
+        Json::obj([
+            ("kind", Json::str(self.kind.tag())),
+            ("producer", Json::uint(self.producer.0 as u64)),
+            ("consumer", Json::uint(self.consumer.0 as u64)),
+            ("start", Json::uint(self.start.0)),
+            ("words", Json::uint(self.words)),
+            (
+                "region",
+                self.region.as_deref().map_or(Json::Null, Json::str),
             ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"kind\":{},\"producer\":{},\"consumer\":{},\"start\":{},\"words\":{},\
-             \"region\":{},\"write_epoch\":{},\"sync_hint\":{}}}",
-            json_str(self.kind.tag()),
-            self.producer.0,
-            self.consumer.0,
-            self.start.0,
-            self.words,
-            region,
-            self.write_epoch,
-            hint
-        )
+            ("write_epoch", Json::uint(self.write_epoch.into())),
+            ("sync_hint", hint),
+        ])
     }
 }
 
@@ -285,20 +256,22 @@ impl LintReport {
     }
 
     /// Stable machine-readable JSON object (the `--json` schema).
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self.findings.iter().map(LintFinding::to_json).collect();
-        let errors: Vec<String> = self.errors.iter().map(|e| json_str(e)).collect();
-        format!(
-            "{{\"config\":{},\"clean\":{},\"findings\":[{}],\"errors\":[{}],\
-             \"checks\":{},\"tracked_words\":{},\"coverage\":{}}}",
-            json_str(self.config.name()),
-            self.is_clean(),
-            findings.join(","),
-            errors.join(","),
-            self.checks,
-            self.tracked_words,
-            self.coverage.to_json()
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("config", Json::str(self.config.name())),
+            ("clean", Json::Bool(self.is_clean())),
+            (
+                "findings",
+                Json::Arr(self.findings.iter().map(LintFinding::to_json).collect()),
+            ),
+            (
+                "errors",
+                Json::Arr(self.errors.iter().map(Json::str).collect()),
+            ),
+            ("checks", Json::uint(self.checks)),
+            ("tracked_words", Json::uint(self.tracked_words as u64)),
+            ("coverage", self.coverage.to_json()),
+        ])
     }
 }
 
@@ -340,17 +313,15 @@ impl OptStats {
     }
 
     /// Stable machine-readable JSON object (the `--json` schema).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ops_before\":{},\"ops_after\":{},\"pruned\":{},\"downgraded\":{},\
-             \"sites_overridden\":{},\"fallback\":{}}}",
-            self.ops_before,
-            self.ops_after,
-            self.pruned,
-            self.downgraded,
-            self.sites_overridden,
-            self.fallback
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("ops_before", Json::uint(self.ops_before as u64)),
+            ("ops_after", Json::uint(self.ops_after as u64)),
+            ("pruned", Json::uint(self.pruned as u64)),
+            ("downgraded", Json::uint(self.downgraded as u64)),
+            ("sites_overridden", Json::uint(self.sites_overridden as u64)),
+            ("fallback", Json::Bool(self.fallback)),
+        ])
     }
 }
 
@@ -369,4 +340,75 @@ pub struct OptOutcome {
     pub stats: OptStats,
     /// Verification of the record with the minimized plans applied.
     pub reverify: LintReport,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hic_check::SyncOp;
+    use hic_runtime::InterConfig;
+
+    /// Pins the `--json` schema byte for byte: field order, `null`s,
+    /// string escaping and the nested coverage/sync-hint objects.
+    #[test]
+    fn json_rendering_is_pinned() {
+        let report = LintReport {
+            config: Config::Inter(InterConfig::AddrL),
+            findings: vec![
+                LintFinding {
+                    kind: FindingKind::MissingWb,
+                    producer: ThreadId(1),
+                    consumer: ThreadId(6),
+                    start: WordAddr(0x140),
+                    words: 24,
+                    region: Some("grid[8..32]".into()),
+                    write_epoch: 3,
+                    sync_hint: Some(SyncRef {
+                        op: SyncOp::Barrier,
+                        id: 2,
+                        at: 1870,
+                    }),
+                },
+                LintFinding {
+                    kind: FindingKind::MissingInv,
+                    producer: ThreadId(0),
+                    consumer: ThreadId(5),
+                    start: WordAddr(0x200),
+                    words: 1,
+                    region: None,
+                    write_epoch: 0,
+                    sync_hint: None,
+                },
+            ],
+            errors: vec!["flag 4 waited on by t2 but never set (\"done\")".into()],
+            checks: 96,
+            tracked_words: 512,
+            coverage: LintCoverage {
+                reads: 40,
+                writes: 17,
+                wb_global: 4,
+                inv_local: 2,
+                barriers: 9,
+                flag_waits: 1,
+                poisoned_fills: 3,
+                ..LintCoverage::default()
+            },
+        };
+        assert_eq!(
+            report.to_json().to_string(),
+            r#"{"config":"Addr+L","clean":false,"findings":[{"kind":"missing-wb","producer":1,"consumer":6,"start":320,"words":24,"region":"grid[8..32]","write_epoch":3,"sync_hint":{"op":"barrier","id":2,"at":1870}},{"kind":"missing-inv","producer":0,"consumer":5,"start":512,"words":1,"region":null,"write_epoch":0,"sync_hint":null}],"errors":["flag 4 waited on by t2 but never set (\"done\")"],"checks":96,"tracked_words":512,"coverage":{"reads":40,"writes":17,"wb_local":0,"wb_global":4,"inv_local":2,"inv_global":0,"wb_all":0,"inv_all":0,"barriers":9,"flag_sets":0,"flag_waits":1,"flag_clears":0,"poisoned_fills":3}}"#
+        );
+        let stats = OptStats {
+            ops_before: 728,
+            ops_after: 419,
+            pruned: 309,
+            downgraded: 21,
+            sites_overridden: 12,
+            fallback: false,
+        };
+        assert_eq!(
+            stats.to_json().to_string(),
+            r#"{"ops_before":728,"ops_after":419,"pruned":309,"downgraded":21,"sites_overridden":12,"fallback":false}"#
+        );
+    }
 }

@@ -27,7 +27,6 @@ use hic_mem::cache::{DirtyMask, EvictedLine};
 use hic_mem::{Cache, LineAddr, Memory, Word, WordAddr};
 use hic_noc::{Mesh, TrafficCategory, TrafficLedger};
 use hic_sim::{CoreId, MachineConfig, ThreadId};
-use serde::{Deserialize, Serialize};
 
 use crate::ops::Op;
 
@@ -37,7 +36,7 @@ use crate::ops::Op;
 const FLASH_CYCLES: u64 = 4;
 
 /// Event counters used by the Figure 11 harness and by tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncCounters {
     /// WB instructions executed, split by the level they reached.
     pub local_wbs: u64,

@@ -46,7 +46,7 @@ pub struct Wakeup {
 }
 
 /// Aggregated results of a finished run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunStats {
     /// Wall-clock of the program: max core completion time.
     pub total_cycles: Cycle,

@@ -9,8 +9,6 @@
 //! keeps the hot paths branch-free; `MachineConfig::validate` rejects any
 //! cache geometry whose line size disagrees.
 
-use serde::{Deserialize, Serialize};
-
 pub use hic_sim::config::{WORDS_PER_LINE, WORD_BYTES};
 
 /// Line size in bytes, derived from the word grain (no independent
@@ -19,7 +17,7 @@ pub use hic_sim::config::{WORDS_PER_LINE, WORD_BYTES};
 const LINE_BYTES: u64 = WORD_BYTES * WORDS_PER_LINE as u64;
 
 /// A byte address in the single shared address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u64);
 
 impl Addr {
@@ -49,7 +47,7 @@ impl Addr {
 }
 
 /// A word-granularity address (byte address divided by the word size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WordAddr(pub u64);
 
 impl WordAddr {
@@ -73,7 +71,7 @@ impl WordAddr {
 }
 
 /// A line-granularity address (byte address divided by the line size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
 
 impl LineAddr {
@@ -100,7 +98,7 @@ impl LineAddr {
 /// A contiguous word-granularity address range, used by range-flavored WB
 /// and INV instructions (`WB(start, len)`, §III-B) and by region
 /// allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region {
     /// First word of the region.
     pub start: WordAddr,

@@ -8,10 +8,9 @@
 
 use crate::faults::LinkFaults;
 use hic_sim::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// A position on the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tile {
     pub x: usize,
     pub y: usize,
@@ -29,8 +28,7 @@ impl Tile {
 ///
 /// With [`Mesh::set_faults`] installed, every latency query is perturbed
 /// by the seeded [`LinkFaults`] model (the no-faults path is untouched).
-/// The no-op serde derives ignore the runtime-only `faults` field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mesh {
     cols: usize,
     rows: usize,

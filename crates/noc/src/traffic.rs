@@ -8,10 +8,8 @@
 //! *l2l3* (L2<->L3 transfers in the inter-block machine), so the ledger is
 //! complete for every machine.
 
-use serde::{Deserialize, Serialize};
-
 /// Category of a network transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficCategory {
     /// L1<->L2 line fills on read/write misses.
     Linefill,
@@ -50,7 +48,7 @@ impl TrafficCategory {
 }
 
 /// Running flit totals per category.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficLedger {
     pub linefill: u64,
     pub writeback: u64,

@@ -10,11 +10,10 @@
 //! geometry (the sweep behind `bench_host --geometry`).
 
 use hic_sim::{ConfigError, MachineConfig, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Intra-block configurations (upper half of Table II), plus the
 /// update-based Dragon protocol from the extended protocol zoo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntraConfig {
     /// Hardware cache coherence (directory MESI).
     Hcc,
@@ -67,7 +66,7 @@ impl IntraConfig {
 }
 
 /// Inter-block configurations (lower half of Table II), plus Dragon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterConfig {
     /// Hardware cache coherence (hierarchical directory MESI).
     Hcc,
@@ -109,7 +108,7 @@ impl InterConfig {
 
 /// The coherence-management scheme of a run: which half of Table II it
 /// belongs to and which row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     Intra(IntraConfig),
     Inter(InterConfig),
@@ -145,7 +144,7 @@ impl Scheme {
 /// construct the paper's configurations on the paper's shapes, so the
 /// historical `Config::Intra(IntraConfig::Base)` expression keeps
 /// working; matching on the scheme goes through [`Config::scheme`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Config {
     scheme: Scheme,
     topology: Topology,

@@ -422,21 +422,6 @@ impl ThreadCtx {
         self.barrier_with(b, BarrierOpts::all());
     }
 
-    /// Barrier carrying only the hinted regions (PR 3 API).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `barrier_with(b, BarrierOpts::hinted(wb, inv))`"
-    )]
-    pub fn barrier_hinted(&self, b: BarrierId, wb: Option<&[Region]>, inv: Option<&[Region]>) {
-        self.barrier_with(b, BarrierOpts::hinted(wb, inv));
-    }
-
-    /// Barrier carrying no data movement at all (PR 3 API).
-    #[deprecated(since = "0.1.0", note = "use `barrier_with(b, BarrierOpts::none())`")]
-    pub fn barrier_private(&self, b: BarrierId) {
-        self.barrier_with(b, BarrierOpts::none());
-    }
-
     /// Acquire a lock, inserting the critical-section annotations of the
     /// active configuration.
     pub fn lock(&self, l: LockId) {

@@ -13,10 +13,9 @@
 
 use hic_mem::Region;
 use hic_sim::ThreadId;
-use serde::{Deserialize, Serialize};
 
 /// One planned communication operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommOp {
     /// The data to move.
     pub region: Region,
@@ -40,7 +39,7 @@ impl CommOp {
 }
 
 /// The per-thread plan for one epoch boundary.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochPlan {
     /// Data this thread produced that others will consume.
     pub wb: Vec<CommOp>,

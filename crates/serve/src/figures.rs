@@ -13,9 +13,9 @@ use std::sync::Arc;
 
 use hic_apps::{inter_apps, intra_apps, Scale};
 use hic_runtime::{Config, InterConfig, IntraConfig, RunRequest};
+use hic_sim::Json;
 
 use crate::job::JobOutcome;
-use crate::json::Json;
 
 /// Every (app, configuration) cell of the paper's figure set at
 /// `scale`, in figure order.

@@ -5,8 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hic_runtime::{RunRequest, Scheme};
-
-use crate::json::Json;
+use hic_sim::Json;
 
 /// Server-assigned job identifier.
 pub type JobId = u64;

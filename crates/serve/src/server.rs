@@ -16,7 +16,7 @@
 //! 4. Deterministic outcomes enter the cache; nondeterministic failures
 //!    (watchdog kills, host-thread deaths, panics) do not, so a
 //!    resubmission re-runs them. Before publishing such a failure the
-//!    worker retries it in place — up to [`MAX_ATTEMPTS`] runs with
+//!    worker retries it in place — up to `MAX_ATTEMPTS` runs with
 //!    exponentially growing backoff sleeps — since a re-run under
 //!    kinder host timing may succeed; the outcome records the attempt
 //!    count and total backoff.

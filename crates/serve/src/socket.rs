@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hic_runtime::RunRequest;
+use hic_sim::Json;
 
-use crate::json::Json;
 use crate::server::Server;
 
 /// Serve `server` on a Unix socket at `path` until a client sends

@@ -18,8 +18,6 @@
 //!
 //! All latencies are round trips ("RT" in the paper) in core cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// Word size in bytes — the finest sharing grain. 4 bytes gives the
 /// paper's 16 per-word dirty bits per 64-byte line (§VII-A).
 pub const WORD_BYTES: u64 = 4;
@@ -37,7 +35,7 @@ pub const fn line_bytes() -> usize {
 }
 
 /// Geometry of one cache (or one bank of a banked cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes (per bank for banked caches).
     pub size_bytes: usize,
@@ -208,7 +206,7 @@ impl std::error::Error for ConfigError {}
 
 /// The shared L3 level of a multi-block machine: corner banks that back
 /// every block's L2 (paper Table III: "connected to each chip corner").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SharedL3 {
     /// Geometry of one bank.
     pub geometry: CacheGeometry,
@@ -222,7 +220,7 @@ pub struct SharedL3 {
 /// shared L3. Fields are private — the only way to obtain a `Topology`
 /// is through [`TopologyBuilder::validate`] (or a preset), so every
 /// value in circulation is internally consistent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     blocks: usize,
     cores_per_block: usize,
@@ -428,7 +426,7 @@ impl TopologyBuilder {
 
 /// Full description of the modeled machine: a validated [`Topology`]
 /// plus cache geometries and timing (paper Table III for the presets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Machine word in bytes: the finest sharing grain. 4 bytes gives the
     /// paper's 16 dirty bits per 64-byte line (§VII-A).

@@ -4,12 +4,14 @@
 //! This crate holds the vocabulary types: simulated [`Cycle`] time, the
 //! architecture configuration of the modeled machine ([`MachineConfig`],
 //! paper Table III), the per-core stall ledger ([`StallLedger`], the five
-//! categories of paper Figure 9), and small deterministic helpers.
+//! categories of paper Figure 9), and small deterministic helpers,
+//! including the workspace's one JSON value type ([`Json`]).
 //!
 //! Nothing here knows about caches or coherence; those live in `hic-mem`,
 //! `hic-core`, and `hic-coherence`.
 
 pub mod config;
+pub mod json;
 pub mod rng;
 pub mod stats;
 
@@ -17,16 +19,15 @@ pub use config::{
     CacheGeometry, ConfigError, MachineConfig, SharedL3, Topology, TopologyBuilder, WORDS_PER_LINE,
     WORD_BYTES,
 };
+pub use json::Json;
 pub use rng::SplitMix64;
 pub use stats::{EngineStats, ShardStats, StallCategory, StallLedger};
 
 /// Simulated time, measured in core clock cycles.
 pub type Cycle = u64;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a hardware core (0-based, dense).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 impl CoreId {
@@ -38,12 +39,12 @@ impl CoreId {
 }
 
 /// Identifier of a block (cluster of cores sharing an L2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub usize);
 
 /// Identifier of a software thread. The runtime pins thread `i` to core `i`
 /// (the paper assumes a one-to-one mapping with no migration, §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub usize);
 
 impl std::fmt::Display for CoreId {

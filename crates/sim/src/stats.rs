@@ -5,12 +5,10 @@
 //! [`StallLedger`] accumulates those per core; ledgers from all cores are
 //! merged to produce the figure's stacked bars.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Cycle;
 
 /// One of the five execution-time categories of paper Figure 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCategory {
     /// Time the core is stalled executing self-invalidation instructions.
     Inv,
@@ -47,7 +45,7 @@ impl StallCategory {
 }
 
 /// Cycle totals per [`StallCategory`] for one core (or summed over cores).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallLedger {
     pub inv: Cycle,
     pub wb: Cycle,
@@ -128,7 +126,7 @@ impl std::ops::AddAssign for StallLedger {
 /// the machine (channel round-trips, batch coalescing, wakeups), so they
 /// change with the transport configuration while `StallLedger` cycle
 /// counts must not.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Machine operations executed, counting each batch member once.
     pub ops_executed: u64,
@@ -161,7 +159,7 @@ pub struct EngineStats {
 }
 
 /// Contention ledger of one shard of the sharded engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Ops retired inside this shard without touching the global domain.
     pub local_ops: u64,

@@ -10,10 +10,9 @@
 //! grant schedules.
 
 use hic_sim::{CoreId, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Handle to a synchronization variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SyncId(pub usize);
 
 /// A grant: `core` may resume at `at` (controller-local time).

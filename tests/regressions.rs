@@ -86,74 +86,6 @@ fn stale_dirty_word_is_pushed_by_inv_over_newer_data() {
     );
 }
 
-/// Compatibility pin for the deprecated PR 3 barrier wrappers: nothing
-/// in-repo calls `barrier_hinted` / `barrier_private` anymore (they
-/// survive only for external callers), so this test is their sole
-/// remaining exercise. Each wrapper must stay observationally identical
-/// to the `barrier_with` spelling it deprecates — same simulated
-/// cycles, same traffic — or removal/regression would go unnoticed.
-#[test]
-#[allow(deprecated)]
-fn deprecated_barrier_wrappers_match_barrier_with() {
-    use hic_runtime::BarrierOpts;
-
-    fn run(cfg: InterConfig, modern: bool) -> hic_machine::RunStats {
-        let mut p = ProgramBuilder::new(Config::Inter(cfg));
-        let shared = p.alloc(32);
-        let scratch = p.alloc(32);
-        let bar = p.barrier_of(4);
-        let out = p.run(4, move |ctx| {
-            let t = ctx.tid() as u64;
-            // Publish one slice, sync with a hinted barrier, read a
-            // neighbour's slice.
-            for i in 0..8 {
-                ctx.write(shared, t * 8 + i, (t * 100 + i) as u32);
-            }
-            let wb = [shared.slice(t * 8, t * 8 + 8)];
-            let inv = [shared.slice(((t + 1) % 4) * 8, ((t + 1) % 4) * 8 + 8)];
-            if modern {
-                ctx.barrier_with(bar, BarrierOpts::hinted(Some(&wb), Some(&inv)));
-            } else {
-                ctx.barrier_hinted(bar, Some(&wb), Some(&inv));
-            }
-            let mut sum = 0u32;
-            for i in 0..8 {
-                sum = sum.wrapping_add(ctx.read(shared, ((t + 1) % 4) * 8 + i));
-            }
-            ctx.write(scratch, t * 8, sum);
-            // Purely private phase: a data-free barrier is enough.
-            for i in 1..8 {
-                ctx.write(scratch, t * 8 + i, sum.wrapping_add(i as u32));
-            }
-            if modern {
-                ctx.barrier_with(bar, BarrierOpts::none());
-            } else {
-                ctx.barrier_private(bar);
-            }
-            ctx.barrier(bar);
-        });
-        out.result().expect("barrier program completes");
-        out.stats().clone()
-    }
-
-    for cfg in [InterConfig::Base, InterConfig::Addr, InterConfig::AddrL] {
-        let old = run(cfg, false);
-        let new = run(cfg, true);
-        assert_eq!(
-            old.total_cycles,
-            new.total_cycles,
-            "cycles diverge under {}",
-            cfg.name()
-        );
-        assert_eq!(
-            old.traffic,
-            new.traffic,
-            "traffic diverges under {}",
-            cfg.name()
-        );
-    }
-}
-
 /// The hierarchical-reduction EP extension (§VII-C's suggested rewrite)
 /// is correct everywhere and actually reduces global WBs under Addr+L.
 #[test]
