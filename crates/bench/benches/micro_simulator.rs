@@ -1,7 +1,7 @@
 //! Microbenchmarks of the simulator substrate itself: cache operations,
 //! mesh latency math, MESI transitions, incoherent WB/INV execution
 //! (full traversal vs MEB-served), the synchronization table, and the
-//! execution engine's transport (synchronous vs batched). These bound the
+//! execution engine (the `Linear` oracle vs the default). These bound the
 //! simulator's own throughput and double as ablation probes for the
 //! MEB's costly-traversal-avoidance claim (§IV-B1).
 
@@ -11,7 +11,7 @@ use hic_core::{CohInstr, Target};
 use hic_machine::IncoherentSystem;
 use hic_mem::{Addr, Cache, LineAddr, WordAddr};
 use hic_noc::Mesh;
-use hic_runtime::{Config, IntraConfig, ProgramBuilder, Transport};
+use hic_runtime::{Config, IntraConfig, ProgramBuilder, Scheduler};
 use hic_sim::{CoreId, MachineConfig};
 
 fn bench_cache() {
@@ -122,13 +122,13 @@ fn bench_sync() {
     });
 }
 
-/// A store-heavy multithreaded workload: the best case for the batched
-/// transport (long runs of fire-and-forget ops between barriers).
-fn run_store_heavy(transport: Transport) -> hic_machine::RunStats {
+/// A store-heavy multithreaded workload: the best case for batching and
+/// local retirement (long runs of fire-and-forget ops between barriers).
+fn run_store_heavy(engine: Scheduler) -> hic_machine::RunStats {
     const THREADS: usize = 8;
     const STORES_PER_THREAD: u64 = 4096;
     let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
-    p.transport(transport);
+    p.scheduler(engine);
     let data = p.alloc(THREADS as u64 * STORES_PER_THREAD);
     let bar = p.barrier_of(THREADS);
     let out = p.run(THREADS, move |ctx| {
@@ -142,44 +142,46 @@ fn run_store_heavy(transport: Transport) -> hic_machine::RunStats {
     out.stats().clone()
 }
 
-/// Engine transport comparison: wall-clock throughput of the synchronous
-/// one-message-per-op transport vs the batched transport on a store-heavy
-/// workload, with the engine ledgers showing where the savings come from.
-/// Simulated results must be bit-identical.
-fn bench_engine_transport() {
-    let sync = bench("micro_engine/store_heavy_sync_transport", || {
-        run_store_heavy(Transport::Sync)
+/// Engine comparison: wall-clock throughput of the `Linear` oracle (one
+/// op per message, every op queued) vs the default engine on a
+/// store-heavy workload, with the engine ledgers showing where the
+/// savings come from. Simulated results must be bit-identical.
+fn bench_engine() {
+    let oracle = bench("micro_engine/store_heavy_linear_oracle", || {
+        run_store_heavy(Scheduler::Linear)
     });
-    let batched = bench("micro_engine/store_heavy_batched_transport", || {
-        run_store_heavy(Transport::default())
+    let default = bench("micro_engine/store_heavy_default_engine", || {
+        run_store_heavy(Scheduler::Default)
     });
 
-    let s = run_store_heavy(Transport::Sync);
-    let b = run_store_heavy(Transport::default());
+    let o = run_store_heavy(Scheduler::Linear);
+    let d = run_store_heavy(Scheduler::Default);
     assert_eq!(
-        s.total_cycles, b.total_cycles,
-        "transports must not change simulated time"
+        o.total_cycles, d.total_cycles,
+        "engines must not change simulated time"
     );
     assert_eq!(
-        s.ledgers, b.ledgers,
-        "transports must not change stall ledgers"
+        o.ledgers, d.ledgers,
+        "engines must not change stall ledgers"
     );
-    assert_eq!(s.traffic, b.traffic, "transports must not change traffic");
+    assert_eq!(o.traffic, d.traffic, "engines must not change traffic");
 
     println!(
-        "engine  sync:    {} ops, {} messages, {} round-trips",
-        s.engine.ops_executed, s.engine.messages, s.engine.round_trips
+        "engine  linear:  {} ops, {} messages, {} round-trips",
+        o.engine.ops_executed, o.engine.messages, o.engine.round_trips
     );
     println!(
-        "engine  batched: {} ops, {} messages ({} batches), {} round-trips ({:.1}% saved)",
-        b.engine.ops_executed,
-        b.engine.messages,
-        b.engine.batches,
-        b.engine.round_trips,
-        100.0 * b.engine.round_trip_savings()
+        "engine  default: {} ops ({} retired locally), {} messages ({} batches), \
+         {} round-trips ({:.1}% saved)",
+        d.engine.ops_executed,
+        d.engine.shard_local_ops,
+        d.engine.messages,
+        d.engine.batches,
+        d.engine.round_trips,
+        100.0 * d.engine.round_trip_savings()
     );
-    let speedup = batched.throughput() / sync.throughput();
-    println!("engine  batched/sync wall-clock speedup: {speedup:.2}x");
+    let speedup = default.throughput() / oracle.throughput();
+    println!("engine  default/linear wall-clock speedup: {speedup:.2}x");
 }
 
 fn main() {
@@ -188,5 +190,5 @@ fn main() {
     bench_mesi();
     bench_incoherent();
     bench_sync();
-    bench_engine_transport();
+    bench_engine();
 }

@@ -2,7 +2,7 @@
 //!
 //! Runs the full application suite on the host clock and writes
 //! `BENCH_host.json` with suite wall-clock, sim-ops/sec, and the engine
-//! transport ledger, so simulator performance is tracked PR over PR.
+//! ledger, so simulator performance is tracked PR over PR.
 //!
 //! Usage: `bench_host [--scale <scale>] [--baseline <secs>]
 //!                    [--out <path>] [--micro] [--check] [--faults] [--lint]
@@ -27,10 +27,9 @@
 //! families — incoherent Base, invalidation-based HCC (MESI), and
 //! update-based Dragon — and records cycles plus per-category traffic
 //! for every (shape, scheme, app) cell. `--parallel` sweeps the suite
-//! under the sequential linear oracle and then under the sharded
-//! parallel-in-host engine (`HIC_ENGINE=sharded:<n>`) across shard
-//! counts, asserting bit-identical simulated results and recording the
-//! suite-throughput scaling curve.
+//! under the `Linear` oracle and the default engine, interleaved,
+//! asserting bit-identical simulated results on every sweep and
+//! recording both engines' suite walls.
 
 use std::process::ExitCode;
 
@@ -155,7 +154,7 @@ fn main() -> ExitCode {
         report.geometry = run_geometry_matrix(scale);
     }
     if parallel {
-        report.parallel = Some(run_parallel_suite(scale, &[1, 2, 4, 8]));
+        report.parallel = Some(run_parallel_suite(scale));
     }
 
     let wall = report.wall.as_secs_f64();
@@ -252,25 +251,24 @@ fn main() -> ExitCode {
     }
 
     if let Some(p) = &report.parallel {
+        let walls = |ws: &[std::time::Duration]| {
+            ws.iter()
+                .map(|w| format!("{:.3}", w.as_secs_f64()))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
         println!(
-            "parallel: {} host cores, oracle {:.3}s, {}",
+            "parallel: {} host cores, oracle [{}]s, default [{}]s, {:.2}x, {}",
             p.host_cores,
-            p.oracle_wall.as_secs_f64(),
+            walls(&p.oracle_walls),
+            walls(&p.engine_walls),
+            p.speedup(),
             if p.all_correct() {
-                "all curves bit-identical"
+                "every sweep bit-identical"
             } else {
                 "ENGINE MISMATCH"
             },
         );
-        for c in &p.curves {
-            println!(
-                "  sharded:{:<3} {:>9.3}s  {:>6.2}x  {}",
-                c.shards,
-                c.wall.as_secs_f64(),
-                p.speedup(c),
-                if c.identical { "identical" } else { "MISMATCH" },
-            );
-        }
     }
 
     for g in &report.geometry {
@@ -314,7 +312,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if report.parallel.as_ref().is_some_and(|p| !p.all_correct()) {
-        eprintln!("the sharded engine diverged from the sequential oracle");
+        eprintln!("the default engine diverged from the linear oracle");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

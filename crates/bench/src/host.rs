@@ -5,8 +5,9 @@
 //! and writes a machine-readable `BENCH_host.json` so the wall-clock
 //! trajectory of the simulator itself is tracked PR over PR. The JSON
 //! records, per run and in aggregate: host wall time, simulated-machine
-//! ops executed, sim-ops per host second, and the engine's transport
-//! ledger (messages, batches, reply round-trips, wakeups). The document is
+//! ops executed, sim-ops per host second, and the engine ledger
+//! (messages, batches, reply round-trips, wakeups, locally retired ops,
+//! lock waits). The document is
 //! built as a [`Json`] value.
 
 use std::time::{Duration, Instant};
@@ -233,47 +234,50 @@ pub fn run_geometry_matrix(scale: Scale) -> Vec<GeometryRun> {
     out
 }
 
-/// One point of the shard-count scaling curve (`--parallel`): the whole
-/// app suite swept under `HIC_ENGINE=sharded:<shards>`.
-#[derive(Debug, Clone)]
-pub struct ParallelCurve {
-    pub shards: usize,
-    /// Minimum suite wall time over [`CHECK_REPS`] sweeps.
-    pub wall: Duration,
-    /// Every run reproduced the linear oracle bit-for-bit: simulated
-    /// cycles, all six traffic categories, and in-simulation correctness.
-    pub identical: bool,
-}
-
-/// Parallel-in-host measurement (`--parallel`): the app suite under the
-/// sequential linear oracle, then under the sharded engine across a
-/// sweep of shard counts. Observational equality is asserted per curve;
-/// speedups are meaningful only when `host_cores > 1`.
+/// Engine A/B (`--parallel`): the app suite swept under the `Linear`
+/// oracle and under the default engine, interleaved [`CHECK_REPS`]
+/// times. Every sweep of either engine must reproduce the first oracle
+/// sweep bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct ParallelReport {
     /// Host cores available to the sweep (`available_parallelism`).
     pub host_cores: usize,
-    /// Minimum wall time of the sequential (linear-scheduler) sweep.
-    pub oracle_wall: Duration,
-    /// Apps still produced correct simulated results under the oracle.
+    /// Suite wall time of each oracle sweep, in run order.
+    pub oracle_walls: Vec<Duration>,
+    /// Suite wall time of each default-engine sweep, in run order.
+    pub engine_walls: Vec<Duration>,
+    /// Apps produced correct simulated results under the oracle.
     pub oracle_correct: bool,
-    pub curves: Vec<ParallelCurve>,
+    /// Every sweep matched the first oracle sweep: correctness verdict,
+    /// simulated cycles, and all six traffic categories of every run.
+    pub identical: bool,
 }
 
 impl ParallelReport {
-    /// Suite-throughput speedup of one curve over the sequential oracle.
-    pub fn speedup(&self, c: &ParallelCurve) -> f64 {
-        let w = c.wall.as_secs_f64();
+    /// Minimum oracle sweep wall.
+    pub fn oracle_wall(&self) -> Duration {
+        self.oracle_walls.iter().copied().min().unwrap_or_default()
+    }
+
+    /// Minimum default-engine sweep wall.
+    pub fn engine_wall(&self) -> Duration {
+        self.engine_walls.iter().copied().min().unwrap_or_default()
+    }
+
+    /// Suite-throughput speedup of the default engine over the oracle
+    /// (minimum walls).
+    pub fn speedup(&self) -> f64 {
+        let w = self.engine_wall().as_secs_f64();
         if w == 0.0 {
             return 0.0;
         }
-        self.oracle_wall.as_secs_f64() / w
+        self.oracle_wall().as_secs_f64() / w
     }
 
     /// The sweep proves the engines interchangeable: the oracle was
-    /// correct and every sharded curve was bit-identical to it.
+    /// correct and every sweep was bit-identical to it.
     pub fn all_correct(&self) -> bool {
-        self.oracle_correct && !self.curves.is_empty() && self.curves.iter().all(|c| c.identical)
+        self.oracle_correct && self.identical && !self.engine_walls.is_empty()
     }
 }
 
@@ -292,7 +296,7 @@ pub struct HostReport {
     pub lint: Vec<LintRun>,
     /// Protocol-comparison matrix over swept topologies (`--geometry`).
     pub geometry: Vec<GeometryRun>,
-    /// Sharded-engine scaling curves, when measured (`--parallel`).
+    /// Oracle-vs-default engine A/B, when measured (`--parallel`).
     pub parallel: Option<ParallelReport>,
     /// Host wall-clock of the whole sweep (sum of per-run walls plus
     /// setup; measured around the sweep, not summed).
@@ -420,46 +424,34 @@ fn signature_sweep(scale: Scale, engine: Scheduler) -> (Duration, Vec<RunSignatu
     (t0.elapsed(), sigs)
 }
 
-/// Sweep the suite under the sequential linear oracle, then under the
-/// sharded engine for each shard count in `shard_counts` (explicit
-/// `Scheduler::Sharded` requests — the sweep no longer mutates
-/// `HIC_ENGINE`), asserting observational equality and timing suite
-/// throughput. Every engine mode is swept [`CHECK_REPS`] times and the
-/// minimum wall is kept, interleaved oracle-first so warm-up lands on
-/// the oracle (biasing *against* the sharded speedup, never for it).
-pub fn run_parallel_suite(scale: Scale, shard_counts: &[usize]) -> ParallelReport {
+/// Sweep the suite under the `Linear` oracle and the default engine
+/// (explicit requests; nothing reads `HIC_ENGINE`), interleaved
+/// oracle-first [`CHECK_REPS`] times so warm-up lands on the oracle.
+/// Every sweep's signatures are compared with the first oracle sweep.
+pub fn run_parallel_suite(scale: Scale) -> ParallelReport {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let (mut oracle_wall, oracle_sigs) = signature_sweep(scale, Scheduler::Linear);
-    let oracle_correct = oracle_sigs.iter().all(|s| s.2);
-
-    let mut curves: Vec<ParallelCurve> = shard_counts
-        .iter()
-        .map(|&shards| {
-            let (wall, sigs) = signature_sweep(scale, Scheduler::Sharded { shards });
-            ParallelCurve {
-                shards,
-                wall,
-                identical: sigs == oracle_sigs,
+    let mut reference: Option<Vec<RunSignature>> = None;
+    let mut identical = true;
+    let (mut oracle_walls, mut engine_walls) = (Vec::new(), Vec::new());
+    for _ in 0..CHECK_REPS {
+        for (engine, walls) in [
+            (Scheduler::Linear, &mut oracle_walls),
+            (Scheduler::Default, &mut engine_walls),
+        ] {
+            let (wall, sigs) = signature_sweep(scale, engine);
+            walls.push(wall);
+            match &reference {
+                None => reference = Some(sigs),
+                Some(r) => identical &= sigs == *r,
             }
-        })
-        .collect();
-
-    for _ in 1..CHECK_REPS {
-        oracle_wall = oracle_wall.min(signature_sweep(scale, Scheduler::Linear).0);
-        for c in curves.iter_mut() {
-            let shards = c.shards;
-            c.wall = c
-                .wall
-                .min(signature_sweep(scale, Scheduler::Sharded { shards }).0);
         }
     }
-
     ParallelReport {
         host_cores,
-        oracle_wall,
-        oracle_correct,
-        curves,
+        oracle_walls,
+        engine_walls,
+        oracle_correct: reference.is_some_and(|r| r.iter().all(|s| s.2)),
+        identical,
     }
 }
 
@@ -705,19 +697,18 @@ pub fn to_json(report: &HostReport, baseline_wall_s: Option<f64>) -> Json {
         ])
     });
     let parallel = report.parallel.as_ref().map_or(Json::Null, |p| {
-        let curves = p.curves.iter().map(|c| {
-            Json::obj([
-                ("shards", Json::uint(c.shards as u64)),
-                ("wall_s", secs(c.wall)),
-                ("speedup", round3(p.speedup(c))),
-                ("identical", Json::Bool(c.identical)),
-            ])
-        });
+        let walls = |ws: &[Duration]| Json::Arr(ws.iter().copied().map(secs).collect());
         Json::obj([
             ("host_cores", Json::uint(p.host_cores as u64)),
-            ("oracle_wall_s", secs(p.oracle_wall)),
+            ("reps", Json::uint(p.engine_walls.len() as u64)),
+            ("oracle_wall_s", secs(p.oracle_wall())),
+            ("engine_wall_s", secs(p.engine_wall())),
+            ("speedup", round3(p.speedup())),
+            ("oracle_walls_s", walls(&p.oracle_walls)),
+            ("engine_walls_s", walls(&p.engine_walls)),
+            ("oracle_correct", Json::Bool(p.oracle_correct)),
+            ("identical", Json::Bool(p.identical)),
             ("all_correct", Json::Bool(p.all_correct())),
-            ("curves", Json::Arr(curves.collect())),
         ])
     });
     let lint = report.lint.iter().map(|l| {
@@ -784,8 +775,6 @@ pub fn to_json(report: &HostReport, baseline_wall_s: Option<f64>) -> Json {
                     ("wakeups", Json::uint(e.wakeups)),
                     ("peak_parked", Json::uint(e.peak_parked)),
                     ("shard_local_ops", Json::uint(e.shard_local_ops)),
-                    ("cross_shard_msgs", Json::uint(e.cross_shard_msgs)),
-                    ("lookahead_stalls", Json::uint(e.lookahead_stalls)),
                     ("lock_waits", Json::uint(e.lock_waits)),
                 ]),
             ),
@@ -904,20 +893,10 @@ mod tests {
             }],
             parallel: Some(ParallelReport {
                 host_cores: 8,
-                oracle_wall: Duration::from_millis(400),
+                oracle_walls: vec![Duration::from_millis(450), Duration::from_millis(400)],
+                engine_walls: vec![Duration::from_millis(120), Duration::from_millis(100)],
                 oracle_correct: true,
-                curves: vec![
-                    ParallelCurve {
-                        shards: 1,
-                        wall: Duration::from_millis(400),
-                        identical: true,
-                    },
-                    ParallelCurve {
-                        shards: 4,
-                        wall: Duration::from_millis(100),
-                        identical: true,
-                    },
-                ],
+                identical: true,
             }),
             geometry: vec![GeometryRun {
                 shape: "2x4x4".into(),
@@ -1026,19 +1005,20 @@ mod tests {
     fn json_carries_the_parallel_sweep() {
         let j = doc(&sample_report(), None);
         assert_eq!(num(&j, "parallel.host_cores"), 8.0);
+        assert_eq!(num(&j, "parallel.reps"), 2.0);
         assert_eq!(num(&j, "parallel.oracle_wall_s"), 0.4);
-        let curve = at(&j, "parallel.curves.1");
-        assert_eq!(num(curve, "shards"), 4.0);
-        assert_eq!(num(curve, "wall_s"), 0.1);
-        assert_eq!(num(curve, "speedup"), 4.0);
-        assert_eq!(at(curve, "identical"), &Json::Bool(true));
+        assert_eq!(num(&j, "parallel.engine_wall_s"), 0.1);
+        assert_eq!(num(&j, "parallel.speedup"), 4.0);
+        assert_eq!(num(&j, "parallel.oracle_walls_s.0"), 0.45);
+        assert_eq!(num(&j, "parallel.engine_walls_s.1"), 0.1);
+        assert_eq!(at(&j, "parallel.identical"), &Json::Bool(true));
     }
 
     #[test]
-    fn nonidentical_parallel_curve_fails_the_report() {
+    fn nonidentical_parallel_sweep_fails_the_report() {
         let mut r = sample_report();
         assert!(r.all_correct());
-        r.parallel.as_mut().unwrap().curves[1].identical = false;
+        r.parallel.as_mut().unwrap().identical = false;
         assert!(!r.all_correct());
     }
 
@@ -1048,15 +1028,11 @@ mod tests {
         r.runs[0].engine = EngineStats {
             ops_executed: 10,
             shard_local_ops: 7,
-            cross_shard_msgs: 3,
-            lookahead_stalls: 2,
             lock_waits: 1,
             ..EngineStats::default()
         };
         let j = doc(&r, None);
         assert_eq!(num(&j, "runs.0.engine.shard_local_ops"), 7.0);
-        assert_eq!(num(&j, "runs.0.engine.cross_shard_msgs"), 3.0);
-        assert_eq!(num(&j, "runs.0.engine.lookahead_stalls"), 2.0);
         assert_eq!(num(&j, "runs.0.engine.lock_waits"), 1.0);
     }
 

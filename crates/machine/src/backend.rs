@@ -77,10 +77,10 @@ pub trait MemBackend: Send {
     /// End core `c`'s IEB-governed epoch (no-op without an IEB).
     fn ieb_end(&mut self, _c: CoreId) {}
 
-    /// Check core `c`'s private state out of the backend so the sharded
-    /// engine can run core-local ops against it without the global lock.
-    /// Backends without detachable per-core state return `None`, which
-    /// disables the sharded fast path (`Machine::supports_sharding`).
+    /// Check core `c`'s private state out of the backend so the engine
+    /// can retire core-local ops against it without its lock. Backends
+    /// without detachable per-core state return `None`, which disables
+    /// local retirement (`Machine::supports_sharding`).
     fn detach_core(&mut self, _c: CoreId) -> Option<CoreSlice> {
         None
     }

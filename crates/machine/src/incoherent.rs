@@ -89,7 +89,7 @@ pub struct IncoherentSystem {
     /// Latched unrecoverable fault (a corrupted dirty line), taken once
     /// by the machine and surfaced as `RunError::CorruptDirtyLine`.
     fault_fatal: Option<String>,
-    /// Detachable per-core state for the sharded engine: `spares[c]`
+    /// Detachable per-core state for the engine's local path: `spares[c]`
     /// holds a dummy slice that swaps places with core `c`'s real
     /// L1/MEB/IEB while the real slice is checked out (`detach_core`),
     /// so both directions are allocation-free swaps.
@@ -100,8 +100,8 @@ pub struct IncoherentSystem {
 }
 
 /// The core-private state of the incoherent hierarchy — L1, MEB, IEB —
-/// packaged so the sharded engine can check it out of the machine and
-/// run core-local ops against it without holding the global lock.
+/// packaged so the runtime engine can check it out of the machine and
+/// retire core-local ops against it without holding the engine lock.
 ///
 /// Nothing in the machine touches `l1[c]`/`meb[c]`/`ieb[c]` except ops
 /// issued by core `c` itself: WB/INV instructions only operate on the
@@ -129,8 +129,8 @@ impl CoreSlice {
     /// a refresh from the shared levels), an L1-hit store, a compute
     /// burst, or one of the zero-latency epoch markers. Returns the
     /// `(value, latency)` pair the machine would have produced, or
-    /// `None` when the op needs the shared hierarchy and must be routed
-    /// through the global event domain.
+    /// `None` when the op needs the shared hierarchy and must be queued
+    /// through the engine.
     ///
     /// The latency of every accepted op depends only on configuration
     /// (`l1_rt`, the compute count), and none of them moves a flit, so
@@ -171,8 +171,8 @@ impl CoreSlice {
                 self.ieb.end_epoch();
                 Some((None, 0))
             }
-            // Without a checker attached (a precondition of sharding)
-            // the marker is a zero-latency no-op.
+            // Without a checker attached (a precondition of local
+            // retirement) the marker is a zero-latency no-op.
             Op::MarkRacy(_) => Some((None, 0)),
             _ => None,
         }

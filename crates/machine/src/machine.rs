@@ -258,13 +258,13 @@ impl Machine {
         self.backend.kind() == BackendKind::Coherent
     }
 
-    /// True when the sharded engine's core-local fast path may run:
-    /// incoherent backend (the only one with detachable core slices), no
-    /// sanitizer (its hooks must observe every load/store in order), no
-    /// fault plan (fault streams are draw-order-sensitive), and no trace
-    /// ring (events must interleave in global key order). When false the
-    /// sharded scheduler serializes through the sequential engine, which
-    /// is trivially bit-identical.
+    /// True when the runtime engine may retire core-private ops in the
+    /// issuing thread: incoherent backend (the only one with detachable
+    /// core slices), no sanitizer (its hooks must observe every
+    /// load/store in order), no fault plan (fault streams are
+    /// draw-order-sensitive), and no trace ring (events must interleave
+    /// in global key order). When false every op goes through the
+    /// engine's queue, which is trivially bit-identical.
     pub fn supports_sharding(&self) -> bool {
         self.backend.kind() == BackendKind::Incoherent
             && !self.has_checker
@@ -272,8 +272,8 @@ impl Machine {
             && !self.trace.enabled()
     }
 
-    /// Check core `c`'s private state out of the backend (sharded engine
-    /// only); `None` on backends without detachable state.
+    /// Check core `c`'s private state out of the backend (the engine's
+    /// local path only); `None` on backends without detachable state.
     pub fn detach_core(&mut self, c: CoreId) -> Option<CoreSlice> {
         self.backend.detach_core(c)
     }
@@ -283,17 +283,11 @@ impl Machine {
         self.backend.attach_core(c, s);
     }
 
-    /// Fold a stall ledger accumulated outside the machine (a shard's
+    /// Fold a stall ledger accumulated outside the machine (a thread's
     /// local-op charges) into core `c`'s ledger. Per-category cycle sums
     /// are commutative, so the merge order cannot change results.
     pub fn merge_ledger(&mut self, c: CoreId, l: &StallLedger) {
         self.ledgers[c.0] += *l;
-    }
-
-    /// Conservative cross-tile lookahead bound of the underlying mesh
-    /// (see `Mesh::min_hop_lookahead`).
-    pub fn min_hop_lookahead(&self) -> u64 {
-        self.mesh.min_hop_lookahead()
     }
 
     /// Access to the incoherent system (ThreadMap setup, counters).
@@ -386,27 +380,7 @@ impl Machine {
     }
 
     /// Execute `op` for core `c` whose local clock reads `now`.
-    ///
-    /// An [`Op::Batch`] is executed member by member, each starting when
-    /// the previous one completed — exactly the timing of sending the
-    /// members individually. (The runtime engine normally unpacks batches
-    /// itself to preserve cross-core ordering; this path serves direct
-    /// machine users.)
     pub fn execute(&mut self, c: CoreId, op: &Op, now: Cycle) -> Exec {
-        if let Op::Batch(ops) = op {
-            let mut t = now;
-            for sub in ops {
-                debug_assert!(sub.is_batchable(), "non-batchable op in batch: {sub:?}");
-                match self.execute(c, sub, t) {
-                    Exec::Done { end, .. } => t = end,
-                    Exec::Parked => unreachable!("batchable ops never park"),
-                }
-            }
-            return Exec::Done {
-                value: None,
-                end: t,
-            };
-        }
         self.active[c.0] = true;
         let result = self.execute_inner(c, op, now);
         if self.trace.enabled() {
@@ -641,7 +615,6 @@ impl Machine {
                     end: now,
                 }
             }
-            Op::Batch(_) => unreachable!("Batch is unpacked by Machine::execute"),
         }
     }
 
@@ -931,40 +904,6 @@ mod tests {
         let mut m = intra_inc();
         m.execute(CoreId(0), &Op::Compute(10), 0);
         m.finish();
-    }
-
-    #[test]
-    fn batch_executes_members_back_to_back() {
-        // A batch must produce exactly the timing and state of sending
-        // its members one at a time.
-        let ops = vec![
-            Op::Store(w(0x400), 1),
-            Op::Compute(13),
-            Op::Store(w(0x408), 2),
-            Op::Coh(CohInstr::wb(Target::word(w(0x400)))),
-        ];
-        let mut a = intra_inc();
-        let mut t = 5;
-        for op in &ops {
-            match a.execute(CoreId(0), op, t) {
-                Exec::Done { end, .. } => t = end,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        let mut b = intra_inc();
-        let e = b.execute(CoreId(0), &Op::Batch(ops), 5);
-        assert_eq!(
-            e,
-            Exec::Done {
-                value: None,
-                end: t
-            }
-        );
-        assert_eq!(a.peek_word(w(0x400)), b.peek_word(w(0x400)));
-        assert_eq!(a.peek_word(w(0x408)), b.peek_word(w(0x408)));
-        finish_active(&mut a, t);
-        finish_active(&mut b, t);
-        assert_eq!(a.finish().ledgers, b.finish().ledgers);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! machine executes each op at the core's current simulated time.
 //!
 //! Ops that return no value and never block ([`Op::is_batchable`]) may be
-//! coalesced into one [`Op::Batch`] message by the runtime's batched
-//! transport. Batching is purely a transport optimization: the engine
-//! unpacks a batch and still executes its members one at a time in global
-//! simulated-time order, so cycle counts are identical to sending each op
-//! individually — only the channel round-trips disappear.
+//! coalesced into one message by the runtime. Batching is purely a
+//! host-side optimization: the engine still executes the members one at
+//! a time in global simulated-time order, so cycle counts are identical
+//! to sending each op individually — only the reply round-trips
+//! disappear.
 
 use hic_core::CohInstr;
 use hic_mem::{Word, WordAddr};
@@ -60,10 +60,6 @@ pub enum Op {
     MarkRacy(WordAddr),
     /// The thread has finished.
     Finish,
-    /// A run of coalesced non-value-returning, non-blocking ops sent as
-    /// one transport message. Every member satisfies
-    /// [`Op::is_batchable`]; nesting is not allowed.
-    Batch(Vec<Op>),
 }
 
 impl Op {
@@ -75,7 +71,7 @@ impl Op {
         )
     }
 
-    /// May this op ride inside an [`Op::Batch`]? True exactly for ops
+    /// May this op ride inside a batch message? True exactly for ops
     /// that return no value, never park the core, and don't end the
     /// thread — the issuing thread has nothing to wait for.
     pub fn is_batchable(&self) -> bool {
@@ -128,7 +124,6 @@ mod tests {
         assert!(!Op::FlagClear(SyncId(0)).is_batchable());
         assert!(!Op::FlagWait(SyncId(0)).is_batchable());
         assert!(!Op::Finish.is_batchable());
-        assert!(!Op::Batch(vec![]).is_batchable());
     }
 
     #[test]

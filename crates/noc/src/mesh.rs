@@ -181,17 +181,6 @@ impl Mesh {
     pub fn hop_cycles(&self) -> u64 {
         self.hop_cycles
     }
-
-    /// Conservative lookahead bound for parallel-in-host simulation: no
-    /// interaction between distinct tiles completes in fewer simulated
-    /// cycles than one mesh hop. Installed faults only ever *add* latency
-    /// (see `installed_faults_only_add_latency`), so the bound holds on a
-    /// faulted mesh too. A sharded event-domain engine may therefore run
-    /// any core ahead of the global timeline by up to this many cycles
-    /// without reordering cross-tile effects.
-    pub fn min_hop_lookahead(&self) -> u64 {
-        self.hop_cycles
-    }
 }
 
 #[cfg(test)]
@@ -292,27 +281,5 @@ mod tests {
             .collect();
         assert_eq!(base, zeroed);
         assert_eq!(m.rt_latency_to_corner(5, 3), 2 * m.latency_to_corner(5, 3));
-    }
-
-    #[test]
-    fn min_hop_lookahead_bounds_every_cross_tile_latency() {
-        let mut m = Mesh::new(16, 4);
-        assert_eq!(m.min_hop_lookahead(), 4);
-        for a in 0..16 {
-            for b in 0..16 {
-                if a != b {
-                    assert!(m.latency(a, b) >= m.min_hop_lookahead());
-                }
-            }
-        }
-        // Faults only add latency, so the bound survives installation.
-        m.set_faults(LinkFaults::new(3, 5, 0, 0, 1));
-        for a in 0..16 {
-            for b in 0..16 {
-                if a != b {
-                    assert!(m.latency(a, b) >= m.min_hop_lookahead());
-                }
-            }
-        }
     }
 }

@@ -24,7 +24,7 @@ use hic_sim::Cycle;
 
 use crate::config::{Config, Scheme};
 use crate::ctx::{BarrierId, FlagId, LockId, LockInfo, RtShared, ThreadCtx};
-use crate::engine::{run_threads, Scheduler, Transport};
+use crate::engine::{run_threads, Scheduler};
 use crate::plan::PlanOverrides;
 use crate::record::ProgramRecord;
 
@@ -34,12 +34,10 @@ pub struct ProgramBuilder {
     machine: Machine,
     alloc: BumpAllocator,
     locks: Vec<LockInfo>,
-    transport: Transport,
-    /// Explicit scheduler choice; `None` defers to the `HIC_ENGINE`
-    /// environment variable (`linear`, `heap`, `sharded`, or
-    /// `sharded:N` — how CI runs the whole suite under the parallel
-    /// engine without code changes), which in turn defaults to
-    /// [`Scheduler::Heap`].
+    /// Explicit engine choice; `None` defers to the `HIC_ENGINE`
+    /// environment variable (`default` or `linear` — how CI runs the
+    /// whole suite under the oracle without code changes), which in turn
+    /// defaults to [`Scheduler::Default`].
     scheduler: Option<Scheduler>,
     /// Explicit sanitizer mode; `None` defers to the `HIC_CHECK`
     /// environment variable (how CI forces checking on without code
@@ -98,7 +96,6 @@ impl ProgramBuilder {
             machine,
             alloc: BumpAllocator::new(),
             locks: Vec::new(),
-            transport: Transport::default(),
             scheduler: None,
             check: None,
             regions: Vec::new(),
@@ -124,7 +121,6 @@ impl ProgramBuilder {
             machine,
             alloc: BumpAllocator::new(),
             locks: Vec::new(),
-            transport: Transport::default(),
             scheduler: None,
             check: None,
             regions: Vec::new(),
@@ -161,21 +157,10 @@ impl ProgramBuilder {
         self.config
     }
 
-    /// Select how threads ship ops to the engine (default:
-    /// [`Transport::Batched`] with a 64-op cap). Simulated results are
-    /// identical across transports; only host-side round-trip counts in
-    /// `stats.engine` differ.
-    pub fn transport(&mut self, t: Transport) -> &mut Self {
-        self.transport = t;
-        self
-    }
-
-    /// Select how the engine picks the next core, overriding the
-    /// `HIC_ENGINE` environment variable (default:
-    /// [`Scheduler::Heap`]). Simulated results are identical across
-    /// schedulers; the heap is O(log ncores) per op instead of
-    /// O(ncores), and [`Scheduler::Sharded`] executes core-local ops in
-    /// parallel on the host.
+    /// Select the engine, overriding the `HIC_ENGINE` environment
+    /// variable (default: [`Scheduler::Default`]). Simulated results are
+    /// identical across engines; only the host-side ledger in
+    /// `stats.engine` differs.
     pub fn scheduler(&mut self, s: Scheduler) -> &mut Self {
         self.scheduler = Some(s);
         self
@@ -326,7 +311,7 @@ impl ProgramBuilder {
         // `apply_request` made this run self-contained), parsed by the
         // one set of parsers in `crate::request::env`. A malformed value
         // is a loud typed error at every call site — historically some
-        // sites ignored `HIC_ENGINE=sharded:x` and others panicked.
+        // sites ignored a malformed `HIC_ENGINE` and others panicked.
         let env_err = |e: crate::request::RequestError| -> ! { panic!("{e}") };
         let mode = self.check.unwrap_or_else(|| {
             if self.env_fallback {
@@ -366,7 +351,6 @@ impl ProgramBuilder {
             config: self.config,
             locks: self.locks,
             nthreads,
-            transport: self.transport,
             scheduler,
             checking: self.machine.checking(),
             overrides: self.overrides,

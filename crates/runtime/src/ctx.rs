@@ -25,7 +25,7 @@ use hic_sim::{Cycle, ThreadId};
 use hic_sync::SyncId;
 
 use crate::config::{Config, InterConfig, Scheme};
-use crate::engine::{EngineShared, Scheduler, Transport};
+use crate::engine::{Engine, Scheduler};
 use crate::plan::{EpochPlan, PlanOverrides};
 
 /// What data a synchronization operation moves on one side (the WB half
@@ -137,7 +137,6 @@ pub(crate) struct RtShared {
     pub config: Config,
     pub locks: Vec<LockInfo>,
     pub nthreads: usize,
-    pub transport: Transport,
     pub scheduler: Scheduler,
     /// The incoherence sanitizer is attached: racy accessors emit
     /// `Op::MarkRacy` hints ahead of themselves (zero simulated cost,
@@ -156,13 +155,13 @@ pub(crate) struct RtShared {
 /// The per-thread handle applications program against.
 pub struct ThreadCtx {
     tid: usize,
-    engine: Arc<EngineShared>,
+    engine: Arc<Engine>,
     shared: Arc<RtShared>,
     /// Compute cycles accumulated by [`ThreadCtx::tick`], flushed as one
     /// `Op::Compute` before the next real operation.
     pending_compute: Cell<u64>,
-    /// Batchable ops coalesced since the last flush (empty under
-    /// [`Transport::Sync`]); shipped as one `Op::Batch` message.
+    /// Batchable ops coalesced since the last flush (always empty under
+    /// the `Linear` oracle); shipped as one message.
     batch: RefCell<Vec<Op>>,
     /// Set by [`ThreadCtx::finish`]; a context dropped without it means
     /// the app thread died (panicked) mid-run.
@@ -175,7 +174,7 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    pub(crate) fn new(tid: usize, engine: Arc<EngineShared>, shared: Arc<RtShared>) -> ThreadCtx {
+    pub(crate) fn new(tid: usize, engine: Arc<Engine>, shared: Arc<RtShared>) -> ThreadCtx {
         ThreadCtx {
             tid,
             engine,
@@ -207,10 +206,10 @@ impl ThreadCtx {
         self.shared.config.is_coherent()
     }
 
-    /// Batch capacity of the active transport (0 = send everything
-    /// synchronously).
+    /// Batch capacity of the active engine (0 = send every op on its
+    /// own).
     fn batch_cap(&self) -> usize {
-        self.shared.transport.batch_cap()
+        self.shared.scheduler.batch_cap()
     }
 
     /// Turn accumulated [`ThreadCtx::tick`] cycles into a `Compute` op.
@@ -224,13 +223,13 @@ impl ThreadCtx {
     /// Ship the coalesced batch (if any) as one message. Batch members
     /// return no values, so the thread does not wait for a reply.
     fn flush_batch(&self) {
-        let ops = std::mem::take(&mut *self.batch.borrow_mut());
+        let mut ops = self.batch.borrow_mut();
         if !ops.is_empty() {
-            self.engine.submit(self.tid, Op::Batch(ops));
+            self.engine.post(self.tid, &mut ops);
         }
     }
 
-    /// Route one op through the active transport: coalesce it if it is
+    /// Route one op to the engine: coalesce it if it is
     /// batchable, otherwise submit it on its own and drive the engine
     /// until its reply is produced.
     fn dispatch(&self, op: Op) -> Option<Word> {
@@ -245,7 +244,7 @@ impl ThreadCtx {
             None
         } else {
             self.flush_batch();
-            self.engine.submit_await(self.tid, op)
+            self.engine.call(self.tid, op)
         }
     }
 
@@ -664,9 +663,9 @@ impl ThreadCtx {
     pub(crate) fn finish(&self) {
         self.flush_compute();
         self.flush_batch();
-        // No reply for Finish; leftover queued ops are drained by the
-        // spawning thread after the app threads exit.
-        self.engine.submit(self.tid, Op::Finish);
+        // No reply for Finish; the last finisher's drive drains every
+        // queue.
+        self.engine.finish(self.tid);
         self.finished.set(true);
     }
 }

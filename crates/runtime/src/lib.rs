@@ -13,10 +13,11 @@
 //! Execution is deterministic: the engine (in [`engine`]) processes the
 //! pending operation of the runnable core with the smallest local time, so
 //! all machine transitions happen in global simulated-time order
-//! (conservative execution-driven simulation; DESIGN.md §2). Threads ship
-//! ops to the engine over a configurable [`Transport`]: batched by
-//! default, with a synchronous one-message-per-op mode as the reference —
-//! both produce bit-identical simulated results.
+//! (conservative execution-driven simulation; DESIGN.md §2). Core-private
+//! ops (L1 hits, computes, epoch markers) retire in the issuing thread
+//! when the machine allows it, and [`Scheduler::Linear`] keeps a
+//! one-op-per-message reference engine — both produce bit-identical
+//! simulated results.
 
 pub mod builder;
 pub mod config;
@@ -26,12 +27,11 @@ pub mod mpi;
 pub mod plan;
 pub mod record;
 pub mod request;
-pub mod sharded;
 
 pub use builder::{ProgramBuilder, RunOutcome};
 pub use config::{Config, InterConfig, IntraConfig, Scheme};
 pub use ctx::{BarrierId, BarrierOpts, FlagId, FlagOpts, LockId, SyncData, ThreadCtx};
-pub use engine::{Scheduler, Transport};
+pub use engine::Scheduler;
 pub use hic_check::{CheckMode, Diagnostics, Finding, FindingKind};
 pub use hic_machine::{FaultPlan, ResilienceStats, RunError};
 pub use mpi::MpiWorld;

@@ -18,9 +18,9 @@
 //! * [`RunRequest::new`] for explicit construction;
 //! * [`RunRequest::from_env`] for the historical env-knob behavior,
 //!   now parsed in exactly one place with typed [`RequestError`]s
-//!   (a malformed `HIC_ENGINE=sharded:x` fails loudly and identically
-//!   at every call site instead of being silently ignored at some and
-//!   panicking at others);
+//!   (a malformed `HIC_ENGINE` fails loudly and identically at every
+//!   call site instead of being silently ignored at some and panicking
+//!   at others);
 //! * [`RunRequest::parse_key`] to rebuild a request from its canonical
 //!   serialized form.
 //!
@@ -210,8 +210,8 @@ pub struct RunRequest {
     pub check: CheckMode,
     /// Seeded fault plan, if any (subsumes `HIC_FAULTS`).
     pub fault: Option<FaultSpec>,
-    /// Engine/scheduler choice; `None` = the default
-    /// [`Scheduler::Heap`] (subsumes `HIC_ENGINE`).
+    /// Engine choice; `None` = [`Scheduler::Default`] (subsumes
+    /// `HIC_ENGINE`).
     pub engine: Option<Scheduler>,
     /// Plan substitutions from a static optimizer (`hic-lint`),
     /// installed at matching call sites (subsumes `App::run_with`).
@@ -247,8 +247,8 @@ impl RunRequest {
     /// whose check mode, fault seed, engine, and bench budget come from
     /// `HIC_CHECK`, `HIC_FAULTS`, `HIC_ENGINE`, and
     /// `HIC_BENCH_BUDGET_MS`. Malformed values are typed errors — every
-    /// call site now rejects `HIC_ENGINE=sharded:x` with the same
-    /// message instead of silently running the default engine.
+    /// call site now rejects a bad `HIC_ENGINE` with the same message
+    /// instead of silently running the default engine.
     /// `HIC_RECOVER=1` upgrades the `HIC_FAULTS` seed from the canned
     /// recoverable plan to the corrupting-with-rollback plan: dirty-line
     /// flips land too, repaired by epoch-checkpoint restore + replay.
@@ -404,10 +404,12 @@ impl RunRequest {
         };
         let engine = match get("engine")? {
             "-" => None,
-            spec => Some(
-                Scheduler::parse(spec)
-                    .ok_or_else(|| bad("engine", &format!("unknown engine {spec:?}")))?,
-            ),
+            spec => Some(Scheduler::parse(spec).ok_or_else(|| {
+                bad(
+                    "engine",
+                    &format!("unknown engine {spec:?} (expected {})", env::ENGINES),
+                )
+            })?),
         };
         let num = |k: &'static str| -> Result<Option<u64>, RequestError> {
             match get(k)? {
@@ -475,14 +477,8 @@ fn check_key(mode: CheckMode) -> &'static str {
     }
 }
 
-fn engine_key(engine: Option<Scheduler>) -> String {
-    match engine {
-        None => "-".to_string(),
-        Some(Scheduler::Linear) => "linear".to_string(),
-        Some(Scheduler::Heap) => "heap".to_string(),
-        Some(Scheduler::Sharded { shards: 0 }) => "sharded".to_string(),
-        Some(Scheduler::Sharded { shards }) => format!("sharded:{shards}"),
-    }
+fn engine_key(engine: Option<Scheduler>) -> &'static str {
+    engine.map_or("-", Scheduler::name)
 }
 
 // Plan-override encoding: `-` for none, else `|`-separated site entries
@@ -596,6 +592,9 @@ fn parse_plans(s: &str, nthreads: usize) -> Result<Option<PlanOverrides>, String
 pub mod env {
     use super::{CheckMode, RequestError, Scheduler};
 
+    /// The engine names `HIC_ENGINE` and the `engine=` key accept.
+    pub const ENGINES: &str = "default|linear";
+
     fn var(name: &'static str) -> Option<String> {
         std::env::var(name).ok().filter(|v| !v.trim().is_empty())
     }
@@ -618,13 +617,12 @@ pub mod env {
         })
     }
 
-    /// Parse a `HIC_ENGINE`-shaped value: `linear`, `heap`, `sharded`,
-    /// or `sharded:N`.
+    /// Parse a `HIC_ENGINE`-shaped value: `default` or `linear`.
     pub fn parse_engine(v: &str) -> Result<Scheduler, RequestError> {
         Scheduler::parse(v).ok_or_else(|| RequestError::BadEnv {
             var: "HIC_ENGINE",
             value: v.to_string(),
-            expected: "linear|heap|sharded[:N]",
+            expected: ENGINES,
         })
     }
 
@@ -669,7 +667,7 @@ pub mod env {
             .map(|o| o.unwrap_or(false))
     }
 
-    /// `HIC_ENGINE`: `linear`, `heap`, `sharded`, or `sharded:N`.
+    /// `HIC_ENGINE`: `default` or `linear`.
     pub fn engine() -> Result<Option<Scheduler>, RequestError> {
         var("HIC_ENGINE").map(|v| parse_engine(&v)).transpose()
     }
@@ -736,7 +734,7 @@ mod tests {
         let mut req = RunRequest::new("Jacobi", Config::Inter(InterConfig::AddrL), Scale::Medium);
         req.check = CheckMode::Strict;
         req.fault = Some(FaultSpec::Corrupting { seed: 7 });
-        req.engine = Some(Scheduler::Sharded { shards: 4 });
+        req.engine = Some(Scheduler::Linear);
         req.watchdog_cycles = Some(1_000_000);
         req.watchdog_wall_ms = Some(30_000);
         req.budget_ms = Some(200);
@@ -819,6 +817,32 @@ mod tests {
         ));
     }
 
+    /// The engine names retired with the one-engine merge are typed
+    /// errors that name the accepted values, both as `HIC_ENGINE` values
+    /// and inside a cache key.
+    #[test]
+    fn retired_engine_names_are_typed_errors() {
+        let key = RunRequest::new("FFT", Config::Intra(IntraConfig::Base), Scale::Test).cache_key();
+        for retired in ["heap", "sharded", "sharded:4"] {
+            match env::parse_engine(retired) {
+                Err(RequestError::BadEnv {
+                    var: "HIC_ENGINE",
+                    expected,
+                    ..
+                }) => assert_eq!(expected, "default|linear"),
+                other => panic!("HIC_ENGINE={retired} gave {other:?}"),
+            }
+            let bad = key.replace("engine=-", &format!("engine={retired}"));
+            match RunRequest::parse_key(&bad) {
+                Err(RequestError::BadKey {
+                    field: "engine",
+                    detail,
+                }) => assert!(detail.contains("default|linear"), "{detail}"),
+                other => panic!("engine={retired} gave {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn env_values_parse_with_typed_errors() {
         // The parsers are tested on values directly — mutating the
@@ -827,13 +851,11 @@ mod tests {
         // `tests/serve_api.rs`, which owns its process env.
         assert_eq!(env::parse_check_mode("report"), Ok(CheckMode::Report));
         assert_eq!(env::parse_fault_seed(" 42 "), Ok(42));
-        assert_eq!(
-            env::parse_engine("sharded:2"),
-            Ok(Scheduler::Sharded { shards: 2 })
-        );
+        assert_eq!(env::parse_engine("linear"), Ok(Scheduler::Linear));
+        assert_eq!(env::parse_engine(" Default "), Ok(Scheduler::Default));
         assert_eq!(env::parse_bench_budget_ms("50"), Ok(50));
 
-        let err = env::parse_engine("sharded:x").unwrap_err();
+        let err = env::parse_engine("warp").unwrap_err();
         assert!(
             matches!(
                 err,

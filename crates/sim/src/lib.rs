@@ -21,7 +21,7 @@ pub use config::{
 };
 pub use json::Json;
 pub use rng::SplitMix64;
-pub use stats::{EngineStats, ShardStats, StallCategory, StallLedger};
+pub use stats::{EngineStats, StallCategory, StallLedger};
 
 /// Simulated time, measured in core clock cycles.
 pub type Cycle = u64;

@@ -122,51 +122,31 @@ impl std::ops::AddAssign for StallLedger {
 /// Host-side bookkeeping of the execution engine that drove a run.
 ///
 /// These are **simulator** metrics, not simulated-machine metrics: they
-/// describe how the scheduler moved ops between the simulated threads and
-/// the machine (channel round-trips, batch coalescing, wakeups), so they
-/// change with the transport configuration while `StallLedger` cycle
+/// describe how the engine moved ops between the simulated threads and
+/// the machine (messages, batch coalescing, round-trips, wakeups, local
+/// retirement), so they change with the engine while `StallLedger` cycle
 /// counts must not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Machine operations executed, counting each batch member once.
     pub ops_executed: u64,
-    /// Transport messages received from the threads (a batch counts as
-    /// one message).
+    /// Messages received from the threads (a batch counts as one
+    /// message).
     pub messages: u64,
-    /// `Op::Batch` messages among [`EngineStats::messages`].
+    /// Batch messages among [`EngineStats::messages`].
     pub batches: u64,
-    /// Reply round-trips: ops whose issuing thread blocked on a reply.
+    /// Reply round-trips: ops whose issuing thread waited for a reply.
     pub round_trips: u64,
     /// Wakeups delivered to parked cores.
     pub wakeups: u64,
     /// Maximum number of simultaneously parked cores observed.
     pub peak_parked: u64,
-    /// Ops retired entirely inside a shard's event domain (sharded
-    /// engine only; zero under the sequential schedulers).
+    /// Ops retired inside the issuing thread without the engine lock
+    /// (L1 hits, computes, epoch markers); zero when the machine forces
+    /// every op through the queue.
     pub shard_local_ops: u64,
-    /// Ops that had to leave their shard and synchronize through the
-    /// global event domain (sharded engine only).
-    pub cross_shard_msgs: u64,
-    /// Times the global domain had a runnable op but had to wait for a
-    /// shard-local core to publish a safe clock first (sharded only).
-    pub lookahead_stalls: u64,
-    /// Contended acquisitions of the global-domain lock observed by
-    /// shard threads (sharded only; a cheap `try_lock` miss counter).
-    pub lock_waits: u64,
-    /// Per-shard breakdown of the contention counters above; empty under
-    /// the sequential schedulers.
-    pub per_shard: Vec<ShardStats>,
-}
-
-/// Contention ledger of one shard of the sharded engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Ops retired inside this shard without touching the global domain.
-    pub local_ops: u64,
-    /// Ops this shard's cores routed through the global domain.
-    pub cross_shard_msgs: u64,
-    /// Global-lock acquisitions by this shard's cores that found the
-    /// lock already held.
+    /// Acquisitions of the engine lock that found it already held (a
+    /// cheap `try_lock` miss counter).
     pub lock_waits: u64,
 }
 
@@ -176,8 +156,8 @@ impl EngineStats {
     }
 
     /// Fraction of executed ops that needed no reply round-trip; the
-    /// direct measure of what batching saved (0.0 under the synchronous
-    /// transport).
+    /// direct measure of what batching saved (0.0 when every op is
+    /// awaited, as under the `Linear` oracle).
     pub fn round_trip_savings(&self) -> f64 {
         if self.ops_executed == 0 {
             return 0.0;
@@ -240,7 +220,7 @@ mod tests {
         assert_eq!(e.round_trip_savings(), 0.0, "empty engine saves nothing");
         e.ops_executed = 100;
         e.round_trips = 100;
-        assert_eq!(e.round_trip_savings(), 0.0, "synchronous transport");
+        assert_eq!(e.round_trip_savings(), 0.0, "every op awaited");
         e.round_trips = 25;
         assert!((e.round_trip_savings() - 0.75).abs() < 1e-12);
     }

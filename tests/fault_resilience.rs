@@ -363,21 +363,32 @@ fn second_corruption_during_replay_is_still_a_typed_fatal() {
     assert!(!snap.is_empty());
 }
 
-/// Recovery plans force the sequential engine (PR 7's
-/// `supports_sharding` gate): requesting the sharded scheduler must
-/// silently fall back, complete, and stay bit-identical.
+/// Recovery plans force every op through the engine's queue (the
+/// `Machine::supports_sharding` gate): the default engine must retire
+/// nothing locally, complete, and stay bit-identical.
 #[test]
 fn sharded_engine_request_falls_back_under_recovery_plan() {
-    let (_, base_snap) = run_rmw_workload(|_| {});
+    // Explicit knobs: a HIC_ENGINE / HIC_CHECK environment must not
+    // change what this test compares.
+    let (base, base_snap) = run_rmw_workload(|p| {
+        p.scheduler(Scheduler::Default);
+        p.check_mode(CheckMode::Off);
+    });
+    assert!(
+        base.stats().engine.shard_local_ops > 0,
+        "a clean incoherent run retires ops locally"
+    );
     let (faulted, snap) = run_rmw_workload(|p| {
+        p.scheduler(Scheduler::Default);
+        p.check_mode(CheckMode::Off);
         p.fault_plan(FaultPlan::corrupting_recoverable(3));
-        p.scheduler(Scheduler::Sharded { shards: 2 });
     });
     assert!(
         faulted.result().is_ok(),
-        "sharded+recovery fallback failed: {:?}",
+        "recovery-plan run failed: {:?}",
         faulted.result()
     );
+    assert_eq!(faulted.stats().engine.shard_local_ops, 0);
     assert_eq!(snap, base_snap);
 }
 

@@ -31,7 +31,7 @@ fn cache_keys_round_trip_through_parse_key() {
     let mut r = fft(IntraConfig::Hcc);
     r.check = CheckMode::Strict;
     r.fault = Some(FaultSpec::Recoverable { seed: 42 });
-    r.engine = Some(Scheduler::Sharded { shards: 4 });
+    r.engine = Some(Scheduler::Default);
     r.watchdog_cycles = Some(1_000_000);
     r.watchdog_wall_ms = Some(30_000);
     r.budget_ms = Some(250);
@@ -56,7 +56,7 @@ fn env_assembled_requests_serialize_like_explicit_ones() {
     // fallback), so setting knobs here cannot race them.
     std::env::set_var("HIC_CHECK", "report");
     std::env::set_var("HIC_FAULTS", "13");
-    std::env::set_var("HIC_ENGINE", "sharded:2");
+    std::env::set_var("HIC_ENGINE", "linear");
     std::env::set_var("HIC_BENCH_BUDGET_MS", "125");
     let from_env = RunRequest::from_env("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
         .expect("well-formed knobs");
@@ -68,7 +68,7 @@ fn env_assembled_requests_serialize_like_explicit_ones() {
     let mut explicit = fft(IntraConfig::Base);
     explicit.check = CheckMode::Report;
     explicit.fault = Some(FaultSpec::Recoverable { seed: 13 });
-    explicit.engine = Some(Scheduler::Sharded { shards: 2 });
+    explicit.engine = Some(Scheduler::Linear);
     explicit.budget_ms = Some(125);
     assert_eq!(from_env, explicit);
     assert_eq!(from_env.cache_key(), explicit.cache_key());
