@@ -129,7 +129,7 @@ impl Cg {
     }
 
     /// Builder with allocations, inputs, barrier, and the inspector's
-    /// per-thread plans. Shared by [`App::run_with`] and [`App::record`]
+    /// per-thread plans. Shared by [`App::run_req`] and [`App::record`]
     /// so the record describes exactly the program that runs.
     fn setup(&self, config: Config) -> (ProgramBuilder, CgSetup) {
         let n = self.n;

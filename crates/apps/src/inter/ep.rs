@@ -184,7 +184,7 @@ impl EpHier {
         }
     }
 
-    /// Builder with allocations and barriers. Shared by [`App::run_with`]
+    /// Builder with allocations and barriers. Shared by [`App::run_req`]
     /// and [`App::record`].
     fn setup(&self, config: Config) -> (ProgramBuilder, EpHierSetup) {
         let mut p = ProgramBuilder::new(config);

@@ -73,7 +73,7 @@ impl Jacobi {
     }
 
     /// Builder with allocations, inputs, barrier, and the analyzer's
-    /// plans. Shared by [`App::run_with`] and [`App::record`] so the
+    /// plans. Shared by [`App::run_req`] and [`App::record`] so the
     /// record describes exactly the program that runs (same addresses,
     /// same plan call sites in the same order).
     fn setup(&self, config: Config) -> (ProgramBuilder, JacobiSetup) {

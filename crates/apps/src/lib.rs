@@ -27,7 +27,7 @@ pub mod patterns;
 pub use patterns::{PatternInfo, SyncPattern};
 
 use hic_machine::RunStats;
-use hic_runtime::{Config, PlanOverrides, ProgramRecord, RunError};
+use hic_runtime::{Config, InterConfig, IntraConfig, ProgramRecord, RunError};
 
 // `Scale` lives with `RunRequest` in hic-runtime now (a request names
 // its scale); re-exported here so `hic_apps::Scale` keeps working.
@@ -79,13 +79,11 @@ impl AppRun {
 
 /// A runnable application.
 ///
-/// The primary entry point is [`App::run_req`]: the app executes exactly
+/// The one entry point is [`App::run_req`]: the app executes exactly
 /// what the [`RunRequest`] describes — nothing is read from the
 /// environment, so concurrent runs (the `hic-serve` worker pool) cannot
 /// leak state into each other, and a request's `cache_key` fully
-/// determines the result. [`App::run`] and [`App::run_with`] are thin
-/// wrappers that build the request via [`RunRequest::from_env`],
-/// preserving the historical env-knob behavior for the CLI binaries.
+/// determines the result.
 pub trait App: Sync {
     /// Short name, as used in the paper's figures.
     fn name(&self) -> &'static str;
@@ -99,17 +97,9 @@ pub trait App: Sync {
     /// Run exactly what `req` describes and validate the result. The
     /// request's `config` selects the scheme and machine; its check /
     /// fault / engine / watchdog / override fields are applied to the
-    /// run verbatim (`ProgramBuilder::apply_request`).
+    /// run verbatim (`ProgramBuilder::apply_request`). Apps without plan
+    /// sites ignore `req.plan_overrides`.
     fn run_req(&self, req: &RunRequest) -> AppRun;
-
-    /// Run under a configuration, with the remaining knobs taken from
-    /// the environment ([`RunRequest::from_env`]). Panics on malformed
-    /// env values — CLI entry points want the loud failure.
-    fn run(&self, config: Config) -> AppRun {
-        let req = RunRequest::from_env(self.name(), config, self.scale())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.run_req(&req)
-    }
 
     /// The app's declarative [`ProgramRecord`] under a configuration —
     /// its sync structure, per-epoch region access summaries, and the
@@ -120,16 +110,6 @@ pub trait App: Sync {
     fn record(&self, config: Config) -> Option<ProgramRecord> {
         let _ = config;
         None
-    }
-
-    /// Run with plan substitutions from `hic-lint`'s optimizer installed
-    /// at the matching call sites. Apps without plan sites ignore the
-    /// overrides (`run_req` never installs what the app cannot consume).
-    fn run_with(&self, config: Config, overrides: Option<PlanOverrides>) -> AppRun {
-        let mut req = RunRequest::from_env(self.name(), config, self.scale())
-            .unwrap_or_else(|e| panic!("{e}"));
-        req.plan_overrides = overrides;
-        self.run_req(&req)
     }
 }
 
@@ -174,6 +154,26 @@ pub fn app_by_name(name: &str, scale: Scale) -> Option<Box<dyn App>> {
     all_apps(scale).into_iter().find(|a| a.name() == name)
 }
 
+/// Every (app, configuration) cell of the paper's evaluation at `scale`,
+/// in figure order: the 11 intra-block apps under the five Table II
+/// intra-block configurations (Figs. 9-10), then the 4 inter-block apps
+/// under the four inter-block ones (Figs. 11-12) — 71 plain requests.
+/// This is the one enumeration of the grid; every sweep maps over it.
+pub fn sweep_requests(scale: Scale) -> Vec<RunRequest> {
+    let mut reqs = Vec::new();
+    for app in intra_apps(scale) {
+        for cfg in IntraConfig::ALL {
+            reqs.push(RunRequest::new(app.name(), Config::Intra(cfg), scale));
+        }
+    }
+    for app in inter_apps(scale) {
+        for cfg in InterConfig::ALL {
+            reqs.push(RunRequest::new(app.name(), Config::Inter(cfg), scale));
+        }
+    }
+    reqs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,5 +201,15 @@ mod tests {
         let inter = inter_apps(Scale::Test);
         let names: Vec<_> = inter.iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["EP", "IS", "CG", "Jacobi"]);
+    }
+
+    #[test]
+    fn sweep_covers_every_figure_cell() {
+        let reqs = sweep_requests(Scale::Test);
+        // 11 intra apps x 5 schemes + 4 inter apps x 4 schemes.
+        assert_eq!(reqs.len(), 11 * 5 + 4 * 4);
+        let keys: std::collections::HashSet<String> = reqs.iter().map(|r| r.cache_key()).collect();
+        assert_eq!(keys.len(), reqs.len(), "sweep cells must have unique keys");
+        assert!(reqs.iter().all(|r| r.scale == Scale::Test));
     }
 }

@@ -1,6 +1,6 @@
 //! Host-performance regression benchmark.
 //!
-//! Runs the full application suite on the host clock and writes
+//! Runs the 71-cell paper grid on the host clock and writes
 //! `BENCH_host.json` with suite wall-clock, sim-ops/sec, and the engine
 //! ledger, so simulator performance is tracked PR over PR.
 //!
@@ -17,7 +17,7 @@
 //! sanitizer off and in Report mode and records the overhead (the checked
 //! sweep must stay finding-free). `--faults` times the incoherent half of
 //! the suite clean and under the canned recoverable fault plan
-//! (`HIC_FAULTS`) and records retry counts, recovery traffic, and the
+//! (`FaultSpec::Recoverable`, seed 2026) and records retry counts, recovery traffic, and the
 //! host-time overhead (the faulted sweep must stay correct). `--lint`
 //! statically verifies and optimizes every recorded app with `hic-lint`,
 //! records the verify / optimize host times, and simulates each app with

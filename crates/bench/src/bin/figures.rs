@@ -7,14 +7,16 @@
 //!
 //! Output is printed as text tables shaped like the paper's figures;
 //! `EXPERIMENTS.md` records a captured run against the paper's claims.
+//! The grid cells the requested figures draw on are simulated once each
+//! before anything is printed (`all`: the 71 cells of the paper grid).
 
-use hic_apps::{intra_apps, Scale};
-use hic_bench::parse_scale;
+use hic_apps::{intra_apps, AppRun, Scale};
 use hic_bench::{fig10_rows, fig11_rows, fig12_rows, fig9_rows};
 use hic_bench::{hop_latency_sweep, ieb_capacity_sweep, meb_capacity_sweep};
+use hic_bench::{parse_scale, run_grid};
 use hic_core::storage::{coherent_storage_bits, incoherent_storage_bits, savings_kb};
-use hic_runtime::{InterConfig, IntraConfig};
-use hic_sim::{MachineConfig, StallCategory};
+use hic_runtime::{Config, InterConfig, IntraConfig, Scheme};
+use hic_sim::MachineConfig;
 
 fn table1() {
     println!("Table I: communication patterns observed in our applications");
@@ -142,13 +144,13 @@ fn storage() {
     );
 }
 
-fn fig9(scale: Scale) {
+fn fig9(runs: &[AppRun]) {
     println!("Figure 9: normalized execution time, intra-block (HCC = 1.00)");
     println!(
         "{:-14} {:-6} {:>12} {:>6}  {:>6} {:>6} {:>6} {:>7} {:>6}  ok",
         "app", "config", "cycles", "norm", "inv", "wb", "lock", "barrier", "rest"
     );
-    for r in fig9_rows(scale) {
+    for r in fig9_rows(runs) {
         println!(
             "{:-14} {:-6} {:>12} {:>6.2}  {:>6.3} {:>6.3} {:>6.3} {:>7.3} {:>6.3}  {}",
             r.app,
@@ -163,16 +165,15 @@ fn fig9(scale: Scale) {
             if r.correct { "yes" } else { "NO" }
         );
     }
-    let _ = StallCategory::ALL; // category order documented in hic-sim
 }
 
-fn fig10(scale: Scale) {
+fn fig10(runs: &[AppRun]) {
     println!("Figure 10: normalized network traffic, HCC vs B+M+I (flits)");
     println!(
         "{:-14} {:-6} {:>10} {:>10} {:>10} {:>12} {:>6}",
         "app", "config", "memory", "linefill", "writeback", "invalidation", "norm"
     );
-    for r in fig10_rows(scale) {
+    for r in fig10_rows(runs) {
         println!(
             "{:-14} {:-6} {:>10} {:>10} {:>10} {:>12} {:>6.2}",
             r.app, r.config, r.flits[0], r.flits[1], r.flits[2], r.flits[3], r.normalized
@@ -180,13 +181,13 @@ fn fig10(scale: Scale) {
     }
 }
 
-fn fig11(scale: Scale) {
+fn fig11(runs: &[AppRun]) {
     println!("Figure 11: global WBs and INVs, Addr+L normalized to Addr");
     println!(
         "{:-8} {:>10} {:>10} {:>8} | {:>10} {:>10} {:>8}",
         "app", "WB(Addr)", "WB(A+L)", "ratio", "INV(Addr)", "INV(A+L)", "ratio"
     );
-    for r in fig11_rows(scale) {
+    for r in fig11_rows(runs) {
         println!(
             "{:-8} {:>10} {:>10} {:>8.2} | {:>10} {:>10} {:>8.2}",
             r.app,
@@ -200,13 +201,13 @@ fn fig11(scale: Scale) {
     }
 }
 
-fn fig12(scale: Scale) {
+fn fig12(runs: &[AppRun]) {
     println!("Figure 12: normalized execution time, inter-block (HCC = 1.00)");
     println!(
         "{:-10} {:-6} {:>12} {:>6}  ok",
         "app", "config", "cycles", "norm"
     );
-    for r in fig12_rows(scale) {
+    for r in fig12_rows(runs) {
         println!(
             "{:-10} {:-6} {:>12} {:>6.2}  {}",
             r.app,
@@ -254,19 +255,31 @@ fn ablation() {
     }
 }
 
+/// Whether `target` draws on the grid cell run under `config`.
+fn needs(target: &str, config: Config) -> bool {
+    match (target, config.scheme()) {
+        ("all", _) | ("fig9", Scheme::Intra(_)) | ("fig12", Scheme::Inter(_)) => true,
+        ("fig10", Scheme::Intra(c)) => matches!(c, IntraConfig::Hcc | IntraConfig::BMI),
+        ("fig11", Scheme::Inter(c)) => matches!(c, InterConfig::Addr | InterConfig::AddrL),
+        _ => false,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = parse_scale(&args, Scale::Small);
     let what = args.first().map(|s| s.as_str()).unwrap_or("all");
+    let (_, runs) = run_grid(scale, |req| needs(what, req.config).then_some(req));
+    let runs: Vec<AppRun> = runs.into_iter().map(|(run, _)| run).collect();
     match what {
         "table1" => table1(),
         "table2" => table2(),
         "table3" => table3(),
         "storage" => storage(),
-        "fig9" => fig9(scale),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(scale),
-        "fig12" => fig12(scale),
+        "fig9" => fig9(&runs),
+        "fig10" => fig10(&runs),
+        "fig11" => fig11(&runs),
+        "fig12" => fig12(&runs),
         "ablation" => ablation(),
         "all" => {
             table1();
@@ -277,13 +290,13 @@ fn main() {
             println!();
             storage();
             println!();
-            fig9(scale);
+            fig9(&runs);
             println!();
-            fig10(scale);
+            fig10(&runs);
             println!();
-            fig11(scale);
+            fig11(&runs);
             println!();
-            fig12(scale);
+            fig12(&runs);
         }
         other => {
             eprintln!(

@@ -1,9 +1,7 @@
 //! Shared CLI argument helpers for the bench binaries.
 //!
-//! `suite`, `figures`, and `bench_host` all accept `--scale <name>`;
-//! each used to carry its own three-name copy of the parser, which is
-//! how `medium` and `large` ended up supported nowhere. The one parser
-//! lives here and defers the name set to [`Scale::parse`].
+//! `figures` and `bench_host` both accept `--scale <name>`; the one
+//! parser lives here and defers the name set to [`Scale::parse`].
 
 use hic_apps::Scale;
 
@@ -20,12 +18,6 @@ pub fn parse_scale(args: &[String], default: Scale) -> Scale {
         }
         None => default,
     }
-}
-
-/// True when `name` is a scale name — the `suite` binary's positional
-/// name filters use this to skip the value consumed by `--scale`.
-pub fn is_scale_name(name: &str) -> bool {
-    Scale::parse(name).is_some()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Host-performance benchmark: wall-clock and engine-throughput tracking.
 //!
-//! The `bench_host` binary runs the full application suite (every app under
-//! every configuration, like `suite`), times each run on the host clock,
+//! The `bench_host` binary runs the paper grid (every app under every
+//! configuration, [`sweep_requests`]), times each run on the host clock,
 //! and writes a machine-readable `BENCH_host.json` so the wall-clock
 //! trajectory of the simulator itself is tracked PR over PR. The JSON
 //! records, per run and in aggregate: host wall time, simulated-machine
@@ -12,9 +12,9 @@
 
 use std::time::{Duration, Instant};
 
-use hic_apps::{inter_apps, intra_apps, Scale};
+use hic_apps::{app_by_name, inter_apps, sweep_requests, AppRun, Scale};
 use hic_machine::{ResilienceStats, TrafficLedger};
-use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, IntraConfig, RunRequest, Scheduler};
+use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, RunRequest, Scheduler};
 use hic_sim::{EngineStats, Json, Topology, TopologyBuilder};
 
 use crate::harness::Timing;
@@ -44,8 +44,7 @@ impl HostRun {
 }
 
 /// Sanitizer-overhead measurement (`--check`): the incoherent half of
-/// the suite timed with `hic-check` off and in Report mode (explicit
-/// `RunRequest`s; nothing is read from or written to the environment). Each mode is
+/// the grid timed with `hic-check` off and in Report mode. Each mode is
 /// swept [`CHECK_REPS`] times, interleaved, and the minimum wall time per
 /// mode is reported — a single off-then-report pass charges all the
 /// process warm-up (lazy page faults, allocator growth, branch training)
@@ -215,7 +214,7 @@ pub fn run_geometry_matrix(scale: Scale) -> Vec<GeometryRun> {
                 .expect("grid shapes are hierarchical");
             for app in inter_apps(scale) {
                 let start = Instant::now();
-                let r = app.run(config);
+                let r = app.run_req(&RunRequest::new(app.name(), config, scale));
                 out.push(GeometryRun {
                     shape: shape.clone(),
                     blocks: topo.blocks(),
@@ -331,50 +330,58 @@ impl HostReport {
     }
 }
 
-/// Run the full suite (all apps, all configs) at `scale`, timing each run.
-pub fn run_suite(scale: Scale) -> HostReport {
+/// Run the paper grid ([`sweep_requests`]) at `scale`: `form` turns each
+/// plain cell into the request to run, or skips the cell with `None`.
+/// Returns the wall time of the whole sweep and every run with its own
+/// wall time, in grid order.
+pub fn run_grid(
+    scale: Scale,
+    form: impl Fn(RunRequest) -> Option<RunRequest>,
+) -> (Duration, Vec<(AppRun, Duration)>) {
     let t0 = Instant::now();
-    let mut runs = Vec::new();
-    for app in intra_apps(scale) {
-        for cfg in IntraConfig::ALL {
+    let runs = sweep_requests(scale)
+        .into_iter()
+        .filter_map(form)
+        .map(|req| {
+            let app = app_by_name(&req.app, req.scale).expect("grid cells name suite apps");
             let start = Instant::now();
-            let r = app.run(Config::Intra(cfg));
-            runs.push(HostRun {
-                app: app.name().to_string(),
-                config: cfg.name().to_string(),
-                family: "intra",
-                correct: r.correct,
-                cycles: r.stats.total_cycles,
-                wall: start.elapsed(),
-                engine: r.stats.engine.clone(),
-            });
-        }
-    }
-    for app in inter_apps(scale) {
-        for cfg in InterConfig::ALL {
-            let start = Instant::now();
-            let r = app.run(Config::Inter(cfg));
-            runs.push(HostRun {
-                app: app.name().to_string(),
-                config: cfg.name().to_string(),
-                family: "inter",
-                correct: r.correct,
-                cycles: r.stats.total_cycles,
-                wall: start.elapsed(),
-                engine: r.stats.engine.clone(),
-            });
-        }
-    }
+            let run = app.run_req(&req);
+            (run, start.elapsed())
+        })
+        .collect();
+    (t0.elapsed(), runs)
+}
+
+/// The grid's incoherent cells, unchanged: the only configurations the
+/// sanitizer and the fault plans act on.
+fn incoherent(req: RunRequest) -> Option<RunRequest> {
+    (!req.config.is_coherent()).then_some(req)
+}
+
+/// Run the paper grid at `scale`, timing each run.
+pub fn run_suite(scale: Scale) -> HostReport {
+    let (wall, runs) = run_grid(scale, Some);
+    let runs = runs
+        .into_iter()
+        .map(|(r, wall)| HostRun {
+            app: r.name,
+            config: r.config.name().to_string(),
+            family: if r.config.intra().is_some() {
+                "intra"
+            } else {
+                "inter"
+            },
+            correct: r.correct,
+            cycles: r.stats.total_cycles,
+            wall,
+            engine: r.stats.engine,
+        })
+        .collect();
     HostReport {
         scale: scale.name(),
         runs,
-        timings: Vec::new(),
-        check: None,
-        faults: None,
-        lint: Vec::new(),
-        geometry: Vec::new(),
-        parallel: None,
-        wall: t0.elapsed(),
+        wall,
+        ..HostReport::default()
     }
 }
 
@@ -388,45 +395,31 @@ pub const CHECK_REPS: usize = 3;
 /// interchangeable iff they produce equal signatures for every run.
 type RunSignature = (String, String, bool, u64, TrafficLedger);
 
-/// Sweep the full app suite once under an explicit engine, returning
-/// (wall, signatures).
+/// Sweep the grid once under an explicit engine, returning (wall,
+/// signatures).
 fn signature_sweep(scale: Scale, engine: Scheduler) -> (Duration, Vec<RunSignature>) {
-    let t0 = Instant::now();
-    let mut sigs = Vec::new();
-    for app in intra_apps(scale) {
-        for cfg in IntraConfig::ALL {
-            let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-            req.engine = Some(engine);
-            let r = app.run_req(&req);
-            sigs.push((
-                app.name().to_string(),
-                cfg.name().to_string(),
+    let (wall, runs) = run_grid(scale, |mut req| {
+        req.engine = engine;
+        Some(req)
+    });
+    let sigs = runs
+        .into_iter()
+        .map(|(r, _)| {
+            let (cycles, traffic) = (r.stats.total_cycles, r.stats.traffic);
+            (
+                r.name,
+                r.config.name().to_string(),
                 r.correct,
-                r.stats.total_cycles,
-                r.stats.traffic,
-            ));
-        }
-    }
-    for app in inter_apps(scale) {
-        for cfg in InterConfig::ALL {
-            let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-            req.engine = Some(engine);
-            let r = app.run_req(&req);
-            sigs.push((
-                app.name().to_string(),
-                cfg.name().to_string(),
-                r.correct,
-                r.stats.total_cycles,
-                r.stats.traffic,
-            ));
-        }
-    }
-    (t0.elapsed(), sigs)
+                cycles,
+                traffic,
+            )
+        })
+        .collect();
+    (wall, sigs)
 }
 
-/// Sweep the suite under the `Linear` oracle and the default engine
-/// (explicit requests; nothing reads `HIC_ENGINE`), interleaved
-/// oracle-first [`CHECK_REPS`] times so warm-up lands on the oracle.
+/// Sweep the grid under the `Linear` oracle and the default engine,
+/// interleaved oracle-first [`CHECK_REPS`] times so warm-up lands on the oracle.
 /// Every sweep's signatures are compared with the first oracle sweep.
 pub fn run_parallel_suite(scale: Scale) -> ParallelReport {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -465,34 +458,17 @@ pub fn run_parallel_suite(scale: Scale) -> ParallelReport {
 /// corrupted dirty lines are repaired by epoch-checkpoint rollback.
 pub fn run_fault_suite(scale: Scale, seed: u64) -> FaultOverhead {
     fn sweep(scale: Scale, fault: Option<FaultSpec>) -> (Duration, bool, ResilienceStats) {
-        let t0 = Instant::now();
+        let (wall, runs) = run_grid(scale, |mut req| {
+            req.fault = fault;
+            incoherent(req)
+        });
         let mut correct = true;
         let mut stats = ResilienceStats::default();
-        for app in intra_apps(scale) {
-            for cfg in IntraConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-                req.fault = fault;
-                let r = app.run_req(&req);
-                correct &= r.correct;
-                stats += r.stats.resilience;
-            }
+        for (r, _) in runs {
+            correct &= r.correct;
+            stats += r.stats.resilience;
         }
-        for app in inter_apps(scale) {
-            for cfg in InterConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-                req.fault = fault;
-                let r = app.run_req(&req);
-                correct &= r.correct;
-                stats += r.stats.resilience;
-            }
-        }
-        (t0.elapsed(), correct, stats)
+        (wall, correct, stats)
     }
 
     let mut wall_clean = Duration::MAX;
@@ -554,8 +530,10 @@ pub fn run_lint_suite(scale: Scale) -> Vec<LintRun> {
             let t1 = Instant::now();
             let opt = hic_lint::optimize(&rec);
             let optimize = t1.elapsed();
-            let base = app.run_with(config, None);
-            let mini = app.run_with(config, Some(opt.overrides));
+            let mut req = RunRequest::new(app.name(), config, scale);
+            let base = app.run_req(&req);
+            req.plan_overrides = Some(opt.overrides);
+            let mini = app.run_req(&req);
             out.push(LintRun {
                 app: app.name().to_string(),
                 config: cfg.name().to_string(),
@@ -577,9 +555,8 @@ pub fn run_lint_suite(scale: Scale) -> Vec<LintRun> {
     out
 }
 
-/// Time the incoherent half of the suite (the only configurations the
-/// sanitizer can attach to) with checking off and in Report mode
-/// (explicit requests — the sweep no longer mutates `HIC_CHECK`), and
+/// Time the incoherent half of the grid (the only configurations the
+/// sanitizer can attach to) with checking off and in Report mode, and
 /// report the host-time overhead. The checked sweep must stay clean:
 /// any finding on the unmodified suite is a sanitizer bug.
 ///
@@ -590,34 +567,13 @@ pub fn run_lint_suite(scale: Scale) -> Vec<LintRun> {
 /// overhead (`overhead_pct: -39.7` in earlier reports).
 pub fn run_check_overhead(scale: Scale) -> CheckOverhead {
     fn sweep(scale: Scale, check: CheckMode) -> (Duration, u64, bool) {
-        let t0 = Instant::now();
-        let mut checks = 0;
-        let mut clean = true;
-        for app in intra_apps(scale) {
-            for cfg in IntraConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-                req.check = check;
-                let r = app.run_req(&req);
-                checks += r.diagnostics.checks;
-                clean &= r.diagnostics.is_clean();
-            }
-        }
-        for app in inter_apps(scale) {
-            for cfg in InterConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-                req.check = check;
-                let r = app.run_req(&req);
-                checks += r.diagnostics.checks;
-                clean &= r.diagnostics.is_clean();
-            }
-        }
-        (t0.elapsed(), checks, clean)
+        let (wall, runs) = run_grid(scale, |mut req| {
+            req.check = check;
+            incoherent(req)
+        });
+        let checks = runs.iter().map(|(r, _)| r.diagnostics.checks).sum();
+        let clean = runs.iter().all(|(r, _)| r.diagnostics.is_clean());
+        (wall, checks, clean)
     }
 
     let mut wall_off = Duration::MAX;

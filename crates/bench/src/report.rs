@@ -1,16 +1,20 @@
 //! Data collection for the paper's figures.
 //!
-//! Each `figN_rows` function runs the relevant application suite under the
-//! relevant configurations and returns structured rows; the `figures`
-//! binary renders them as text tables, and `EXPERIMENTS.md` records them
-//! against the paper's claims.
+//! Each `figN_rows` function turns runs of the paper grid
+//! ([`crate::host::run_grid`]) into structured rows, reading each cell it
+//! needs from the runs it is given; the `figures` binary simulates every
+//! cell once, renders the rows as text tables, and `EXPERIMENTS.md`
+//! records them against the paper's claims.
 
-#![allow(clippy::needless_range_loop)]
-
-use hic_apps::{inter_apps, intra_apps, App, Scale};
-use hic_machine::RunStats;
+use hic_apps::AppRun;
 use hic_runtime::{Config, InterConfig, IntraConfig};
-use hic_sim::StallLedger;
+
+/// The run of `app` under `config` among `runs`.
+fn cell<'a>(runs: &'a [AppRun], app: &str, config: Config) -> &'a AppRun {
+    runs.iter()
+        .find(|r| r.name == app && r.config == config)
+        .unwrap_or_else(|| panic!("no {app} / {} run among the grid runs", config.name()))
+}
 
 /// One bar of Figure 9: an (app, config) execution, with the stall
 /// breakdown, normalized to the app's HCC total.
@@ -26,60 +30,43 @@ pub struct Fig9Row {
     pub correct: bool,
 }
 
-fn merged(stats: &RunStats) -> StallLedger {
-    stats.merged_ledger()
-}
-
-/// Run the intra-block suite and produce Figure 9 rows, including the
+/// Figure 9 rows from the intra-block runs among `runs`, plus the
 /// `average` pseudo-app (arithmetic mean of normalized values, as in the
 /// paper's rightmost group).
-pub fn fig9_rows(scale: Scale) -> Vec<Fig9Row> {
-    let mut rows = Vec::new();
-    let mut sums: Vec<(String, f64, [f64; 5])> = IntraConfig::ALL
+pub fn fig9_rows(runs: &[AppRun]) -> Vec<Fig9Row> {
+    let mut rows: Vec<Fig9Row> = runs
         .iter()
-        .map(|c| (c.name().to_string(), 0.0, [0.0; 5]))
-        .collect();
-    let apps = intra_apps(scale);
-    for app in &apps {
-        let hcc = app.run(Config::Intra(IntraConfig::Hcc));
-        let hcc_total = hcc.stats.total_cycles.max(1);
-        for (ci, cfg) in IntraConfig::ALL.iter().enumerate() {
-            let r = if *cfg == IntraConfig::Hcc {
-                hcc.clone()
-            } else {
-                app.run(Config::Intra(*cfg))
-            };
-            let ledger = merged(&r.stats);
+        .filter(|r| r.config.intra().is_some())
+        .map(|r| {
+            let hcc = cell(runs, &r.name, Config::Intra(IntraConfig::Hcc));
+            let hcc_total = hcc.stats.total_cycles.max(1);
+            let ledger = r.stats.merged_ledger();
             // The ledger sums per-core cycles; its category *shares*
             // scale the bar so the stack sums to the normalized height.
             let frac = ledger.normalized(ledger.total().max(1));
             let norm = r.stats.total_cycles as f64 / hcc_total as f64;
-            let breakdown = frac.map(|f| f * norm);
-            sums[ci].1 += norm;
-            for k in 0..5 {
-                sums[ci].2[k] += breakdown[k];
-            }
-            rows.push(Fig9Row {
-                app: app.name().to_string(),
-                config: cfg.name().to_string(),
+            Fig9Row {
+                app: r.name.clone(),
+                config: r.config.name().to_string(),
                 cycles: r.stats.total_cycles,
                 normalized: norm,
-                breakdown,
+                breakdown: frac.map(|f| f * norm),
                 correct: r.correct,
-            });
-        }
-    }
-    let n = apps.len() as f64;
-    for (name, total, breakdown) in sums {
-        rows.push(Fig9Row {
+            }
+        })
+        .collect();
+    let averages = IntraConfig::ALL.map(|cfg| {
+        let bars = || rows.iter().filter(|r| r.config == cfg.name());
+        Fig9Row {
             app: "average".to_string(),
-            config: name,
+            config: cfg.name().to_string(),
             cycles: 0,
-            normalized: total / n,
-            breakdown: breakdown.map(|x| x / n),
+            normalized: mean(bars().map(|b| b.normalized)),
+            breakdown: std::array::from_fn(|k| mean(bars().map(|b| b.breakdown[k]))),
             correct: true,
-        });
-    }
+        }
+    });
+    rows.extend(averages);
     rows
 }
 
@@ -95,37 +82,36 @@ pub struct Fig10Row {
     pub normalized: f64,
 }
 
-/// Run the intra suite under HCC and B+M+I and report Figure 10 rows,
+/// Figure 10 rows from the HCC and B+M+I intra-block runs among `runs`,
 /// plus the `average` pseudo-app.
-pub fn fig10_rows(scale: Scale) -> Vec<Fig10Row> {
-    let mut rows = Vec::new();
-    let mut avg = [0.0f64; 2];
-    let apps = intra_apps(scale);
-    for app in &apps {
-        let hcc = app.run(Config::Intra(IntraConfig::Hcc));
-        let bmi = app.run(Config::Intra(IntraConfig::BMI));
-        let hcc_total = hcc.stats.traffic.fig10_total().max(1);
-        for (i, (name, r)) in [("HCC", &hcc), ("B+M+I", &bmi)].into_iter().enumerate() {
+pub fn fig10_rows(runs: &[AppRun]) -> Vec<Fig10Row> {
+    let bars = [IntraConfig::Hcc, IntraConfig::BMI];
+    let mut rows: Vec<Fig10Row> = runs
+        .iter()
+        .filter(|r| r.config.intra().is_some_and(|c| bars.contains(&c)))
+        .map(|r| {
+            let hcc = cell(runs, &r.name, Config::Intra(IntraConfig::Hcc));
+            let hcc_total = hcc.stats.traffic.fig10_total().max(1);
             let t = &r.stats.traffic;
-            let norm = t.fig10_total() as f64 / hcc_total as f64;
-            avg[i] += norm;
-            rows.push(Fig10Row {
-                app: app.name().to_string(),
-                config: name.to_string(),
+            Fig10Row {
+                app: r.name.clone(),
+                config: r.config.name().to_string(),
                 flits: [t.memory, t.linefill, t.writeback, t.invalidation],
-                normalized: norm,
-            });
-        }
-    }
-    let n = apps.len() as f64;
-    for (i, name) in ["HCC", "B+M+I"].into_iter().enumerate() {
-        rows.push(Fig10Row {
-            app: "average".to_string(),
-            config: name.to_string(),
-            flits: [0; 4],
-            normalized: avg[i] / n,
-        });
-    }
+                normalized: t.fig10_total() as f64 / hcc_total as f64,
+            }
+        })
+        .collect();
+    let averages = bars.map(|cfg| Fig10Row {
+        app: "average".to_string(),
+        config: cfg.name().to_string(),
+        flits: [0; 4],
+        normalized: mean(
+            rows.iter()
+                .filter(|r| r.config == cfg.name())
+                .map(|r| r.normalized),
+        ),
+    });
+    rows.extend(averages);
     rows
 }
 
@@ -143,16 +129,15 @@ pub struct Fig11Row {
     pub inv_ratio: f64,
 }
 
-/// Run the inter suite under Addr and Addr+L, counting global operations.
-pub fn fig11_rows(scale: Scale) -> Vec<Fig11Row> {
-    inter_apps(scale)
-        .iter()
-        .map(|app| {
-            let a = app.run(Config::Inter(InterConfig::Addr));
-            let l = app.run(Config::Inter(InterConfig::AddrL));
-            assert!(a.correct && l.correct, "{} failed", app.name());
+/// Figure 11 rows from the Addr and Addr+L inter-block runs among `runs`.
+pub fn fig11_rows(runs: &[AppRun]) -> Vec<Fig11Row> {
+    runs.iter()
+        .filter(|r| r.config.inter() == Some(InterConfig::Addr))
+        .map(|a| {
+            let l = cell(runs, &a.name, Config::Inter(InterConfig::AddrL));
+            assert!(a.correct && l.correct, "{} failed", a.name);
             Fig11Row {
-                app: app.name().to_string(),
+                app: a.name.clone(),
                 addr_global_wbs: a.stats.counters.global_wbs,
                 addr_global_invs: a.stats.counters.global_invs,
                 addrl_global_wbs: l.stats.counters.global_wbs,
@@ -176,56 +161,40 @@ pub struct Fig12Row {
     pub correct: bool,
 }
 
-/// Run the inter suite under all four configurations.
-pub fn fig12_rows(scale: Scale) -> Vec<Fig12Row> {
-    let mut rows = Vec::new();
-    let apps = inter_apps(scale);
-    let mut sums: Vec<(String, f64)> = InterConfig::ALL
+/// Figure 12 rows from the inter-block runs among `runs`, plus the
+/// `average` pseudo-app.
+pub fn fig12_rows(runs: &[AppRun]) -> Vec<Fig12Row> {
+    let mut rows: Vec<Fig12Row> = runs
         .iter()
-        .map(|c| (c.name().to_string(), 0.0))
-        .collect();
-    for app in &apps {
-        let hcc = app.run(Config::Inter(InterConfig::Hcc));
-        let hcc_total = hcc.stats.total_cycles.max(1);
-        for (ci, cfg) in InterConfig::ALL.iter().enumerate() {
-            let r = if *cfg == InterConfig::Hcc {
-                hcc.clone()
-            } else {
-                app.run(Config::Inter(*cfg))
-            };
-            let norm = r.stats.total_cycles as f64 / hcc_total as f64;
-            sums[ci].1 += norm;
-            rows.push(Fig12Row {
-                app: app.name().to_string(),
-                config: cfg.name().to_string(),
+        .filter(|r| r.config.inter().is_some())
+        .map(|r| {
+            let hcc = cell(runs, &r.name, Config::Inter(InterConfig::Hcc));
+            Fig12Row {
+                app: r.name.clone(),
+                config: r.config.name().to_string(),
                 cycles: r.stats.total_cycles,
-                normalized: norm,
+                normalized: r.stats.total_cycles as f64 / hcc.stats.total_cycles.max(1) as f64,
                 correct: r.correct,
-            });
-        }
-    }
-    let n = apps.len() as f64;
-    for (name, total) in sums {
-        rows.push(Fig12Row {
-            app: "average".to_string(),
-            config: name,
-            cycles: 0,
-            normalized: total / n,
-            correct: true,
-        });
-    }
+            }
+        })
+        .collect();
+    let averages = InterConfig::ALL.map(|cfg| Fig12Row {
+        app: "average".to_string(),
+        config: cfg.name().to_string(),
+        cycles: 0,
+        normalized: mean(
+            rows.iter()
+                .filter(|r| r.config == cfg.name())
+                .map(|r| r.normalized),
+        ),
+        correct: true,
+    });
+    rows.extend(averages);
     rows
 }
 
-/// Every row of an app suite table must come from a correct run; used by
-/// integration tests over the harness itself.
-pub fn all_correct_fig9(rows: &[Fig9Row]) -> bool {
-    rows.iter().all(|r| r.correct)
+/// Arithmetic mean, summed in order (the paper's `average` bars).
+fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = values.fold((0.0, 0), |(sum, n), v| (sum + v, n + 1));
+    sum / n as f64
 }
-
-pub fn all_correct_fig12(rows: &[Fig12Row]) -> bool {
-    rows.iter().all(|r| r.correct)
-}
-
-#[allow(unused)]
-fn _suite_is_runnable(apps: &[Box<dyn App>]) {}

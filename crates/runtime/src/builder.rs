@@ -34,15 +34,10 @@ pub struct ProgramBuilder {
     machine: Machine,
     alloc: BumpAllocator,
     locks: Vec<LockInfo>,
-    /// Explicit engine choice; `None` defers to the `HIC_ENGINE`
-    /// environment variable (`default` or `linear` — how CI runs the
-    /// whole suite under the oracle without code changes), which in turn
-    /// defaults to [`Scheduler::Default`].
-    scheduler: Option<Scheduler>,
-    /// Explicit sanitizer mode; `None` defers to the `HIC_CHECK`
-    /// environment variable (how CI forces checking on without code
-    /// changes), which in turn defaults to `Off`.
-    check: Option<CheckMode>,
+    /// Which engine runs the program.
+    scheduler: Scheduler,
+    /// Incoherence-sanitizer mode.
+    check: CheckMode,
     /// Allocation names for sanitizer reports.
     regions: Vec<(Region, String)>,
     /// Barriers declared so far: (raw sync id, participants) — captured
@@ -50,21 +45,12 @@ pub struct ProgramBuilder {
     barriers: Vec<(usize, usize)>,
     /// Plan substitutions from a static optimizer (`hic-lint`).
     overrides: Option<Arc<PlanOverrides>>,
-    /// Explicit fault plan; `None` defers to the `HIC_FAULTS`
-    /// environment variable (a decimal seed for
-    /// [`FaultPlan::from_seed`]), which in turn defaults to no faults.
+    /// Fault plan to inject, if any.
     fault: Option<FaultPlan>,
     /// Simulated-cycle watchdog budget for the run.
     watchdog_cycles: Option<Cycle>,
     /// Host wall-clock watchdog for the run, in milliseconds.
     watchdog_wall_ms: Option<u64>,
-    /// Whether unset knobs fall back to the environment variables.
-    /// `true` for hand-built runs (the historical behavior);
-    /// [`ProgramBuilder::apply_request`] sets it to `false` because a
-    /// [`RunRequest`] is complete by definition — a server running many
-    /// jobs concurrently must not let process-global env state leak into
-    /// them.
-    env_fallback: bool,
 }
 
 impl ProgramBuilder {
@@ -96,15 +82,14 @@ impl ProgramBuilder {
             machine,
             alloc: BumpAllocator::new(),
             locks: Vec::new(),
-            scheduler: None,
-            check: None,
+            scheduler: Scheduler::Default,
+            check: CheckMode::Off,
             regions: Vec::new(),
             barriers: Vec::new(),
             overrides: None,
             fault: None,
             watchdog_cycles: None,
             watchdog_wall_ms: None,
-            env_fallback: true,
         }
     }
 
@@ -121,35 +106,29 @@ impl ProgramBuilder {
             machine,
             alloc: BumpAllocator::new(),
             locks: Vec::new(),
-            scheduler: None,
-            check: None,
+            scheduler: Scheduler::Default,
+            check: CheckMode::Off,
             regions: Vec::new(),
             barriers: Vec::new(),
             overrides: None,
             fault: None,
             watchdog_cycles: None,
             watchdog_wall_ms: None,
-            env_fallback: true,
         }
     }
 
     /// Configure this run exactly as `req` describes: check mode, fault
-    /// plan, scheduler, watchdogs, and plan overrides, all set
-    /// explicitly. Environment fallback is disabled — the request is the
-    /// complete description, so two runs of the same request behave
-    /// identically no matter what `HIC_*` variables the process carries.
-    /// (The builder must already have been constructed with
-    /// `req.config()`; the request's app name and scale are the caller's
-    /// concern.)
+    /// plan, scheduler, watchdogs, and plan overrides. (The builder must
+    /// already have been constructed with `req.config()`; the request's
+    /// app name and scale are the caller's concern.)
     pub fn apply_request(&mut self, req: &crate::request::RunRequest) -> &mut Self {
         debug_assert_eq!(self.config, req.config());
-        self.check = Some(req.check);
+        self.check = req.check;
         self.fault = req.fault_plan();
-        self.scheduler = Some(req.engine.unwrap_or_default());
+        self.scheduler = req.engine;
         self.watchdog_cycles = req.watchdog_cycles;
         self.watchdog_wall_ms = req.watchdog_wall_ms;
         self.overrides = req.plan_overrides.clone().map(Arc::new);
-        self.env_fallback = false;
         self
     }
 
@@ -157,12 +136,11 @@ impl ProgramBuilder {
         self.config
     }
 
-    /// Select the engine, overriding the `HIC_ENGINE` environment
-    /// variable (default: [`Scheduler::Default`]). Simulated results are
-    /// identical across engines; only the host-side ledger in
-    /// `stats.engine` differs.
+    /// Select the engine (default: [`Scheduler::Default`]). Simulated
+    /// results are identical across engines; only the host-side ledger
+    /// in `stats.engine` differs.
     pub fn scheduler(&mut self, s: Scheduler) -> &mut Self {
-        self.scheduler = Some(s);
+        self.scheduler = s;
         self
     }
 
@@ -194,19 +172,19 @@ impl ProgramBuilder {
         r
     }
 
-    /// Enable or disable the incoherence sanitizer for this run,
-    /// overriding the `HIC_CHECK` environment variable. The sanitizer
-    /// only has effect on incoherent backends; coherent and reference
-    /// machines never produce stale values to detect.
+    /// Enable or disable the incoherence sanitizer for this run
+    /// (default: `Off`). The sanitizer only has effect on incoherent
+    /// backends; coherent and reference machines never produce stale
+    /// values to detect.
     pub fn check_mode(&mut self, mode: CheckMode) -> &mut Self {
-        self.check = Some(mode);
+        self.check = mode;
         self
     }
 
-    /// Inject a deterministic fault plan into this run, overriding the
-    /// `HIC_FAULTS` environment variable. See [`FaultPlan`] for what can
-    /// be perturbed; every perturbation is protocol-legal, so timing-only
-    /// plans never change the results of race-free programs.
+    /// Inject a deterministic fault plan into this run. See [`FaultPlan`]
+    /// for what can be perturbed; every perturbation is protocol-legal,
+    /// so timing-only plans never change the results of race-free
+    /// programs.
     pub fn fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
         self.fault = Some(plan);
         self
@@ -307,51 +285,18 @@ impl ProgramBuilder {
     where
         F: Fn(&ThreadCtx) + Send + Sync,
     {
-        // Unset knobs fall back to the environment (unless an
-        // `apply_request` made this run self-contained), parsed by the
-        // one set of parsers in `crate::request::env`. A malformed value
-        // is a loud typed error at every call site — historically some
-        // sites ignored a malformed `HIC_ENGINE` and others panicked.
-        let env_err = |e: crate::request::RequestError| -> ! { panic!("{e}") };
-        let mode = self.check.unwrap_or_else(|| {
-            if self.env_fallback {
-                crate::request::env::check_mode().unwrap_or_else(|e| env_err(e))
-            } else {
-                None
-            }
-            .unwrap_or(CheckMode::Off)
-        });
-        if mode != CheckMode::Off {
+        if self.check != CheckMode::Off {
             self.machine
-                .enable_check(mode, std::mem::take(&mut self.regions));
+                .enable_check(self.check, std::mem::take(&mut self.regions));
         }
-        let fault = self.fault.or_else(|| {
-            if self.env_fallback {
-                crate::request::env::fault_seed()
-                    .unwrap_or_else(|e| env_err(e))
-                    .map(FaultPlan::from_seed)
-            } else {
-                None
-            }
-        });
-        if let Some(plan) = fault {
+        if let Some(plan) = self.fault {
             self.machine.enable_faults(plan);
         }
-        let scheduler = self
-            .scheduler
-            .or_else(|| {
-                if self.env_fallback {
-                    crate::request::env::engine().unwrap_or_else(|e| env_err(e))
-                } else {
-                    None
-                }
-            })
-            .unwrap_or_default();
         let shared = Arc::new(RtShared {
             config: self.config,
             locks: self.locks,
             nthreads,
-            scheduler,
+            scheduler: self.scheduler,
             checking: self.machine.checking(),
             overrides: self.overrides,
             watchdog_cycles: self.watchdog_cycles,

@@ -1,26 +1,19 @@
 //! `RunRequest` — the one canonical description of a simulation run.
 //!
-//! Historically a run was described by four scattered pieces: the
-//! `Config` passed to an `App`, plan overrides threaded through
-//! `run_with`, per-binary `--scale` parsing, and four process-global
-//! environment knobs (`HIC_CHECK`, `HIC_FAULTS`, `HIC_ENGINE`,
-//! `HIC_BENCH_BUDGET_MS`) read ad hoc at different call sites. That made
-//! identical runs hard to recognize (a result cache cannot key on "what
-//! the environment happened to contain") and concurrent runs impossible
-//! to isolate (env vars are process-wide).
-//!
-//! [`RunRequest`] subsumes all of it: app name, scheme + topology,
-//! input scale, sanitizer mode, fault plan, engine choice, watchdogs,
-//! and plan overrides, in one serializable value. Everything that starts
-//! a run — `App::run_req`, the `hic-serve` sweep server, the bench
-//! frontends, tests — builds one of these:
+//! [`RunRequest`] holds everything that configures a run: app name,
+//! scheme + topology, input scale, sanitizer mode, fault plan, engine
+//! choice, watchdogs, and plan overrides, in one serializable value.
+//! Because nothing else configures a run, identical runs are
+//! recognizable (a result cache keys on the request) and concurrent runs
+//! are isolated (no process-wide state leaks into them). Everything that
+//! starts an application run — `App::run_req`, the `hic-serve` sweep
+//! server, the bench frontends, tests — builds one of these:
 //!
 //! * [`RunRequest::new`] for explicit construction;
-//! * [`RunRequest::from_env`] for the historical env-knob behavior,
-//!   now parsed in exactly one place with typed [`RequestError`]s
-//!   (a malformed `HIC_ENGINE` fails loudly and identically at every
-//!   call site instead of being silently ignored at some and panicking
-//!   at others);
+//! * [`RunRequest::from_env`] for the environment knobs (`HIC_CHECK`,
+//!   `HIC_FAULTS`, `HIC_RECOVER`, `HIC_ENGINE`), the only place in the
+//!   workspace that reads them, with typed [`RequestError`]s for
+//!   malformed values;
 //! * [`RunRequest::parse_key`] to rebuild a request from its canonical
 //!   serialized form.
 //!
@@ -194,10 +187,9 @@ impl From<hic_sim::ConfigError> for RequestError {
 ///
 /// See the [module docs](crate::request) for why this exists. Every
 /// field that can change the simulated result is part of
-/// [`RunRequest::cache_key`]; host-only knobs (watchdogs, the bench
-/// iteration budget) are serialized too so a resubmitted job is
-/// recognized verbatim, but they cannot change a *successful* run's
-/// results.
+/// [`RunRequest::cache_key`]; the watchdogs are serialized too so a
+/// resubmitted job is recognized verbatim, but they cannot change a
+/// *successful* run's results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
     /// Application name, as `App::name` reports it (`"FFT"`, `"Jacobi"`).
@@ -210,9 +202,8 @@ pub struct RunRequest {
     pub check: CheckMode,
     /// Seeded fault plan, if any (subsumes `HIC_FAULTS`).
     pub fault: Option<FaultSpec>,
-    /// Engine choice; `None` = [`Scheduler::Default`] (subsumes
-    /// `HIC_ENGINE`).
-    pub engine: Option<Scheduler>,
+    /// Engine choice (subsumes `HIC_ENGINE`).
+    pub engine: Scheduler,
     /// Plan substitutions from a static optimizer (`hic-lint`),
     /// installed at matching call sites (subsumes `App::run_with`).
     pub plan_overrides: Option<PlanOverrides>,
@@ -220,9 +211,6 @@ pub struct RunRequest {
     pub watchdog_cycles: Option<u64>,
     /// Fail with `RunError::Hang` past this host wall-clock budget.
     pub watchdog_wall_ms: Option<u64>,
-    /// Host-side time budget for the bench harness's timed loops
-    /// (subsumes `HIC_BENCH_BUDGET_MS`; ignored by plain runs).
-    pub budget_ms: Option<u64>,
 }
 
 impl RunRequest {
@@ -235,23 +223,20 @@ impl RunRequest {
             scale,
             check: CheckMode::Off,
             fault: None,
-            engine: None,
+            engine: Scheduler::Default,
             plan_overrides: None,
             watchdog_cycles: None,
             watchdog_wall_ms: None,
-            budget_ms: None,
         }
     }
 
-    /// The historical environment-knob behavior, centralized: a request
-    /// whose check mode, fault seed, engine, and bench budget come from
-    /// `HIC_CHECK`, `HIC_FAULTS`, `HIC_ENGINE`, and
-    /// `HIC_BENCH_BUDGET_MS`. Malformed values are typed errors — every
-    /// call site now rejects a bad `HIC_ENGINE` with the same message
-    /// instead of silently running the default engine.
-    /// `HIC_RECOVER=1` upgrades the `HIC_FAULTS` seed from the canned
-    /// recoverable plan to the corrupting-with-rollback plan: dirty-line
-    /// flips land too, repaired by epoch-checkpoint restore + replay.
+    /// A request whose check mode, fault seed, and engine come from
+    /// `HIC_CHECK`, `HIC_FAULTS`, and `HIC_ENGINE` — the only reader of
+    /// those variables, so a knob reaches exactly the runs built here.
+    /// Malformed values are typed errors. `HIC_RECOVER=1` upgrades the
+    /// `HIC_FAULTS` seed from the canned recoverable plan to the
+    /// corrupting-with-rollback plan: dirty-line flips land too, repaired
+    /// by epoch-checkpoint restore + replay.
     pub fn from_env(app: &str, config: Config, scale: Scale) -> Result<RunRequest, RequestError> {
         let mut req = RunRequest::new(app, config, scale);
         if let Some(mode) = env::check_mode()? {
@@ -265,8 +250,7 @@ impl RunRequest {
                 FaultSpec::Recoverable { seed }
             }
         });
-        req.engine = env::engine()?;
-        req.budget_ms = env::bench_budget_ms()?;
+        req.engine = env::engine()?.unwrap_or_default();
         Ok(req)
     }
 
@@ -298,7 +282,7 @@ impl RunRequest {
         let opt = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
         format!(
             "hic1;app={};scheme={};topo={}x{};mesh={}x{};l2={};l3={};scale={};\
-             check={};fault={};engine={};wdc={};wdw={};budget={};plans={}",
+             check={};fault={};engine={};wdc={};wdw={};plans={}",
             self.app,
             scheme_key(self.config.scheme()),
             topo.blocks(),
@@ -310,17 +294,18 @@ impl RunRequest {
             self.scale.name(),
             check_key(self.check),
             self.fault.map_or("-".to_string(), FaultSpec::key),
-            engine_key(self.engine),
+            self.engine.name(),
             opt(self.watchdog_cycles),
             opt(self.watchdog_wall_ms),
-            opt(self.budget_ms),
             plans_key(self.plan_overrides.as_ref()),
         )
     }
 
     /// Rebuild a request from its [`RunRequest::cache_key`] form.
     /// Round-trips exactly: `parse_key(k).cache_key() == k` for every
-    /// key a `RunRequest` produces.
+    /// key a `RunRequest` produces. Unknown fields are ignored and
+    /// `engine=-` reads as the default engine, so keys written by older
+    /// versions (with a `budget=` field) still parse.
     pub fn parse_key(key: &str) -> Result<RunRequest, RequestError> {
         let bad = |field: &'static str, detail: &str| RequestError::BadKey {
             field,
@@ -403,13 +388,13 @@ impl RunRequest {
             ),
         };
         let engine = match get("engine")? {
-            "-" => None,
-            spec => Some(Scheduler::parse(spec).ok_or_else(|| {
+            "-" => Scheduler::Default,
+            spec => Scheduler::parse(spec).ok_or_else(|| {
                 bad(
                     "engine",
                     &format!("unknown engine {spec:?} (expected {})", env::ENGINES),
                 )
-            })?),
+            })?,
         };
         let num = |k: &'static str| -> Result<Option<u64>, RequestError> {
             match get(k)? {
@@ -428,7 +413,6 @@ impl RunRequest {
                 .map_err(|d| bad("plans", &d))?,
             watchdog_cycles: num("wdc")?,
             watchdog_wall_ms: num("wdw")?,
-            budget_ms: num("budget")?,
         })
     }
 }
@@ -475,10 +459,6 @@ fn check_key(mode: CheckMode) -> &'static str {
         CheckMode::Report => "report",
         CheckMode::Strict => "strict",
     }
-}
-
-fn engine_key(engine: Option<Scheduler>) -> &'static str {
-    engine.map_or("-", Scheduler::name)
 }
 
 // Plan-override encoding: `-` for none, else `|`-separated site entries
@@ -586,21 +566,22 @@ fn parse_plans(s: &str, nthreads: usize) -> Result<Option<PlanOverrides>, String
     Ok(Some(o))
 }
 
-/// The four environment knobs, each parsed in exactly one place.
-/// `Ok(None)` means "unset"; a set-but-malformed value is a typed
-/// [`RequestError::BadEnv`] everywhere.
+/// The environment knobs, each parsed in exactly one place. `Ok(None)`
+/// means "unset"; a set-but-malformed value is a typed
+/// [`RequestError::BadEnv`]. Only [`RunRequest::from_env`] reads the run
+/// knobs; [`env::bench_budget_ms`] is the bench harness's own knob.
 pub mod env {
     use super::{CheckMode, RequestError, Scheduler};
 
     /// The engine names `HIC_ENGINE` and the `engine=` key accept.
-    pub const ENGINES: &str = "default|linear";
+    pub(super) const ENGINES: &str = "default|linear";
 
     fn var(name: &'static str) -> Option<String> {
         std::env::var(name).ok().filter(|v| !v.trim().is_empty())
     }
 
     /// Parse a `HIC_CHECK`-shaped value: `off`, `report`, or `strict`.
-    pub fn parse_check_mode(v: &str) -> Result<CheckMode, RequestError> {
+    pub(super) fn parse_check_mode(v: &str) -> Result<CheckMode, RequestError> {
         CheckMode::parse(v).ok_or_else(|| RequestError::BadEnv {
             var: "HIC_CHECK",
             value: v.to_string(),
@@ -609,7 +590,7 @@ pub mod env {
     }
 
     /// Parse a `HIC_FAULTS`-shaped value: a decimal seed.
-    pub fn parse_fault_seed(v: &str) -> Result<u64, RequestError> {
+    pub(super) fn parse_fault_seed(v: &str) -> Result<u64, RequestError> {
         v.trim().parse().map_err(|_| RequestError::BadEnv {
             var: "HIC_FAULTS",
             value: v.to_string(),
@@ -618,7 +599,7 @@ pub mod env {
     }
 
     /// Parse a `HIC_ENGINE`-shaped value: `default` or `linear`.
-    pub fn parse_engine(v: &str) -> Result<Scheduler, RequestError> {
+    pub(super) fn parse_engine(v: &str) -> Result<Scheduler, RequestError> {
         Scheduler::parse(v).ok_or_else(|| RequestError::BadEnv {
             var: "HIC_ENGINE",
             value: v.to_string(),
@@ -627,7 +608,7 @@ pub mod env {
     }
 
     /// Parse a `HIC_BENCH_BUDGET_MS`-shaped value: milliseconds.
-    pub fn parse_bench_budget_ms(v: &str) -> Result<u64, RequestError> {
+    pub(super) fn parse_bench_budget_ms(v: &str) -> Result<u64, RequestError> {
         v.trim().parse().map_err(|_| RequestError::BadEnv {
             var: "HIC_BENCH_BUDGET_MS",
             value: v.to_string(),
@@ -636,17 +617,17 @@ pub mod env {
     }
 
     /// `HIC_CHECK`: `off`, `report`, or `strict`.
-    pub fn check_mode() -> Result<Option<CheckMode>, RequestError> {
+    pub(super) fn check_mode() -> Result<Option<CheckMode>, RequestError> {
         var("HIC_CHECK").map(|v| parse_check_mode(&v)).transpose()
     }
 
     /// `HIC_FAULTS`: a decimal seed for the canned recoverable plan.
-    pub fn fault_seed() -> Result<Option<u64>, RequestError> {
+    pub(super) fn fault_seed() -> Result<Option<u64>, RequestError> {
         var("HIC_FAULTS").map(|v| parse_fault_seed(&v)).transpose()
     }
 
     /// Parse a `HIC_RECOVER`-shaped value: `0`/`false` or `1`/`true`.
-    pub fn parse_recover(v: &str) -> Result<bool, RequestError> {
+    pub(super) fn parse_recover(v: &str) -> Result<bool, RequestError> {
         match v.trim() {
             "1" | "true" => Ok(true),
             "0" | "false" => Ok(false),
@@ -660,7 +641,7 @@ pub mod env {
 
     /// `HIC_RECOVER`: upgrade the `HIC_FAULTS` plan to dirty-line flips
     /// with epoch-checkpoint rollback recovery. Unset means off.
-    pub fn recover() -> Result<bool, RequestError> {
+    pub(super) fn recover() -> Result<bool, RequestError> {
         var("HIC_RECOVER")
             .map(|v| parse_recover(&v))
             .transpose()
@@ -668,7 +649,7 @@ pub mod env {
     }
 
     /// `HIC_ENGINE`: `default` or `linear`.
-    pub fn engine() -> Result<Option<Scheduler>, RequestError> {
+    pub(super) fn engine() -> Result<Option<Scheduler>, RequestError> {
         var("HIC_ENGINE").map(|v| parse_engine(&v)).transpose()
     }
 
@@ -734,10 +715,9 @@ mod tests {
         let mut req = RunRequest::new("Jacobi", Config::Inter(InterConfig::AddrL), Scale::Medium);
         req.check = CheckMode::Strict;
         req.fault = Some(FaultSpec::Corrupting { seed: 7 });
-        req.engine = Some(Scheduler::Linear);
+        req.engine = Scheduler::Linear;
         req.watchdog_cycles = Some(1_000_000);
         req.watchdog_wall_ms = Some(30_000);
-        req.budget_ms = Some(200);
         let mut o = PlanOverrides::new(req.config.num_threads());
         o.set_wb(
             0,
@@ -756,6 +736,25 @@ mod tests {
         let back = RunRequest::parse_key(&key).unwrap();
         assert_eq!(back, req);
         assert_eq!(back.cache_key(), key);
+    }
+
+    /// Keys written before the engine field became a plain `Scheduler`
+    /// and the `budget=` field was dropped still parse: `engine=-` is the
+    /// default engine, the unknown `budget=` field is ignored, and the
+    /// request re-serializes to its one current key.
+    #[test]
+    fn keys_from_older_versions_parse_to_the_current_key() {
+        let old = "hic1;app=FFT;scheme=intra/B+M+I;topo=1x16;mesh=4x4;l2=16;l3=-;scale=test;\
+                   check=off;fault=-;engine=-;wdc=-;wdw=-;budget=250;plans=-";
+        let req = RunRequest::new("FFT", Config::Intra(IntraConfig::BMI), Scale::Test);
+        assert_eq!(RunRequest::parse_key(old).unwrap(), req);
+        let key = req.cache_key();
+        assert!(key.contains(";engine=default;"), "{key}");
+        assert!(!key.contains("budget="), "{key}");
+        assert_eq!(
+            RunRequest::parse_key(&old.replace("engine=-", "engine=default")).unwrap(),
+            req
+        );
     }
 
     #[test]
@@ -784,6 +783,9 @@ mod tests {
         let mut faulted3 = base.clone();
         faulted3.fault = Some(FaultSpec::CorruptingRecover { seed: 1 });
         variants.push(faulted3);
+        let mut linear = base.clone();
+        linear.engine = Scheduler::Linear;
+        variants.push(linear);
         let keys: std::collections::HashSet<String> =
             variants.iter().map(|r| r.cache_key()).collect();
         assert_eq!(keys.len(), variants.len(), "key collision: {keys:?}");
@@ -807,7 +809,7 @@ mod tests {
         ));
         let key = RunRequest::new("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
             .cache_key()
-            .replace("engine=-", "engine=warp");
+            .replace("engine=default", "engine=warp");
         assert!(matches!(
             RunRequest::parse_key(&key),
             Err(RequestError::BadKey {
@@ -832,7 +834,7 @@ mod tests {
                 }) => assert_eq!(expected, "default|linear"),
                 other => panic!("HIC_ENGINE={retired} gave {other:?}"),
             }
-            let bad = key.replace("engine=-", &format!("engine={retired}"));
+            let bad = key.replace("engine=default", &format!("engine={retired}"));
             match RunRequest::parse_key(&bad) {
                 Err(RequestError::BadKey {
                     field: "engine",

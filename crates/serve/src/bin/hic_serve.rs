@@ -90,7 +90,7 @@ fn cmd_sweep_jobs(args: &[String]) -> Result<ExitCode, String> {
         None => Scale::Test,
     };
     let out = flag_value(args, "--out").unwrap_or_else(|| "jobs.json".to_string());
-    let mut reqs = figures::sweep_requests(scale);
+    let mut reqs = hic_serve::sweep_requests(scale);
     if let Some(seed) = flag_value(args, "--corrupting") {
         let seed: u64 = seed
             .parse()

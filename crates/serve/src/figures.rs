@@ -1,53 +1,20 @@
 //! The paper's full figure set as one queued sweep.
 //!
-//! [`sweep_requests`] enumerates every (app, configuration) cell of the
-//! evaluation — the 11 intra-block apps under all 5 intra schemes plus
-//! the 4 inter-block apps under all 4 inter schemes — as explicit
-//! [`RunRequest`]s. Submitted through the server (socket or in-process)
-//! and collected with [`figures_json`], the outcomes reproduce the data
-//! behind Figures 9, 10, and 12 in one `BENCH_figures.json`:
-//! per-cell cycles, traffic, and correctness, plus execution time
-//! normalized to each app's HCC run (the paper's presentation).
+//! The grid's cells ([`hic_apps::sweep_requests`]: the 11 intra-block
+//! apps under all 5 intra schemes plus the 4 inter-block apps under all 4
+//! inter schemes), submitted through the server (socket or in-process)
+//! and collected with [`figures_json_rows`], reproduce the data behind
+//! Figures 9, 10, and 12 in one `BENCH_figures.json`: per-cell cycles,
+//! traffic, and correctness, plus execution time normalized to each
+//! app's HCC run (the paper's presentation).
 
-use std::sync::Arc;
-
-use hic_apps::{inter_apps, intra_apps, Scale};
-use hic_runtime::{Config, InterConfig, IntraConfig, RunRequest};
 use hic_sim::Json;
 
-use crate::job::JobOutcome;
-
-/// Every (app, configuration) cell of the paper's figure set at
-/// `scale`, in figure order.
-pub fn sweep_requests(scale: Scale) -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for app in intra_apps(scale) {
-        for cfg in IntraConfig::ALL {
-            reqs.push(RunRequest::new(app.name(), Config::Intra(cfg), scale));
-        }
-    }
-    for app in inter_apps(scale) {
-        for cfg in InterConfig::ALL {
-            reqs.push(RunRequest::new(app.name(), Config::Inter(cfg), scale));
-        }
-    }
-    reqs
-}
-
-/// Assemble `BENCH_figures.json` from typed outcomes (the in-process
-/// batch path). `cached` flags ride along per outcome.
-pub fn figures_json(scale: Scale, outcomes: &[(Arc<JobOutcome>, bool)]) -> Json {
-    figures_json_rows(
-        scale.name(),
-        outcomes.iter().map(|(o, c)| o.to_json(*c)).collect(),
-    )
-}
-
 /// Assemble `BENCH_figures.json` from outcome rows as the wire protocol
-/// delivers them (the socket batch path — the client never rebuilds
-/// typed outcomes). Each row gains `norm_cycles`: cycles normalized to
-/// the same app's HCC cell in the same family (the y-axis of Figures 9
-/// and 12), `null` when that cell is absent or failed.
+/// delivers them (both batch paths serialize their outcomes first). Each
+/// row gains `norm_cycles`: cycles normalized to the same app's HCC cell
+/// in the same family (the y-axis of Figures 9 and 12), `null` when that
+/// cell is absent or failed.
 pub fn figures_json_rows(scale_name: &str, rows: Vec<Json>) -> Json {
     let field = |row: &Json, k: &str| row.get(k).and_then(Json::as_str).map(str::to_string);
     let failed_row = |row: &Json| row.get("error") != Some(&Json::Null);
@@ -106,16 +73,6 @@ pub fn figures_json_rows(scale_name: &str, rows: Vec<Json>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_covers_every_figure_cell() {
-        let reqs = sweep_requests(Scale::Test);
-        // 11 intra apps x 5 schemes + 4 inter apps x 4 schemes.
-        assert_eq!(reqs.len(), 11 * 5 + 4 * 4);
-        let keys: std::collections::HashSet<String> = reqs.iter().map(|r| r.cache_key()).collect();
-        assert_eq!(keys.len(), reqs.len(), "sweep cells must have unique keys");
-        assert!(reqs.iter().all(|r| r.scale == Scale::Test));
-    }
 
     #[test]
     fn rows_are_normalized_to_the_apps_hcc_cell() {

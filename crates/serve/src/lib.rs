@@ -27,7 +27,7 @@ pub mod queue;
 pub mod server;
 pub mod socket;
 
-pub use figures::{figures_json, sweep_requests};
+pub use hic_apps::sweep_requests;
 pub use hic_sim::Json;
 pub use job::{Job, JobId, JobOutcome, JobState};
 pub use server::{Server, ServerStats};

@@ -60,7 +60,7 @@ fn main() {
     // --- Part 2: the sanitizer catches the bug at the faulty access. --
     let (out, _) = buggy_run(CheckMode::Report);
     let diag = out.diagnostics();
-    println!("\nunder HIC_CHECK=report the sanitizer explains the bug:");
+    println!("\nunder CheckMode::Report the sanitizer explains the bug:");
     for f in &diag.findings {
         println!("  {}", f.render());
     }
@@ -75,7 +75,7 @@ fn main() {
     let err = out
         .result()
         .expect_err("strict checking must fail the buggy run");
-    println!("\nunder HIC_CHECK=strict the run fails at the stale read:");
+    println!("\nunder CheckMode::Strict the run fails at the stale read:");
     println!(
         "  {}: {}",
         err.kind(),

@@ -2,89 +2,64 @@
 //! same (host-verified) result. A stale read anywhere — a missing WB/INV,
 //! a broken MESI transition, a lost dirty word — fails these tests.
 
-use hic_apps::{inter_apps, intra_apps, App, Scale};
-use hic_runtime::{Config, InterConfig, IntraConfig, RunRequest};
+mod common;
+
+use hic_apps::{inter_apps, intra_apps, sweep_requests, Scale};
+use hic_runtime::{Config, InterConfig, IntraConfig};
 
 // CI reruns this suite under the environment knobs (HIC_CHECK,
-// HIC_FAULTS, HIC_ENGINE), so requests are assembled with `from_env`:
-// the same explicit-RunRequest path the server uses, with the knobs
-// folded in up front instead of read per run.
-fn check_intra(app: &dyn App) {
-    for cfg in IntraConfig::ALL {
-        let req = RunRequest::from_env(app.name(), Config::Intra(cfg), app.scale())
-            .expect("well-formed HIC_* knobs");
-        let r = app.run_req(&req);
-        assert!(
-            r.correct,
-            "{} under {} computed a wrong result: {}",
-            app.name(),
-            cfg.name(),
-            r.detail
-        );
-        assert!(r.stats.total_cycles > 0);
+// HIC_FAULTS, HIC_RECOVER, HIC_ENGINE), so every request is assembled
+// with `RunRequest::from_env`: the same explicit-RunRequest path the
+// server uses, with the knobs folded in up front.
+fn check(app: &str, config: Config) {
+    let r = common::run_from_env(app, config, Scale::Test);
+    assert!(
+        r.correct,
+        "{app} under {} computed a wrong result: {}",
+        config.name(),
+        r.detail
+    );
+    assert!(r.stats.total_cycles > 0);
+}
+
+/// Every cell of the paper grid that runs `app`: its family's Table II
+/// configurations.
+fn check_grid_cells(app: &str) {
+    let cells: Vec<_> = sweep_requests(Scale::Test)
+        .into_iter()
+        .filter(|c| c.app == app)
+        .collect();
+    assert!(!cells.is_empty(), "{app} is not a grid app");
+    for cell in cells {
+        check(&cell.app, cell.config);
     }
 }
 
-fn check_inter(app: &dyn App) {
-    for cfg in InterConfig::ALL {
-        let req = RunRequest::from_env(app.name(), Config::Inter(cfg), app.scale())
-            .expect("well-formed HIC_* knobs");
-        let r = app.run_req(&req);
-        assert!(
-            r.correct,
-            "{} under {} computed a wrong result: {}",
-            app.name(),
-            cfg.name(),
-            r.detail
-        );
-        assert!(r.stats.total_cycles > 0);
-    }
-}
-
-macro_rules! intra_test {
+macro_rules! app_test {
     ($fn_name:ident, $app_name:expr) => {
         #[test]
         fn $fn_name() {
-            let apps = intra_apps(Scale::Test);
-            let app = apps
-                .iter()
-                .find(|a| a.name() == $app_name)
-                .expect("app registered");
-            check_intra(app.as_ref());
+            check_grid_cells($app_name);
         }
     };
 }
 
-macro_rules! inter_test {
-    ($fn_name:ident, $app_name:expr) => {
-        #[test]
-        fn $fn_name() {
-            let apps = inter_apps(Scale::Test);
-            let app = apps
-                .iter()
-                .find(|a| a.name() == $app_name)
-                .expect("app registered");
-            check_inter(app.as_ref());
-        }
-    };
-}
+app_test!(fft_all_configs, "FFT");
+app_test!(lu_cont_all_configs, "LU cont");
+app_test!(lu_noncont_all_configs, "LU non-cont");
+app_test!(cholesky_all_configs, "Cholesky");
+app_test!(barnes_all_configs, "Barnes");
+app_test!(raytrace_all_configs, "Raytrace");
+app_test!(volrend_all_configs, "Volrend");
+app_test!(ocean_cont_all_configs, "Ocean cont");
+app_test!(ocean_noncont_all_configs, "Ocean non-cont");
+app_test!(water_nsq_all_configs, "Water Nsq");
+app_test!(water_spatial_all_configs, "Water Spatial");
 
-intra_test!(fft_all_configs, "FFT");
-intra_test!(lu_cont_all_configs, "LU cont");
-intra_test!(lu_noncont_all_configs, "LU non-cont");
-intra_test!(cholesky_all_configs, "Cholesky");
-intra_test!(barnes_all_configs, "Barnes");
-intra_test!(raytrace_all_configs, "Raytrace");
-intra_test!(volrend_all_configs, "Volrend");
-intra_test!(ocean_cont_all_configs, "Ocean cont");
-intra_test!(ocean_noncont_all_configs, "Ocean non-cont");
-intra_test!(water_nsq_all_configs, "Water Nsq");
-intra_test!(water_spatial_all_configs, "Water Spatial");
-
-inter_test!(ep_all_configs, "EP");
-inter_test!(is_all_configs, "IS");
-inter_test!(cg_all_configs, "CG");
-inter_test!(jacobi_all_configs, "Jacobi");
+app_test!(ep_all_configs, "EP");
+app_test!(is_all_configs, "IS");
+app_test!(cg_all_configs, "CG");
+app_test!(jacobi_all_configs, "Jacobi");
 
 /// The update-based Dragon backend runs the full suite. Every app checks
 /// its readable final memory against a deterministic host reference —
@@ -94,16 +69,7 @@ inter_test!(jacobi_all_configs, "Jacobi");
 #[test]
 fn dragon_runs_the_full_intra_suite() {
     for app in intra_apps(Scale::Test) {
-        let req = RunRequest::from_env(app.name(), Config::Intra(IntraConfig::Dragon), Scale::Test)
-            .expect("well-formed HIC_* knobs");
-        let r = app.run_req(&req);
-        assert!(
-            r.correct,
-            "{} under Dragon computed a wrong result: {}",
-            app.name(),
-            r.detail
-        );
-        assert!(r.stats.total_cycles > 0);
+        check(app.name(), Config::Intra(IntraConfig::Dragon));
     }
 }
 
@@ -112,15 +78,6 @@ fn dragon_runs_the_full_intra_suite() {
 #[test]
 fn dragon_runs_the_full_inter_suite() {
     for app in inter_apps(Scale::Test) {
-        let req = RunRequest::from_env(app.name(), Config::Inter(InterConfig::Dragon), Scale::Test)
-            .expect("well-formed HIC_* knobs");
-        let r = app.run_req(&req);
-        assert!(
-            r.correct,
-            "{} under Dragon computed a wrong result: {}",
-            app.name(),
-            r.detail
-        );
-        assert!(r.stats.total_cycles > 0);
+        check(app.name(), Config::Inter(InterConfig::Dragon));
     }
 }

@@ -354,32 +354,31 @@ fn report_mode_is_cycle_identical_to_off() {
 
 #[test]
 fn app_suite_is_clean_under_report() {
-    std::env::set_var("HIC_CHECK", "report");
-    use hic_apps::{inter_apps, intra_apps, Scale};
-    for app in intra_apps(Scale::Test) {
-        for cfg in [IntraConfig::Base, IntraConfig::BMI] {
-            let run = app.run(Config::Intra(cfg));
-            assert!(run.correct, "{} broke under {}", app.name(), cfg.name());
-            assert!(
-                run.diagnostics.is_clean(),
-                "{} under {}: {:?}",
-                app.name(),
-                cfg.name(),
-                run.diagnostics
-            );
-        }
-    }
-    for app in inter_apps(Scale::Test) {
-        for cfg in [InterConfig::Addr, InterConfig::AddrL] {
-            let run = app.run(Config::Inter(cfg));
-            assert!(run.correct, "{} broke under {}", app.name(), cfg.name());
-            assert!(
-                run.diagnostics.is_clean(),
-                "{} under {}: {:?}",
-                app.name(),
-                cfg.name(),
-                run.diagnostics
-            );
-        }
+    use hic_apps::{app_by_name, sweep_requests, Scale};
+    use hic_runtime::Scheme;
+    let checked = |scheme| {
+        matches!(
+            scheme,
+            Scheme::Intra(IntraConfig::Base | IntraConfig::BMI)
+                | Scheme::Inter(InterConfig::Addr | InterConfig::AddrL)
+        )
+    };
+    for mut req in sweep_requests(Scale::Test)
+        .into_iter()
+        .filter(|r| checked(r.config.scheme()))
+    {
+        req.check = CheckMode::Report;
+        let run = app_by_name(&req.app, req.scale)
+            .expect("grid cells name suite apps")
+            .run_req(&req);
+        let cfg = req.config.name();
+        assert!(run.correct, "{} broke under {cfg}", req.app);
+        assert_eq!(run.diagnostics.mode, CheckMode::Report);
+        assert!(
+            run.diagnostics.is_clean(),
+            "{} under {cfg}: {:?}",
+            req.app,
+            run.diagnostics
+        );
     }
 }

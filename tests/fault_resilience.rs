@@ -368,11 +368,8 @@ fn second_corruption_during_replay_is_still_a_typed_fatal() {
 /// nothing locally, complete, and stay bit-identical.
 #[test]
 fn sharded_engine_request_falls_back_under_recovery_plan() {
-    // Explicit knobs: a HIC_ENGINE / HIC_CHECK environment must not
-    // change what this test compares.
     let (base, base_snap) = run_rmw_workload(|p| {
         p.scheduler(Scheduler::Default);
-        p.check_mode(CheckMode::Off);
     });
     assert!(
         base.stats().engine.shard_local_ops > 0,
@@ -380,7 +377,6 @@ fn sharded_engine_request_falls_back_under_recovery_plan() {
     );
     let (faulted, snap) = run_rmw_workload(|p| {
         p.scheduler(Scheduler::Default);
-        p.check_mode(CheckMode::Off);
         p.fault_plan(FaultPlan::corrupting_recoverable(3));
     });
     assert!(

@@ -16,29 +16,25 @@
 //! (`Hcc`), and the update-based `Dragon` — the same protocol families
 //! `bench_host --geometry` sweeps.
 
-use hic_apps::{inter_apps, intra_apps, App, Scale};
+mod common;
+
+use hic_apps::Scale;
 use hic_runtime::{Config, InterConfig, IntraConfig};
 use hic_sim::TopologyBuilder;
 
-fn smoke(apps: Vec<Box<dyn App>>, names: &[&str]) -> Vec<Box<dyn App>> {
-    let picked: Vec<Box<dyn App>> = apps
-        .into_iter()
-        .filter(|a| names.contains(&a.name()))
-        .collect();
-    assert_eq!(picked.len(), names.len(), "smoke subset names must match");
-    picked
-}
-
-fn check(app: &dyn App, config: Config) {
-    let r = app.run(config);
-    assert!(
-        r.correct,
-        "{} under {} on {}: {}",
-        app.name(),
-        config.name(),
-        config.topology().shape_label(),
-        r.detail
-    );
+/// Run each smoke app under `config`, with the environment's knobs
+/// (`RunRequest::from_env`: CI forces `HIC_CHECK=strict` here).
+fn check(apps: [&str; 2], config: Config) {
+    for app in apps {
+        let r = common::run_from_env(app, config, Scale::Test);
+        assert!(
+            r.correct,
+            "{app} under {} on {}: {}",
+            config.name(),
+            config.topology().shape_label(),
+            r.detail
+        );
+    }
 }
 
 #[test]
@@ -46,9 +42,7 @@ fn flat_4_core_machine_runs_the_intra_smoke_subset() {
     let topo = TopologyBuilder::new(1, 4).validate().expect("valid shape");
     for scheme in [IntraConfig::BMI, IntraConfig::Hcc, IntraConfig::Dragon] {
         let config = Config::Intra(scheme).with_topology(topo).unwrap();
-        for app in smoke(intra_apps(Scale::Test), &["FFT", "Water Nsq"]) {
-            check(app.as_ref(), config);
-        }
+        check(["FFT", "Water Nsq"], config);
     }
 }
 
@@ -57,9 +51,7 @@ fn two_block_8_core_machine_runs_the_inter_smoke_subset() {
     let topo = TopologyBuilder::new(2, 4).validate().expect("valid shape");
     for scheme in [InterConfig::AddrL, InterConfig::Hcc, InterConfig::Dragon] {
         let config = Config::Inter(scheme).with_topology(topo).unwrap();
-        for app in smoke(inter_apps(Scale::Test), &["EP", "Jacobi"]) {
-            check(app.as_ref(), config);
-        }
+        check(["EP", "Jacobi"], config);
     }
 }
 
@@ -69,8 +61,6 @@ fn eight_block_64_core_machine_runs_the_inter_smoke_subset() {
     assert_eq!(topo.num_cores(), 64);
     for scheme in [InterConfig::Base, InterConfig::Hcc, InterConfig::Dragon] {
         let config = Config::Inter(scheme).with_topology(topo).unwrap();
-        for app in smoke(inter_apps(Scale::Test), &["EP", "Jacobi"]) {
-            check(app.as_ref(), config);
-        }
+        check(["EP", "Jacobi"], config);
     }
 }

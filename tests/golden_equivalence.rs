@@ -8,13 +8,18 @@
 //! refactor's contract is that `Topology::intra_block()` /
 //! `Topology::inter_block()` describe *exactly* the machines the seed
 //! hard-coded — so every row must reproduce, cycle for cycle and flit
-//! for flit.
+//! for flit. CI also runs this file under `HIC_ENGINE=linear`: every
+//! engine must hit the same pins.
 //!
-//! Regenerate (only when an intentional timing-model change lands) with:
-//!   cargo run --release -p hic-bench --bin golden_dump
+//! Re-pin (only when an intentional timing-model change lands): run
+//!   cargo test --release --test golden_equivalence
+//! A drifting test checks every cell of its suite, then fails once,
+//! printing the replacement `GOLDEN` row of each drifted cell; paste
+//! those rows over the old ones.
 
-use hic_apps::{inter_apps, intra_apps, Scale};
-use hic_runtime::{Config, InterConfig, IntraConfig};
+mod common;
+
+use hic_apps::{sweep_requests, Scale};
 
 /// (app, config, total_cycles, [linefill, writeback, invalidation,
 /// memory, l2l3, sync]) — captured at the seed commit.
@@ -100,39 +105,45 @@ fn golden_row(app: &str, cfg: &str) -> &'static (&'static str, &'static str, u64
         .unwrap_or_else(|| panic!("no golden row for {app} / {cfg}"))
 }
 
-fn check(app: &dyn hic_apps::App, config: Config) {
-    let r = app.run(config);
+/// Run every grid cell of one suite (intra- or inter-block) with the
+/// environment's knobs and compare it with its pin. Fails once, after
+/// every cell ran, listing the replacement row of each drifted cell.
+fn check_suite(intra: bool) {
+    let mut drifted = Vec::new();
+    for cell in sweep_requests(Scale::Test)
+        .into_iter()
+        .filter(|c| c.config.intra().is_some() == intra)
+    {
+        let cfg = cell.config.name();
+        let r = common::run_from_env(&cell.app, cell.config, cell.scale);
+        assert!(r.correct, "{} under {cfg}: {}", cell.app, r.detail);
+        let t = r.stats.traffic;
+        let got = (
+            r.stats.total_cycles,
+            [
+                t.linefill,
+                t.writeback,
+                t.invalidation,
+                t.memory,
+                t.l2l3,
+                t.sync,
+            ],
+        );
+        let (_, _, cycles, traffic) = golden_row(&cell.app, cfg);
+        if got != (*cycles, *traffic) {
+            drifted.push(format!(
+                "    (\"{}\", \"{cfg}\", {}, {:?}),",
+                cell.app, got.0, got.1
+            ));
+        }
+    }
     assert!(
-        r.correct,
-        "{} under {}: {}",
-        app.name(),
-        config.name(),
-        r.detail
-    );
-    let (_, _, cycles, traffic) = golden_row(app.name(), config.name());
-    assert_eq!(
-        r.stats.total_cycles,
-        *cycles,
-        "{} under {}: cycles drifted from the seed",
-        app.name(),
-        config.name()
-    );
-    let t = r.stats.traffic;
-    let got = [
-        t.linefill,
-        t.writeback,
-        t.invalidation,
-        t.memory,
-        t.l2l3,
-        t.sync,
-    ];
-    assert_eq!(
-        got,
-        *traffic,
-        "{} under {}: traffic drifted from the seed \
-         [linefill, writeback, invalidation, memory, l2l3, sync]",
-        app.name(),
-        config.name()
+        drifted.is_empty(),
+        "{} cells drifted from the seed's cycles or \
+         [linefill, writeback, invalidation, memory, l2l3, sync] traffic; \
+         replacement GOLDEN rows:\n{}",
+        drifted.len(),
+        drifted.join("\n")
     );
 }
 
@@ -140,27 +151,24 @@ fn check(app: &dyn hic_apps::App, config: Config) {
 /// seed's cycles and traffic exactly.
 #[test]
 fn intra_suite_matches_seed_golden_data() {
-    for app in intra_apps(Scale::Test) {
-        for cfg in IntraConfig::ALL {
-            check(app.as_ref(), Config::Intra(cfg));
-        }
-    }
+    check_suite(true);
 }
 
 /// Every inter app under every Table II inter config reproduces the
 /// seed's cycles and traffic exactly.
 #[test]
 fn inter_suite_matches_seed_golden_data() {
-    for app in inter_apps(Scale::Test) {
-        for cfg in InterConfig::ALL {
-            check(app.as_ref(), Config::Inter(cfg));
-        }
-    }
+    check_suite(false);
 }
 
-/// The golden table covers the full matrix (11 intra apps x 5 configs +
-/// 4 inter apps x 4 configs).
+/// The golden table pins exactly the paper grid: one row per cell
+/// (11 intra apps x 5 configs + 4 inter apps x 4 configs).
 #[test]
 fn golden_table_is_complete() {
+    let cells = sweep_requests(Scale::Test);
     assert_eq!(GOLDEN.len(), 11 * 5 + 4 * 4);
+    assert_eq!(GOLDEN.len(), cells.len());
+    for cell in &cells {
+        golden_row(&cell.app, cell.config.name());
+    }
 }

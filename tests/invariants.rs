@@ -1,17 +1,22 @@
 //! Cross-cutting invariants of the simulated machines, checked on real
 //! application runs.
 
-use hic_apps::{inter_apps, intra_apps, Scale};
-use hic_runtime::{Config, InterConfig, IntraConfig};
+use hic_apps::{app_by_name, inter_apps, AppRun, Scale};
+use hic_runtime::{Config, InterConfig, IntraConfig, RunRequest};
+
+/// Run the test-scale app named `app` under `config`, with no knobs.
+fn run(app: &str, config: Config) -> AppRun {
+    app_by_name(app, Scale::Test)
+        .expect("a suite application")
+        .run_req(&RunRequest::new(app, config, Scale::Test))
+}
 
 /// The coherent machine never executes WB/INV instructions: those stall
 /// categories must be exactly zero, and coherence invalidation traffic
 /// must exist for apps with write sharing.
 #[test]
 fn hcc_has_no_wb_inv_stall_but_has_invalidation_traffic() {
-    let apps = intra_apps(Scale::Test);
-    let ocean = apps.iter().find(|a| a.name() == "Ocean cont").unwrap();
-    let r = ocean.run(Config::Intra(IntraConfig::Hcc));
+    let r = run("Ocean cont", Config::Intra(IntraConfig::Hcc));
     let ledger = r.stats.merged_ledger();
     assert_eq!(ledger.wb, 0);
     assert_eq!(ledger.inv, 0);
@@ -25,10 +30,8 @@ fn hcc_has_no_wb_inv_stall_but_has_invalidation_traffic() {
 /// invalidation messages (one of the paper's three traffic savings).
 #[test]
 fn incoherent_machines_send_zero_invalidation_traffic() {
-    let apps = intra_apps(Scale::Test);
-    let raytrace = apps.iter().find(|a| a.name() == "Raytrace").unwrap();
     for cfg in [IntraConfig::Base, IntraConfig::BMI] {
-        let r = raytrace.run(Config::Intra(cfg));
+        let r = run("Raytrace", Config::Intra(cfg));
         assert_eq!(
             r.stats.traffic.invalidation,
             0,
@@ -42,10 +45,8 @@ fn incoherent_machines_send_zero_invalidation_traffic() {
 /// count and traffic, across repeated runs.
 #[test]
 fn runs_are_deterministic() {
-    let apps = intra_apps(Scale::Test);
-    let volrend = apps.iter().find(|a| a.name() == "Volrend").unwrap();
-    let a = volrend.run(Config::Intra(IntraConfig::BMI));
-    let b = volrend.run(Config::Intra(IntraConfig::BMI));
+    let a = run("Volrend", Config::Intra(IntraConfig::BMI));
+    let b = run("Volrend", Config::Intra(IntraConfig::BMI));
     assert_eq!(a.stats.total_cycles, b.stats.total_cycles);
     assert_eq!(a.stats.traffic, b.stats.traffic);
     assert_eq!(a.stats.counters, b.stats.counters);
@@ -55,10 +56,8 @@ fn runs_are_deterministic() {
 /// Raytrace (the paper's headline case for the MEB).
 #[test]
 fn meb_speeds_up_raytrace() {
-    let apps = intra_apps(Scale::Test);
-    let raytrace = apps.iter().find(|a| a.name() == "Raytrace").unwrap();
-    let base = raytrace.run(Config::Intra(IntraConfig::Base));
-    let bm = raytrace.run(Config::Intra(IntraConfig::BM));
+    let base = run("Raytrace", Config::Intra(IntraConfig::Base));
+    let bm = run("Raytrace", Config::Intra(IntraConfig::BM));
     assert!(
         bm.stats.total_cycles < base.stats.total_cycles,
         "B+M ({}) must beat Base ({}) on Raytrace",
@@ -72,10 +71,9 @@ fn meb_speeds_up_raytrace() {
 /// keeps its global WBs but drops some global INVs.
 #[test]
 fn level_adaptive_ratios_match_paper_shape() {
-    let apps = inter_apps(Scale::Test);
-    for app in &apps {
-        let addr = app.run(Config::Inter(InterConfig::Addr));
-        let addrl = app.run(Config::Inter(InterConfig::AddrL));
+    for app in inter_apps(Scale::Test) {
+        let addr = run(app.name(), Config::Inter(InterConfig::Addr));
+        let addrl = run(app.name(), Config::Inter(InterConfig::AddrL));
         assert!(addr.correct && addrl.correct);
         let (aw, ai) = (
             addr.stats.counters.global_wbs,
@@ -127,10 +125,8 @@ fn storage_savings_match_paper() {
 /// and the Figure-10 view never exceeds the full total.
 #[test]
 fn traffic_ledger_consistency() {
-    let apps = intra_apps(Scale::Test);
-    let fft = apps.iter().find(|a| a.name() == "FFT").unwrap();
     for cfg in IntraConfig::ALL {
-        let r = fft.run(Config::Intra(cfg));
+        let r = run("FFT", Config::Intra(cfg));
         let t = r.stats.traffic;
         assert!(t.total() > 0);
         assert!(t.fig10_total() <= t.total());

@@ -19,7 +19,7 @@ use hic_lint::{lint, optimize};
 use hic_mem::Region;
 use hic_runtime::{
     CheckMode, CommOp, Config, EpochPlan, FindingKind, InterConfig, PlanOverrides, ProgramBuilder,
-    ProgramRecord, RunOutcome,
+    ProgramRecord, RunOutcome, RunRequest,
 };
 use hic_sim::{SplitMix64, ThreadId};
 
@@ -387,8 +387,7 @@ fn minimized_plans_keep_memory_bit_identical_and_cut_flits() {
 // ---------------------------------------------------------------------
 
 /// Record -> optimize -> re-run with the minimized plans installed at
-/// the same call sites, under `HIC_CHECK=strict` (any stale read
-/// aborts). The optimized run must still match the host reference,
+/// the same call sites, under strict checking (any stale read aborts). The optimized run must still match the host reference,
 /// execute strictly fewer WB/INV instructions, and never spend more
 /// WB/INV flits. `expect_flit_cut` additionally requires a strict flit
 /// reduction — true where the minimized plans drop or downgrade ops
@@ -396,7 +395,6 @@ fn minimized_plans_keep_memory_bit_identical_and_cut_flits() {
 /// machine-level no-op (an INV of absent copies costs instructions and
 /// plan-issue time, not flits).
 fn check_optimized_app(app: &dyn App, config: Config, expect_flit_cut: bool) {
-    std::env::set_var("HIC_CHECK", "strict");
     let rec = app.record(config).expect("app has a recorded form");
     let out = optimize(&rec);
     assert!(
@@ -416,8 +414,11 @@ fn check_optimized_app(app: &dyn App, config: Config, expect_flit_cut: bool) {
         out.stats
     );
 
-    let base = app.run_with(config, None);
-    let opt = app.run_with(config, Some(out.overrides));
+    let mut req = RunRequest::new(app.name(), config, app.scale());
+    req.check = CheckMode::Strict;
+    let base = app.run_req(&req);
+    req.plan_overrides = Some(out.overrides);
+    let opt = app.run_req(&req);
     assert!(
         base.correct,
         "{} {}: {}",

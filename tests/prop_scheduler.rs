@@ -74,16 +74,14 @@ fn gen_script(rng: &mut SplitMix64) -> Script {
 }
 
 /// Run `script` on the flat intra machine under `cfg`. `setup` picks the
-/// engine and any other knob; the check mode defaults to off so a
-/// `HIC_CHECK` environment cannot change what a test compares. Returns
-/// the stats and the final readable memory (data words + counter).
+/// engine and any other knob. Returns the stats and the final readable
+/// memory (data words + counter).
 fn run_script(
     cfg: IntraConfig,
     script: &Script,
     setup: impl FnOnce(&mut ProgramBuilder),
 ) -> (RunStats, Vec<u32>) {
     let mut p = ProgramBuilder::new(Config::Intra(cfg));
-    p.check_mode(CheckMode::Off);
     setup(&mut p);
     let data = p.alloc(WORDS);
     let counter = p.alloc(1);
@@ -229,7 +227,6 @@ fn slice_returns_to_thread_after_a_queued_batch() {
     let run = |engine: Scheduler| {
         let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::BMI));
         p.scheduler(engine);
-        p.check_mode(CheckMode::Off);
         let data = p.alloc(THREADS as u64 * LINES * 16);
         let bar = p.barrier_of(THREADS);
         let out = p.run(THREADS, move |ctx| {
@@ -270,7 +267,6 @@ fn slice_returns_to_thread_after_a_queued_batch() {
 fn run_geom(config: Config, engine: Scheduler, script: &Script) -> RunStats {
     let mut p = ProgramBuilder::new(config);
     p.scheduler(engine);
-    p.check_mode(CheckMode::Off);
     let nthreads = p.num_threads();
     let data = p.alloc(WORDS);
     let counter = p.alloc(1);

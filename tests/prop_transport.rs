@@ -14,7 +14,7 @@
 //! Randomized with the deterministic in-repo `SplitMix64` (fixed seeds).
 
 use hic_machine::RunStats;
-use hic_runtime::{CheckMode, Config, IntraConfig, ProgramBuilder, Scheduler};
+use hic_runtime::{Config, IntraConfig, ProgramBuilder, Scheduler};
 use hic_sim::SplitMix64;
 
 const THREADS: usize = 4;
@@ -76,7 +76,6 @@ fn gen_script(rng: &mut SplitMix64) -> Script {
 fn run_with(cfg: IntraConfig, engine: Scheduler, script: &Script) -> RunStats {
     let mut p = ProgramBuilder::new(Config::Intra(cfg));
     p.scheduler(engine);
-    p.check_mode(CheckMode::Off);
     let data = p.alloc(WORDS);
     let counter = p.alloc(1);
     let l = p.lock_occ(false);

@@ -92,10 +92,15 @@ fn stale_dirty_word_is_pushed_by_inv_over_newer_data() {
 fn hierarchical_ep_localizes_reductions() {
     use hic_apps::inter::ep::EpHier;
     use hic_apps::{App, Scale};
+    use hic_runtime::RunRequest;
     let app = EpHier::new(Scale::Test);
     let mut counts = Vec::new();
     for cfg in InterConfig::ALL {
-        let r = app.run(Config::Inter(cfg));
+        let r = app.run_req(&RunRequest::new(
+            app.name(),
+            Config::Inter(cfg),
+            Scale::Test,
+        ));
         assert!(r.correct, "EP-hier wrong under {}", cfg.name());
         counts.push((cfg, r.stats.counters.global_wbs));
     }

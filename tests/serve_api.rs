@@ -2,7 +2,8 @@
 //! `RunRequest` wire contract:
 //!
 //! * the canonical cache key round-trips through `parse_key`, including
-//!   requests assembled from the environment knobs;
+//!   requests assembled from the environment knobs, which reach only the
+//!   runs `RunRequest::from_env` builds;
 //! * an identical resubmission is answered from the result cache with
 //!   bit-identical statistics;
 //! * a watchdog-killed job reports `hang` and the server keeps serving;
@@ -17,7 +18,9 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use hic_apps::Scale;
-use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, IntraConfig, RunRequest, Scheduler};
+use hic_runtime::{
+    CheckMode, Config, FaultSpec, InterConfig, IntraConfig, ProgramBuilder, RunRequest, Scheduler,
+};
 use hic_serve::{socket, Json, Server};
 
 fn fft(cfg: IntraConfig) -> RunRequest {
@@ -31,14 +34,12 @@ fn cache_keys_round_trip_through_parse_key() {
     let mut r = fft(IntraConfig::Hcc);
     r.check = CheckMode::Strict;
     r.fault = Some(FaultSpec::Recoverable { seed: 42 });
-    r.engine = Some(Scheduler::Default);
     r.watchdog_cycles = Some(1_000_000);
     r.watchdog_wall_ms = Some(30_000);
-    r.budget_ms = Some(250);
     reqs.push(r);
     let mut r = RunRequest::new("EP", Config::Inter(InterConfig::AddrL), Scale::Small);
     r.fault = Some(FaultSpec::Corrupting { seed: 7 });
-    r.engine = Some(Scheduler::Linear);
+    r.engine = Scheduler::Linear;
     reqs.push(r);
 
     for req in reqs {
@@ -51,27 +52,65 @@ fn cache_keys_round_trip_through_parse_key() {
 
 #[test]
 fn env_assembled_requests_serialize_like_explicit_ones() {
-    // This integration-test binary owns its process environment; the
-    // other tests in this file never read it (run_req disables the env
-    // fallback), so setting knobs here cannot race them.
+    // This integration-test binary owns its process environment, and
+    // only `RunRequest::from_env` reads the knobs, so setting them here
+    // cannot leak into the other tests' runs.
+    const KNOBS: [&str; 5] = [
+        "HIC_CHECK",
+        "HIC_FAULTS",
+        "HIC_RECOVER",
+        "HIC_ENGINE",
+        "HIC_BENCH_BUDGET_MS",
+    ];
     std::env::set_var("HIC_CHECK", "report");
     std::env::set_var("HIC_FAULTS", "13");
     std::env::set_var("HIC_ENGINE", "linear");
     std::env::set_var("HIC_BENCH_BUDGET_MS", "125");
     let from_env = RunRequest::from_env("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
         .expect("well-formed knobs");
-    std::env::remove_var("HIC_CHECK");
-    std::env::remove_var("HIC_FAULTS");
-    std::env::remove_var("HIC_ENGINE");
-    std::env::remove_var("HIC_BENCH_BUDGET_MS");
+    std::env::set_var("HIC_RECOVER", "1");
+    let recovering = RunRequest::from_env("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
+        .expect("well-formed knobs");
+    // A hand-built run, made while every knob is set, sees none of them:
+    // no sanitizer, no fault plan, and the default engine retiring its
+    // L1 hits in the app thread.
+    let hand_built = {
+        let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
+        let data = p.alloc(64);
+        p.run(2, move |ctx| {
+            let own = ctx.tid() as u64 * 32;
+            for i in 0..32 {
+                ctx.write(data, own + i, i as u32);
+            }
+            for i in 0..32 {
+                ctx.read(data, own + i);
+            }
+        })
+    };
+    for var in KNOBS {
+        std::env::remove_var(var);
+    }
 
     let mut explicit = fft(IntraConfig::Base);
     explicit.check = CheckMode::Report;
     explicit.fault = Some(FaultSpec::Recoverable { seed: 13 });
-    explicit.engine = Some(Scheduler::Linear);
-    explicit.budget_ms = Some(125);
+    explicit.engine = Scheduler::Linear;
     assert_eq!(from_env, explicit);
+    // The bench harness's budget knob is not part of the run, so it
+    // cannot split identical runs across two cache keys.
     assert_eq!(from_env.cache_key(), explicit.cache_key());
+
+    explicit.fault = Some(FaultSpec::CorruptingRecover { seed: 13 });
+    assert_eq!(recovering, explicit);
+
+    assert!(hand_built.result().is_ok());
+    assert_eq!(hand_built.diagnostics().mode, CheckMode::Off);
+    assert!(hand_built.fault_plan().is_none());
+    assert!(
+        hand_built.stats().engine.shard_local_ops > 0,
+        "{:?}",
+        hand_built.stats().engine
+    );
 }
 
 #[test]
