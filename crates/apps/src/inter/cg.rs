@@ -384,7 +384,7 @@ impl App for Cg {
         } = s;
         let nnz = m.col.len();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let (lo, hi) = chunks.range(t);
             let (lo, hi) = (lo as usize, hi as usize);
@@ -392,15 +392,15 @@ impl App for Cg {
             // --- Simulated inspector (Figure 8, lines 5-13): for each of
             // this thread's nonzeros, record the producing thread of the
             // element it reads. Runs once; amortized over iterations.
-            let jlo = ctx.read(rowptr, lo as u64);
-            let jhi = ctx.read(rowptr, hi as u64);
+            let jlo = ctx.read(rowptr, lo as u64).await;
+            let jhi = ctx.read(rowptr, hi as u64).await;
             for j in jlo..jhi {
-                let c = ctx.read(colr, j as u64) as u64;
+                let c = ctx.read(colr, j as u64).await as u64;
                 let owner = chunks.owner(c) as u32;
-                ctx.write(conflict, j as u64, owner);
+                ctx.write(conflict, j as u64, owner).await;
                 ctx.tick(3);
             }
-            ctx.epoch_boundary(bar, &EpochPlan::new());
+            ctx.epoch_boundary(bar, &EpochPlan::new()).await;
 
             // Per-thread epoch plans.
             let my_inv = &inv_plans[t];
@@ -412,108 +412,117 @@ impl App for Cg {
             // 0, the usual translation of an OpenMP reduction clause. The
             // combine order is thread order, which the host mirrors.
             let my_partial = partials.slice(t as u64, t as u64 + 1);
-            let dot = |a: hic_mem::Region, b: hic_mem::Region| {
+            let dot = async |a: hic_mem::Region, b: hic_mem::Region| {
                 let mut s = 0.0f32;
                 for i in lo..hi {
-                    s += ctx.read_f32(a, i as u64) * ctx.read_f32(b, i as u64);
+                    s += ctx.read_f32(a, i as u64).await * ctx.read_f32(b, i as u64).await;
                     ctx.tick(2);
                 }
-                ctx.write_f32(partials, t as u64, s);
+                ctx.write_f32(partials, t as u64, s).await;
                 // Reduction: consumers of partials cannot be ordered
                 // against the producers, so the writeback goes global.
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(my_partial)));
-                ctx.plan_barrier(bar);
+                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(my_partial)))
+                    .await;
+                ctx.plan_barrier(bar).await;
                 if t == 0 {
-                    ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(partials)));
+                    ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(partials)))
+                        .await;
                     let mut total = 0.0f32;
                     for tt in 0..ctx.nthreads() as u64 {
-                        total += ctx.read_f32(partials, tt);
+                        total += ctx.read_f32(partials, tt).await;
                         ctx.tick(1);
                     }
-                    ctx.write_f32(scalars, 0, total);
+                    ctx.write_f32(scalars, 0, total).await;
                 }
             };
 
             // rsold = dot(r, r).
-            dot(rv, rv);
+            dot(rv, rv).await;
             if t == 0 {
-                let rsold = ctx.read_f32(scalars, 0);
-                ctx.write_f32(scalars, 1, rsold);
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)));
+                let rsold = ctx.read_f32(scalars, 0).await;
+                ctx.write_f32(scalars, 1, rsold).await;
+                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)))
+                    .await;
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
 
             for _ in 0..iters {
                 // q = A p over own rows; p consumed through indirection:
                 // the executor invalidates exactly the remotely-produced
                 // elements the inspector found (INV_PROD under Addr+L).
-                ctx.plan_inv(my_inv);
+                ctx.plan_inv(my_inv).await;
                 for i in lo..hi {
-                    let jl = ctx.read(rowptr, i as u64);
-                    let jh = ctx.read(rowptr, i as u64 + 1);
+                    let jl = ctx.read(rowptr, i as u64).await;
+                    let jh = ctx.read(rowptr, i as u64 + 1).await;
                     let mut s = 0.0f32;
                     for j in jl..jh {
-                        let c = ctx.read(colr, j as u64) as u64;
-                        let v = ctx.read_f32(valr, j as u64);
+                        let c = ctx.read(colr, j as u64).await as u64;
+                        let v = ctx.read_f32(valr, j as u64).await;
                         // The executor consults the conflict array (a
                         // simulated read, as in Figure 8 line 21).
-                        let _owner = ctx.read(conflict, j as u64);
-                        s += v * ctx.read_f32(pvr, c);
+                        let _owner = ctx.read(conflict, j as u64).await;
+                        s += v * ctx.read_f32(pvr, c).await;
                         ctx.tick(4);
                     }
-                    ctx.write_f32(qv, i as u64, s);
+                    ctx.write_f32(qv, i as u64, s).await;
                 }
-                ctx.epoch_boundary(bar, &EpochPlan::new());
+                ctx.epoch_boundary(bar, &EpochPlan::new()).await;
 
                 // alpha = rsold / dot(p, q).
-                dot(pvr, qv);
+                dot(pvr, qv).await;
                 if t == 0 {
-                    let pq = ctx.read_f32(scalars, 0);
-                    let rsold = ctx.read_f32(scalars, 1);
-                    ctx.write_f32(scalars, 2, rsold / pq);
-                    ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)));
+                    let pq = ctx.read_f32(scalars, 0).await;
+                    let rsold = ctx.read_f32(scalars, 1).await;
+                    ctx.write_f32(scalars, 2, rsold / pq).await;
+                    ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)))
+                        .await;
                 }
-                ctx.plan_barrier(bar);
-                ctx.plan_inv(&scalar_inv);
-                let alpha = ctx.read_f32(scalars, 2);
+                ctx.plan_barrier(bar).await;
+                ctx.plan_inv(&scalar_inv).await;
+                let alpha = ctx.read_f32(scalars, 2).await;
 
                 // x += alpha p; r -= alpha q (own chunks, no comm).
                 for i in lo..hi {
-                    let nx = ctx.read_f32(xv, i as u64) + alpha * ctx.read_f32(pvr, i as u64);
-                    ctx.write_f32(xv, i as u64, nx);
-                    let nr = ctx.read_f32(rv, i as u64) - alpha * ctx.read_f32(qv, i as u64);
-                    ctx.write_f32(rv, i as u64, nr);
+                    let nx = ctx.read_f32(xv, i as u64).await
+                        + alpha * ctx.read_f32(pvr, i as u64).await;
+                    ctx.write_f32(xv, i as u64, nx).await;
+                    let nr =
+                        ctx.read_f32(rv, i as u64).await - alpha * ctx.read_f32(qv, i as u64).await;
+                    ctx.write_f32(rv, i as u64, nr).await;
                     ctx.tick(4);
                 }
-                ctx.epoch_boundary(bar, &EpochPlan::new());
+                ctx.epoch_boundary(bar, &EpochPlan::new()).await;
 
                 // rsnew = dot(r, r); beta = rsnew / rsold.
-                dot(rv, rv);
+                dot(rv, rv).await;
                 if t == 0 {
-                    let rsnew = ctx.read_f32(scalars, 0);
-                    let rsold = ctx.read_f32(scalars, 1);
-                    ctx.write_f32(scalars, 3, rsnew / rsold);
-                    ctx.write_f32(scalars, 1, rsnew);
-                    ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)));
+                    let rsnew = ctx.read_f32(scalars, 0).await;
+                    let rsold = ctx.read_f32(scalars, 1).await;
+                    ctx.write_f32(scalars, 3, rsnew / rsold).await;
+                    ctx.write_f32(scalars, 1, rsnew).await;
+                    ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)))
+                        .await;
                 }
-                ctx.plan_barrier(bar);
-                ctx.plan_inv(&scalar_inv);
-                let beta = ctx.read_f32(scalars, 3);
+                ctx.plan_barrier(bar).await;
+                ctx.plan_inv(&scalar_inv).await;
+                let beta = ctx.read_f32(scalars, 3).await;
 
                 // p = r + beta p (own chunk): p is the next matvec's
                 // input — written back wholesale to L3 (paper: "we write
                 // everything to L3" on the producer side).
                 for i in lo..hi {
-                    let np = ctx.read_f32(rv, i as u64) + beta * ctx.read_f32(pvr, i as u64);
-                    ctx.write_f32(pvr, i as u64, np);
+                    let np =
+                        ctx.read_f32(rv, i as u64).await + beta * ctx.read_f32(pvr, i as u64).await;
+                    ctx.write_f32(pvr, i as u64, np).await;
                     ctx.tick(3);
                 }
-                ctx.plan_wb(&wb_p);
-                ctx.plan_barrier(bar);
+                ctx.plan_wb(&wb_p).await;
+                ctx.plan_barrier(bar).await;
             }
             // Final: write back x so the verifier sees it.
-            ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(xv.slice(lo as u64, hi as u64))));
-            ctx.plan_barrier(bar);
+            ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(xv.slice(lo as u64, hi as u64))))
+                .await;
+            ctx.plan_barrier(bar).await;
         });
 
         let want = self.host_cg(&m, nthreads);

@@ -89,38 +89,38 @@ impl App for Ep {
         let red_lock = p.lock_occ(false);
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             // Generation is pure compute: charge its cost.
             let (sx, sy, q) = Ep::host_thread(t, pairs);
             ctx.tick(pairs as u64 * 18);
             // Reduction with no producer-consumer order: a critical
             // section over the global accumulators.
-            ctx.lock(red_lock);
+            ctx.lock(red_lock).await;
             for (b, qb) in q.iter().enumerate() {
-                let cur = ctx.read(q_global, b as u64);
-                ctx.write(q_global, b as u64, cur + qb);
+                let cur = ctx.read(q_global, b as u64).await;
+                ctx.write(q_global, b as u64, cur + qb).await;
             }
-            let gx = ctx.read_f32(sums, 0);
-            let gy = ctx.read_f32(sums, 1);
-            ctx.write_f32(sums, 0, gx + sx);
-            ctx.write_f32(sums, 1, gy + sy);
-            ctx.unlock(red_lock);
+            let gx = ctx.read_f32(sums, 0).await;
+            let gy = ctx.read_f32(sums, 1).await;
+            ctx.write_f32(sums, 0, gx + sx).await;
+            ctx.write_f32(sums, 1, gy + sy).await;
+            ctx.unlock(red_lock).await;
             // Epoch boundary: the reduced values flow to the verifying
             // reader. Consumers of a reduction are unknown -> global ops.
             let plan = EpochPlan::new()
                 .with_wb(CommOp::unknown(q_global))
                 .with_wb(CommOp::unknown(sums));
-            ctx.epoch_boundary(bar, &plan);
+            ctx.epoch_boundary(bar, &plan).await;
             // Thread 0 reads the result (the serial "print" section).
             if t == 0 {
                 let plan = EpochPlan::new()
                     .with_inv(CommOp::unknown(q_global))
                     .with_inv(CommOp::unknown(sums));
-                ctx.plan_inv(&plan);
+                ctx.plan_inv(&plan).await;
                 let mut total = 0u32;
                 for b in 0..BINS as u64 {
-                    total += ctx.read(q_global, b);
+                    total += ctx.read(q_global, b).await;
                 }
                 ctx.tick(total as u64 / 1000 + 1);
             }
@@ -297,7 +297,7 @@ impl App for EpHier {
             bar,
         } = s;
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let block = t / cpb;
             let leader = block * cpb;
@@ -309,43 +309,50 @@ impl App for EpHier {
             // local under Addr+L.
             let mine = partials.slice((t * BINS) as u64, ((t + 1) * BINS) as u64);
             for (b, qb) in q.iter().enumerate() {
-                ctx.write(partials, (t * BINS + b) as u64, *qb);
+                ctx.write(partials, (t * BINS + b) as u64, *qb).await;
             }
-            ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ctx.thread(leader))));
-            ctx.plan_barrier(block_bars[block]);
+            ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ctx.thread(leader))))
+                .await;
+            ctx.plan_barrier(block_bars[block]).await;
             // Level 2: leaders combine their block, publish globally.
             if t == leader {
                 let all = partials.slice(
                     (block * cpb * BINS) as u64,
                     ((block + 1) * cpb * BINS) as u64,
                 );
-                ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(all)));
+                ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(all)))
+                    .await;
                 let mut sums = [0u32; BINS];
                 for local in 0..cpb {
                     for (b, s) in sums.iter_mut().enumerate() {
-                        *s += ctx.read(partials, ((block * cpb + local) * BINS + b) as u64);
+                        *s += ctx
+                            .read(partials, ((block * cpb + local) * BINS + b) as u64)
+                            .await;
                     }
                 }
                 for (b, s) in sums.iter().enumerate() {
-                    ctx.write(block_sums, (block * BINS + b) as u64, *s);
+                    ctx.write(block_sums, (block * BINS + b) as u64, *s).await;
                 }
                 let mine = block_sums.slice((block * BINS) as u64, ((block + 1) * BINS) as u64);
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ctx.thread(0))));
+                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ctx.thread(0))))
+                    .await;
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
             // Level 3: thread 0 combines the block sums.
             if t == 0 {
-                ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(block_sums)));
+                ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(block_sums)))
+                    .await;
                 for b in 0..BINS {
                     let mut s = 0u32;
                     for blk in 0..nblocks {
-                        s += ctx.read(block_sums, (blk * BINS + b) as u64);
+                        s += ctx.read(block_sums, (blk * BINS + b) as u64).await;
                     }
-                    ctx.write(global, b as u64, s);
+                    ctx.write(global, b as u64, s).await;
                 }
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(global)));
+                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(global)))
+                    .await;
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         });
 
         let mut wq = [0u32; BINS];

@@ -83,7 +83,7 @@ impl App for Is {
         let red_lock = p.lock_occ(false);
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let nthreads = ctx.nthreads();
             let chunk = n.div_ceil(nthreads);
@@ -93,30 +93,30 @@ impl App for Is {
             // Phase 1: local histogram of own keys.
             let mut local = vec![0u32; nb];
             for i in lo..hi {
-                let k = ctx.read(keys, i as u64) as usize;
+                let k = ctx.read(keys, i as u64).await as usize;
                 local[k] += 1;
                 ctx.tick(2);
             }
             for (b, c) in local.iter().enumerate() {
-                ctx.write(counts, (t * nb + b) as u64, *c);
+                ctx.write(counts, (t * nb + b) as u64, *c).await;
             }
             // Reduction into the global histogram (critical section).
-            ctx.lock(red_lock);
+            ctx.lock(red_lock).await;
             for (b, c) in local.iter().enumerate() {
                 if *c > 0 {
-                    let cur = ctx.read(hist, b as u64);
-                    ctx.write(hist, b as u64, cur + c);
+                    let cur = ctx.read(hist, b as u64).await;
+                    ctx.write(hist, b as u64, cur + c).await;
                 }
             }
-            ctx.unlock(red_lock);
+            ctx.unlock(red_lock).await;
             // The counts matrix has every thread as a consumer: global WB.
             let plan = EpochPlan::new().with_wb(CommOp::unknown(my_row));
-            ctx.epoch_boundary(bar, &plan);
+            ctx.epoch_boundary(bar, &plan).await;
 
             // Phase 2: read the whole counts matrix (multi-producer data:
             // invalidate it all; producers unknown at this granularity).
             let plan = EpochPlan::new().with_inv(CommOp::unknown(counts));
-            ctx.plan_inv(&plan);
+            ctx.plan_inv(&plan).await;
             // offset[b] = total keys in buckets < b, plus keys equal to b
             // from threads before t.
             let mut bucket_start = vec![0u32; nb];
@@ -124,7 +124,7 @@ impl App for Is {
             for b in 0..nb {
                 bucket_start[b] = acc;
                 for tt in 0..nthreads {
-                    acc += ctx.read(counts, (tt * nb + b) as u64);
+                    acc += ctx.read(counts, (tt * nb + b) as u64).await;
                     ctx.tick(1);
                 }
             }
@@ -132,7 +132,7 @@ impl App for Is {
             for b in 0..nb {
                 let mut off = bucket_start[b];
                 for tt in 0..t {
-                    off += ctx.read(counts, (tt * nb + b) as u64);
+                    off += ctx.read(counts, (tt * nb + b) as u64).await;
                 }
                 my_offset[b] = off;
             }
@@ -140,13 +140,13 @@ impl App for Is {
             // Phase 3: scatter own keys (write positions are data-dependent:
             // unanalyzable -> global WB of the output).
             for i in lo..hi {
-                let k = ctx.read(keys, i as u64) as usize;
-                ctx.write(sorted, my_offset[k] as u64, k as u32);
+                let k = ctx.read(keys, i as u64).await as usize;
+                ctx.write(sorted, my_offset[k] as u64, k as u32).await;
                 my_offset[k] += 1;
                 ctx.tick(2);
             }
             let plan = EpochPlan::new().with_wb(CommOp::unknown(sorted));
-            ctx.epoch_boundary(bar, &plan);
+            ctx.epoch_boundary(bar, &plan).await;
         });
 
         // Verify: sorted output equals the host sort, and the global

@@ -238,32 +238,32 @@ impl App for Jacobi {
             chunks,
         } = s;
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let (ilo, ihi) = chunks.range(t);
             let grids = [ga, gb];
             for _ in 0..iters {
                 for node in 0..2 {
                     // Consume: invalidate the halo rows the analyzer found.
-                    ctx.plan_inv(&plans.start[node][t]);
+                    ctx.plan_inv(&plans.start[node][t]).await;
                     let src = grids[node];
                     let dst = grids[1 - node];
                     for it in ilo..ihi {
                         let i = it as usize + 1; // interior row
                         for j in 1..c - 1 {
-                            let up = ctx.read_f32(src, ((i - 1) * c + j) as u64);
-                            let dn = ctx.read_f32(src, ((i + 1) * c + j) as u64);
-                            let lf = ctx.read_f32(src, (i * c + j - 1) as u64);
-                            let rt = ctx.read_f32(src, (i * c + j + 1) as u64);
+                            let up = ctx.read_f32(src, ((i - 1) * c + j) as u64).await;
+                            let dn = ctx.read_f32(src, ((i + 1) * c + j) as u64).await;
+                            let lf = ctx.read_f32(src, (i * c + j - 1) as u64).await;
+                            let rt = ctx.read_f32(src, (i * c + j + 1) as u64).await;
                             let v = 0.25 * (up + dn + lf + rt);
-                            ctx.write_f32(dst, (i * c + j) as u64, v);
+                            ctx.write_f32(dst, (i * c + j) as u64, v).await;
                             ctx.tick(5);
                         }
                     }
                     // Produce: write back the band-edge rows to the
                     // neighbors the analyzer named.
-                    ctx.plan_wb(&plans.end[node][t]);
-                    ctx.plan_barrier(bar);
+                    ctx.plan_wb(&plans.end[node][t]).await;
+                    ctx.plan_barrier(bar).await;
                 }
             }
             // Post the final grid for verification.
@@ -273,9 +273,10 @@ impl App for Jacobi {
                 ctx.plan_wb(
                     &hic_runtime::EpochPlan::new()
                         .with_wb(hic_runtime::CommOp::unknown(ga.slice(lo_w, hi_w))),
-                );
+                )
+                .await;
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         });
 
         let want = self.host();

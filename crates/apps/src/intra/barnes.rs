@@ -253,74 +253,74 @@ struct SimTree {
 }
 
 impl SimTree {
-    fn nf(&self, ctx: &ThreadCtx, node: u64, w: u64) -> f32 {
-        ctx.read_f32(self.pool, node * NODE_WORDS + w)
+    async fn nf(&self, ctx: &ThreadCtx, node: u64, w: u64) -> f32 {
+        ctx.read_f32(self.pool, node * NODE_WORDS + w).await
     }
-    fn nset_f(&self, ctx: &ThreadCtx, node: u64, w: u64, v: f32) {
-        ctx.write_f32(self.pool, node * NODE_WORDS + w, v);
+    async fn nset_f(&self, ctx: &ThreadCtx, node: u64, w: u64, v: f32) {
+        ctx.write_f32(self.pool, node * NODE_WORDS + w, v).await;
     }
-    fn nu(&self, ctx: &ThreadCtx, node: u64, w: u64) -> u32 {
-        ctx.read(self.pool, node * NODE_WORDS + w)
+    async fn nu(&self, ctx: &ThreadCtx, node: u64, w: u64) -> u32 {
+        ctx.read(self.pool, node * NODE_WORDS + w).await
     }
-    fn nset_u(&self, ctx: &ThreadCtx, node: u64, w: u64, v: u32) {
-        ctx.write(self.pool, node * NODE_WORDS + w, v);
+    async fn nset_u(&self, ctx: &ThreadCtx, node: u64, w: u64, v: u32) {
+        ctx.write(self.pool, node * NODE_WORDS + w, v).await;
     }
 
-    fn alloc(&self, ctx: &ThreadCtx, cx: f32, cy: f32, half: f32) -> u64 {
-        let id = ctx.read(self.count, 0) as u64;
-        ctx.write(self.count, 0, id as u32 + 1);
-        self.nset_u(ctx, id, 0, K_EMPTY);
+    async fn alloc(&self, ctx: &ThreadCtx, cx: f32, cy: f32, half: f32) -> u64 {
+        let id = ctx.read(self.count, 0).await as u64;
+        ctx.write(self.count, 0, id as u32 + 1).await;
+        self.nset_u(ctx, id, 0, K_EMPTY).await;
         for q in 0..4 {
-            self.nset_u(ctx, id, 2 + q, 0);
+            self.nset_u(ctx, id, 2 + q, 0).await;
         }
-        self.nset_f(ctx, id, 9, cx);
-        self.nset_f(ctx, id, 10, cy);
-        self.nset_f(ctx, id, 11, half);
+        self.nset_f(ctx, id, 9, cx).await;
+        self.nset_f(ctx, id, 10, cy).await;
+        self.nset_f(ctx, id, 11, half).await;
         id
     }
 
     /// Insert particle `pi` (position known host-side: positions are
     /// read from simulated memory by the caller). Runs inside the tree
     /// critical section.
-    fn insert(&self, ctx: &ThreadCtx, pi: u64, x: f32, y: f32, px: Region, py: Region) {
+    async fn insert(&self, ctx: &ThreadCtx, pi: u64, x: f32, y: f32, px: Region, py: Region) {
         let mut node = 0u64;
         loop {
             ctx.tick(3);
-            match self.nu(ctx, node, 0) {
+            match self.nu(ctx, node, 0).await {
                 K_EMPTY => {
-                    self.nset_u(ctx, node, 0, K_LEAF);
-                    self.nset_u(ctx, node, 1, pi as u32);
+                    self.nset_u(ctx, node, 0, K_LEAF).await;
+                    self.nset_u(ctx, node, 1, pi as u32).await;
                     return;
                 }
                 K_LEAF => {
-                    let old = self.nu(ctx, node, 1) as u64;
-                    self.nset_u(ctx, node, 0, K_INTERNAL);
-                    let cx = self.nf(ctx, node, 9);
-                    let cy = self.nf(ctx, node, 10);
-                    let h = self.nf(ctx, node, 11);
-                    let ox = ctx.read_f32(px, old);
-                    let oy = ctx.read_f32(py, old);
+                    let old = self.nu(ctx, node, 1).await as u64;
+                    self.nset_u(ctx, node, 0, K_INTERNAL).await;
+                    let cx = self.nf(ctx, node, 9).await;
+                    let cy = self.nf(ctx, node, 10).await;
+                    let h = self.nf(ctx, node, 11).await;
+                    let ox = ctx.read_f32(px, old).await;
+                    let oy = ctx.read_f32(py, old).await;
                     let q = HostTree::quadrant(cx, cy, ox, oy) as u64;
                     let ncx = cx + if q & 1 != 0 { h / 2.0 } else { -h / 2.0 };
                     let ncy = cy + if q & 2 != 0 { h / 2.0 } else { -h / 2.0 };
-                    let child = self.alloc(ctx, ncx, ncy, h / 2.0);
-                    self.nset_u(ctx, node, 2 + q, child as u32);
-                    self.nset_u(ctx, child, 0, K_LEAF);
-                    self.nset_u(ctx, child, 1, old as u32);
+                    let child = self.alloc(ctx, ncx, ncy, h / 2.0).await;
+                    self.nset_u(ctx, node, 2 + q, child as u32).await;
+                    self.nset_u(ctx, child, 0, K_LEAF).await;
+                    self.nset_u(ctx, child, 1, old as u32).await;
                 }
                 _ => {
-                    let cx = self.nf(ctx, node, 9);
-                    let cy = self.nf(ctx, node, 10);
-                    let h = self.nf(ctx, node, 11);
+                    let cx = self.nf(ctx, node, 9).await;
+                    let cy = self.nf(ctx, node, 10).await;
+                    let h = self.nf(ctx, node, 11).await;
                     let q = HostTree::quadrant(cx, cy, x, y) as u64;
-                    let child = self.nu(ctx, node, 2 + q) as u64;
+                    let child = self.nu(ctx, node, 2 + q).await as u64;
                     if child == 0 {
                         let ncx = cx + if q & 1 != 0 { h / 2.0 } else { -h / 2.0 };
                         let ncy = cy + if q & 2 != 0 { h / 2.0 } else { -h / 2.0 };
-                        let nc = self.alloc(ctx, ncx, ncy, h / 2.0);
-                        self.nset_u(ctx, node, 2 + q, nc as u32);
-                        self.nset_u(ctx, nc, 0, K_LEAF);
-                        self.nset_u(ctx, nc, 1, pi as u32);
+                        let nc = self.alloc(ctx, ncx, ncy, h / 2.0).await;
+                        self.nset_u(ctx, node, 2 + q, nc as u32).await;
+                        self.nset_u(ctx, nc, 0, K_LEAF).await;
+                        self.nset_u(ctx, nc, 1, pi as u32).await;
                         return;
                     }
                     node = child;
@@ -370,67 +370,67 @@ impl App for Barnes {
         let tree_lock = p.lock(); // OCC: node data crosses CS boundaries
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let tree = SimTree { pool, count };
             let t = ctx.tid();
             // Root allocation + ticket reset by thread 0.
             if t == 0 {
-                ctx.lock(tree_lock);
-                let root = tree.alloc(ctx, 0.0, 0.0, 2.0);
+                ctx.lock(tree_lock).await;
+                let root = tree.alloc(ctx, 0.0, 0.0, 2.0).await;
                 debug_assert_eq!(root, 0);
-                ctx.write(ticket, 0, 0);
-                ctx.unlock(tree_lock);
+                ctx.write(ticket, 0, 0).await;
+                ctx.unlock(tree_lock).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Phase 1: tree build. Insertions must happen in a globally
             // deterministic order for host comparison: a ticket inside the
             // critical section serializes particle index order.
             loop {
-                ctx.lock(tree_lock);
-                let i = ctx.read(ticket, 0) as u64;
+                ctx.lock(tree_lock).await;
+                let i = ctx.read(ticket, 0).await as u64;
                 if i < n as u64 {
-                    ctx.write(ticket, 0, i as u32 + 1);
-                    let x = ctx.read_f32(px, i);
-                    let y = ctx.read_f32(py, i);
-                    tree.insert(ctx, i, x, y, px, py);
+                    ctx.write(ticket, 0, i as u32 + 1).await;
+                    let x = ctx.read_f32(px, i).await;
+                    let y = ctx.read_f32(py, i).await;
+                    tree.insert(ctx, i, x, y, px, py).await;
                 }
-                ctx.unlock(tree_lock);
+                ctx.unlock(tree_lock).await;
                 if i >= n as u64 {
                     break;
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Phase 2: bottom-up mass summary, done by thread 0 (the
             // SPLASH code parallelizes this; a serial phase keeps the
             // kernel small while the communication shape — everyone then
             // reads what thread 0 wrote — is preserved by the barrier).
             if t == 0 {
-                let total = ctx.read(count, 0) as u64;
+                let total = ctx.read(count, 0).await as u64;
                 for i in (0..total).rev() {
-                    match tree.nu(ctx, i, 0) {
+                    match tree.nu(ctx, i, 0).await {
                         K_LEAF => {
-                            let pi = tree.nu(ctx, i, 1) as u64;
-                            tree.nset_f(ctx, i, 6, 1.0);
-                            let vx = ctx.read_f32(px, pi);
-                            let vy = ctx.read_f32(py, pi);
-                            tree.nset_f(ctx, i, 7, vx);
-                            tree.nset_f(ctx, i, 8, vy);
+                            let pi = tree.nu(ctx, i, 1).await as u64;
+                            tree.nset_f(ctx, i, 6, 1.0).await;
+                            let vx = ctx.read_f32(px, pi).await;
+                            let vy = ctx.read_f32(py, pi).await;
+                            tree.nset_f(ctx, i, 7, vx).await;
+                            tree.nset_f(ctx, i, 8, vy).await;
                         }
                         K_INTERNAL => {
                             let (mut m, mut sx, mut sy) = (0.0f32, 0.0f32, 0.0f32);
                             for q in 0..4 {
-                                let c = tree.nu(ctx, i, 2 + q) as u64;
+                                let c = tree.nu(ctx, i, 2 + q).await as u64;
                                 if c != 0 {
-                                    let cm = tree.nf(ctx, c, 6);
+                                    let cm = tree.nf(ctx, c, 6).await;
                                     m += cm;
-                                    sx += tree.nf(ctx, c, 7) * cm;
-                                    sy += tree.nf(ctx, c, 8) * cm;
+                                    sx += tree.nf(ctx, c, 7).await * cm;
+                                    sy += tree.nf(ctx, c, 8).await * cm;
                                 }
                             }
-                            tree.nset_f(ctx, i, 6, m);
+                            tree.nset_f(ctx, i, 6, m).await;
                             if m > 0.0 {
-                                tree.nset_f(ctx, i, 7, sx / m);
-                                tree.nset_f(ctx, i, 8, sy / m);
+                                tree.nset_f(ctx, i, 7, sx / m).await;
+                                tree.nset_f(ctx, i, 8, sy / m).await;
                             }
                             ctx.tick(8);
                         }
@@ -438,27 +438,27 @@ impl App for Barnes {
                     }
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Phase 3: force computation over own particles.
             let chunk = n.div_ceil(ctx.nthreads());
             for i in (t * chunk) as u64..(((t + 1) * chunk).min(n)) as u64 {
-                let x = ctx.read_f32(px, i);
-                let y = ctx.read_f32(py, i);
+                let x = ctx.read_f32(px, i).await;
+                let y = ctx.read_f32(py, i).await;
                 let (mut fx, mut fy) = (0.0f32, 0.0f32);
                 let mut stack = vec![0u64];
                 while let Some(nd) = stack.pop() {
-                    let kind = tree.nu(ctx, nd, 0);
+                    let kind = tree.nu(ctx, nd, 0).await;
                     if kind == K_EMPTY {
                         continue;
                     }
-                    let m = tree.nf(ctx, nd, 6);
-                    let pxv = tree.nf(ctx, nd, 7);
-                    let pyv = tree.nf(ctx, nd, 8);
+                    let m = tree.nf(ctx, nd, 6).await;
+                    let pxv = tree.nf(ctx, nd, 7).await;
+                    let pyv = tree.nf(ctx, nd, 8).await;
                     let dx = pxv - x;
                     let dy = pyv - y;
                     let d2 = dx * dx + dy * dy + 1e-4;
                     let d = d2.sqrt();
-                    let size = tree.nf(ctx, nd, 11) * 2.0;
+                    let size = tree.nf(ctx, nd, 11).await * 2.0;
                     ctx.tick(12);
                     if kind == K_LEAF || size / d < theta {
                         if d2 > 1e-4 {
@@ -468,17 +468,17 @@ impl App for Barnes {
                         }
                     } else {
                         for q in 0..4 {
-                            let c = tree.nu(ctx, nd, 2 + q) as u64;
+                            let c = tree.nu(ctx, nd, 2 + q).await as u64;
                             if c != 0 {
                                 stack.push(c);
                             }
                         }
                     }
                 }
-                ctx.write_f32(ax, i, fx);
-                ctx.write_f32(ay, i, fy);
+                ctx.write_f32(ax, i, fx).await;
+                ctx.write_f32(ay, i, fy).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         });
 
         let want = self.host_forces(&ps);

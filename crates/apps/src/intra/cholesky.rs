@@ -118,8 +118,8 @@ impl App for Cholesky {
         let done_flags: Vec<_> = (0..n).map(|_| p.flag()).collect();
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
-            ctx.barrier(bar);
+        let out = p.run_tasks(nthreads, async move |ctx| {
+            ctx.barrier(bar).await;
             let idx = |i: usize, j: usize| (j * n + i) as u64; // column-major
                                                                // Thread-local memo of flags already waited for: once waited,
                                                                // the column is known final and fresh in this cache epoch
@@ -127,26 +127,27 @@ impl App for Cholesky {
             let mut seen = vec![false; n];
             loop {
                 // Claim the next column (critical section, Figure 4b).
-                ctx.lock(queue_lock);
-                let k = ctx.read(next_col, 0) as usize;
+                ctx.lock(queue_lock).await;
+                let k = ctx.read(next_col, 0).await as usize;
                 if k < n {
-                    ctx.write(next_col, 0, k as u32 + 1);
+                    ctx.write(next_col, 0, k as u32 + 1).await;
                 }
-                ctx.unlock(queue_lock);
+                ctx.unlock(queue_lock).await;
                 if k >= n {
                     break;
                 }
                 // Left-looking update: consume final columns j < k.
                 for j in 0..k {
                     if !seen[j] {
-                        ctx.flag_wait(done_flags[j]);
+                        ctx.flag_wait(done_flags[j]).await;
                         seen[j] = true;
                     }
-                    let ajk = ctx.read_f32(m, idx(k, j));
+                    let ajk = ctx.read_f32(m, idx(k, j)).await;
                     if ajk != 0.0 {
                         for i in k..n {
-                            let v = ctx.read_f32(m, idx(i, k)) - ctx.read_f32(m, idx(i, j)) * ajk;
-                            ctx.write_f32(m, idx(i, k), v);
+                            let v = ctx.read_f32(m, idx(i, k)).await
+                                - ctx.read_f32(m, idx(i, j)).await * ajk;
+                            ctx.write_f32(m, idx(i, k), v).await;
                             ctx.tick(2);
                         }
                     } else {
@@ -154,26 +155,26 @@ impl App for Cholesky {
                     }
                 }
                 // Scale.
-                let d = ctx.read_f32(m, idx(k, k)).sqrt();
-                ctx.write_f32(m, idx(k, k), d);
+                let d = ctx.read_f32(m, idx(k, k)).await.sqrt();
+                ctx.write_f32(m, idx(k, k), d).await;
                 for i in k + 1..n {
-                    let v = ctx.read_f32(m, idx(i, k)) / d;
-                    ctx.write_f32(m, idx(i, k), v);
+                    let v = ctx.read_f32(m, idx(i, k)).await / d;
+                    ctx.write_f32(m, idx(i, k), v).await;
                     ctx.tick(4);
                 }
                 // Publish: the flag set performs the WB of the column.
-                ctx.flag_set(done_flags[k]);
+                ctx.flag_set(done_flags[k]).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Zero upper triangle in parallel (own row chunk).
             let chunk = n.div_ceil(ctx.nthreads());
             let t = ctx.tid();
             for i in t * chunk..((t + 1) * chunk).min(n) {
                 for j in i + 1..n {
-                    ctx.write_f32(m, idx(i, j), 0.0);
+                    ctx.write_f32(m, idx(i, j), 0.0).await;
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         });
 
         let mut href = self.input();

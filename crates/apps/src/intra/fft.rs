@@ -102,20 +102,20 @@ impl App for Fft {
         }
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let chunk = n.div_ceil(nthreads);
             let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(n));
             // Bit-reverse permutation into the working arrays.
             for i in lo..hi {
                 let j = (i.reverse_bits() >> (usize::BITS - logn)) as u64;
-                let vr = ctx.read(src_re, j);
-                let vi = ctx.read(src_im, j);
-                ctx.write(re, i as u64, vr);
-                ctx.write(im, i as u64, vi);
+                let vr = ctx.read(src_re, j).await;
+                let vi = ctx.read(src_im, j).await;
+                ctx.write(re, i as u64, vr).await;
+                ctx.write(im, i as u64, vi).await;
                 ctx.tick(2);
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // log2(n) butterfly stages, one barrier epoch each.
             let nb = n / 2;
             let bchunk = nb.div_ceil(nthreads);
@@ -130,19 +130,19 @@ impl App for Fft {
                     let i2 = i1 + half as u64;
                     let ang = -2.0 * std::f32::consts::PI * pos as f32 / m as f32;
                     let (wr, wi) = (ang.cos(), ang.sin());
-                    let ar = ctx.read_f32(re, i1);
-                    let ai = ctx.read_f32(im, i1);
-                    let br = ctx.read_f32(re, i2);
-                    let bi = ctx.read_f32(im, i2);
+                    let ar = ctx.read_f32(re, i1).await;
+                    let ai = ctx.read_f32(im, i1).await;
+                    let br = ctx.read_f32(re, i2).await;
+                    let bi = ctx.read_f32(im, i2).await;
                     let tr = wr * br - wi * bi;
                     let ti = wr * bi + wi * br;
-                    ctx.write_f32(re, i1, ar + tr);
-                    ctx.write_f32(im, i1, ai + ti);
-                    ctx.write_f32(re, i2, ar - tr);
-                    ctx.write_f32(im, i2, ai - ti);
+                    ctx.write_f32(re, i1, ar + tr).await;
+                    ctx.write_f32(im, i1, ai + ti).await;
+                    ctx.write_f32(re, i2, ar - tr).await;
+                    ctx.write_f32(im, i2, ai - ti).await;
                     ctx.tick(10);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
 

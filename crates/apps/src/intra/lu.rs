@@ -146,12 +146,12 @@ impl Lu {
 }
 
 /// Simulated-side element helpers.
-fn get(ctx: &ThreadCtx, m: Region, l: Layout, i: usize, j: usize) -> f32 {
-    ctx.read_f32(m, l.idx(i, j))
+async fn get(ctx: &ThreadCtx, m: Region, l: Layout, i: usize, j: usize) -> f32 {
+    ctx.read_f32(m, l.idx(i, j)).await
 }
 
-fn put(ctx: &ThreadCtx, m: Region, l: Layout, i: usize, j: usize, v: f32) {
-    ctx.write_f32(m, l.idx(i, j), v);
+async fn put(ctx: &ThreadCtx, m: Region, l: Layout, i: usize, j: usize, v: f32) {
+    ctx.write_f32(m, l.idx(i, j), v).await;
 }
 
 impl App for Lu {
@@ -193,39 +193,40 @@ impl App for Lu {
         }
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             for k in 0..nb {
                 // Phase 1: diagonal block factorization by its owner.
                 if Lu::owner(nb, nthreads, k, k) == t {
                     for c in k * b..(k + 1) * b {
-                        let pivot = get(ctx, m, layout, c, c);
+                        let pivot = get(ctx, m, layout, c, c).await;
                         for r in c + 1..(k + 1) * b {
-                            let v = get(ctx, m, layout, r, c) / pivot;
-                            put(ctx, m, layout, r, c, v);
+                            let v = get(ctx, m, layout, r, c).await / pivot;
+                            put(ctx, m, layout, r, c, v).await;
                             ctx.tick(4);
                         }
                         for r in c + 1..(k + 1) * b {
-                            let l = get(ctx, m, layout, r, c);
+                            let l = get(ctx, m, layout, r, c).await;
                             for cc in c + 1..(k + 1) * b {
-                                let v = get(ctx, m, layout, r, cc) - l * get(ctx, m, layout, c, cc);
-                                put(ctx, m, layout, r, cc, v);
+                                let v = get(ctx, m, layout, r, cc).await
+                                    - l * get(ctx, m, layout, c, cc).await;
+                                put(ctx, m, layout, r, cc, v).await;
                                 ctx.tick(2);
                             }
                         }
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 // Phase 2: perimeter updates.
                 for j in k + 1..nb {
                     if Lu::owner(nb, nthreads, k, j) == t {
                         for c in k * b..(k + 1) * b {
                             for r in c + 1..(k + 1) * b {
-                                let l = get(ctx, m, layout, r, c);
+                                let l = get(ctx, m, layout, r, c).await;
                                 for cc in j * b..(j + 1) * b {
-                                    let v =
-                                        get(ctx, m, layout, r, cc) - l * get(ctx, m, layout, c, cc);
-                                    put(ctx, m, layout, r, cc, v);
+                                    let v = get(ctx, m, layout, r, cc).await
+                                        - l * get(ctx, m, layout, c, cc).await;
+                                    put(ctx, m, layout, r, cc, v).await;
                                     ctx.tick(2);
                                 }
                             }
@@ -235,36 +236,36 @@ impl App for Lu {
                 for i in k + 1..nb {
                     if Lu::owner(nb, nthreads, i, k) == t {
                         for c in k * b..(k + 1) * b {
-                            let pivot = get(ctx, m, layout, c, c);
+                            let pivot = get(ctx, m, layout, c, c).await;
                             for r in i * b..(i + 1) * b {
-                                let v = get(ctx, m, layout, r, c) / pivot;
-                                put(ctx, m, layout, r, c, v);
+                                let v = get(ctx, m, layout, r, c).await / pivot;
+                                put(ctx, m, layout, r, c, v).await;
                                 ctx.tick(4);
                             }
                             for r in i * b..(i + 1) * b {
-                                let l = get(ctx, m, layout, r, c);
+                                let l = get(ctx, m, layout, r, c).await;
                                 for cc in c + 1..(k + 1) * b {
-                                    let v =
-                                        get(ctx, m, layout, r, cc) - l * get(ctx, m, layout, c, cc);
-                                    put(ctx, m, layout, r, cc, v);
+                                    let v = get(ctx, m, layout, r, cc).await
+                                        - l * get(ctx, m, layout, c, cc).await;
+                                    put(ctx, m, layout, r, cc, v).await;
                                     ctx.tick(2);
                                 }
                             }
                         }
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 // Phase 3: interior updates.
                 for i in k + 1..nb {
                     for j in k + 1..nb {
                         if Lu::owner(nb, nthreads, i, j) == t {
                             for r in i * b..(i + 1) * b {
                                 for c in k * b..(k + 1) * b {
-                                    let l = get(ctx, m, layout, r, c);
+                                    let l = get(ctx, m, layout, r, c).await;
                                     for cc in j * b..(j + 1) * b {
-                                        let v = get(ctx, m, layout, r, cc)
-                                            - l * get(ctx, m, layout, c, cc);
-                                        put(ctx, m, layout, r, cc, v);
+                                        let v = get(ctx, m, layout, r, cc).await
+                                            - l * get(ctx, m, layout, c, cc).await;
+                                        put(ctx, m, layout, r, cc, v).await;
                                         ctx.tick(2);
                                     }
                                 }
@@ -272,7 +273,7 @@ impl App for Lu {
                         }
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
 

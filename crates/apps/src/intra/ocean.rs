@@ -123,7 +123,7 @@ impl App for Ocean {
         let red_lock = p.lock_occ(false);
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             // Interior rows are banded across threads.
             let interior = r - 2;
@@ -132,33 +132,33 @@ impl App for Ocean {
             let grids = [ga, gb];
             for it in 0..iters {
                 if t == 0 {
-                    ctx.write_f32(residual, 0, 0.0);
+                    ctx.write_f32(residual, 0, 0.0).await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 let src = grids[it % 2];
                 let dst = grids[(it + 1) % 2];
                 let mut local_max = 0.0f32;
                 for i in lo..hi {
                     for j in 1..c - 1 {
-                        let up = ctx.read_f32(src, ((i - 1) * pitch + j) as u64);
-                        let dn = ctx.read_f32(src, ((i + 1) * pitch + j) as u64);
-                        let lf = ctx.read_f32(src, (i * pitch + j - 1) as u64);
-                        let rt = ctx.read_f32(src, (i * pitch + j + 1) as u64);
-                        let old = ctx.read_f32(src, (i * pitch + j) as u64);
+                        let up = ctx.read_f32(src, ((i - 1) * pitch + j) as u64).await;
+                        let dn = ctx.read_f32(src, ((i + 1) * pitch + j) as u64).await;
+                        let lf = ctx.read_f32(src, (i * pitch + j - 1) as u64).await;
+                        let rt = ctx.read_f32(src, (i * pitch + j + 1) as u64).await;
+                        let old = ctx.read_f32(src, (i * pitch + j) as u64).await;
                         let v = 0.25 * (up + dn + lf + rt);
-                        ctx.write_f32(dst, (i * pitch + j) as u64, v);
+                        ctx.write_f32(dst, (i * pitch + j) as u64, v).await;
                         local_max = local_max.max((v - old).abs());
                         ctx.tick(6);
                     }
                 }
                 // Global residual reduction in a critical section.
-                ctx.lock(red_lock);
-                let g = ctx.read_f32(residual, 0);
+                ctx.lock(red_lock).await;
+                let g = ctx.read_f32(residual, 0).await;
                 if local_max > g {
-                    ctx.write_f32(residual, 0, local_max);
+                    ctx.write_f32(residual, 0, local_max).await;
                 }
-                ctx.unlock(red_lock);
-                ctx.barrier(bar);
+                ctx.unlock(red_lock).await;
+                ctx.barrier(bar).await;
             }
         });
 

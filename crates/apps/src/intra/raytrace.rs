@@ -139,16 +139,16 @@ impl App for Raytrace {
         let queue_lock = p.lock_occ(false);
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
-            ctx.barrier(bar);
+        let out = p.run_tasks(nthreads, async move |ctx| {
+            ctx.barrier(bar).await;
             loop {
                 // Tiny critical section: claim a tile.
-                ctx.lock(queue_lock);
-                let job = ctx.read(next_job, 0) as usize;
+                ctx.lock(queue_lock).await;
+                let job = ctx.read(next_job, 0).await as usize;
                 if job < njobs {
-                    ctx.write(next_job, 0, job as u32 + 1);
+                    ctx.write(next_job, 0, job as u32 + 1).await;
                 }
-                ctx.unlock(queue_lock);
+                ctx.unlock(queue_lock).await;
                 if job >= njobs {
                     break;
                 }
@@ -159,7 +159,7 @@ impl App for Raytrace {
                 for i in 0..ns as u64 {
                     let mut s = [0.0f32; 5];
                     for (k, slot) in s.iter_mut().enumerate() {
-                        *slot = ctx.read_f32(spheres, i * SPHERE_WORDS + k as u64);
+                        *slot = ctx.read_f32(spheres, i * SPHERE_WORDS + k as u64).await;
                     }
                     local_scene.push(s);
                 }
@@ -175,7 +175,7 @@ impl App for Raytrace {
                         // never share cache lines (as real renderers lay
                         // out their buffers).
                         let idx = job * tile * tile + dy * tile + dx;
-                        ctx.write_f32(image, idx as u64, v);
+                        ctx.write_f32(image, idx as u64, v).await;
                         ctx.tick(8 + 6 * ns as u64);
                     }
                 }
@@ -183,10 +183,11 @@ impl App for Raytrace {
                 // increments may still be lost to interleaving, which is
                 // acceptable for a progress display — the point is that
                 // the *memory update* itself becomes visible.
-                let seen = ctx.racy_load(progress.at(0));
-                ctx.racy_store(progress.at(0), seen + tile as u32 * tile as u32);
+                let seen = ctx.racy_load(progress.at(0)).await;
+                ctx.racy_store(progress.at(0), seen + tile as u32 * tile as u32)
+                    .await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         });
 
         let want = self.host_render(&scene);

@@ -43,43 +43,53 @@ impl Volrend {
         sphere * 0.8 + 0.05 * ((x + y + z) as f32 / (3.0 * n as f32))
     }
 
-    /// Integrate one ray through the volume at image pixel (ix, iy) for a
-    /// given frame's opacity scale.
-    fn cast(
-        vol: &dyn Fn(usize, usize, usize) -> f32,
-        n: usize,
-        w: usize,
-        ix: usize,
-        iy: usize,
-        opacity: f32,
-    ) -> f32 {
-        // Nearest-sample orthographic ray along z.
-        let vx = ((ix * n) / w).min(n - 1);
-        let vy = ((iy * n) / w).min(n - 1);
-        let mut transmittance = 1.0f32;
-        let mut light = 0.0f32;
-        for z in 0..n {
-            let d = vol(vx, vy, z);
-            let a = (d * opacity).min(1.0);
-            light += transmittance * a * (0.3 + 0.7 * (z as f32 / n as f32));
-            transmittance *= 1.0 - a;
-            if transmittance < 1e-3 {
-                break;
-            }
-        }
-        light
-    }
-
     fn host_render(&self, opacity: f32) -> Vec<f32> {
         let n = self.n;
-        let vol = move |x: usize, y: usize, z: usize| Self::density(n, x, y, z);
         let mut img = vec![0.0f32; self.w * self.w];
         for iy in 0..self.w {
             for ix in 0..self.w {
-                img[iy * self.w + ix] = Self::cast(&vol, n, self.w, ix, iy, opacity);
+                let mut ray = Ray::new(n, self.w, ix, iy);
+                for z in 0..n {
+                    if !ray.step(Self::density(n, ray.x, ray.y, z), z, n, opacity) {
+                        break;
+                    }
+                }
+                img[iy * self.w + ix] = ray.light;
             }
         }
         img
+    }
+}
+
+/// One ray's front-to-back compositing state. The orthographic ray
+/// through image pixel (ix, iy) samples volume column `(x, y)` along z;
+/// the host reference and the simulated kernel feed it the same samples
+/// through [`Ray::step`].
+struct Ray {
+    x: usize,
+    y: usize,
+    transmittance: f32,
+    light: f32,
+}
+
+impl Ray {
+    fn new(n: usize, w: usize, ix: usize, iy: usize) -> Ray {
+        // Nearest-sample orthographic ray along z.
+        Ray {
+            x: ((ix * n) / w).min(n - 1),
+            y: ((iy * n) / w).min(n - 1),
+            transmittance: 1.0,
+            light: 0.0,
+        }
+    }
+
+    /// Composite sample `z` (density `d`) of an `n`-deep volume for the
+    /// frame's opacity scale; false once the ray is opaque.
+    fn step(&mut self, d: f32, z: usize, n: usize, opacity: f32) -> bool {
+        let a = (d * opacity).min(1.0);
+        self.light += self.transmittance * a * (0.3 + 0.7 * (z as f32 / n as f32));
+        self.transmittance *= 1.0 - a;
+        self.transmittance >= 1e-3
     }
 }
 
@@ -121,37 +131,41 @@ impl App for Volrend {
         let queue_lock = p.lock(); // OCC: queue reset happens outside a CS
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             for (frame, &opacity) in opacities.iter().enumerate() {
                 // Thread 0 resets the scanline queue for this frame
                 // *outside* any critical section; the barrier's WB/INV
                 // publishes it.
                 if ctx.tid() == 0 {
-                    ctx.write(next_line, 0, 0);
+                    ctx.write(next_line, 0, 0).await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 loop {
-                    ctx.lock(queue_lock);
-                    let line = ctx.read(next_line, 0) as usize;
+                    ctx.lock(queue_lock).await;
+                    let line = ctx.read(next_line, 0).await as usize;
                     if line < w {
-                        ctx.write(next_line, 0, line as u32 + 1);
+                        ctx.write(next_line, 0, line as u32 + 1).await;
                     }
-                    ctx.unlock(queue_lock);
+                    ctx.unlock(queue_lock).await;
                     if line >= w {
                         break;
                     }
                     // Render scanline `line`, sampling the volume through
                     // simulated memory.
                     for ix in 0..w {
-                        let vol = |x: usize, y: usize, z: usize| {
-                            ctx.read_f32(volume, ((x * n + y) * n + z) as u64)
-                        };
-                        let v = Volrend::cast(&vol, n, w, ix, line, opacity);
-                        ctx.write_f32(image, (frame * w * w + line * w + ix) as u64, v);
+                        let mut ray = Ray::new(n, w, ix, line);
+                        for z in 0..n {
+                            let at = ((ray.x * n + ray.y) * n + z) as u64;
+                            if !ray.step(ctx.read_f32(volume, at).await, z, n, opacity) {
+                                break;
+                            }
+                        }
+                        let px = (frame * w * w + line * w + ix) as u64;
+                        ctx.write_f32(image, px, ray.light).await;
                         ctx.tick(6 + 2 * n as u64);
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
 

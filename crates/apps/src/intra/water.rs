@@ -220,22 +220,22 @@ impl Water {
         let pot_lock = p.lock_occ(false);
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let chunk = n.div_ceil(ctx.nthreads());
             let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(n));
             if t == 0 {
-                ctx.write_f32(pot, 0, 0.0);
+                ctx.write_f32(pot, 0, 0.0).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             for _ in 0..steps {
                 // Phase 1: partial forces for own molecules.
                 let mut local_pot = 0.0f32;
                 for i in lo..hi {
                     let (xi, yi, zi) = (
-                        ctx.read_f32(px, i as u64),
-                        ctx.read_f32(py, i as u64),
-                        ctx.read_f32(pz, i as u64),
+                        ctx.read_f32(px, i as u64).await,
+                        ctx.read_f32(py, i as u64).await,
+                        ctx.read_f32(pz, i as u64).await,
                     );
                     let (mut ax, mut ay, mut az) = (0.0f32, 0.0f32, 0.0f32);
                     for j in 0..n {
@@ -243,9 +243,9 @@ impl Water {
                             continue;
                         }
                         let (xj, yj, zj) = (
-                            ctx.read_f32(px, j as u64),
-                            ctx.read_f32(py, j as u64),
-                            ctx.read_f32(pz, j as u64),
+                            ctx.read_f32(px, j as u64).await,
+                            ctx.read_f32(py, j as u64).await,
+                            ctx.read_f32(pz, j as u64).await,
                         );
                         let (dfx, dfy, dfz, dp) = Water::pair_force(xi, yi, zi, xj, yj, zj);
                         ax += dfx;
@@ -254,9 +254,9 @@ impl Water {
                         local_pot += 0.5 * dp;
                         ctx.tick(10);
                     }
-                    ctx.write_f32(fx, (t * n + i) as u64, ax);
-                    ctx.write_f32(fy, (t * n + i) as u64, ay);
-                    ctx.write_f32(fz, (t * n + i) as u64, az);
+                    ctx.write_f32(fx, (t * n + i) as u64, ax).await;
+                    ctx.write_f32(fy, (t * n + i) as u64, ay).await;
+                    ctx.write_f32(fz, (t * n + i) as u64, az).await;
                 }
                 // Potential-energy reduction (critical section). The
                 // grant order is deterministic (request order), and the
@@ -266,25 +266,25 @@ impl Water {
                 // deterministic scheduler makes this reproducible, and
                 // the host sums in thread order which matches the FIFO
                 // grant order of the controller under one barrier phase.
-                ctx.lock(pot_lock);
-                let g = ctx.read_f32(pot, 0);
-                ctx.write_f32(pot, 0, g + local_pot);
-                ctx.unlock(pot_lock);
-                ctx.barrier(bar);
+                ctx.lock(pot_lock).await;
+                let g = ctx.read_f32(pot, 0).await;
+                ctx.write_f32(pot, 0, g + local_pot).await;
+                ctx.unlock(pot_lock).await;
+                ctx.barrier(bar).await;
                 // Phase 2: integrate own molecules from own partials.
                 for i in lo..hi {
-                    let ax = ctx.read_f32(fx, (t * n + i) as u64);
-                    let ay = ctx.read_f32(fy, (t * n + i) as u64);
-                    let az = ctx.read_f32(fz, (t * n + i) as u64);
-                    let nx = ctx.read_f32(px, i as u64) + 0.0001 * ax;
-                    let ny = ctx.read_f32(py, i as u64) + 0.0001 * ay;
-                    let nz = ctx.read_f32(pz, i as u64) + 0.0001 * az;
-                    ctx.write_f32(px, i as u64, nx);
-                    ctx.write_f32(py, i as u64, ny);
-                    ctx.write_f32(pz, i as u64, nz);
+                    let ax = ctx.read_f32(fx, (t * n + i) as u64).await;
+                    let ay = ctx.read_f32(fy, (t * n + i) as u64).await;
+                    let az = ctx.read_f32(fz, (t * n + i) as u64).await;
+                    let nx = ctx.read_f32(px, i as u64).await + 0.0001 * ax;
+                    let ny = ctx.read_f32(py, i as u64).await + 0.0001 * ay;
+                    let nz = ctx.read_f32(pz, i as u64).await + 0.0001 * az;
+                    ctx.write_f32(px, i as u64, nx).await;
+                    ctx.write_f32(py, i as u64, ny).await;
+                    ctx.write_f32(pz, i as u64, nz).await;
                     ctx.tick(6);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
 
@@ -325,7 +325,7 @@ impl Water {
         }
         let bar = p.barrier();
 
-        let out = p.run(nthreads, move |ctx| {
+        let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let chunk = n.div_ceil(ctx.nthreads());
             let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(n));
@@ -336,9 +336,9 @@ impl Water {
                 let mut pos = Vec::with_capacity(n);
                 for j in 0..n {
                     pos.push((
-                        ctx.read_f32(px, j as u64),
-                        ctx.read_f32(py, j as u64),
-                        ctx.read_f32(pz, j as u64),
+                        ctx.read_f32(px, j as u64).await,
+                        ctx.read_f32(py, j as u64).await,
+                        ctx.read_f32(pz, j as u64).await,
                     ));
                     ctx.tick(1);
                 }
@@ -378,24 +378,24 @@ impl Water {
                             }
                         }
                     }
-                    ctx.write_f32(gx, i as u64, ax);
-                    ctx.write_f32(gy, i as u64, ay);
-                    ctx.write_f32(gz, i as u64, az);
+                    ctx.write_f32(gx, i as u64, ax).await;
+                    ctx.write_f32(gy, i as u64, ay).await;
+                    ctx.write_f32(gz, i as u64, az).await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 for i in lo..hi {
-                    let ax = ctx.read_f32(gx, i as u64);
-                    let ay = ctx.read_f32(gy, i as u64);
-                    let az = ctx.read_f32(gz, i as u64);
-                    let nx = ctx.read_f32(px, i as u64) + 0.0001 * ax;
-                    let ny = ctx.read_f32(py, i as u64) + 0.0001 * ay;
-                    let nz = ctx.read_f32(pz, i as u64) + 0.0001 * az;
-                    ctx.write_f32(px, i as u64, nx);
-                    ctx.write_f32(py, i as u64, ny);
-                    ctx.write_f32(pz, i as u64, nz);
+                    let ax = ctx.read_f32(gx, i as u64).await;
+                    let ay = ctx.read_f32(gy, i as u64).await;
+                    let az = ctx.read_f32(gz, i as u64).await;
+                    let nx = ctx.read_f32(px, i as u64).await + 0.0001 * ax;
+                    let ny = ctx.read_f32(py, i as u64).await + 0.0001 * ay;
+                    let nz = ctx.read_f32(pz, i as u64).await + 0.0001 * az;
+                    ctx.write_f32(px, i as u64, nx).await;
+                    ctx.write_f32(py, i as u64, ny).await;
+                    ctx.write_f32(pz, i as u64, nz).await;
                     ctx.tick(6);
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             }
         });
 

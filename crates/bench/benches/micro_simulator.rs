@@ -122,8 +122,8 @@ fn bench_sync() {
     });
 }
 
-/// A store-heavy multithreaded workload: the best case for batching and
-/// local retirement (long runs of fire-and-forget ops between barriers).
+/// A store-heavy multithreaded workload: long runs of ops between
+/// barriers, the best case for running ops inline.
 fn run_store_heavy(engine: Scheduler) -> hic_machine::RunStats {
     const THREADS: usize = 8;
     const STORES_PER_THREAD: u64 = 4096;
@@ -131,21 +131,21 @@ fn run_store_heavy(engine: Scheduler) -> hic_machine::RunStats {
     p.scheduler(engine);
     let data = p.alloc(THREADS as u64 * STORES_PER_THREAD);
     let bar = p.barrier_of(THREADS);
-    let out = p.run(THREADS, move |ctx| {
+    let out = p.run_tasks(THREADS, async move |ctx| {
         let base = ctx.tid() as u64 * STORES_PER_THREAD;
         for i in 0..STORES_PER_THREAD {
-            ctx.write(data, base + i, (base + i) as u32);
+            ctx.write(data, base + i, (base + i) as u32).await;
             ctx.tick(2);
         }
-        ctx.barrier(bar);
+        ctx.barrier(bar).await;
     });
     out.stats().clone()
 }
 
-/// Engine comparison: wall-clock throughput of the `Linear` oracle (one
-/// op per message, every op queued) vs the default engine on a
-/// store-heavy workload, with the engine ledgers showing where the
-/// savings come from. Simulated results must be bit-identical.
+/// Engine comparison: wall-clock throughput of the `Linear` oracle (a
+/// suspension before every op) vs the default engine on a store-heavy
+/// workload, with the engine ledgers showing where the savings come
+/// from. Simulated results must be bit-identical.
 fn bench_engine() {
     let oracle = bench("micro_engine/store_heavy_linear_oracle", || {
         run_store_heavy(Scheduler::Linear)
@@ -167,16 +167,13 @@ fn bench_engine() {
     assert_eq!(o.traffic, d.traffic, "engines must not change traffic");
 
     println!(
-        "engine  linear:  {} ops, {} messages, {} round-trips",
-        o.engine.ops_executed, o.engine.messages, o.engine.round_trips
+        "engine  linear:  {} ops, {} suspensions",
+        o.engine.ops_executed, o.engine.round_trips
     );
     println!(
-        "engine  default: {} ops ({} retired locally), {} messages ({} batches), \
-         {} round-trips ({:.1}% saved)",
+        "engine  default: {} ops, {} inline + {} suspensions ({:.1}% inline)",
         d.engine.ops_executed,
         d.engine.shard_local_ops,
-        d.engine.messages,
-        d.engine.batches,
         d.engine.round_trips,
         100.0 * d.engine.round_trip_savings()
     );

@@ -35,35 +35,36 @@ fn cs_workload(config: Config, mc: MachineConfig, jobs: u32, lines_per_cs: u64) 
     let scratch = p.alloc(64 * 16); // plenty of distinct lines
     let l = p.lock_occ(false);
     let bar = p.barrier();
-    let out = p.run(nthreads, move |ctx| {
-        ctx.barrier(bar);
+    let out = p.run_tasks(nthreads, async move |ctx| {
+        ctx.barrier(bar).await;
         loop {
-            ctx.lock(l);
-            let j = ctx.read(next, 0);
+            ctx.lock(l).await;
+            let j = ctx.read(next, 0).await;
             if j < jobs {
-                ctx.write(next, 0, j + 1);
+                ctx.write(next, 0, j + 1).await;
                 // Read then write `lines_per_cs` distinct lines inside
                 // the CS (reads exercise the IEB, writes the MEB), and
                 // read them once more: the second pass hits the IEB only
                 // if the lines still fit — capacity evictions force
                 // unnecessary refreshes (§IV-B2).
                 for k in 0..lines_per_cs {
-                    let cur = ctx.read(scratch, (k * 16) % scratch.words);
-                    ctx.write(scratch, (k * 16) % scratch.words, cur.wrapping_add(j));
+                    let cur = ctx.read(scratch, (k * 16) % scratch.words).await;
+                    ctx.write(scratch, (k * 16) % scratch.words, cur.wrapping_add(j))
+                        .await;
                 }
                 let mut check = 0u32;
                 for k in 0..lines_per_cs {
-                    check ^= ctx.read(scratch, (k * 16 + 4) % scratch.words);
+                    check ^= ctx.read(scratch, (k * 16 + 4) % scratch.words).await;
                 }
                 ctx.tick(check as u64 & 1);
             }
-            ctx.unlock(l);
+            ctx.unlock(l).await;
             if j >= jobs {
                 break;
             }
-            ctx.compute(150);
+            ctx.compute(150).await;
         }
-        ctx.barrier(bar);
+        ctx.barrier(bar).await;
     });
     AblationPoint {
         parameter: 0,

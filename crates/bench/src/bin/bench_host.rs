@@ -2,7 +2,9 @@
 //!
 //! Runs the 71-cell paper grid on the host clock and writes
 //! `BENCH_host.json` with suite wall-clock, sim-ops/sec, and the engine
-//! ledger, so simulator performance is tracked PR over PR.
+//! ledger (per run: ops executed, ops run inline, suspensions — printed
+//! as `rt` — and wakeups), so simulator performance is tracked PR over
+//! PR.
 //!
 //! Usage: `bench_host [--scale <scale>] [--baseline <secs>]
 //!                    [--out <path>] [--micro] [--check] [--faults] [--lint]
@@ -55,17 +57,17 @@ fn micro_timings() -> Vec<Timing> {
             let flag = p.flag();
             let bar = p.barrier_of(2);
             let data = p.alloc(16);
-            p.run(2, move |ctx| {
+            p.run_tasks(2, async move |ctx| {
                 for round in 0..64u32 {
                     if ctx.tid() == 0 {
-                        ctx.write(data, 0, round);
-                        ctx.flag_set(flag);
+                        ctx.write(data, 0, round).await;
+                        ctx.flag_set(flag).await;
                     } else {
-                        ctx.flag_wait(flag);
-                        ctx.read(data, 0);
-                        ctx.flag_clear(flag);
+                        ctx.flag_wait(flag).await;
+                        ctx.read(data, 0).await;
+                        ctx.flag_clear(flag).await;
                     }
-                    ctx.barrier(bar);
+                    ctx.barrier(bar).await;
                 }
             })
         },
@@ -159,7 +161,7 @@ fn main() -> ExitCode {
 
     let wall = report.wall.as_secs_f64();
     println!(
-        "suite --scale {}: {} runs, wall {:.3}s, {:.0} sim-ops/s, {} round-trips",
+        "suite --scale {}: {} runs, wall {:.3}s, {:.0} sim-ops/s, {} suspensions",
         report.scale,
         report.runs.len(),
         wall,

@@ -6,9 +6,10 @@
 //! trajectory of the simulator itself is tracked PR over PR. The JSON
 //! records, per run and in aggregate: host wall time, simulated-machine
 //! ops executed, sim-ops per host second, and the engine ledger
-//! (messages, batches, reply round-trips, wakeups, locally retired ops,
-//! lock waits). The document is
-//! built as a [`Json`] value.
+//! (`EngineStats`: ops run inline as `shard_local_ops`, suspensions as
+//! `round_trips`, wakeups, and `messages` = ops executed; `batches` and
+//! `lock_waits` are always 0 under the single-threaded executor). The
+//! document is built as a [`Json`] value.
 
 use std::time::{Duration, Instant};
 

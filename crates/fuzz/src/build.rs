@@ -303,71 +303,74 @@ pub fn run_dynamic(
         .collect();
 
     let d = desc.clone();
-    let outcome = p.run(n, move |ctx| {
+    let outcome = p.run_tasks(n, async move |ctx| {
         let t = ctx.tid();
         let n = d.threads;
         for o in 0..n {
             if o != t {
                 for i in 0..d.slice {
-                    ctx.read(data, o as u64 * d.slice + i);
+                    ctx.read(data, o as u64 * d.slice + i).await;
                 }
             }
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
         if let Some(racy) = racy {
             if t == 0 {
-                ctx.racy_store(racy.at(0), 1_111);
+                ctx.racy_store(racy.at(0), 1_111).await;
             }
             if t == 1 {
-                ctx.racy_store(racy.at(0), 2_222);
+                ctx.racy_store(racy.at(0), 2_222).await;
             }
             if t == n - 1 {
-                let _ = ctx.racy_load(racy.at(0));
+                let _ = ctx.racy_load(racy.at(0)).await;
             }
         }
         for (r, round) in d.rounds.iter().enumerate() {
             for i in 0..d.slice {
-                ctx.write(data, t as u64 * d.slice + i, val(r, t, i));
+                ctx.write(data, t as u64 * d.slice + i, val(r, t, i)).await;
             }
             let (wb, inv) = plans_for(&d, data, t, r);
-            ctx.plan_wb(&wb);
+            ctx.plan_wb(&wb).await;
             match round.sync {
-                SyncShape::Barrier => ctx.plan_barrier(bar),
+                SyncShape::Barrier => ctx.plan_barrier(bar).await,
                 SyncShape::SubBarrier => {
                     if participants(&d, r).contains(&t) {
-                        ctx.plan_barrier(sub_bars[r].unwrap());
+                        ctx.plan_barrier(sub_bars[r].unwrap()).await;
                     }
                 }
                 SyncShape::Flags => {
                     for (ei, e) in round.edges.iter().enumerate() {
                         if e.p == t {
-                            ctx.flag_set_opts(flags[r][ei], hic_runtime::FlagOpts::raw());
+                            ctx.flag_set_opts(flags[r][ei], hic_runtime::FlagOpts::raw())
+                                .await;
                         }
                     }
                     for (ei, e) in round.edges.iter().enumerate() {
                         if e.c == t {
-                            ctx.flag_wait_opts(flags[r][ei], hic_runtime::FlagOpts::raw());
+                            ctx.flag_wait_opts(flags[r][ei], hic_runtime::FlagOpts::raw())
+                                .await;
                         }
                     }
                 }
             }
-            ctx.plan_inv(&inv);
+            ctx.plan_inv(&inv).await;
             let mut sum = 0u32;
             let mut consumed = false;
             for e in &round.edges {
                 if e.c == t {
                     for i in e.lo..e.hi {
-                        sum = sum.wrapping_add(ctx.read(data, e.p as u64 * d.slice + i));
+                        sum = sum.wrapping_add(ctx.read(data, e.p as u64 * d.slice + i).await);
                     }
                     consumed = true;
                 }
             }
             if consumed {
-                ctx.write(out_r, t as u64 * d.rounds.len() as u64 + r as u64, sum);
+                ctx.write(out_r, t as u64 * d.rounds.len() as u64 + r as u64, sum)
+                    .await;
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         }
-        ctx.barrier(bar);
+        ctx.barrier(bar).await;
     });
 
     let error = outcome.result().err().map(render_err);

@@ -24,7 +24,7 @@ use hic_mem::{Memory, Word, WordAddr};
 use hic_noc::TrafficLedger;
 use hic_sim::{CoreId, MachineConfig};
 
-use crate::incoherent::{CoreSlice, IncCounters, IncoherentSystem};
+use crate::incoherent::{IncCounters, IncoherentSystem};
 
 /// Which family of memory system a backend implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,19 +76,6 @@ pub trait MemBackend: Send {
 
     /// End core `c`'s IEB-governed epoch (no-op without an IEB).
     fn ieb_end(&mut self, _c: CoreId) {}
-
-    /// Check core `c`'s private state out of the backend so the engine
-    /// can retire core-local ops against it without its lock. Backends
-    /// without detachable per-core state return `None`, which disables
-    /// local retirement (`Machine::supports_sharding`).
-    fn detach_core(&mut self, _c: CoreId) -> Option<CoreSlice> {
-        None
-    }
-
-    /// Re-attach a slice produced by [`MemBackend::detach_core`].
-    fn attach_core(&mut self, _c: CoreId, _s: CoreSlice) {
-        panic!("attach_core on a backend without detachable core state");
-    }
 
     /// Snapshot of the flit-traffic ledger.
     fn traffic(&self) -> TrafficLedger;
@@ -207,14 +194,6 @@ impl MemBackend for IncoherentSystem {
 
     fn ieb_end(&mut self, c: CoreId) {
         IncoherentSystem::ieb_end(self, c);
-    }
-
-    fn detach_core(&mut self, c: CoreId) -> Option<CoreSlice> {
-        Some(IncoherentSystem::detach_core(self, c))
-    }
-
-    fn attach_core(&mut self, c: CoreId, s: CoreSlice) {
-        IncoherentSystem::attach_core(self, c, s);
     }
 
     fn traffic(&self) -> TrafficLedger {

@@ -39,9 +39,6 @@ pub enum RunError {
     /// (prefixed `"incoherence detected:"`), with the trace tail
     /// attached when tracing was enabled.
     CheckFatal { msg: String },
-    /// A simulated thread's host thread died (panicked in app code)
-    /// before issuing its final operation.
-    ThreadDied { detail: String },
 }
 
 impl RunError {
@@ -52,7 +49,6 @@ impl RunError {
             RunError::Hang { .. } => "hang",
             RunError::CorruptDirtyLine { .. } => "corrupt_dirty_line",
             RunError::CheckFatal { .. } => "check_fatal",
-            RunError::ThreadDied { .. } => "thread_died",
         }
     }
 }
@@ -79,7 +75,6 @@ impl fmt::Display for RunError {
             RunError::Hang { detail } => write!(f, "hang: {detail}"),
             RunError::CorruptDirtyLine { detail } => write!(f, "{detail}"),
             RunError::CheckFatal { msg } => write!(f, "{msg}"),
-            RunError::ThreadDied { detail } => write!(f, "{detail}"),
         }
     }
 }

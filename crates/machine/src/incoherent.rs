@@ -28,8 +28,6 @@ use hic_mem::{Cache, LineAddr, Memory, Word, WordAddr};
 use hic_noc::{Mesh, TrafficCategory, TrafficLedger};
 use hic_sim::{CoreId, MachineConfig, ThreadId};
 
-use crate::ops::Op;
-
 /// Cycles for a flash (gang) clear of a whole cache's valid bits. ALL-
 /// flavor operations complete in this time when the dirty-line counter
 /// says there is nothing to write back.
@@ -89,94 +87,6 @@ pub struct IncoherentSystem {
     /// Latched unrecoverable fault (a corrupted dirty line), taken once
     /// by the machine and surfaced as `RunError::CorruptDirtyLine`.
     fault_fatal: Option<String>,
-    /// Detachable per-core state for the engine's local path: `spares[c]`
-    /// holds a dummy slice that swaps places with core `c`'s real
-    /// L1/MEB/IEB while the real slice is checked out (`detach_core`),
-    /// so both directions are allocation-free swaps.
-    spares: Vec<Option<CoreSlice>>,
-    /// `detached[c]` guards the sequential entry points: executing an op
-    /// for a core whose slice is checked out is an engine bug.
-    detached: Vec<bool>,
-}
-
-/// The core-private state of the incoherent hierarchy — L1, MEB, IEB —
-/// packaged so the runtime engine can check it out of the machine and
-/// retire core-local ops against it without holding the engine lock.
-///
-/// Nothing in the machine touches `l1[c]`/`meb[c]`/`ieb[c]` except ops
-/// issued by core `c` itself: WB/INV instructions only operate on the
-/// issuing core's L1, and `peek_word` scans L2/L3/memory, never L1. A
-/// checked-out slice is therefore exclusively owned by its core's host
-/// thread.
-#[derive(Debug)]
-pub struct CoreSlice {
-    l1: Cache,
-    meb: Meb,
-    ieb: Ieb,
-}
-
-impl CoreSlice {
-    fn dummy(cfg: &MachineConfig) -> CoreSlice {
-        CoreSlice {
-            l1: Cache::new(cfg.l1),
-            meb: Meb::new(cfg.meb_entries),
-            ieb: Ieb::new(cfg.ieb_entries),
-        }
-    }
-
-    /// Execute `op` purely against the core-private slice: an L1-hit
-    /// load (only while the IEB is inactive — `Ieb::on_read` can demand
-    /// a refresh from the shared levels), an L1-hit store, a compute
-    /// burst, or one of the zero-latency epoch markers. Returns the
-    /// `(value, latency)` pair the machine would have produced, or
-    /// `None` when the op needs the shared hierarchy and must be queued
-    /// through the engine.
-    ///
-    /// The latency of every accepted op depends only on configuration
-    /// (`l1_rt`, the compute count), and none of them moves a flit, so
-    /// executing them out of global order is unobservable.
-    pub fn try_execute(&mut self, op: &Op, l1_rt: u64) -> Option<(Option<Word>, u64)> {
-        match *op {
-            Op::Load(w) => {
-                if self.ieb.active() {
-                    return None;
-                }
-                self.l1
-                    .read_word(w.line(), w.index_in_line())
-                    .map(|v| (Some(v), l1_rt))
-            }
-            Op::Store(w, v) => {
-                let line = w.line();
-                match self.l1.write_word(line, w.index_in_line(), v) {
-                    Some(was_clean) => {
-                        if was_clean {
-                            let id = self.l1.line_id(line).expect("resident");
-                            self.meb.on_clean_word_write(id);
-                        }
-                        Some((None, l1_rt))
-                    }
-                    None => None,
-                }
-            }
-            Op::Compute(n) => Some((None, n)),
-            Op::MebBegin => {
-                self.meb.begin_epoch();
-                Some((None, 0))
-            }
-            Op::IebBegin => {
-                self.ieb.begin_epoch();
-                Some((None, 0))
-            }
-            Op::IebEnd => {
-                self.ieb.end_epoch();
-                Some((None, 0))
-            }
-            // Without a checker attached (a precondition of local
-            // retirement) the marker is a zero-latency no-op.
-            Op::MarkRacy(_) => Some((None, 0)),
-            _ => None,
-        }
-    }
 }
 
 impl IncoherentSystem {
@@ -208,33 +118,8 @@ impl IncoherentSystem {
             checker: None,
             faults: None,
             fault_fatal: None,
-            spares: (0..ncores).map(|_| Some(CoreSlice::dummy(&cfg))).collect(),
-            detached: vec![false; ncores],
             cfg,
         }
-    }
-
-    /// Check core `c`'s private slice (L1, MEB, IEB) out of the machine,
-    /// leaving inert dummies in its place. The sequential entry points
-    /// for `c` debug-assert against running while detached.
-    pub fn detach_core(&mut self, c: CoreId) -> CoreSlice {
-        debug_assert!(!self.detached[c.0], "core{} slice already detached", c.0);
-        let mut s = self.spares[c.0].take().expect("spare slice present");
-        std::mem::swap(&mut s.l1, &mut self.l1[c.0]);
-        std::mem::swap(&mut s.meb, &mut self.meb[c.0]);
-        std::mem::swap(&mut s.ieb, &mut self.ieb[c.0]);
-        self.detached[c.0] = true;
-        s
-    }
-
-    /// Re-attach a slice produced by [`IncoherentSystem::detach_core`].
-    pub fn attach_core(&mut self, c: CoreId, mut s: CoreSlice) {
-        debug_assert!(self.detached[c.0], "core{} slice not detached", c.0);
-        std::mem::swap(&mut s.l1, &mut self.l1[c.0]);
-        std::mem::swap(&mut s.meb, &mut self.meb[c.0]);
-        std::mem::swap(&mut s.ieb, &mut self.ieb[c.0]);
-        self.spares[c.0] = Some(s);
-        self.detached[c.0] = false;
     }
 
     /// Install a fault plan: link perturbation on this system's mesh,
@@ -566,7 +451,6 @@ impl IncoherentSystem {
     /// may be stale — that is the point). Under an active IEB epoch the
     /// first read of each line is refreshed from the shared cache.
     pub fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64) {
-        debug_assert!(!self.detached[c.0], "read while core{} detached", c.0);
         let line = w.line();
         let idx = w.index_in_line();
         let scrub = if self.faults.is_some() {
@@ -606,7 +490,6 @@ impl IncoherentSystem {
     /// Incoherent store: write-allocate into the L1, set the word's dirty
     /// bit, and feed the MEB on clean->dirty transitions.
     pub fn write(&mut self, c: CoreId, w: WordAddr, v: Word) -> u64 {
-        debug_assert!(!self.detached[c.0], "write while core{} detached", c.0);
         let line = w.line();
         let idx = w.index_in_line();
         match self.l1[c.0].write_word(line, idx, v) {
@@ -698,7 +581,6 @@ impl IncoherentSystem {
     /// Returns `(latency, is_wb)` so the caller can charge the right stall
     /// category.
     pub fn exec_coh(&mut self, c: CoreId, instr: CohInstr) -> (u64, bool) {
-        debug_assert!(!self.detached[c.0], "exec_coh while core{} detached", c.0);
         match instr {
             CohInstr::Wb { target, scope } => (self.exec_wb(c, target, scope), true),
             CohInstr::Inv { target, scope } => (self.exec_inv(c, target, scope), false),
@@ -1000,7 +882,6 @@ impl IncoherentSystem {
     // ------------------------------------------------------------------
 
     pub fn meb_begin(&mut self, c: CoreId) {
-        debug_assert!(!self.detached[c.0], "meb_begin while core{} detached", c.0);
         // Epoch marker: collapse the core's rollback journals so no
         // recovery replays past this point (no-op without checkpoints).
         self.l1[c.0].epoch_mark();
@@ -1008,13 +889,11 @@ impl IncoherentSystem {
     }
 
     pub fn ieb_begin(&mut self, c: CoreId) {
-        debug_assert!(!self.detached[c.0], "ieb_begin while core{} detached", c.0);
         self.l1[c.0].epoch_mark();
         self.ieb[c.0].begin_epoch();
     }
 
     pub fn ieb_end(&mut self, c: CoreId) {
-        debug_assert!(!self.detached[c.0], "ieb_end while core{} detached", c.0);
         self.l1[c.0].epoch_mark();
         self.ieb[c.0].end_epoch();
     }

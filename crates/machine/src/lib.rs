@@ -26,7 +26,7 @@ pub use backend::{BackendKind, MemBackend, RefBackend};
 pub use error::RunError;
 pub use hic_fault::{FaultPlan, ResilienceStats};
 pub use hic_noc::TrafficLedger;
-pub use incoherent::{CoreSlice, IncCounters, IncoherentSystem};
+pub use incoherent::{IncCounters, IncoherentSystem};
 pub use machine::{Exec, Machine, RunStats, Wakeup};
 pub use ops::Op;
 pub use trace::{TraceEvent, TraceRing};

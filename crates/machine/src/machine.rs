@@ -25,7 +25,7 @@ use hic_sync::{Grant, SyncController, SyncId};
 
 use crate::backend::{BackendKind, MemBackend, RefBackend};
 use crate::error::RunError;
-use crate::incoherent::{CoreSlice, IncCounters, IncoherentSystem};
+use crate::incoherent::{IncCounters, IncoherentSystem};
 use crate::ops::Op;
 use crate::trace::{TraceEvent, TraceRing};
 
@@ -256,38 +256,6 @@ impl Machine {
 
     pub fn is_coherent(&self) -> bool {
         self.backend.kind() == BackendKind::Coherent
-    }
-
-    /// True when the runtime engine may retire core-private ops in the
-    /// issuing thread: incoherent backend (the only one with detachable
-    /// core slices), no sanitizer (its hooks must observe every
-    /// load/store in order), no fault plan (fault streams are
-    /// draw-order-sensitive), and no trace ring (events must interleave
-    /// in global key order). When false every op goes through the
-    /// engine's queue, which is trivially bit-identical.
-    pub fn supports_sharding(&self) -> bool {
-        self.backend.kind() == BackendKind::Incoherent
-            && !self.has_checker
-            && self.fault_plan.is_none()
-            && !self.trace.enabled()
-    }
-
-    /// Check core `c`'s private state out of the backend (the engine's
-    /// local path only); `None` on backends without detachable state.
-    pub fn detach_core(&mut self, c: CoreId) -> Option<CoreSlice> {
-        self.backend.detach_core(c)
-    }
-
-    /// Re-attach a slice produced by [`Machine::detach_core`].
-    pub fn attach_core(&mut self, c: CoreId, s: CoreSlice) {
-        self.backend.attach_core(c, s);
-    }
-
-    /// Fold a stall ledger accumulated outside the machine (a thread's
-    /// local-op charges) into core `c`'s ledger. Per-category cycle sums
-    /// are commutative, so the merge order cannot change results.
-    pub fn merge_ledger(&mut self, c: CoreId, l: &StallLedger) {
-        self.ledgers[c.0] += *l;
     }
 
     /// Access to the incoherent system (ThreadMap setup, counters).

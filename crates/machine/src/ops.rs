@@ -3,13 +3,6 @@
 //! Applications never touch the memory system directly: they produce a
 //! stream of [`Op`]s through the `ThreadCtx` API in `hic-runtime`, and the
 //! machine executes each op at the core's current simulated time.
-//!
-//! Ops that return no value and never block ([`Op::is_batchable`]) may be
-//! coalesced into one message by the runtime. Batching is purely a
-//! host-side optimization: the engine still executes the members one at
-//! a time in global simulated-time order, so cycle counts are identical
-//! to sending each op individually — only the reply round-trips
-//! disappear.
 
 use hic_core::CohInstr;
 use hic_mem::{Word, WordAddr};
@@ -70,23 +63,6 @@ impl Op {
             Op::BarrierArrive(_) | Op::LockAcquire(_) | Op::FlagWait(_)
         )
     }
-
-    /// May this op ride inside a batch message? True exactly for ops
-    /// that return no value, never park the core, and don't end the
-    /// thread — the issuing thread has nothing to wait for.
-    pub fn is_batchable(&self) -> bool {
-        matches!(
-            self,
-            Op::Store(..)
-                | Op::StoreUnc(..)
-                | Op::Compute(_)
-                | Op::Coh(_)
-                | Op::MebBegin
-                | Op::IebBegin
-                | Op::IebEnd
-                | Op::MarkRacy(_)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -102,42 +78,5 @@ mod tests {
         assert!(!Op::Load(WordAddr(0)).is_blocking());
         assert!(!Op::Compute(5).is_blocking());
         assert!(!Op::Finish.is_blocking());
-    }
-
-    #[test]
-    fn batchable_classification() {
-        // Batchable: fire-and-forget ops.
-        assert!(Op::Store(WordAddr(0), 1).is_batchable());
-        assert!(Op::StoreUnc(WordAddr(0), 1).is_batchable());
-        assert!(Op::Compute(5).is_batchable());
-        assert!(Op::MebBegin.is_batchable());
-        assert!(Op::IebBegin.is_batchable());
-        assert!(Op::IebEnd.is_batchable());
-        // Not batchable: value-returning, blocking, sync-visible, or
-        // lifecycle ops.
-        assert!(!Op::Load(WordAddr(0)).is_batchable());
-        assert!(!Op::LoadUnc(WordAddr(0)).is_batchable());
-        assert!(!Op::BarrierArrive(SyncId(0)).is_batchable());
-        assert!(!Op::LockAcquire(SyncId(0)).is_batchable());
-        assert!(!Op::LockRelease(SyncId(0)).is_batchable());
-        assert!(!Op::FlagSet(SyncId(0)).is_batchable());
-        assert!(!Op::FlagClear(SyncId(0)).is_batchable());
-        assert!(!Op::FlagWait(SyncId(0)).is_batchable());
-        assert!(!Op::Finish.is_batchable());
-    }
-
-    #[test]
-    fn no_batchable_op_blocks() {
-        let samples = [
-            Op::Store(WordAddr(0), 1),
-            Op::StoreUnc(WordAddr(0), 1),
-            Op::Compute(5),
-            Op::MebBegin,
-            Op::IebBegin,
-            Op::IebEnd,
-        ];
-        for op in samples {
-            assert!(op.is_batchable() && !op.is_blocking(), "{op:?}");
-        }
     }
 }

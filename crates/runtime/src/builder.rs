@@ -7,10 +7,10 @@
 //! let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::BMI));
 //! let data = p.alloc(1024);
 //! let bar = p.barrier();
-//! let out = p.run(16, move |ctx| {
+//! let out = p.run_tasks(16, async move |ctx| {
 //!     let t = ctx.tid() as u64;
-//!     ctx.write(data, t, ctx.tid() as u32);
-//!     ctx.barrier(bar);
+//!     ctx.write(data, t, ctx.tid() as u32).await;
+//!     ctx.barrier(bar).await;
 //! });
 //! assert_eq!(out.peek(data, 3), 3);
 //! ```
@@ -24,7 +24,7 @@ use hic_sim::Cycle;
 
 use crate::config::{Config, Scheme};
 use crate::ctx::{BarrierId, FlagId, LockId, LockInfo, RtShared, ThreadCtx};
-use crate::engine::{run_threads, Scheduler};
+use crate::engine::{run_tasks, Scheduler};
 use crate::plan::PlanOverrides;
 use crate::record::ProgramRecord;
 
@@ -222,7 +222,7 @@ impl ProgramBuilder {
     }
 
     /// Declare a barrier over all `n` participating threads (call with the
-    /// same `n` you pass to [`ProgramBuilder::run`]).
+    /// same `n` you pass to [`ProgramBuilder::run_tasks`]).
     pub fn barrier_of(&mut self, participants: usize) -> BarrierId {
         let id = self.machine.alloc_barrier(participants);
         self.barriers.push((id.0, participants));
@@ -280,11 +280,11 @@ impl ProgramBuilder {
         self
     }
 
-    /// Run `body` on `nthreads` threads. Thread `i` is pinned to core `i`.
-    pub fn run<F>(mut self, nthreads: usize, body: F) -> RunOutcome
-    where
-        F: Fn(&ThreadCtx) + Send + Sync,
-    {
+    /// Run `body` on `nthreads` simulated threads, one task per thread
+    /// on a single-threaded executor. Thread `i` is pinned to core `i`.
+    /// A kernel that panics unwinds out of this call with its own
+    /// payload.
+    pub fn run_tasks(mut self, nthreads: usize, body: impl AsyncFn(&ThreadCtx)) -> RunOutcome {
         if self.check != CheckMode::Off {
             self.machine
                 .enable_check(self.check, std::mem::take(&mut self.regions));
@@ -292,7 +292,7 @@ impl ProgramBuilder {
         if let Some(plan) = self.fault {
             self.machine.enable_faults(plan);
         }
-        let shared = Arc::new(RtShared {
+        let shared = RtShared {
             config: self.config,
             locks: self.locks,
             nthreads,
@@ -301,8 +301,8 @@ impl ProgramBuilder {
             overrides: self.overrides,
             watchdog_cycles: self.watchdog_cycles,
             watchdog_wall_ms: self.watchdog_wall_ms,
-        });
-        let (machine, stats, error) = run_threads(self.machine, shared, nthreads, body);
+        };
+        let (machine, stats, error) = run_tasks(self.machine, shared, body);
         let diagnostics = machine.diagnostics();
         RunOutcome {
             machine,
@@ -310,6 +310,13 @@ impl ProgramBuilder {
             diagnostics,
             error,
         }
+    }
+
+    /// Run a plain closure on `nthreads` threads. A plain closure cannot
+    /// await, so it runs host code only and issues no operations; use
+    /// [`ProgramBuilder::run_tasks`] for a kernel.
+    pub fn run<F: Fn(&ThreadCtx)>(self, nthreads: usize, body: F) -> RunOutcome {
+        self.run_tasks(nthreads, async |ctx| body(ctx))
     }
 }
 
@@ -326,7 +333,7 @@ pub struct RunOutcome {
 impl RunOutcome {
     /// `Ok(())` if the run completed, or the typed [`RunError`] that
     /// killed it (deadlock, watchdog hang, strict-mode incoherence
-    /// finding, unrecoverable fault corruption, app-thread death).
+    /// finding, unrecoverable fault corruption).
     pub fn result(&self) -> Result<(), &RunError> {
         match &self.error {
             None => Ok(()),
@@ -384,20 +391,31 @@ mod tests {
     use crate::config::{InterConfig, IntraConfig};
     use crate::plan::{CommOp, EpochPlan};
 
+    /// The plain-closure adapter runs host code on every thread and
+    /// finishes each core: its only ops are the `Finish` markers.
+    #[test]
+    fn host_only_run_finishes_every_core() {
+        let p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
+        let out = p.run(4, |ctx| assert!(ctx.tid() < ctx.nthreads()));
+        assert!(out.result().is_ok());
+        assert_eq!(out.stats().engine.ops_executed, 4);
+        assert_eq!(out.stats().total_cycles, 0);
+    }
+
     #[test]
     fn builder_quickstart_roundtrip() {
         let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
         let data = p.alloc(64);
         p.init_with(data, |i| i as Word);
         let bar = p.barrier_of(4);
-        let out = p.run(4, move |ctx| {
+        let out = p.run_tasks(4, async move |ctx| {
             let t = ctx.tid() as u64;
             // Each thread squares its 16 elements.
             for i in (t * 16)..((t + 1) * 16) {
-                let v = ctx.read(data, i);
-                ctx.write(data, i, v * v);
+                let v = ctx.read(data, i).await;
+                ctx.write(data, i, v * v).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         });
         for i in 0..64 {
             assert_eq!(out.peek(data, i), (i * i) as Word);
@@ -413,17 +431,17 @@ mod tests {
             let mut p = ProgramBuilder::new(Config::Intra(cfg));
             let x = p.alloc(16);
             let bar = p.barrier_of(2);
-            let out = p.run(2, move |ctx| {
+            let out = p.run_tasks(2, async move |ctx| {
                 if ctx.tid() == 0 {
                     for i in 0..16 {
-                        ctx.write(x, i, 100 + i as Word);
+                        ctx.write(x, i, 100 + i as Word).await;
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 if ctx.tid() == 1 {
                     let mut sum = 0u32;
                     for i in 0..16 {
-                        sum += ctx.read(x, i);
+                        sum += ctx.read(x, i).await;
                     }
                     // 100*16 + 0+..+15 = 1720.
                     assert_eq!(sum, 1720, "stale read under {}", cfg.name());
@@ -440,14 +458,14 @@ mod tests {
             let counter = p.alloc(1);
             let l = p.lock_occ(false);
             let bar = p.barrier_of(8);
-            let out = p.run(8, move |ctx| {
+            let out = p.run_tasks(8, async move |ctx| {
                 for _ in 0..4 {
-                    ctx.lock(l);
-                    let v = ctx.read(counter, 0);
-                    ctx.write(counter, 0, v + 1);
-                    ctx.unlock(l);
+                    ctx.lock(l).await;
+                    let v = ctx.read(counter, 0).await;
+                    ctx.write(counter, 0, v + 1).await;
+                    ctx.unlock(l).await;
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
             });
             assert_eq!(out.peek(counter, 0), 32, "lost update under {}", cfg.name());
         }
@@ -463,30 +481,31 @@ mod tests {
             let head = p.alloc(1);
             let l = p.lock(); // occ = true
             let bar = p.barrier_of(2);
-            let out = p.run(2, move |ctx| {
+            let out = p.run_tasks(2, async move |ctx| {
                 if ctx.tid() == 0 {
                     for task in 0..4u64 {
                         // Produce payload outside the CS.
                         for i in 0..16 {
-                            ctx.write(payload, task * 16 + i, (task * 100 + i) as Word);
+                            ctx.write(payload, task * 16 + i, (task * 100 + i) as Word)
+                                .await;
                         }
-                        ctx.lock(l);
-                        ctx.write(head, 0, task as Word + 1);
-                        ctx.unlock(l);
+                        ctx.lock(l).await;
+                        ctx.write(head, 0, task as Word + 1).await;
+                        ctx.unlock(l).await;
                     }
                 }
-                ctx.barrier(bar);
+                ctx.barrier(bar).await;
                 if ctx.tid() == 1 {
-                    ctx.lock(l);
-                    let avail = ctx.read(head, 0) as u64;
-                    ctx.unlock(l);
+                    ctx.lock(l).await;
+                    let avail = ctx.read(head, 0).await as u64;
+                    ctx.unlock(l).await;
                     assert_eq!(avail, 4);
                     // Consume payloads outside the CS: the OCC INV after
                     // the release makes them visible.
                     for task in 0..avail {
                         for i in 0..16 {
                             assert_eq!(
-                                ctx.read(payload, task * 16 + i),
+                                ctx.read(payload, task * 16 + i).await,
                                 (task * 100 + i) as Word,
                                 "stale task payload under {}",
                                 cfg.name()
@@ -505,16 +524,21 @@ mod tests {
             let mut p = ProgramBuilder::new(Config::Intra(cfg));
             let data = p.alloc(8);
             let f = p.flag();
-            let out = p.run(2, move |ctx| {
+            let out = p.run_tasks(2, async move |ctx| {
                 if ctx.tid() == 0 {
                     for i in 0..8 {
-                        ctx.write(data, i, 42 + i as Word);
+                        ctx.write(data, i, 42 + i as Word).await;
                     }
-                    ctx.flag_set(f);
+                    ctx.flag_set(f).await;
                 } else {
-                    ctx.flag_wait(f);
+                    ctx.flag_wait(f).await;
                     for i in 0..8 {
-                        assert_eq!(ctx.read(data, i), 42 + i as Word, "under {}", cfg.name());
+                        assert_eq!(
+                            ctx.read(data, i).await,
+                            42 + i as Word,
+                            "under {}",
+                            cfg.name()
+                        );
                     }
                 }
             });
@@ -530,7 +554,7 @@ mod tests {
             let mut p = ProgramBuilder::new(Config::Inter(cfg));
             let x = p.alloc(32);
             let bar = p.barrier_of(9);
-            let out = p.run(9, move |ctx| {
+            let out = p.run_tasks(9, async move |ctx| {
                 let producer_plan = EpochPlan::new()
                     .with_wb(CommOp::known(x.slice(0, 16), ctx.thread(1)))
                     .with_wb(CommOp::known(x.slice(16, 32), ctx.thread(8)));
@@ -540,24 +564,24 @@ mod tests {
                     EpochPlan::new().with_inv(CommOp::known(x.slice(16, 32), ctx.thread(0)));
                 // Warm stale copies everywhere.
                 if ctx.tid() == 1 {
-                    ctx.read(x, 0);
+                    ctx.read(x, 0).await;
                 }
                 if ctx.tid() == 8 {
-                    ctx.read(x, 16);
+                    ctx.read(x, 16).await;
                 }
-                ctx.plan_barrier(bar);
+                ctx.plan_barrier(bar).await;
                 if ctx.tid() == 0 {
                     for i in 0..32 {
-                        ctx.write(x, i, 1000 + i as Word);
+                        ctx.write(x, i, 1000 + i as Word).await;
                     }
-                    ctx.plan_wb(&producer_plan);
+                    ctx.plan_wb(&producer_plan).await;
                 }
-                ctx.plan_barrier(bar);
+                ctx.plan_barrier(bar).await;
                 if ctx.tid() == 1 {
-                    ctx.plan_inv(&consumer1);
+                    ctx.plan_inv(&consumer1).await;
                     for i in 0..16u64 {
                         assert_eq!(
-                            ctx.read(x, i),
+                            ctx.read(x, i).await,
                             1000 + i as Word,
                             "same-block, {}",
                             cfg.name()
@@ -565,10 +589,10 @@ mod tests {
                     }
                 }
                 if ctx.tid() == 8 {
-                    ctx.plan_inv(&consumer8);
+                    ctx.plan_inv(&consumer8).await;
                     for i in 16..32u64 {
                         assert_eq!(
-                            ctx.read(x, i),
+                            ctx.read(x, i).await,
                             1000 + i as Word,
                             "cross-block, {}",
                             cfg.name()
@@ -586,9 +610,9 @@ mod tests {
         let data = p.alloc(4);
         p.enable_trace(64);
         let bar = p.barrier_of(2);
-        let out = p.run(2, move |ctx| {
-            ctx.write(data, ctx.tid() as u64, 1);
-            ctx.barrier(bar);
+        let out = p.run_tasks(2, async move |ctx| {
+            ctx.write(data, ctx.tid() as u64, 1).await;
+            ctx.barrier(bar).await;
         });
         let trace = out.machine().trace();
         assert!(trace.total_recorded() > 0);
@@ -611,22 +635,29 @@ mod tests {
             let mut p = ProgramBuilder::new(Config::Intra(cfg));
             let data = p.alloc(4);
             let flag = p.alloc(1);
-            let out = p.run(2, move |ctx| {
+            let out = p.run_tasks(2, async move |ctx| {
                 if ctx.tid() == 0 {
-                    ctx.write(data, 0, 99);
+                    ctx.write(data, 0, 99).await;
                     // Figure 6b: WB(data) then WB(flag) via racy_store.
-                    ctx.coh(hic_core::CohInstr::wb(hic_core::Target::range(data)));
-                    ctx.racy_store(flag.at(0), 1);
+                    ctx.coh(hic_core::CohInstr::wb(hic_core::Target::range(data)))
+                        .await;
+                    ctx.racy_store(flag.at(0), 1).await;
                 } else {
                     // Spin on the racy flag.
                     let mut spins = 0;
-                    while ctx.racy_load(flag.at(0)) == 0 {
-                        ctx.compute(50);
+                    while ctx.racy_load(flag.at(0)).await == 0 {
+                        ctx.compute(50).await;
                         spins += 1;
                         assert!(spins < 10_000, "flag never observed, {}", cfg.name());
                     }
-                    ctx.coh(hic_core::CohInstr::inv(hic_core::Target::range(data)));
-                    assert_eq!(ctx.read(data, 0), 99, "data race data, {}", cfg.name());
+                    ctx.coh(hic_core::CohInstr::inv(hic_core::Target::range(data)))
+                        .await;
+                    assert_eq!(
+                        ctx.read(data, 0).await,
+                        99,
+                        "data race data, {}",
+                        cfg.name()
+                    );
                 }
             });
             drop(out);

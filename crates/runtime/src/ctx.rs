@@ -15,11 +15,12 @@
 //! * data races: per-word WB / INV around the racy accesses (Figure 6);
 //! * model-2 epoch plans: global or level-adaptive WB/INV per Table II.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use hic_core::{CohInstr, Target};
-use hic_machine::{Op, RunError};
+use hic_machine::Op;
 use hic_mem::{f32_to_word, word_to_f32, Region, Word, WordAddr};
 use hic_sim::{Cycle, ThreadId};
 use hic_sync::SyncId;
@@ -153,19 +154,18 @@ pub(crate) struct RtShared {
 }
 
 /// The per-thread handle applications program against.
+///
+/// Every operation that reaches the machine is an `async fn`: awaiting
+/// it hands the op to the run's executor, which executes it in global
+/// simulated-time order (see [`crate::engine`]). The queries
+/// ([`ThreadCtx::tid`], [`ThreadCtx::nthreads`], [`ThreadCtx::config`],
+/// [`ThreadCtx::thread`]) and [`ThreadCtx::tick`] stay synchronous.
 pub struct ThreadCtx {
     tid: usize,
-    engine: Arc<Engine>,
-    shared: Arc<RtShared>,
+    engine: Rc<Engine>,
     /// Compute cycles accumulated by [`ThreadCtx::tick`], flushed as one
     /// `Op::Compute` before the next real operation.
     pending_compute: Cell<u64>,
-    /// Batchable ops coalesced since the last flush (always empty under
-    /// the `Linear` oracle); shipped as one message.
-    batch: RefCell<Vec<Op>>,
-    /// Set by [`ThreadCtx::finish`]; a context dropped without it means
-    /// the app thread died (panicked) mid-run.
-    finished: Cell<bool>,
     /// Number of [`ThreadCtx::plan_wb`] calls issued so far — the call
     /// *site* index plan overrides are keyed by.
     wb_sites: Cell<usize>,
@@ -174,17 +174,18 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    pub(crate) fn new(tid: usize, engine: Arc<Engine>, shared: Arc<RtShared>) -> ThreadCtx {
+    pub(crate) fn new(tid: usize, engine: Rc<Engine>) -> ThreadCtx {
         ThreadCtx {
             tid,
             engine,
-            shared,
             pending_compute: Cell::new(0),
-            batch: RefCell::new(Vec::new()),
-            finished: Cell::new(false),
             wb_sites: Cell::new(0),
             inv_sites: Cell::new(0),
         }
+    }
+
+    fn shared(&self) -> &RtShared {
+        &self.engine.shared
     }
 
     /// This thread's id (= its core id; one-to-one mapping, no migration).
@@ -194,64 +195,25 @@ impl ThreadCtx {
 
     /// Total number of threads in the run.
     pub fn nthreads(&self) -> usize {
-        self.shared.nthreads
+        self.shared().nthreads
     }
 
     /// The active configuration.
     pub fn config(&self) -> Config {
-        self.shared.config
+        self.shared().config
     }
 
     fn coherent(&self) -> bool {
-        self.shared.config.is_coherent()
-    }
-
-    /// Batch capacity of the active engine (0 = send every op on its
-    /// own).
-    fn batch_cap(&self) -> usize {
-        self.shared.scheduler.batch_cap()
-    }
-
-    /// Turn accumulated [`ThreadCtx::tick`] cycles into a `Compute` op.
-    fn flush_compute(&self) {
-        let pending = self.pending_compute.replace(0);
-        if pending > 0 {
-            self.dispatch(Op::Compute(pending));
-        }
-    }
-
-    /// Ship the coalesced batch (if any) as one message. Batch members
-    /// return no values, so the thread does not wait for a reply.
-    fn flush_batch(&self) {
-        let mut ops = self.batch.borrow_mut();
-        if !ops.is_empty() {
-            self.engine.post(self.tid, &mut ops);
-        }
-    }
-
-    /// Route one op to the engine: coalesce it if it is
-    /// batchable, otherwise submit it on its own and drive the engine
-    /// until its reply is produced.
-    fn dispatch(&self, op: Op) -> Option<Word> {
-        let cap = self.batch_cap();
-        if cap > 0 && op.is_batchable() {
-            let mut batch = self.batch.borrow_mut();
-            batch.push(op);
-            if batch.len() >= cap {
-                drop(batch);
-                self.flush_batch();
-            }
-            None
-        } else {
-            self.flush_batch();
-            self.engine.call(self.tid, op)
-        }
+        self.shared().config.is_coherent()
     }
 
     /// Issue one op in program order (preceded by any deferred compute).
-    fn issue(&self, op: Op) -> Option<Word> {
-        self.flush_compute();
-        self.dispatch(op)
+    async fn issue(&self, op: Op) -> Option<Word> {
+        let pending = self.pending_compute.replace(0);
+        if pending > 0 {
+            self.engine.exec(self.tid, Op::Compute(pending)).await;
+        }
+        self.engine.exec(self.tid, op).await
     }
 
     /// Accumulate `cycles` of modeled computation cheaply; merged into a
@@ -267,58 +229,60 @@ impl ThreadCtx {
     // ------------------------------------------------------------------
 
     /// Load a word.
-    pub fn load(&self, w: WordAddr) -> Word {
-        self.issue(Op::Load(w)).expect("load returns a value")
+    pub async fn load(&self, w: WordAddr) -> Word {
+        self.issue(Op::Load(w)).await.expect("load returns a value")
     }
 
     /// Store a word.
-    pub fn store(&self, w: WordAddr, v: Word) {
-        self.issue(Op::Store(w, v));
+    pub async fn store(&self, w: WordAddr, v: Word) {
+        self.issue(Op::Store(w, v)).await;
     }
 
     /// Load element `i` of a region.
-    pub fn read(&self, r: Region, i: u64) -> Word {
-        self.load(r.at(i))
+    pub async fn read(&self, r: Region, i: u64) -> Word {
+        self.load(r.at(i)).await
     }
 
     /// Store element `i` of a region.
-    pub fn write(&self, r: Region, i: u64, v: Word) {
-        self.store(r.at(i), v)
+    pub async fn write(&self, r: Region, i: u64, v: Word) {
+        self.store(r.at(i), v).await
     }
 
     /// Load element `i` of a region as `f32`.
-    pub fn read_f32(&self, r: Region, i: u64) -> f32 {
-        word_to_f32(self.read(r, i))
+    pub async fn read_f32(&self, r: Region, i: u64) -> f32 {
+        word_to_f32(self.read(r, i).await)
     }
 
     /// Store element `i` of a region as `f32`.
-    pub fn write_f32(&self, r: Region, i: u64, v: f32) {
-        self.write(r, i, f32_to_word(v))
+    pub async fn write_f32(&self, r: Region, i: u64, v: f32) {
+        self.write(r, i, f32_to_word(v)).await
     }
 
     /// Uncacheable load: served by the shared cache level, never
     /// allocated in the L1 (used by the MPI library, §IV).
-    pub fn load_unc(&self, w: WordAddr) -> Word {
-        self.issue(Op::LoadUnc(w)).expect("load returns a value")
+    pub async fn load_unc(&self, w: WordAddr) -> Word {
+        self.issue(Op::LoadUnc(w))
+            .await
+            .expect("load returns a value")
     }
 
     /// Uncacheable store (see [`ThreadCtx::load_unc`]).
-    pub fn store_unc(&self, w: WordAddr, v: Word) {
-        self.issue(Op::StoreUnc(w, v));
+    pub async fn store_unc(&self, w: WordAddr, v: Word) {
+        self.issue(Op::StoreUnc(w, v)).await;
     }
 
     /// Model `cycles` of pure computation.
-    pub fn compute(&self, cycles: u64) {
+    pub async fn compute(&self, cycles: u64) {
         if cycles > 0 {
-            self.issue(Op::Compute(cycles));
+            self.issue(Op::Compute(cycles)).await;
         }
     }
 
     /// Issue a raw coherence-management instruction (escape hatch for
     /// programmer-refined annotations; no-op under HCC).
-    pub fn coh(&self, instr: CohInstr) {
+    pub async fn coh(&self, instr: CohInstr) {
         if !self.coherent() {
-            self.issue(Op::Coh(instr));
+            self.issue(Op::Coh(instr)).await;
         }
     }
 
@@ -328,26 +292,26 @@ impl ThreadCtx {
 
     /// Store that must become globally visible despite racing (the write
     /// side of Figure 6b): store + per-word WB.
-    pub fn racy_store(&self, w: WordAddr, v: Word) {
-        if self.shared.checking {
-            self.issue(Op::MarkRacy(w));
+    pub async fn racy_store(&self, w: WordAddr, v: Word) {
+        if self.shared().checking {
+            self.issue(Op::MarkRacy(w)).await;
         }
-        self.store(w, v);
+        self.store(w, v).await;
         if !self.coherent() {
-            self.issue(Op::Coh(CohInstr::wb(Target::word(w))));
+            self.issue(Op::Coh(CohInstr::wb(Target::word(w)))).await;
         }
     }
 
     /// Load that must observe remote updates despite racing (the read side
     /// of Figure 6b): per-word INV + load.
-    pub fn racy_load(&self, w: WordAddr) -> Word {
-        if self.shared.checking {
-            self.issue(Op::MarkRacy(w));
+    pub async fn racy_load(&self, w: WordAddr) -> Word {
+        if self.shared().checking {
+            self.issue(Op::MarkRacy(w)).await;
         }
         if !self.coherent() {
-            self.issue(Op::Coh(CohInstr::inv(Target::word(w))));
+            self.issue(Op::Coh(CohInstr::inv(Target::word(w)))).await;
         }
-        self.load(w)
+        self.load(w).await
     }
 
     // ------------------------------------------------------------------
@@ -362,12 +326,12 @@ impl ThreadCtx {
     /// (§IV-A1); both operate globally (to L3 / from L2) on the
     /// inter-block machine. Coherent (HCC) runs ignore the options:
     /// hardware moves the data.
-    pub fn barrier_with(&self, b: BarrierId, opts: BarrierOpts<'_>) {
+    pub async fn barrier_with(&self, b: BarrierId, opts: BarrierOpts<'_>) {
         if self.coherent() {
-            self.issue(Op::BarrierArrive(b.0));
+            self.issue(Op::BarrierArrive(b.0)).await;
             return;
         }
-        let inter = matches!(self.shared.config.scheme(), Scheme::Inter(_));
+        let inter = matches!(self.shared().config.scheme(), Scheme::Inter(_));
         match opts.wb {
             SyncData::All => {
                 // All incoherent inter configs communicate cross-block at
@@ -377,7 +341,8 @@ impl ThreadCtx {
                     CohInstr::wb_l3(Target::All)
                 } else {
                     CohInstr::wb_all()
-                }));
+                }))
+                .await;
             }
             SyncData::None => {}
             SyncData::Regions(regions) => {
@@ -387,18 +352,20 @@ impl ThreadCtx {
                         CohInstr::wb_l3(t)
                     } else {
                         CohInstr::wb(t)
-                    }));
+                    }))
+                    .await;
                 }
             }
         }
-        self.issue(Op::BarrierArrive(b.0));
+        self.issue(Op::BarrierArrive(b.0)).await;
         match opts.inv {
             SyncData::All => {
                 self.issue(Op::Coh(if inter {
                     CohInstr::inv_l2(Target::All)
                 } else {
                     CohInstr::inv_all()
-                }));
+                }))
+                .await;
             }
             SyncData::None => {}
             SyncData::Regions(regions) => {
@@ -408,7 +375,8 @@ impl ThreadCtx {
                         CohInstr::inv_l2(t)
                     } else {
                         CohInstr::inv(t)
-                    }));
+                    }))
+                    .await;
                 }
             }
         }
@@ -417,45 +385,45 @@ impl ThreadCtx {
     /// Global barrier with the default annotations: `WB ALL` immediately
     /// before, `INV ALL` immediately after (§IV-A1). Sugar for
     /// [`ThreadCtx::barrier_with`] with [`BarrierOpts::all`].
-    pub fn barrier(&self, b: BarrierId) {
-        self.barrier_with(b, BarrierOpts::all());
+    pub async fn barrier(&self, b: BarrierId) {
+        self.barrier_with(b, BarrierOpts::all()).await;
     }
 
     /// Acquire a lock, inserting the critical-section annotations of the
     /// active configuration.
-    pub fn lock(&self, l: LockId) {
-        let info = self.shared.locks[l.0];
+    pub async fn lock(&self, l: LockId) {
+        let info = self.shared().locks[l.0];
         if self.coherent() {
             // HCC and Dragon: hardware moves the data.
-            self.issue(Op::LockAcquire(info.id));
+            self.issue(Op::LockAcquire(info.id)).await;
             return;
         }
-        match self.shared.config.scheme() {
+        match self.shared().config.scheme() {
             Scheme::Intra(cfg) => {
                 if info.occ {
                     // Post everything written since the last full WB so
                     // consumers of outside-critical-section data see it.
-                    self.issue(Op::Coh(CohInstr::wb_all()));
+                    self.issue(Op::Coh(CohInstr::wb_all())).await;
                 }
                 if cfg.uses_ieb() {
                     // Lazy invalidation: first reads inside the critical
                     // section refresh on demand.
-                    self.issue(Op::IebBegin);
+                    self.issue(Op::IebBegin).await;
                 } else {
                     // INV placed immediately *before* the acquire to keep
                     // the critical section short (§IV-A1).
-                    self.issue(Op::Coh(CohInstr::inv_all()));
+                    self.issue(Op::Coh(CohInstr::inv_all())).await;
                 }
-                self.issue(Op::LockAcquire(info.id));
+                self.issue(Op::LockAcquire(info.id)).await;
                 if cfg.uses_meb() {
-                    self.issue(Op::MebBegin);
+                    self.issue(Op::MebBegin).await;
                 }
             }
             Scheme::Inter(_) => {
                 if info.occ {
-                    self.issue(Op::Coh(CohInstr::wb_l3(Target::All)));
+                    self.issue(Op::Coh(CohInstr::wb_l3(Target::All))).await;
                 }
-                self.issue(Op::LockAcquire(info.id));
+                self.issue(Op::LockAcquire(info.id)).await;
                 // Unlike the intra-block case, the INV must come *after*
                 // the acquire: INV_L2 drops lines from the *shared* L2,
                 // and same-block peers can legitimately re-fill it with
@@ -463,38 +431,38 @@ impl ThreadCtx {
                 // the lock queue. The paper's "INV immediately before the
                 // acquire" optimization (§IV-A1) relies on the invalidated
                 // cache being private, which only holds for the L1.
-                self.issue(Op::Coh(CohInstr::inv_l2(Target::All)));
+                self.issue(Op::Coh(CohInstr::inv_l2(Target::All))).await;
             }
         }
     }
 
     /// Release a lock, inserting the exit annotations.
-    pub fn unlock(&self, l: LockId) {
-        let info = self.shared.locks[l.0];
+    pub async fn unlock(&self, l: LockId) {
+        let info = self.shared().locks[l.0];
         if self.coherent() {
-            self.issue(Op::LockRelease(info.id));
+            self.issue(Op::LockRelease(info.id)).await;
             return;
         }
-        match self.shared.config.scheme() {
+        match self.shared().config.scheme() {
             Scheme::Intra(cfg) => {
                 if cfg.uses_ieb() {
-                    self.issue(Op::IebEnd);
+                    self.issue(Op::IebEnd).await;
                 }
                 // Post the critical section's writes (served by the MEB
                 // under B+M, since recording started at the acquire).
-                self.issue(Op::Coh(CohInstr::wb_all()));
-                self.issue(Op::LockRelease(info.id));
+                self.issue(Op::Coh(CohInstr::wb_all())).await;
+                self.issue(Op::LockRelease(info.id)).await;
                 if info.occ {
                     // Prepare to consume data produced outside earlier
                     // holders' critical sections.
-                    self.issue(Op::Coh(CohInstr::inv_all()));
+                    self.issue(Op::Coh(CohInstr::inv_all())).await;
                 }
             }
             Scheme::Inter(_) => {
-                self.issue(Op::Coh(CohInstr::wb_l3(Target::All)));
-                self.issue(Op::LockRelease(info.id));
+                self.issue(Op::Coh(CohInstr::wb_l3(Target::All))).await;
+                self.issue(Op::LockRelease(info.id)).await;
                 if info.occ {
-                    self.issue(Op::Coh(CohInstr::inv_l2(Target::All)));
+                    self.issue(Op::Coh(CohInstr::inv_l2(Target::All))).await;
                 }
             }
         }
@@ -504,46 +472,46 @@ impl ThreadCtx {
     /// annotated and raw variants. With `raw: false`, a `WB ALL` issues
     /// first so the waiter sees everything written before the set
     /// (§IV-A1, Figure 4c); with `raw: true` the set only orders.
-    pub fn flag_set_opts(&self, f: FlagId, opts: FlagOpts) {
+    pub async fn flag_set_opts(&self, f: FlagId, opts: FlagOpts) {
         if !opts.raw && !self.coherent() {
-            let instr = match self.shared.config.scheme() {
+            let instr = match self.shared().config.scheme() {
                 Scheme::Inter(_) => CohInstr::wb_l3(Target::All),
                 _ => CohInstr::wb_all(),
             };
-            self.issue(Op::Coh(instr));
+            self.issue(Op::Coh(instr)).await;
         }
-        self.issue(Op::FlagSet(f.0));
+        self.issue(Op::FlagSet(f.0)).await;
     }
 
     /// Wait for a condition flag. With `raw: false`, an `INV ALL` issues
     /// after the wait completes so subsequent reads see the producer's
     /// data; with `raw: true` the wait only orders.
-    pub fn flag_wait_opts(&self, f: FlagId, opts: FlagOpts) {
-        self.issue(Op::FlagWait(f.0));
+    pub async fn flag_wait_opts(&self, f: FlagId, opts: FlagOpts) {
+        self.issue(Op::FlagWait(f.0)).await;
         if !opts.raw && !self.coherent() {
-            let instr = match self.shared.config.scheme() {
+            let instr = match self.shared().config.scheme() {
                 Scheme::Inter(_) => CohInstr::inv_l2(Target::All),
                 _ => CohInstr::inv_all(),
             };
-            self.issue(Op::Coh(instr));
+            self.issue(Op::Coh(instr)).await;
         }
     }
 
     /// Set a condition flag with the default annotations. Sugar for
     /// [`ThreadCtx::flag_set_opts`] with [`FlagOpts::annotated`].
-    pub fn flag_set(&self, f: FlagId) {
-        self.flag_set_opts(f, FlagOpts::annotated());
+    pub async fn flag_set(&self, f: FlagId) {
+        self.flag_set_opts(f, FlagOpts::annotated()).await;
     }
 
     /// Wait for a condition flag with the default annotations. Sugar for
     /// [`ThreadCtx::flag_wait_opts`] with [`FlagOpts::annotated`].
-    pub fn flag_wait(&self, f: FlagId) {
-        self.flag_wait_opts(f, FlagOpts::annotated());
+    pub async fn flag_wait(&self, f: FlagId) {
+        self.flag_wait_opts(f, FlagOpts::annotated()).await;
     }
 
     /// Clear a condition flag (no data movement implied).
-    pub fn flag_clear(&self, f: FlagId) {
-        self.issue(Op::FlagClear(f.0));
+    pub async fn flag_clear(&self, f: FlagId) {
+        self.issue(Op::FlagClear(f.0)).await;
     }
 
     // ------------------------------------------------------------------
@@ -554,27 +522,28 @@ impl ThreadCtx {
     /// a producing epoch, before the synchronization). When the builder
     /// installed [`PlanOverrides`], the override for this call site (if
     /// any) is issued instead of `plan`.
-    pub fn plan_wb(&self, plan: &EpochPlan) {
+    pub async fn plan_wb(&self, plan: &EpochPlan) {
         let site = self.wb_sites.get();
         self.wb_sites.set(site + 1);
-        let plan = match &self.shared.overrides {
+        let plan = match &self.shared().overrides {
             Some(o) => o.wb_at(self.tid, site).unwrap_or(plan),
             None => plan,
         };
-        self.plan_wb_ops(plan);
+        self.plan_wb_ops(plan).await;
     }
 
-    fn plan_wb_ops(&self, plan: &EpochPlan) {
+    async fn plan_wb_ops(&self, plan: &EpochPlan) {
         if self.coherent() {
             return;
         }
-        match self.shared.config.scheme() {
+        match self.shared().config.scheme() {
             Scheme::Inter(InterConfig::Base) => {
-                self.issue(Op::Coh(CohInstr::wb_l3(Target::All)));
+                self.issue(Op::Coh(CohInstr::wb_l3(Target::All))).await;
             }
             Scheme::Inter(InterConfig::Addr) => {
                 for op in &plan.wb {
-                    self.issue(Op::Coh(CohInstr::wb_l3(Target::range(op.region))));
+                    self.issue(Op::Coh(CohInstr::wb_l3(Target::range(op.region))))
+                        .await;
                 }
             }
             Scheme::Inter(InterConfig::AddrL) => {
@@ -584,14 +553,15 @@ impl ThreadCtx {
                         Some(peer) => CohInstr::wb_cons(t, peer),
                         None => CohInstr::wb_l3(t),
                     };
-                    self.issue(Op::Coh(instr));
+                    self.issue(Op::Coh(instr)).await;
                 }
             }
             _ => {
                 // Model-2 programs can also run on the single-block
                 // machine; everything is local there.
                 for op in &plan.wb {
-                    self.issue(Op::Coh(CohInstr::wb(Target::range(op.region))));
+                    self.issue(Op::Coh(CohInstr::wb(Target::range(op.region))))
+                        .await;
                 }
             }
         }
@@ -600,27 +570,28 @@ impl ThreadCtx {
     /// Execute the invalidation half of an epoch plan (call at the *start*
     /// of a consuming epoch, after the synchronization). Subject to
     /// [`PlanOverrides`] like [`ThreadCtx::plan_wb`].
-    pub fn plan_inv(&self, plan: &EpochPlan) {
+    pub async fn plan_inv(&self, plan: &EpochPlan) {
         let site = self.inv_sites.get();
         self.inv_sites.set(site + 1);
-        let plan = match &self.shared.overrides {
+        let plan = match &self.shared().overrides {
             Some(o) => o.inv_at(self.tid, site).unwrap_or(plan),
             None => plan,
         };
-        self.plan_inv_ops(plan);
+        self.plan_inv_ops(plan).await;
     }
 
-    fn plan_inv_ops(&self, plan: &EpochPlan) {
+    async fn plan_inv_ops(&self, plan: &EpochPlan) {
         if self.coherent() {
             return;
         }
-        match self.shared.config.scheme() {
+        match self.shared().config.scheme() {
             Scheme::Inter(InterConfig::Base) => {
-                self.issue(Op::Coh(CohInstr::inv_l2(Target::All)));
+                self.issue(Op::Coh(CohInstr::inv_l2(Target::All))).await;
             }
             Scheme::Inter(InterConfig::Addr) => {
                 for op in &plan.inv {
-                    self.issue(Op::Coh(CohInstr::inv_l2(Target::range(op.region))));
+                    self.issue(Op::Coh(CohInstr::inv_l2(Target::range(op.region))))
+                        .await;
                 }
             }
             Scheme::Inter(InterConfig::AddrL) => {
@@ -630,12 +601,13 @@ impl ThreadCtx {
                         Some(peer) => CohInstr::inv_prod(t, peer),
                         None => CohInstr::inv_l2(t),
                     };
-                    self.issue(Op::Coh(instr));
+                    self.issue(Op::Coh(instr)).await;
                 }
             }
             _ => {
                 for op in &plan.inv {
-                    self.issue(Op::Coh(CohInstr::inv(Target::range(op.region))));
+                    self.issue(Op::Coh(CohInstr::inv(Target::range(op.region))))
+                        .await;
                 }
             }
         }
@@ -643,16 +615,16 @@ impl ThreadCtx {
 
     /// An inter-block barrier *without* implicit global data movement:
     /// model-2 programs move data via plans, the barrier only orders.
-    pub fn plan_barrier(&self, b: BarrierId) {
-        self.barrier_with(b, BarrierOpts::none());
+    pub async fn plan_barrier(&self, b: BarrierId) {
+        self.barrier_with(b, BarrierOpts::none()).await;
     }
 
     /// Convenience: full model-2 epoch boundary — the producing side of
     /// `plan`, the barrier, then the consuming side.
-    pub fn epoch_boundary(&self, b: BarrierId, plan: &EpochPlan) {
-        self.plan_wb(plan);
-        self.plan_barrier(b);
-        self.plan_inv(plan);
+    pub async fn epoch_boundary(&self, b: BarrierId, plan: &EpochPlan) {
+        self.plan_wb(plan).await;
+        self.plan_barrier(b).await;
+        self.plan_inv(plan).await;
     }
 
     /// Peer thread id helper.
@@ -660,25 +632,7 @@ impl ThreadCtx {
         ThreadId(t)
     }
 
-    pub(crate) fn finish(&self) {
-        self.flush_compute();
-        self.flush_batch();
-        // No reply for Finish; the last finisher's drive drains every
-        // queue.
-        self.engine.finish(self.tid);
-        self.finished.set(true);
-    }
-}
-
-impl Drop for ThreadCtx {
-    fn drop(&mut self) {
-        if !self.finished.get() {
-            // The app thread is unwinding mid-run (assertion failure in
-            // app code, machine panic, ...). Wake every blocked sibling
-            // so the run tears down instead of hanging.
-            self.engine.mark_dead(RunError::ThreadDied {
-                detail: "app thread died mid-run".to_string(),
-            });
-        }
+    pub(crate) async fn finish(&self) {
+        self.issue(Op::Finish).await;
     }
 }

@@ -1,23 +1,21 @@
 //! Programming-model runtimes for the hardware-incoherent machine.
 //!
 //! This crate provides what the paper's §IV and §V call the "programming
-//! approaches": applications are ordinary Rust closures running on real OS
-//! threads, but every memory access and synchronization goes through a
-//! [`ThreadCtx`] into the simulated machine. The runtime inserts the WB /
-//! INV instructions around synchronization operations according to the
-//! configuration under evaluation (Table II):
+//! approaches": applications are ordinary Rust async closures, one task
+//! per simulated thread, and every memory access and synchronization
+//! goes through a [`ThreadCtx`] into the simulated machine. The runtime
+//! inserts the WB / INV instructions around synchronization operations
+//! according to the configuration under evaluation (Table II):
 //!
 //! * intra-block: `Base`, `B+M`, `B+I`, `B+M+I`, `HCC`;
 //! * inter-block: `Base`, `Addr`, `Addr+L`, `HCC`.
 //!
-//! Execution is deterministic: the engine (in [`engine`]) processes the
-//! pending operation of the runnable core with the smallest local time, so
-//! all machine transitions happen in global simulated-time order
-//! (conservative execution-driven simulation; DESIGN.md §2). Core-private
-//! ops (L1 hits, computes, epoch markers) retire in the issuing thread
-//! when the machine allows it, and [`Scheduler::Linear`] keeps a
-//! one-op-per-message reference engine — both produce bit-identical
-//! simulated results.
+//! Execution is deterministic: the engine (in [`engine`]) runs every
+//! task on one single-threaded executor and executes the next op of the
+//! core with the smallest local time first, so all machine transitions
+//! happen in global simulated-time order (conservative execution-driven
+//! simulation; DESIGN.md §2). [`Scheduler::Linear`] keeps a linear-scan
+//! reference picker — both produce bit-identical simulated results.
 
 pub mod builder;
 pub mod config;

@@ -32,7 +32,7 @@ struct Mailbox {
 
 /// Communicator handles for an `n`-rank message-passing program.
 ///
-/// Build with [`MpiWorld::new`] *before* `ProgramBuilder::run`, then move
+/// Build with [`MpiWorld::new`] *before* `ProgramBuilder::run_tasks`, then move
 /// (it is `Copy`-free but cheap to clone) into the thread closure.
 #[derive(Debug, Clone)]
 pub struct MpiWorld {
@@ -88,48 +88,48 @@ impl MpiWorld {
     /// Spin (uncacheably — each poll is a shared-cache round trip, which
     /// is why real machines queue these requests in the controller) until
     /// the status word passes `pred`; returns its value.
-    fn wait_status(ctx: &ThreadCtx, status: Region, pred: impl Fn(Word) -> bool) -> Word {
+    async fn wait_status(ctx: &ThreadCtx, status: Region, pred: impl Fn(Word) -> bool) -> Word {
         loop {
-            let v = ctx.load_unc(status.at(0));
+            let v = ctx.load_unc(status.at(0)).await;
             if pred(v) {
                 return v;
             }
             // Back off a little between polls.
-            ctx.compute(20);
+            ctx.compute(20).await;
         }
     }
 
     /// Blocking send: chunks `data` through the (src=me, dst) mailbox.
-    pub fn send(&self, ctx: &ThreadCtx, dst: usize, data: &[Word]) {
+    pub async fn send(&self, ctx: &ThreadCtx, dst: usize, data: &[Word]) {
         let me = ctx.tid();
         assert_ne!(me, dst, "send to self");
         let mb = self.mailbox(me, dst);
         for chunk in data.chunks(self.capacity as usize) {
             // Wait until the receiver drained the previous chunk.
-            Self::wait_status(ctx, mb.status, |v| v == EMPTY);
+            Self::wait_status(ctx, mb.status, |v| v == EMPTY).await;
             for (i, w) in chunk.iter().enumerate() {
-                ctx.store_unc(mb.payload.at(i as u64), *w);
+                ctx.store_unc(mb.payload.at(i as u64), *w).await;
             }
-            ctx.store_unc(mb.status.at(0), chunk.len() as Word);
+            ctx.store_unc(mb.status.at(0), chunk.len() as Word).await;
         }
     }
 
     /// Blocking receive of exactly `len` words from `src`.
-    pub fn recv(&self, ctx: &ThreadCtx, src: usize, len: usize) -> Vec<Word> {
+    pub async fn recv(&self, ctx: &ThreadCtx, src: usize, len: usize) -> Vec<Word> {
         let me = ctx.tid();
         assert_ne!(me, src, "recv from self");
         let mb = self.mailbox(src, me);
         let mut out = Vec::with_capacity(len);
         while out.len() < len {
-            let n = Self::wait_status(ctx, mb.status, |v| v != EMPTY) as usize;
+            let n = Self::wait_status(ctx, mb.status, |v| v != EMPTY).await as usize;
             assert!(
                 out.len() + n <= len,
                 "protocol error: sender sent more than the receiver expects"
             );
             for i in 0..n {
-                out.push(ctx.load_unc(mb.payload.at(i as u64)));
+                out.push(ctx.load_unc(mb.payload.at(i as u64)).await);
             }
-            ctx.store_unc(mb.status.at(0), EMPTY);
+            ctx.store_unc(mb.status.at(0), EMPTY).await;
         }
         out
     }
@@ -137,7 +137,7 @@ impl MpiWorld {
     /// Broadcast from `root`: a single write, every receiver reads the
     /// same uncacheable location (§IV: "there is no need to make multiple
     /// copies"). Message must fit the mailbox capacity.
-    pub fn bcast(&self, ctx: &ThreadCtx, root: usize, data: &mut Vec<Word>) {
+    pub async fn bcast(&self, ctx: &ThreadCtx, root: usize, data: &mut Vec<Word>) {
         assert!(
             data.len() as u64 <= self.capacity,
             "bcast exceeds mailbox capacity"
@@ -145,45 +145,45 @@ impl MpiWorld {
         let mb = self.bcast[root];
         if ctx.tid() == root {
             for (i, w) in data.iter().enumerate() {
-                ctx.store_unc(mb.payload.at(i as u64), *w);
+                ctx.store_unc(mb.payload.at(i as u64), *w).await;
             }
-            ctx.store_unc(mb.status.at(0), data.len() as Word);
+            ctx.store_unc(mb.status.at(0), data.len() as Word).await;
         }
         // Everyone synchronizes, then readers pull from the single copy.
-        ctx.plan_barrier(self.bar);
+        ctx.plan_barrier(self.bar).await;
         if ctx.tid() != root {
-            let n = ctx.load_unc(mb.status.at(0)) as usize;
+            let n = ctx.load_unc(mb.status.at(0)).await as usize;
             data.clear();
             for i in 0..n {
-                data.push(ctx.load_unc(mb.payload.at(i as u64)));
+                data.push(ctx.load_unc(mb.payload.at(i as u64)).await);
             }
         }
         // Leave the buffer reusable.
-        ctx.plan_barrier(self.bar);
+        ctx.plan_barrier(self.bar).await;
         if ctx.tid() == root {
-            ctx.store_unc(mb.status.at(0), EMPTY);
+            ctx.store_unc(mb.status.at(0), EMPTY).await;
         }
     }
 
     /// Sum-reduce one word to `root` (gather through the mailboxes).
-    pub fn reduce_sum(&self, ctx: &ThreadCtx, root: usize, value: Word) -> Option<Word> {
+    pub async fn reduce_sum(&self, ctx: &ThreadCtx, root: usize, value: Word) -> Option<Word> {
         if ctx.tid() == root {
             let mut acc = value;
             for src in 0..self.ranks {
                 if src != root {
-                    acc = acc.wrapping_add(self.recv(ctx, src, 1)[0]);
+                    acc = acc.wrapping_add(self.recv(ctx, src, 1).await[0]);
                 }
             }
             Some(acc)
         } else {
-            self.send(ctx, root, &[value]);
+            self.send(ctx, root, &[value]).await;
             None
         }
     }
 
     /// Barrier over all ranks.
-    pub fn barrier(&self, ctx: &ThreadCtx) {
-        ctx.plan_barrier(self.bar);
+    pub async fn barrier(&self, ctx: &ThreadCtx) {
+        ctx.plan_barrier(self.bar).await;
     }
 }
 
@@ -206,15 +206,15 @@ mod tests {
         for cfg in worlds() {
             let mut p = ProgramBuilder::new(cfg);
             let world = MpiWorld::new(&mut p, 2, 8);
-            let out = p.run(2, move |ctx| {
+            let out = p.run_tasks(2, async move |ctx| {
                 if ctx.tid() == 0 {
-                    world.send(ctx, 1, &[10, 20, 30]);
-                    let back = world.recv(ctx, 1, 3);
+                    world.send(ctx, 1, &[10, 20, 30]).await;
+                    let back = world.recv(ctx, 1, 3).await;
                     assert_eq!(back, vec![11, 21, 31], "under {}", cfg.name());
                 } else {
-                    let got = world.recv(ctx, 0, 3);
+                    let got = world.recv(ctx, 0, 3).await;
                     let reply: Vec<Word> = got.iter().map(|w| w + 1).collect();
-                    world.send(ctx, 0, &reply);
+                    world.send(ctx, 0, &reply).await;
                 }
             });
             assert!(out.stats().total_cycles > 0);
@@ -227,11 +227,11 @@ mod tests {
         let world = MpiWorld::new(&mut p, 2, 4); // tiny mailbox: forces chunking
         let msg: Vec<Word> = (0..23).collect();
         let want = msg.clone();
-        let out = p.run(2, move |ctx| {
+        let out = p.run_tasks(2, async move |ctx| {
             if ctx.tid() == 0 {
-                world.send(ctx, 1, &msg);
+                world.send(ctx, 1, &msg).await;
             } else {
-                assert_eq!(world.recv(ctx, 0, 23), want);
+                assert_eq!(world.recv(ctx, 0, 23).await, want);
             }
         });
         assert!(out.stats().total_cycles > 0);
@@ -245,13 +245,13 @@ mod tests {
         ] {
             let mut p = ProgramBuilder::new(cfg);
             let world = MpiWorld::new(&mut p, 8, 16);
-            let out = p.run(8, move |ctx| {
+            let out = p.run_tasks(8, async move |ctx| {
                 let mut data = if ctx.tid() == 3 {
                     vec![7, 8, 9]
                 } else {
                     Vec::new()
                 };
-                world.bcast(ctx, 3, &mut data);
+                world.bcast(ctx, 3, &mut data).await;
                 assert_eq!(
                     data,
                     vec![7, 8, 9],
@@ -270,8 +270,8 @@ mod tests {
         let world = MpiWorld::new(&mut p, 8, 4);
         let total = std::sync::atomic::AtomicU32::new(0);
         let totr = &total;
-        p.run(8, move |ctx| {
-            if let Some(sum) = world.reduce_sum(ctx, 0, ctx.tid() as Word + 1) {
+        p.run_tasks(8, async move |ctx| {
+            if let Some(sum) = world.reduce_sum(ctx, 0, ctx.tid() as Word + 1).await {
                 totr.store(sum, std::sync::atomic::Ordering::Relaxed);
             }
         });
@@ -282,19 +282,19 @@ mod tests {
     fn many_messages_reuse_mailboxes() {
         let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::BMI));
         let world = MpiWorld::new(&mut p, 4, 4);
-        let out = p.run(4, move |ctx| {
+        let out = p.run_tasks(4, async move |ctx| {
             // Ring: each rank sends 5 numbered messages to the next rank.
             let next = (ctx.tid() + 1) % 4;
             let prev = (ctx.tid() + 3) % 4;
             for k in 0..5u32 {
                 if ctx.tid() % 2 == 0 {
-                    world.send(ctx, next, &[ctx.tid() as Word * 100 + k]);
-                    let got = world.recv(ctx, prev, 1);
+                    world.send(ctx, next, &[ctx.tid() as Word * 100 + k]).await;
+                    let got = world.recv(ctx, prev, 1).await;
                     assert_eq!(got[0], prev as Word * 100 + k);
                 } else {
-                    let got = world.recv(ctx, prev, 1);
+                    let got = world.recv(ctx, prev, 1).await;
                     assert_eq!(got[0], prev as Word * 100 + k);
-                    world.send(ctx, next, &[ctx.tid() as Word * 100 + k]);
+                    world.send(ctx, next, &[ctx.tid() as Word * 100 + k]).await;
                 }
             }
         });

@@ -65,8 +65,8 @@ pub struct JobOutcome {
     /// Host wall-clock the worker spent on the run.
     pub wall: Duration,
     /// How many times the worker ran the job (1 = first try stuck).
-    /// Only nondeterministic failures (hang, thread death, panic) are
-    /// retried; deterministic outcomes never re-run.
+    /// Only nondeterministic failures (hang, panic) are retried;
+    /// deterministic outcomes never re-run.
     pub attempts: u32,
     /// Total host milliseconds the worker slept backing off between
     /// attempts (0 when `attempts == 1`).
@@ -124,14 +124,11 @@ impl JobOutcome {
     }
 
     /// Deterministic outcomes are safe to re-serve from the cache: the
-    /// result is a pure function of the request. Nondeterministic
-    /// failures — watchdog kills and host-thread deaths, both functions
-    /// of host timing — must re-run on resubmission, as must panics.
+    /// result is a pure function of the request. Watchdog kills are a
+    /// function of host timing and must re-run on resubmission, as must
+    /// panics.
     pub fn cacheable(&self) -> bool {
-        !matches!(
-            self.error.as_deref(),
-            Some("hang") | Some("thread_died") | Some("panic")
-        )
+        !matches!(self.error.as_deref(), Some("hang") | Some("panic"))
     }
 
     /// Render as the wire/report JSON object.

@@ -14,12 +14,11 @@
 //!    the outcome. Failures are *per job*: a poisoned run completes
 //!    with its typed `RunError` tag and the server keeps serving.
 //! 4. Deterministic outcomes enter the cache; nondeterministic failures
-//!    (watchdog kills, host-thread deaths, panics) do not, so a
-//!    resubmission re-runs them. Before publishing such a failure the
-//!    worker retries it in place — up to `MAX_ATTEMPTS` runs with
-//!    exponentially growing backoff sleeps — since a re-run under
-//!    kinder host timing may succeed; the outcome records the attempt
-//!    count and total backoff.
+//!    (watchdog kills, panics) do not, so a resubmission re-runs them.
+//!    Before publishing such a failure the worker retries it in place —
+//!    up to `MAX_ATTEMPTS` runs with exponentially growing backoff
+//!    sleeps — since a re-run under kinder host timing may succeed; the
+//!    outcome records the attempt count and total backoff.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -294,13 +293,13 @@ const MAX_ATTEMPTS: u32 = 3;
 /// First inter-attempt backoff sleep; doubles per retry (10, 20 ms).
 const BACKOFF_BASE_MS: u64 = 10;
 
-/// Run a job, retrying nondeterministic failures. Watchdog kills,
-/// host-thread deaths, and panics are functions of host timing, so a
-/// re-run may succeed; each retry waits exponentially longer to let a
-/// transiently overloaded host drain. Deterministic outcomes —
-/// successes and typed errors that are pure functions of the request —
-/// return after the first attempt, and the final outcome records how
-/// many attempts it took and the total backoff slept.
+/// Run a job, retrying nondeterministic failures. Watchdog kills and
+/// panics are functions of host timing, so a re-run may succeed; each
+/// retry waits exponentially longer to let a transiently overloaded
+/// host drain. Deterministic outcomes — successes and typed errors that
+/// are pure functions of the request — return after the first attempt,
+/// and the final outcome records how many attempts it took and the
+/// total backoff slept.
 fn run_with_retry(request: &RunRequest, default_watchdog_ms: Option<u64>) -> JobOutcome {
     let mut backoff_ms = 0u64;
     for attempt in 1..=MAX_ATTEMPTS {

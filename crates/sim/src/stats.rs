@@ -122,31 +122,32 @@ impl std::ops::AddAssign for StallLedger {
 /// Host-side bookkeeping of the execution engine that drove a run.
 ///
 /// These are **simulator** metrics, not simulated-machine metrics: they
-/// describe how the engine moved ops between the simulated threads and
-/// the machine (messages, batch coalescing, round-trips, wakeups, local
-/// retirement), so they change with the engine while `StallLedger` cycle
-/// counts must not.
+/// describe how the runtime's executor scheduled the simulated cores'
+/// tasks (inline ops, suspensions, wakeups), so they change with the
+/// engine while `StallLedger` cycle counts must not. Every op is either
+/// run inline or preceded by exactly one suspension, so
+/// `shard_local_ops + round_trips == ops_executed`; under the `Linear`
+/// oracle every op suspends and `shard_local_ops == 0`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Machine operations executed, counting each batch member once.
+    /// Machine operations executed.
     pub ops_executed: u64,
-    /// Messages received from the threads (a batch counts as one
-    /// message).
+    /// Equal to [`EngineStats::ops_executed`]: every op is handed to the
+    /// machine on its own.
     pub messages: u64,
-    /// Batch messages among [`EngineStats::messages`].
+    /// Always 0: ops are never coalesced.
     pub batches: u64,
-    /// Reply round-trips: ops whose issuing thread waited for a reply.
+    /// Suspensions before an op: the issuing core yielded to the loop
+    /// because another ready core's op came first.
     pub round_trips: u64,
     /// Wakeups delivered to parked cores.
     pub wakeups: u64,
     /// Maximum number of simultaneously parked cores observed.
     pub peak_parked: u64,
-    /// Ops retired inside the issuing thread without the engine lock
-    /// (L1 hits, computes, epoch markers); zero when the machine forces
-    /// every op through the queue.
+    /// Ops the issuing core ran inline, without yielding, because its
+    /// `(time, core)` key was the smallest.
     pub shard_local_ops: u64,
-    /// Acquisitions of the engine lock that found it already held (a
-    /// cheap `try_lock` miss counter).
+    /// Always 0: the executor is single-threaded and takes no lock.
     pub lock_waits: u64,
 }
 
@@ -155,9 +156,8 @@ impl EngineStats {
         Self::default()
     }
 
-    /// Fraction of executed ops that needed no reply round-trip; the
-    /// direct measure of what batching saved (0.0 when every op is
-    /// awaited, as under the `Linear` oracle).
+    /// Fraction of executed ops that ran inline, without a suspension
+    /// (0.0 under the `Linear` oracle, which suspends before every op).
     pub fn round_trip_savings(&self) -> f64 {
         if self.ops_executed == 0 {
             return 0.0;
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(e.round_trip_savings(), 0.0, "empty engine saves nothing");
         e.ops_executed = 100;
         e.round_trips = 100;
-        assert_eq!(e.round_trip_savings(), 0.0, "every op awaited");
+        assert_eq!(e.round_trip_savings(), 0.0, "every op suspended");
         e.round_trips = 25;
         assert!((e.round_trip_savings() - 0.75).abs() < 1e-12);
     }

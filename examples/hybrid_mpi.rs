@@ -52,7 +52,7 @@ fn run_once(cfg: InterConfig) -> (u64, u32) {
         .collect();
     let checksum_out = p.alloc(1);
 
-    let out = p.run(nthreads, move |ctx| {
+    let out = p.run_tasks(nthreads, async move |ctx| {
         let t = ctx.tid();
         let block = t / THREADS_PER_BLOCK;
         let local = t % THREADS_PER_BLOCK;
@@ -65,62 +65,63 @@ fn run_once(cfg: InterConfig) -> (u64, u32) {
         for _ in 0..ITERS {
             // --- MPI phase: leaders exchange halos with neighbors. ---
             if local == 0 {
-                let left_edge = ctx.read(seg, 1);
-                let right_edge = ctx.read(seg, CELLS_PER_BLOCK);
+                let left_edge = ctx.read(seg, 1).await;
+                let right_edge = ctx.read(seg, CELLS_PER_BLOCK).await;
                 // Exchange with the left neighbor block.
                 if block > 0 {
                     let peer = leader - THREADS_PER_BLOCK;
-                    world.send(ctx, peer, &[left_edge]);
-                    let h = world.recv(ctx, peer, 1)[0];
-                    ctx.write(seg, 0, h);
+                    world.send(ctx, peer, &[left_edge]).await;
+                    let h = world.recv(ctx, peer, 1).await[0];
+                    ctx.write(seg, 0, h).await;
                 }
                 // Exchange with the right neighbor block.
                 if block + 1 < BLOCKS {
                     let peer = leader + THREADS_PER_BLOCK;
-                    let h = world.recv(ctx, peer, 1)[0];
-                    world.send(ctx, peer, &[right_edge]);
-                    ctx.write(seg, CELLS_PER_BLOCK + 1, h);
+                    let h = world.recv(ctx, peer, 1).await[0];
+                    world.send(ctx, peer, &[right_edge]).await;
+                    ctx.write(seg, CELLS_PER_BLOCK + 1, h).await;
                 }
             }
             // --- Shared-memory phase inside the block. ---
             // The barrier publishes the leader's halo writes to the
             // block's other threads (WB ALL / INV ALL under Base).
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Everyone updates its chunk from the previous values; read
             // neighbors first, then write (two sub-epochs).
             let mut next = Vec::with_capacity((hi - lo) as usize);
             for i in lo..hi {
-                let l = ctx.read(seg, i - 1);
-                let r = ctx.read(seg, i + 1);
-                let m = ctx.read(seg, i);
+                let l = ctx.read(seg, i - 1).await;
+                let r = ctx.read(seg, i + 1).await;
+                let m = ctx.read(seg, i).await;
                 next.push(m.wrapping_add(l).wrapping_add(r) / 3);
                 ctx.tick(3);
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             for (k, i) in (lo..hi).enumerate() {
-                ctx.write(seg, i, next[k]);
+                ctx.write(seg, i, next[k]).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
 
         // Checksum: leaders reduce their block sums to rank 0 over MPI.
         if local == 0 {
             let mut sum = 0u32;
             for i in 1..=CELLS_PER_BLOCK {
-                sum = sum.wrapping_add(ctx.read(seg, i));
+                sum = sum.wrapping_add(ctx.read(seg, i).await);
             }
             if block == 0 {
                 let mut total = sum;
                 for b in 1..BLOCKS {
                     let peer = b * THREADS_PER_BLOCK;
-                    total = total.wrapping_add(world.recv(ctx, peer, 1)[0]);
+                    total = total.wrapping_add(world.recv(ctx, peer, 1).await[0]);
                 }
-                ctx.store(checksum_out.at(0), total);
+                ctx.store(checksum_out.at(0), total).await;
                 ctx.coh(hic_core::CohInstr::wb_l3(hic_core::Target::range(
                     checksum_out,
-                )));
+                )))
+                .await;
             } else {
-                world.send(ctx, 0, &[sum]);
+                world.send(ctx, 0, &[sum]).await;
             }
         }
     });

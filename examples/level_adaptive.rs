@@ -59,23 +59,32 @@ fn run_once(cfg: InterConfig) -> (u64, u64, u64, bool) {
     let plans = Analyzer::new(&program, nthreads).analyze();
     let chunks = hic_analysis::Chunks::new(N, nthreads);
 
-    let out = p.run(nthreads, move |ctx| {
+    let out = p.run_tasks(nthreads, async move |ctx| {
         let t = ctx.tid();
         let (lo, hi) = chunks.range(t);
         let grids = [a, b];
         for _ in 0..ITERS {
             for node in 0..2 {
-                ctx.plan_inv(&plans.start[node][t]);
+                ctx.plan_inv(&plans.start[node][t]).await;
                 let (src, dst) = (grids[node], grids[1 - node]);
                 for i in lo..hi {
-                    let left = if i == 0 { 0 } else { ctx.read(src, i - 1) };
-                    let right = if i == N - 1 { 0 } else { ctx.read(src, i + 1) };
-                    let mid = ctx.read(src, i);
-                    ctx.write(dst, i, mid.wrapping_add(left).wrapping_add(right) / 2);
+                    let left = if i == 0 {
+                        0
+                    } else {
+                        ctx.read(src, i - 1).await
+                    };
+                    let right = if i == N - 1 {
+                        0
+                    } else {
+                        ctx.read(src, i + 1).await
+                    };
+                    let mid = ctx.read(src, i).await;
+                    ctx.write(dst, i, mid.wrapping_add(left).wrapping_add(right) / 2)
+                        .await;
                     ctx.tick(3);
                 }
-                ctx.plan_wb(&plans.end[node][t]);
-                ctx.plan_barrier(bar);
+                ctx.plan_wb(&plans.end[node][t]).await;
+                ctx.plan_barrier(bar).await;
             }
         }
     });

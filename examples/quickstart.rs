@@ -19,27 +19,27 @@ fn run_once(cfg: IntraConfig) -> (u64, u32) {
     let bar = p.barrier();
     let result = p.alloc(1);
 
-    let out = p.run(16, move |ctx| {
+    let out = p.run_tasks(16, async move |ctx| {
         let t = ctx.tid() as u64;
         let chunk = n / 16;
         // Epoch 1: square own slice.
         for i in t * chunk..(t + 1) * chunk {
-            let v = ctx.read(data, i);
-            ctx.write(data, i, v * v);
+            let v = ctx.read(data, i).await;
+            ctx.write(data, i, v * v).await;
             ctx.tick(1);
         }
         // The barrier writes back what we wrote and invalidates what we
         // will read (WB ALL / INV ALL under the incoherent configs).
-        ctx.barrier(bar);
+        ctx.barrier(bar).await;
         // Epoch 2: thread 0 reduces everything the others produced.
         if ctx.tid() == 0 {
             let mut sum = 0u32;
             for i in 0..n {
-                sum = sum.wrapping_add(ctx.read(data, i));
+                sum = sum.wrapping_add(ctx.read(data, i).await);
             }
-            ctx.write(result, 0, sum);
+            ctx.write(result, 0, sum).await;
         }
-        ctx.barrier(bar);
+        ctx.barrier(bar).await;
     });
 
     (out.stats().total_cycles, out.peek(result, 0))

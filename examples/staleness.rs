@@ -20,26 +20,26 @@ fn buggy_run(mode: CheckMode) -> (hic_runtime::RunOutcome, hic_mem::Region) {
     p.init(x, 0, 1);
     let observed = p.alloc_named("observed", 2);
     let f = p.flag();
-    let out = p.run(2, move |ctx| {
+    let out = p.run_tasks(2, async move |ctx| {
         match ctx.tid() {
             0 => {
                 // Producer: update x, but signal WITHOUT writing back:
                 // the fresh value never leaves this core's L1.
-                ctx.store(x.at(0), 2);
-                ctx.flag_set_opts(f, FlagOpts::raw());
+                ctx.store(x.at(0), 2).await;
+                ctx.flag_set_opts(f, FlagOpts::raw()).await;
             }
             _ => {
-                let _ = ctx.load(x.at(0)); // warm a (soon stale) copy
-                ctx.flag_wait_opts(f, FlagOpts::raw());
+                let _ = ctx.load(x.at(0)).await; // warm a (soon stale) copy
+                ctx.flag_wait_opts(f, FlagOpts::raw()).await;
                 // No INV: this read sees the stale cached copy.
-                let stale = ctx.load(x.at(0));
+                let stale = ctx.load(x.at(0)).await;
                 // Even after a proper self-invalidation the value is
                 // still old: the producer never performed its WB half.
-                ctx.coh(CohInstr::inv(Target::range(x)));
-                let after_inv = ctx.load(x.at(0));
-                ctx.store(observed.at(0), stale);
-                ctx.store(observed.at(1), after_inv);
-                ctx.coh(CohInstr::wb(Target::range(observed)));
+                ctx.coh(CohInstr::inv(Target::range(x))).await;
+                let after_inv = ctx.load(x.at(0)).await;
+                ctx.store(observed.at(0), stale).await;
+                ctx.store(observed.at(1), after_inv).await;
+                ctx.coh(CohInstr::wb(Target::range(observed))).await;
             }
         }
     });
@@ -89,20 +89,20 @@ fn main() {
     p.init(x, 0, 1);
     let observed = p.alloc_named("observed", 1);
     let f = p.flag();
-    let out = p.run(2, move |ctx| {
+    let out = p.run_tasks(2, async move |ctx| {
         match ctx.tid() {
             0 => {
-                ctx.store(x.at(0), 2);
+                ctx.store(x.at(0), 2).await;
                 // flag_set performs the WB ALL before the set (§IV-A1).
-                ctx.flag_set(f);
+                ctx.flag_set(f).await;
             }
             _ => {
-                let _ = ctx.load(x.at(0)); // warm a stale copy
-                                           // flag_wait performs the INV ALL after the wait.
-                ctx.flag_wait(f);
-                let fresh = ctx.load(x.at(0));
-                ctx.store(observed.at(0), fresh);
-                ctx.coh(CohInstr::wb(Target::range(observed)));
+                let _ = ctx.load(x.at(0)).await; // warm a stale copy
+                                                 // flag_wait performs the INV ALL after the wait.
+                ctx.flag_wait(f).await;
+                let fresh = ctx.load(x.at(0)).await;
+                ctx.store(observed.at(0), fresh).await;
+                ctx.coh(CohInstr::wb(Target::range(observed))).await;
             }
         }
     });

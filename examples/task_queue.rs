@@ -26,50 +26,51 @@ fn run_once(cfg: IntraConfig) -> (u64, u64, u32) {
     let queue = p.lock(); // OCC: payloads cross the CS boundary
     let bar = p.barrier();
 
-    let out = p.run(16, move |ctx| {
+    let out = p.run_tasks(16, async move |ctx| {
         if ctx.tid() == 0 {
             // The producer.
             for t in 0..TASKS {
                 for i in 0..PAYLOAD {
-                    ctx.write(payload, t * PAYLOAD + i, (t * 1000 + i) as u32);
+                    ctx.write(payload, t * PAYLOAD + i, (t * 1000 + i) as u32)
+                        .await;
                     ctx.tick(2);
                 }
-                ctx.lock(queue);
-                ctx.write(head, 0, t as u32 + 1);
-                ctx.unlock(queue);
+                ctx.lock(queue).await;
+                ctx.write(head, 0, t as u32 + 1).await;
+                ctx.unlock(queue).await;
             }
         } else {
             // 15 consumers.
             let mut sum = 0u32;
             loop {
-                ctx.lock(queue);
-                let h = ctx.read(head, 0) as u64;
-                let t = ctx.read(tail, 0) as u64;
+                ctx.lock(queue).await;
+                let h = ctx.read(head, 0).await as u64;
+                let t = ctx.read(tail, 0).await as u64;
                 let claimed = if t < h {
-                    ctx.write(tail, 0, t as u32 + 1);
+                    ctx.write(tail, 0, t as u32 + 1).await;
                     Some(t)
                 } else if t >= TASKS {
                     None
                 } else {
                     Some(u64::MAX) // queue momentarily empty: retry
                 };
-                ctx.unlock(queue);
+                ctx.unlock(queue).await;
                 match claimed {
                     None => break,
-                    Some(u64::MAX) => ctx.compute(50),
+                    Some(u64::MAX) => ctx.compute(50).await,
                     Some(task) => {
                         // Consume the payload outside the CS: the OCC
                         // annotations make it visible.
                         for i in 0..PAYLOAD {
-                            sum = sum.wrapping_add(ctx.read(payload, task * PAYLOAD + i));
+                            sum = sum.wrapping_add(ctx.read(payload, task * PAYLOAD + i).await);
                             ctx.tick(2);
                         }
                     }
                 }
             }
-            ctx.write(done, ctx.tid() as u64 - 1, sum);
+            ctx.write(done, ctx.tid() as u64 - 1, sum).await;
         }
-        ctx.barrier(bar);
+        ctx.barrier(bar).await;
     });
 
     let total: u32 = (0..15)

@@ -19,15 +19,16 @@
 //! let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::BMI));
 //! let data = p.alloc(256);
 //! let bar = p.barrier();
-//! let out = p.run(16, move |ctx| {
+//! let out = p.run_tasks(16, async move |ctx| {
 //!     let t = ctx.tid() as u64;
 //!     for i in (t * 16)..(t + 1) * 16 {
-//!         ctx.write(data, i, i as u32 * 2);
+//!         ctx.write(data, i, i as u32 * 2).await;
 //!     }
-//!     ctx.barrier(bar); // inserts WB ALL / INV ALL automatically
+//!     ctx.barrier(bar).await; // inserts WB ALL / INV ALL automatically
 //!     // After the barrier every thread sees everyone's writes.
-//!     assert_eq!(ctx.read(data, (t * 7) % 256), ((t * 7) % 256) as u32 * 2);
-//!     ctx.barrier(bar);
+//!     let v = ctx.read(data, (t * 7) % 256).await;
+//!     assert_eq!(v, ((t * 7) % 256) as u32 * 2);
+//!     ctx.barrier(bar).await;
 //! });
 //! assert_eq!(out.peek(data, 100), 200);
 //! println!("took {} simulated cycles", out.stats().total_cycles);
@@ -52,12 +53,13 @@
 //! let data = p.alloc(64);
 //! let bar = p.barrier();
 //! let n = config.num_threads() as u64; // 8: one thread per core
-//! let out = p.run(n as usize, move |ctx| {
+//! let out = p.run_tasks(n as usize, async move |ctx| {
 //!     let t = ctx.tid() as u64;
-//!     ctx.write(data, t, (t * t) as u32);
-//!     ctx.barrier(bar); // Dragon is hardware-coherent: no WB/INV needed
-//!     assert_eq!(ctx.read(data, (t + 1) % n), (((t + 1) % n).pow(2)) as u32);
-//!     ctx.barrier(bar);
+//!     ctx.write(data, t, (t * t) as u32).await;
+//!     ctx.barrier(bar).await; // Dragon is hardware-coherent: no WB/INV needed
+//!     let v = ctx.read(data, (t + 1) % n).await;
+//!     assert_eq!(v, (((t + 1) % n).pow(2)) as u32);
+//!     ctx.barrier(bar).await;
 //! });
 //! assert_eq!(out.peek(data, 3), 9);
 //! # Ok::<(), hic::sim::ConfigError>(())
@@ -74,7 +76,7 @@
 //! | [`coherence`] | `hic-coherence` | the protocol zoo: directory MESI (HCC) + update-based Dragon |
 //! | [`sync`] | `hic-sync` | barriers/locks/flags in the shared-cache controller |
 //! | [`machine`] | `hic-machine` | the timing simulators and op interface |
-//! | [`runtime`] | `hic-runtime` | thread API + annotation policies (both programming models) |
+//! | [`runtime`] | `hic-runtime` | thread API, task executor + annotation policies (both programming models) |
 //! | [`analysis`] | `hic-analysis` | affine IR, DEF-USE producer/consumer extraction, inspector |
 //! | [`apps`] | `hic-apps` | the 11 intra-block + 4 inter-block applications |
 

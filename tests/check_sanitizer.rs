@@ -49,7 +49,7 @@ fn jacobi_shape(
     p.check_mode(mode);
     let grid = p.alloc_named("grid", n as u64 * OWN);
     let bar = p.barrier_of(n);
-    let out = p.run(n, move |ctx| {
+    let out = p.run_tasks(n, async move |ctx| {
         let t = ctx.tid();
         let base = t as u64 * OWN;
         // The line thread `o` shows to its left/right neighbor.
@@ -60,15 +60,15 @@ fn jacobi_shape(
         // per-round INV is what must keep them fresh.
         if t > 0 {
             for i in 0..LINE {
-                ctx.read(grid, (t as u64 - 1) * OWN + LINE + i);
+                ctx.read(grid, (t as u64 - 1) * OWN + LINE + i).await;
             }
         }
         if t + 1 < n {
             for i in 0..LINE {
-                ctx.read(grid, (t as u64 + 1) * OWN + i);
+                ctx.read(grid, (t as u64 + 1) * OWN + i).await;
             }
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
 
         for r in 0..rounds {
             // Write phase: rewrite both boundary lines.
@@ -77,7 +77,8 @@ fn jacobi_shape(
                     grid,
                     base + i,
                     (r as u32 + 1) * 100_000 + t as u32 * 100 + i as u32,
-                );
+                )
+                .await;
             }
             let mut wb = EpochPlan::new();
             if t > 0 && seeded != (Seeded::DropWb { p: t, c: t - 1 }) {
@@ -86,8 +87,8 @@ fn jacobi_shape(
             if t + 1 < n && seeded != (Seeded::DropWb { p: t, c: t + 1 }) {
                 wb = wb.with_wb(CommOp::known(right_line(t as u64), ctx.thread(t + 1)));
             }
-            ctx.plan_wb(&wb);
-            ctx.plan_barrier(bar);
+            ctx.plan_wb(&wb).await;
+            ctx.plan_barrier(bar).await;
 
             // Read phase: invalidate + read the facing neighbor lines.
             let mut inv = EpochPlan::new();
@@ -97,18 +98,18 @@ fn jacobi_shape(
             if t + 1 < n && seeded != (Seeded::DropInv { p: t + 1, c: t }) {
                 inv = inv.with_inv(CommOp::known(left_line(t as u64 + 1), ctx.thread(t + 1)));
             }
-            ctx.plan_inv(&inv);
+            ctx.plan_inv(&inv).await;
             if t > 0 {
                 for i in 0..LINE {
-                    ctx.read(grid, (t as u64 - 1) * OWN + LINE + i);
+                    ctx.read(grid, (t as u64 - 1) * OWN + LINE + i).await;
                 }
             }
             if t + 1 < n {
                 for i in 0..LINE {
-                    ctx.read(grid, (t as u64 + 1) * OWN + i);
+                    ctx.read(grid, (t as u64 + 1) * OWN + i).await;
                 }
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         }
     });
     (out, grid)
@@ -140,29 +141,31 @@ fn task_queue_shape(
     } else {
         FlagOpts::annotated()
     };
-    let out = p.run(2, move |ctx| {
+    let out = p.run_tasks(2, async move |ctx| {
         if ctx.tid() == 1 {
             // Warm stale copies of every payload slot; the flag-side INV
             // must refresh them.
             for i in 0..TASKS * LINE {
-                ctx.read(payload, i);
+                ctx.read(payload, i).await;
             }
         }
         // Order the warm-up without moving data (the sync protocol under
         // test is the flags').
-        ctx.barrier_with(bar, hic_runtime::BarrierOpts::none());
+        ctx.barrier_with(bar, hic_runtime::BarrierOpts::none())
+            .await;
         if ctx.tid() == 0 {
             for task in 0..TASKS {
                 for i in 0..LINE {
-                    ctx.write(payload, task * LINE + i, (task * 1000 + i + 1) as u32);
+                    ctx.write(payload, task * LINE + i, (task * 1000 + i + 1) as u32)
+                        .await;
                 }
-                ctx.flag_set_opts(flags[task as usize], set_opts);
+                ctx.flag_set_opts(flags[task as usize], set_opts).await;
             }
         } else {
             for task in 0..TASKS {
-                ctx.flag_wait_opts(flags[task as usize], wait_opts);
+                ctx.flag_wait_opts(flags[task as usize], wait_opts).await;
                 for i in 0..LINE {
-                    ctx.read(payload, task * LINE + i);
+                    ctx.read(payload, task * LINE + i).await;
                 }
             }
         }
@@ -327,6 +330,41 @@ fn strict_mode_aborts_with_a_rendered_diagnostic() {
     let msg = err.to_string();
     assert!(msg.contains("incoherence detected"), "{msg}");
     assert!(msg.contains("stale read (missing WB)"), "{msg}");
+}
+
+/// The faulty access never returns to the kernel: a consumer that
+/// asserts on the payload it reads behind a raw (WB-less) flag set gets
+/// no stale value back — the run stops with the typed error instead of
+/// panicking in the assertion.
+#[test]
+fn strict_mode_stops_the_kernel_at_the_faulty_access() {
+    let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
+    p.check_mode(CheckMode::Strict);
+    let payload = p.alloc_named("payload", LINE);
+    let flag = p.flag();
+    let bar = p.barrier_of(2);
+    let out = p.run_tasks(2, async move |ctx| {
+        if ctx.tid() == 1 {
+            // Warm a stale copy for the flag-side INV to drop.
+            ctx.read(payload, 0).await;
+        }
+        ctx.barrier_with(bar, hic_runtime::BarrierOpts::none())
+            .await;
+        if ctx.tid() == 0 {
+            for i in 0..LINE {
+                ctx.write(payload, i, i as u32 + 1).await;
+            }
+            ctx.flag_set_opts(flag, FlagOpts::raw()).await;
+        } else {
+            ctx.flag_wait(flag).await;
+            for i in 0..LINE {
+                assert_eq!(ctx.read(payload, i).await, i as u32 + 1, "stale payload");
+            }
+        }
+    });
+    let err = out.result().expect_err("the stale read must stop the run");
+    assert_eq!(err.kind(), "check_fatal");
+    assert!(err.to_string().contains("stale read (missing WB)"), "{err}");
 }
 
 // ---------------------------------------------------------------------

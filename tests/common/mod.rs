@@ -7,7 +7,7 @@ use hic_runtime::{Config, RunRequest, Scheduler};
 /// Run `app` under `config` with the knobs the environment sets
 /// ([`RunRequest::from_env`]), and assert that they reached the run: the
 /// sanitizer runs in the requested mode on every incoherent backend, and
-/// the `Linear` oracle retires nothing outside its queue. Without these
+/// the `Linear` oracle runs no op inline. Without these
 /// asserts, a knob that stopped arriving would pass silently.
 pub fn run_from_env(app: &str, config: Config, scale: Scale) -> AppRun {
     let req = RunRequest::from_env(app, config, scale).expect("well-formed HIC_* knobs");
@@ -26,7 +26,7 @@ pub fn run_from_env(app: &str, config: Config, scale: Scale) -> AppRun {
         assert_eq!(
             r.stats.engine.shard_local_ops,
             0,
-            "{app} under {}: the Linear oracle retired ops locally",
+            "{app} under {}: the Linear oracle ran ops inline",
             config.name()
         );
     }

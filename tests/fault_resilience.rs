@@ -31,25 +31,26 @@ fn run_workload(configure: impl FnOnce(&mut ProgramBuilder)) -> (RunOutcome, Vec
     let total = p.alloc_named("total", 1);
     let bar = p.barrier_of(NT);
     let l = p.lock();
-    let outcome = p.run(NT, move |ctx| {
+    let outcome = p.run_tasks(NT, async move |ctx| {
         let t = ctx.tid() as u64;
         let chunk = WORDS / NT as u64;
         for round in 0..4u64 {
             for i in 0..chunk {
-                ctx.write(data, t * chunk + i, (round * 1000 + t * 100 + i) as u32);
+                ctx.write(data, t * chunk + i, (round * 1000 + t * 100 + i) as u32)
+                    .await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             let src = ((t + 1) % NT as u64) * chunk;
             let mut sum = 0u32;
             for i in 0..chunk {
-                sum = sum.wrapping_add(ctx.read(data, src + i));
+                sum = sum.wrapping_add(ctx.read(data, src + i).await);
             }
-            ctx.write(out, t * 16 + round, sum);
-            ctx.lock(l);
-            let v = ctx.read(total, 0);
-            ctx.write(total, 0, v.wrapping_add(sum));
-            ctx.unlock(l);
-            ctx.barrier(bar);
+            ctx.write(out, t * 16 + round, sum).await;
+            ctx.lock(l).await;
+            let v = ctx.read(total, 0).await;
+            ctx.write(total, 0, v.wrapping_add(sum)).await;
+            ctx.unlock(l).await;
+            ctx.barrier(bar).await;
         }
     });
     let mut snap = outcome.peek_all(data);
@@ -175,10 +176,10 @@ fn dirty_line_corruption_is_a_typed_fatal_error() {
         ..FaultPlan::zero(9)
     });
     let data = p.alloc(16);
-    let outcome = p.run(1, move |ctx| {
-        ctx.write(data, 0, 7);
+    let outcome = p.run_tasks(1, async move |ctx| {
+        ctx.write(data, 0, 7).await;
         for _ in 0..64 {
-            let _ = ctx.read(data, 0);
+            let _ = ctx.read(data, 0).await;
         }
     });
     let Err(RunError::CorruptDirtyLine { detail }) = outcome.result() else {
@@ -197,12 +198,12 @@ fn flag_deadlock_returns_typed_error_and_process_stays_usable() {
     let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
     let f0 = p.flag();
     let f1 = p.flag();
-    let outcome = p.run(2, move |ctx| {
+    let outcome = p.run_tasks(2, async move |ctx| {
         // Neither flag is ever set: both threads park forever.
         if ctx.tid() == 0 {
-            ctx.flag_wait(f0);
+            ctx.flag_wait(f0).await;
         } else {
-            ctx.flag_wait(f1);
+            ctx.flag_wait(f1).await;
         }
     });
     let Err(RunError::Deadlock { parked, .. }) = outcome.result() else {
@@ -220,6 +221,37 @@ fn flag_deadlock_returns_typed_error_and_process_stays_usable() {
     assert!(!snap.is_empty());
 }
 
+/// A kernel that panics is a bug in the program, not a run failure: the
+/// panic unwinds out of the run with the kernel's own message, and the
+/// process stays usable.
+#[test]
+fn kernel_panic_reaches_the_caller_with_its_own_message() {
+    let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
+    let data = p.alloc(NT as u64);
+    let bar = p.barrier_of(NT);
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        p.run_tasks(NT, async move |ctx| {
+            ctx.write(data, ctx.tid() as u64, 1).await;
+            if ctx.tid() == 1 {
+                panic!("kernel bug on core 1");
+            }
+            ctx.barrier(bar).await;
+        })
+    }));
+    let Err(payload) = run else {
+        unreachable!("the kernel panic must reach the caller");
+    };
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    assert_eq!(msg, Some("kernel bug on core 1"));
+
+    let (clean, snap) = run_workload(|_| {});
+    assert!(clean.result().is_ok());
+    assert!(!snap.is_empty());
+}
+
 /// Like [`run_workload`], but each thread prefix-sums its own freshly
 /// written chunk *before* the barrier — so reads land on locally-dirty
 /// lines, the case only epoch-checkpoint rollback (not refetch) can
@@ -230,27 +262,28 @@ fn run_rmw_workload(configure: impl FnOnce(&mut ProgramBuilder)) -> (RunOutcome,
     let data = p.alloc_named("data", WORDS);
     let out = p.alloc_named("out", NT as u64 * 16);
     let bar = p.barrier_of(NT);
-    let outcome = p.run(NT, move |ctx| {
+    let outcome = p.run_tasks(NT, async move |ctx| {
         let t = ctx.tid() as u64;
         let chunk = WORDS / NT as u64;
         for round in 0..4u64 {
             for i in 0..chunk {
-                ctx.write(data, t * chunk + i, (round * 1000 + t * 100 + i) as u32);
+                ctx.write(data, t * chunk + i, (round * 1000 + t * 100 + i) as u32)
+                    .await;
             }
             // Read-after-write on the thread's own dirty lines.
             for i in 1..chunk {
-                let prev = ctx.read(data, t * chunk + i - 1);
-                let cur = ctx.read(data, t * chunk + i);
-                ctx.write(data, t * chunk + i, prev.wrapping_add(cur));
+                let prev = ctx.read(data, t * chunk + i - 1).await;
+                let cur = ctx.read(data, t * chunk + i).await;
+                ctx.write(data, t * chunk + i, prev.wrapping_add(cur)).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             let src = ((t + 1) % NT as u64) * chunk;
             let mut sum = 0u32;
             for i in 0..chunk {
-                sum = sum.wrapping_add(ctx.read(data, src + i));
+                sum = sum.wrapping_add(ctx.read(data, src + i).await);
             }
-            ctx.write(out, t * 16 + round, sum);
-            ctx.barrier(bar);
+            ctx.write(out, t * 16 + round, sum).await;
+            ctx.barrier(bar).await;
         }
     });
     let mut snap = outcome.peek_all(data);
@@ -342,10 +375,10 @@ fn second_corruption_during_replay_is_still_a_typed_fatal() {
         ..FaultPlan::zero(9)
     });
     let data = p.alloc(16);
-    let outcome = p.run(1, move |ctx| {
-        ctx.write(data, 0, 7);
+    let outcome = p.run_tasks(1, async move |ctx| {
+        ctx.write(data, 0, 7).await;
         for _ in 0..64 {
-            let _ = ctx.read(data, 0);
+            let _ = ctx.read(data, 0).await;
         }
     });
     let Err(RunError::CorruptDirtyLine { detail }) = outcome.result() else {
@@ -363,9 +396,8 @@ fn second_corruption_during_replay_is_still_a_typed_fatal() {
     assert!(!snap.is_empty());
 }
 
-/// Recovery plans force every op through the engine's queue (the
-/// `Machine::supports_sharding` gate): the default engine must retire
-/// nothing locally, complete, and stay bit-identical.
+/// A recovery plan runs on the same path as a clean run: the default
+/// engine still runs ops inline, completes, and stays bit-identical.
 #[test]
 fn sharded_engine_request_falls_back_under_recovery_plan() {
     let (base, base_snap) = run_rmw_workload(|p| {
@@ -373,7 +405,7 @@ fn sharded_engine_request_falls_back_under_recovery_plan() {
     });
     assert!(
         base.stats().engine.shard_local_ops > 0,
-        "a clean incoherent run retires ops locally"
+        "a clean incoherent run runs ops inline"
     );
     let (faulted, snap) = run_rmw_workload(|p| {
         p.scheduler(Scheduler::Default);
@@ -384,7 +416,7 @@ fn sharded_engine_request_falls_back_under_recovery_plan() {
         "recovery-plan run failed: {:?}",
         faulted.result()
     );
-    assert_eq!(faulted.stats().engine.shard_local_ops, 0);
+    assert!(faulted.stats().engine.shard_local_ops > 0);
     assert_eq!(snap, base_snap);
 }
 

@@ -80,21 +80,21 @@ fn jacobi_dynamic(cfg: InterConfig, n: usize, rounds: usize, seeded: Seeded) -> 
     p.check_mode(CheckMode::Report);
     let grid = p.alloc_named("grid", n as u64 * OWN);
     let bar = p.barrier_of(n);
-    p.run(n, move |ctx| {
+    p.run_tasks(n, async move |ctx| {
         let t = ctx.tid();
         let base = t as u64 * OWN;
         // Warm copies of the neighbor lines this thread will read.
         if t > 0 {
             for i in 0..LINE {
-                ctx.read(grid, (t as u64 - 1) * OWN + LINE + i);
+                ctx.read(grid, (t as u64 - 1) * OWN + LINE + i).await;
             }
         }
         if t + 1 < n {
             for i in 0..LINE {
-                ctx.read(grid, (t as u64 + 1) * OWN + i);
+                ctx.read(grid, (t as u64 + 1) * OWN + i).await;
             }
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
         let (wb, inv) = round_plans(grid, n, t, seeded);
         for r in 0..rounds {
             for i in 0..OWN {
@@ -102,22 +102,23 @@ fn jacobi_dynamic(cfg: InterConfig, n: usize, rounds: usize, seeded: Seeded) -> 
                     grid,
                     base + i,
                     (r as u32 + 1) * 100_000 + t as u32 * 100 + i as u32,
-                );
+                )
+                .await;
             }
-            ctx.plan_wb(&wb);
-            ctx.plan_barrier(bar);
-            ctx.plan_inv(&inv);
+            ctx.plan_wb(&wb).await;
+            ctx.plan_barrier(bar).await;
+            ctx.plan_inv(&inv).await;
             if t > 0 {
                 for i in 0..LINE {
-                    ctx.read(grid, (t as u64 - 1) * OWN + LINE + i);
+                    ctx.read(grid, (t as u64 - 1) * OWN + LINE + i).await;
                 }
             }
             if t + 1 < n {
                 for i in 0..LINE {
-                    ctx.read(grid, (t as u64 + 1) * OWN + i);
+                    ctx.read(grid, (t as u64 + 1) * OWN + i).await;
                 }
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         }
     })
 }
@@ -181,25 +182,27 @@ fn task_queue_dynamic(cfg: IntraConfig, raw_set: bool, raw_wait: bool) -> RunOut
     } else {
         FlagOpts::annotated()
     };
-    p.run(2, move |ctx| {
+    p.run_tasks(2, async move |ctx| {
         if ctx.tid() == 1 {
             for i in 0..TASKS * LINE {
-                ctx.read(payload, i);
+                ctx.read(payload, i).await;
             }
         }
-        ctx.barrier_with(bar, hic_runtime::BarrierOpts::none());
+        ctx.barrier_with(bar, hic_runtime::BarrierOpts::none())
+            .await;
         if ctx.tid() == 0 {
             for task in 0..TASKS {
                 for i in 0..LINE {
-                    ctx.write(payload, task * LINE + i, (task * 1000 + i + 1) as u32);
+                    ctx.write(payload, task * LINE + i, (task * 1000 + i + 1) as u32)
+                        .await;
                 }
-                ctx.flag_set_opts(flags[task as usize], set_opts);
+                ctx.flag_set_opts(flags[task as usize], set_opts).await;
             }
         } else {
             for task in 0..TASKS {
-                ctx.flag_wait_opts(flags[task as usize], wait_opts);
+                ctx.flag_wait_opts(flags[task as usize], wait_opts).await;
                 for i in 0..LINE {
-                    ctx.read(payload, task * LINE + i);
+                    ctx.read(payload, task * LINE + i).await;
                 }
             }
         }

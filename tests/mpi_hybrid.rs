@@ -23,7 +23,7 @@ fn run_hybrid(cfg: InterConfig) -> u32 {
         .collect();
     let result = p.alloc(1);
 
-    let out = p.run(nthreads, move |ctx| {
+    let out = p.run_tasks(nthreads, async move |ctx| {
         let t = ctx.tid();
         let block = t / THREADS_PER_BLOCK;
         let local = t % THREADS_PER_BLOCK;
@@ -35,50 +35,52 @@ fn run_hybrid(cfg: InterConfig) -> u32 {
         for _ in 0..2 {
             // Leaders exchange halo cells over MPI.
             if local == 0 {
-                let left_edge = ctx.read(seg, 1);
-                let right_edge = ctx.read(seg, CELLS);
+                let left_edge = ctx.read(seg, 1).await;
+                let right_edge = ctx.read(seg, CELLS).await;
                 if block > 0 {
                     let peer = (block - 1) * THREADS_PER_BLOCK;
-                    world.send(ctx, peer, &[left_edge]);
-                    ctx.write(seg, 0, world.recv(ctx, peer, 1)[0]);
+                    world.send(ctx, peer, &[left_edge]).await;
+                    ctx.write(seg, 0, world.recv(ctx, peer, 1).await[0]).await;
                 }
                 if block + 1 < BLOCKS {
                     let peer = (block + 1) * THREADS_PER_BLOCK;
-                    ctx.write(seg, CELLS + 1, world.recv(ctx, peer, 1)[0]);
-                    world.send(ctx, peer, &[right_edge]);
+                    ctx.write(seg, CELLS + 1, world.recv(ctx, peer, 1).await[0])
+                        .await;
+                    world.send(ctx, peer, &[right_edge]).await;
                 }
             }
             // Shared-memory epoch inside the block.
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             let mut next = Vec::new();
             for i in lo..hi {
                 let v = ctx
                     .read(seg, i - 1)
-                    .wrapping_add(ctx.read(seg, i))
-                    .wrapping_add(ctx.read(seg, i + 1));
+                    .await
+                    .wrapping_add(ctx.read(seg, i).await)
+                    .wrapping_add(ctx.read(seg, i + 1).await);
                 next.push(v / 3);
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             for (k, i) in (lo..hi).enumerate() {
-                ctx.write(seg, i, next[k]);
+                ctx.write(seg, i, next[k]).await;
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
 
         // Leaders reduce block checksums to rank 0.
         if local == 0 {
             let mut sum = 0u32;
             for i in 1..=CELLS {
-                sum = sum.wrapping_add(ctx.read(seg, i));
+                sum = sum.wrapping_add(ctx.read(seg, i).await);
             }
             if block == 0 {
                 let mut total = sum;
                 for b in 1..BLOCKS {
-                    total = total.wrapping_add(world.recv(ctx, b * THREADS_PER_BLOCK, 1)[0]);
+                    total = total.wrapping_add(world.recv(ctx, b * THREADS_PER_BLOCK, 1).await[0]);
                 }
-                ctx.store_unc(result.at(0), total);
+                ctx.store_unc(result.at(0), total).await;
             } else {
-                world.send(ctx, 0, &[sum]);
+                world.send(ctx, 0, &[sum]).await;
             }
         }
     });

@@ -62,17 +62,17 @@ fn run_schedule(
     p.check_mode(CheckMode::Report);
     let data = p.alloc_named("data", N as u64 * SLICE);
     let bar = p.barrier_of(N);
-    let out = p.run(N, move |ctx| {
+    let out = p.run_tasks(N, async move |ctx| {
         let t = ctx.tid();
         let slice_of = |o: usize| data.slice(o as u64 * SLICE, (o as u64 + 1) * SLICE);
         for o in 0..N {
             if o != t {
                 for i in 0..SLICE {
-                    ctx.read(data, o as u64 * SLICE + i);
+                    ctx.read(data, o as u64 * SLICE + i).await;
                 }
             }
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
         for (r, edges) in schedule.iter().enumerate() {
             // Write phase: a fresh value every round.
             for i in 0..SLICE {
@@ -80,7 +80,8 @@ fn run_schedule(
                     data,
                     t as u64 * SLICE + i,
                     (r as u32 + 1) * 10_000 + t as u32 * 100 + i as u32,
-                );
+                )
+                .await;
             }
             let mut wb = EpochPlan::new();
             for (ei, e) in edges.iter().enumerate() {
@@ -88,8 +89,8 @@ fn run_schedule(
                     wb = wb.with_wb(CommOp::known(slice_of(e.p), ctx.thread(e.c)));
                 }
             }
-            ctx.plan_wb(&wb);
-            ctx.plan_barrier(bar);
+            ctx.plan_wb(&wb).await;
+            ctx.plan_barrier(bar).await;
             // Read phase: consumers invalidate, then read.
             let mut inv = EpochPlan::new();
             for (ei, e) in edges.iter().enumerate() {
@@ -97,15 +98,15 @@ fn run_schedule(
                     inv = inv.with_inv(CommOp::known(slice_of(e.p), ctx.thread(e.p)));
                 }
             }
-            ctx.plan_inv(&inv);
+            ctx.plan_inv(&inv).await;
             for e in edges.iter() {
                 if e.c == t {
                     for i in 0..SLICE {
-                        ctx.read(data, e.p as u64 * SLICE + i);
+                        ctx.read(data, e.p as u64 * SLICE + i).await;
                     }
                 }
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         }
     });
     out.diagnostics().clone()

@@ -75,11 +75,11 @@ fn run_on(mut p: ProgramBuilder, label: &str, prog: &EpochProgram) -> Vec<u32> {
     let model2 = std::sync::Arc::clone(&model);
     let label2 = label.to_string();
 
-    let out = p.run(threads, move |ctx| {
+    let out = p.run_tasks(threads, async move |ctx| {
         for (e, epoch) in writers.iter().enumerate() {
             for (w, wr) in epoch.iter().enumerate() {
                 if wr.is_none() {
-                    let got = ctx.read(data, w as u64);
+                    let got = ctx.read(data, w as u64).await;
                     let want = model2[e][w];
                     assert_eq!(
                         got, want,
@@ -89,10 +89,11 @@ fn run_on(mut p: ProgramBuilder, label: &str, prog: &EpochProgram) -> Vec<u32> {
             }
             for (w, wr) in epoch.iter().enumerate() {
                 if *wr == Some(ctx.tid() as u8) {
-                    ctx.write(data, w as u64, value(e, ctx.tid() as u8, w));
+                    ctx.write(data, w as u64, value(e, ctx.tid() as u8, w))
+                        .await;
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
     });
 

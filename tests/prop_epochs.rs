@@ -74,13 +74,13 @@ fn run_on(mut p: ProgramBuilder, label: &str, prog: &EpochProgram) -> Vec<u32> {
     let model2 = std::sync::Arc::clone(&model);
     let label2 = label.to_string();
 
-    let out = p.run(THREADS, move |ctx| {
+    let out = p.run_tasks(THREADS, async move |ctx| {
         for (e, epoch) in writers.iter().enumerate() {
             // Read phase: everything stable in this epoch must equal the
             // model state after epoch e-1.
             for (w, wr) in epoch.iter().enumerate() {
                 if wr.is_none() {
-                    let got = ctx.read(data, w as u64);
+                    let got = ctx.read(data, w as u64).await;
                     let want = model2[e][w];
                     assert_eq!(
                         got, want,
@@ -91,10 +91,11 @@ fn run_on(mut p: ProgramBuilder, label: &str, prog: &EpochProgram) -> Vec<u32> {
             // Write phase: own words only (data-race free by construction).
             for (w, wr) in epoch.iter().enumerate() {
                 if *wr == Some(ctx.tid() as u8) {
-                    ctx.write(data, w as u64, value(e, ctx.tid() as u8, w));
+                    ctx.write(data, w as u64, value(e, ctx.tid() as u8, w))
+                        .await;
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
     });
 

@@ -73,24 +73,25 @@ fn run_schedule(
     p.check_mode(CheckMode::Report);
     let data = p.alloc_named("data", N as u64 * SLICE);
     let bar = p.barrier_of(N);
-    let out = p.run(N, move |ctx| {
+    let out = p.run_tasks(N, async move |ctx| {
         let t = ctx.tid();
         let slice_of = |o: usize| data.slice(o as u64 * SLICE, (o as u64 + 1) * SLICE);
         for o in 0..N {
             if o != t {
                 for i in 0..SLICE {
-                    ctx.read(data, o as u64 * SLICE + i);
+                    ctx.read(data, o as u64 * SLICE + i).await;
                 }
             }
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
         for (r, edges) in schedule.iter().enumerate() {
             for i in 0..SLICE {
                 ctx.write(
                     data,
                     t as u64 * SLICE + i,
                     (r as u32 + 1) * 10_000 + t as u32 * 100 + i as u32,
-                );
+                )
+                .await;
             }
             let mut wb = EpochPlan::new();
             for (ei, e) in edges.iter().enumerate() {
@@ -98,23 +99,23 @@ fn run_schedule(
                     wb = wb.with_wb(CommOp::known(slice_of(e.p), ctx.thread(e.c)));
                 }
             }
-            ctx.plan_wb(&wb);
-            ctx.plan_barrier(bar);
+            ctx.plan_wb(&wb).await;
+            ctx.plan_barrier(bar).await;
             let mut inv = EpochPlan::new();
             for (ei, e) in edges.iter().enumerate() {
                 if e.c == t && deletion != Some((r, ei, false)) {
                     inv = inv.with_inv(CommOp::known(slice_of(e.p), ctx.thread(e.p)));
                 }
             }
-            ctx.plan_inv(&inv);
+            ctx.plan_inv(&inv).await;
             for e in edges.iter() {
                 if e.c == t {
                     for i in 0..SLICE {
-                        ctx.read(data, e.p as u64 * SLICE + i);
+                        ctx.read(data, e.p as u64 * SLICE + i).await;
                     }
                 }
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         }
     });
     out.diagnostics().clone()
@@ -247,45 +248,47 @@ fn redundant_dynamic(cfg: InterConfig, overrides: Option<PlanOverrides>) -> (Run
     if let Some(o) = overrides {
         p.override_plans(o);
     }
-    let out = p.run(2, move |ctx| {
+    let out = p.run_tasks(2, async move |ctx| {
         let t = ctx.tid();
         if t == 1 {
             for i in 0..SLICE {
-                ctx.read(data, i); // warm a (stale-to-be) copy
+                ctx.read(data, i).await; // warm a (stale-to-be) copy
             }
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
         if t == 0 {
             for i in 0..SLICE {
-                ctx.write(data, i, 7000 + i as u32);
+                ctx.write(data, i, 7000 + i as u32).await;
             }
             for i in 0..4 * SLICE {
-                ctx.write(scratch, i, 9000 + i as u32);
+                ctx.write(scratch, i, 9000 + i as u32).await;
             }
             ctx.plan_wb(
                 &EpochPlan::new()
                     .with_wb(CommOp::unknown(data))
                     .with_wb(CommOp::unknown(data))
                     .with_wb(CommOp::unknown(scratch)),
-            );
+            )
+            .await;
         } else {
-            ctx.plan_wb(&EpochPlan::new());
+            ctx.plan_wb(&EpochPlan::new()).await;
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
         if t == 1 {
             ctx.plan_inv(
                 &EpochPlan::new()
                     .with_inv(CommOp::unknown(data))
                     .with_inv(CommOp::unknown(data))
                     .with_inv(CommOp::unknown(scratch)),
-            );
+            )
+            .await;
             for i in 0..SLICE {
-                ctx.read(data, i);
+                ctx.read(data, i).await;
             }
         } else {
-            ctx.plan_inv(&EpochPlan::new());
+            ctx.plan_inv(&EpochPlan::new()).await;
         }
-        ctx.plan_barrier(bar);
+        ctx.plan_barrier(bar).await;
     });
     (out, data)
 }

@@ -1,11 +1,10 @@
 //! Property tests for the engine: everything the default engine does
-//! beyond the `Linear` oracle — the O(log n) heap picker, batched
-//! messages, and retiring core-private ops (L1 hits, computes, epoch
-//! markers) in the issuing thread — is a pure host-side optimization.
-//! For any program the default engine must reproduce the oracle
-//! bit-for-bit: total cycles, stall ledgers, traffic, the simulated op
-//! ledger, and readable memory. The oracle sends every op on its own
-//! through the queue, so it also checks that batching changes nothing.
+//! beyond the `Linear` oracle — the O(log n) heap picker, and running a
+//! core's op inline while the core holds the smallest `(time, core)`
+//! key — is a pure host-side optimization. For any program the default
+//! engine must reproduce the oracle bit-for-bit: total cycles, stall
+//! ledgers, traffic, the simulated op ledger, and readable memory. The
+//! oracle suspends every core before every op and picks by linear scan.
 //!
 //! The generator emits deadlock-free programs by construction: every
 //! thread runs the same number of rounds, every round ends with a full
@@ -88,24 +87,24 @@ fn run_script(
     let l = p.lock_occ(false);
     let bar = p.barrier_of(THREADS);
     let rounds = script.rounds.clone();
-    let out = p.run(THREADS, move |ctx| {
+    let out = p.run_tasks(THREADS, async move |ctx| {
         for round in &rounds {
             for action in &round[ctx.tid()] {
                 match *action {
-                    Action::Store { idx, val } => ctx.write(data, idx, val),
+                    Action::Store { idx, val } => ctx.write(data, idx, val).await,
                     Action::Load { idx } => {
-                        ctx.read(data, idx);
+                        ctx.read(data, idx).await;
                     }
-                    Action::Compute { cycles } => ctx.compute(cycles),
+                    Action::Compute { cycles } => ctx.compute(cycles).await,
                     Action::Critical { bumps } => {
-                        ctx.lock(l);
-                        let v = ctx.read(counter, 0);
-                        ctx.write(counter, 0, v + bumps);
-                        ctx.unlock(l);
+                        ctx.lock(l).await;
+                        let v = ctx.read(counter, 0).await;
+                        ctx.write(counter, 0, v + bumps).await;
+                        ctx.unlock(l).await;
                     }
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
     });
     assert!(out.result().is_ok(), "run failed: {:?}", out.result());
@@ -114,17 +113,10 @@ fn run_script(
     (out.stats().clone(), mem)
 }
 
-fn run_with(cfg: IntraConfig, engine: Scheduler, script: &Script) -> RunStats {
-    run_script(cfg, script, |p| {
-        p.scheduler(engine);
-    })
-    .0
-}
-
 /// Assert that two runs are observationally identical: simulated time,
 /// stall ledgers, traffic categories, and the simulated part of the
-/// engine ledger (messages, round-trips, local retirement and lock
-/// contention are host-side and legitimately differ).
+/// engine ledger (suspensions and inline ops are host-side and
+/// legitimately differ).
 fn assert_same_sim(tag: &str, got: &RunStats, oracle: &RunStats) {
     assert_eq!(
         got.total_cycles, oracle.total_cycles,
@@ -149,46 +141,57 @@ fn assert_same_sim(tag: &str, got: &RunStats, oracle: &RunStats) {
     );
 }
 
+/// Every op is run inline or preceded by one suspension; the oracle
+/// never runs one inline.
+fn assert_ledger(tag: &str, got: &RunStats, engine: Scheduler) {
+    let e = &got.engine;
+    assert_eq!(
+        e.shard_local_ops + e.round_trips,
+        e.ops_executed,
+        "{tag}: {e:?}"
+    );
+    assert_eq!(e.messages, e.ops_executed, "{tag}: {e:?}");
+    assert_eq!((e.batches, e.lock_waits), (0, 0), "{tag}: {e:?}");
+    if engine == Scheduler::Linear {
+        assert_eq!(e.shard_local_ops, 0, "{tag}: the oracle ran an op inline");
+    }
+}
+
 /// The default engine and the oracle agree on every simulated quantity
-/// for random programs on every intra config. The oracle never
-/// batches and never retires locally; the default engine never adds
-/// round-trips, and retires ops locally exactly on incoherent machines.
+/// and on readable memory for random programs on every intra config.
+/// The default engine never suspends more often than the oracle, which
+/// suspends before every op, and runs ops inline on these programs.
 #[test]
 fn schedulers_are_observationally_identical() {
     let mut rng = SplitMix64::new(0x5C4D);
-    let mut local_ops = 0;
+    let mut inline_ops = 0;
     for case in 0..6 {
         let script = gen_script(&mut rng);
         for cfg in IntraConfig::ALL {
-            let linear = run_with(cfg, Scheduler::Linear, &script);
-            let default = run_with(cfg, Scheduler::Default, &script);
+            let [linear, default] = [Scheduler::Linear, Scheduler::Default].map(|engine| {
+                run_script(cfg, &script, |p| {
+                    p.scheduler(engine);
+                })
+            });
             let tag = format!("case {case}, {}", cfg.name());
-            assert_same_sim(&tag, &default, &linear);
-            assert_eq!(linear.engine.batches, 0, "{tag}: the oracle batched");
-            assert_eq!(linear.engine.shard_local_ops, 0, "{tag}");
-            assert_eq!(
-                linear.engine.messages, linear.engine.ops_executed,
-                "{tag}: the oracle sends one op per message"
-            );
+            assert_same_sim(&tag, &default.0, &linear.0);
+            assert_eq!(default.1, linear.1, "{tag}: readable memory changed");
+            assert_ledger(&tag, &linear.0, Scheduler::Linear);
+            assert_ledger(&tag, &default.0, Scheduler::Default);
             assert!(
-                default.engine.round_trips <= linear.engine.round_trips,
-                "{tag}: batching must never add round-trips"
+                default.0.engine.round_trips <= linear.0.engine.round_trips,
+                "{tag}: the default engine suspended more often than the oracle"
             );
-            if Config::Intra(cfg).is_coherent() {
-                assert_eq!(default.engine.shard_local_ops, 0, "{tag}");
-            } else {
-                local_ops += default.engine.shard_local_ops;
-            }
+            inline_ops += default.0.engine.shard_local_ops;
         }
     }
-    assert!(local_ops > 0, "no op ever retired locally");
+    assert!(inline_ops > 0, "no op ever ran inline");
 }
 
-/// Retiring core-private ops in the issuing thread (the per-core slice
-/// path that replaced the sharded engine) is a pure host-side
-/// optimization: on every intra config, random programs give the
-/// oracle's simulated results and the oracle's readable memory, and on
-/// every incoherent config the slice path actually runs.
+/// Running ops inline is a pure host-side optimization: on every intra
+/// config, random programs give the oracle's simulated results and the
+/// oracle's readable memory, and on every config — coherent ones
+/// included — the inline path actually runs.
 #[test]
 fn sharded_engine_is_observationally_identical() {
     let mut rng = SplitMix64::new(0x5AAD);
@@ -208,57 +211,8 @@ fn sharded_engine_is_observationally_identical() {
         }
     }
     for (cfg, local) in IntraConfig::ALL.into_iter().zip(local_ops) {
-        if Config::Intra(cfg).is_coherent() {
-            assert_eq!(local, 0, "{}: coherent runs queue every op", cfg.name());
-        } else {
-            assert!(local > 0, "{}: no op ever retired locally", cfg.name());
-        }
+        assert!(local > 0, "{}: no op ever ran inline", cfg.name());
     }
-}
-
-/// The case a batch cannot retire locally: a miss, then L1 hits to the
-/// same line in the same batch (queued behind the miss, so the slice
-/// moves into the machine), then a load (the slice comes back to the
-/// thread at the latest with its reply), then more local work. Results
-/// and memory must match the oracle, and local retirement must resume.
-#[test]
-fn slice_returns_to_thread_after_a_queued_batch() {
-    const LINES: u64 = 6;
-    let run = |engine: Scheduler| {
-        let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::BMI));
-        p.scheduler(engine);
-        let data = p.alloc(THREADS as u64 * LINES * 16);
-        let bar = p.barrier_of(THREADS);
-        let out = p.run(THREADS, move |ctx| {
-            let base = ctx.tid() as u64 * LINES * 16;
-            for round in 0..3u32 {
-                for line in 0..LINES {
-                    let at = base + line * 16;
-                    ctx.write(data, at, round); // miss (first round)
-                    for w in 1..16 {
-                        ctx.write(data, at + w, round + w as u32); // hits
-                    }
-                    ctx.tick(3 + ctx.tid() as u64);
-                    assert_eq!(ctx.read(data, at), round);
-                    ctx.compute(7);
-                    assert_eq!(ctx.read(data, at + 15), round + 15);
-                }
-                ctx.barrier(bar);
-            }
-        });
-        assert!(out.result().is_ok(), "{engine:?}: {:?}", out.result());
-        (out.stats().clone(), out.peek_all(data))
-    };
-    let (linear, linear_mem) = run(Scheduler::Linear);
-    let (default, default_mem) = run(Scheduler::Default);
-    assert_same_sim("miss-then-hits batch", &default, &linear);
-    assert_eq!(default_mem, linear_mem, "readable memory changed");
-    let e = &default.engine;
-    assert!(e.batches > 0, "stores were batched");
-    assert!(
-        e.shard_local_ops > 0 && e.shard_local_ops < e.ops_executed,
-        "both paths ran: {e:?}"
-    );
 }
 
 /// Run a script on an arbitrary topology/config pair (the flat 4-core
@@ -273,34 +227,34 @@ fn run_geom(config: Config, engine: Scheduler, script: &Script) -> RunStats {
     let l = p.lock_occ(false);
     let bar = p.barrier_of(nthreads);
     let rounds = script.rounds.clone();
-    let out = p.run(nthreads, move |ctx| {
+    let out = p.run_tasks(nthreads, async move |ctx| {
         for round in &rounds {
             for action in &round[ctx.tid() % THREADS] {
                 match *action {
                     Action::Store { idx, val } => {
-                        ctx.write(data, (idx + ctx.tid() as u64) % WORDS, val)
+                        ctx.write(data, (idx + ctx.tid() as u64) % WORDS, val).await
                     }
                     Action::Load { idx } => {
-                        ctx.read(data, (idx + ctx.tid() as u64) % WORDS);
+                        ctx.read(data, (idx + ctx.tid() as u64) % WORDS).await;
                     }
-                    Action::Compute { cycles } => ctx.compute(cycles),
+                    Action::Compute { cycles } => ctx.compute(cycles).await,
                     Action::Critical { bumps } => {
-                        ctx.lock(l);
-                        let v = ctx.read(counter, 0);
-                        ctx.write(counter, 0, v + bumps);
-                        ctx.unlock(l);
+                        ctx.lock(l).await;
+                        let v = ctx.read(counter, 0).await;
+                        ctx.write(counter, 0, v + bumps).await;
+                        ctx.unlock(l).await;
                     }
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
     });
     out.stats().clone()
 }
 
 /// The engine is geometry-generic: a hierarchical 8x8x4 machine (8
-/// blocks x 8 cores x 4 L2 banks — 64 cores, 64 per-core slots, a
-/// non-paper shape) produces bit-identical results.
+/// blocks x 8 cores x 4 L2 banks — 64 cores, 64 tasks, a non-paper
+/// shape) produces bit-identical results.
 #[test]
 fn sharded_engine_identical_on_8x8x4_inter_geometry() {
     use hic_runtime::InterConfig;
@@ -320,10 +274,10 @@ fn sharded_engine_identical_on_8x8x4_inter_geometry() {
     }
 }
 
-/// Fault injection and the incoherence sanitizer both force every op
-/// through the queue (their observations depend on the global
-/// interleaving of *every* op): the default engine must retire nothing
-/// locally in those modes and still match the oracle.
+/// Fault injection and the incoherence sanitizer observe the global
+/// interleaving of *every* op. Both run on the same path as a clean
+/// run: the default engine still runs ops inline in those modes and
+/// matches the oracle.
 #[test]
 fn sharded_engine_falls_back_under_faults_and_checker() {
     let mut rng = SplitMix64::new(0x5AB0);
@@ -342,7 +296,7 @@ fn sharded_engine_falls_back_under_faults_and_checker() {
         });
         assert_same_sim(tag, &default.0, &linear.0);
         assert_eq!(default.1, linear.1, "{tag}: readable memory changed");
-        assert_eq!(default.0.engine.shard_local_ops, 0, "{tag}");
+        assert!(default.0.engine.shard_local_ops > 0, "{tag}");
     }
 }
 

@@ -1,11 +1,12 @@
-//! Property test for how ops travel from a thread to the engine:
-//! batching is a pure host-side optimization. The default engine
-//! coalesces batchable ops into multi-op messages; the `Linear` oracle
-//! sends every op as its own message and waits for its reply. For any
-//! program both must produce bit-identical simulated results — total
-//! cycles, stall ledgers, traffic, and the op stream — and only the
-//! host-side message and round-trip counts may differ, never in the
-//! oracle's favour.
+//! Property test for how ops travel from a core's task to the engine:
+//! running an op inline is a pure host-side optimization. The default
+//! engine runs a core's op in place while the core holds the smallest
+//! `(time, core)` key; the `Linear` oracle suspends the core before
+//! every op and resumes it only when the loop picks it. For any program
+//! both must produce bit-identical simulated results — total cycles,
+//! stall ledgers, traffic, the op stream and readable memory — and only
+//! the host-side suspension count may differ, never in the oracle's
+//! favour.
 //!
 //! The generator emits deadlock-free programs by construction: every
 //! thread runs the same number of rounds, every round ends with a full
@@ -73,7 +74,9 @@ fn gen_script(rng: &mut SplitMix64) -> Script {
     Script { rounds }
 }
 
-fn run_with(cfg: IntraConfig, engine: Scheduler, script: &Script) -> RunStats {
+/// Run `script` under `engine`; returns the stats and the final readable
+/// memory (data words + counter).
+fn run_with(cfg: IntraConfig, engine: Scheduler, script: &Script) -> (RunStats, Vec<u32>) {
     let mut p = ProgramBuilder::new(Config::Intra(cfg));
     p.scheduler(engine);
     let data = p.alloc(WORDS);
@@ -81,42 +84,45 @@ fn run_with(cfg: IntraConfig, engine: Scheduler, script: &Script) -> RunStats {
     let l = p.lock_occ(false);
     let bar = p.barrier_of(THREADS);
     let rounds = script.rounds.clone();
-    let out = p.run(THREADS, move |ctx| {
+    let out = p.run_tasks(THREADS, async move |ctx| {
         for round in &rounds {
             for action in &round[ctx.tid()] {
                 match *action {
-                    Action::Store { idx, val } => ctx.write(data, idx, val),
+                    Action::Store { idx, val } => ctx.write(data, idx, val).await,
                     Action::Load { idx } => {
-                        ctx.read(data, idx);
+                        ctx.read(data, idx).await;
                     }
-                    Action::Compute { cycles } => ctx.compute(cycles),
+                    Action::Compute { cycles } => ctx.compute(cycles).await,
                     Action::Critical { bumps } => {
-                        ctx.lock(l);
-                        let v = ctx.read(counter, 0);
-                        ctx.write(counter, 0, v + bumps);
-                        ctx.unlock(l);
+                        ctx.lock(l).await;
+                        let v = ctx.read(counter, 0).await;
+                        ctx.write(counter, 0, v + bumps).await;
+                        ctx.unlock(l).await;
                     }
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
         }
     });
     assert!(out.result().is_ok(), "run failed: {:?}", out.result());
-    out.stats().clone()
+    let mut mem = out.peek_all(data);
+    mem.push(out.peek(counter, 0));
+    (out.stats().clone(), mem)
 }
 
-/// Batched and one-op-per-message delivery agree on every simulated
-/// quantity for every intra config; batching never adds messages or
-/// round-trips, and it does coalesce ops on these programs.
+/// Inline and suspend-before-every-op delivery agree on every simulated
+/// quantity and on readable memory for every intra config; inline
+/// delivery never adds messages or suspensions, and it does skip the
+/// suspension for some ops on these programs.
 #[test]
 fn transports_are_observationally_identical() {
     let mut rng = SplitMix64::new(0x7247);
-    let mut batches = 0;
+    let mut inline_ops = 0;
     for case in 0..6 {
         let script = gen_script(&mut rng);
         for cfg in IntraConfig::ALL {
-            let sync = run_with(cfg, Scheduler::Linear, &script);
-            let batched = run_with(cfg, Scheduler::Default, &script);
+            let (sync, sync_mem) = run_with(cfg, Scheduler::Linear, &script);
+            let (inline, inline_mem) = run_with(cfg, Scheduler::Default, &script);
             let tag = format!("case {case}, {}", cfg.name());
             assert_eq!(sync.engine.batches, 0, "{tag}: the oracle batched");
             assert_eq!(
@@ -124,31 +130,36 @@ fn transports_are_observationally_identical() {
                 "{tag}: the oracle sends one op per message"
             );
             assert_eq!(
-                batched.total_cycles, sync.total_cycles,
-                "{tag}: batching changed simulated time"
+                sync.engine.round_trips, sync.engine.ops_executed,
+                "{tag}: the oracle suspends before every op"
             );
             assert_eq!(
-                batched.ledgers, sync.ledgers,
-                "{tag}: batching changed stall ledgers"
+                inline.total_cycles, sync.total_cycles,
+                "{tag}: inline delivery changed simulated time"
             );
             assert_eq!(
-                batched.traffic, sync.traffic,
-                "{tag}: batching changed traffic"
+                inline.ledgers, sync.ledgers,
+                "{tag}: inline delivery changed stall ledgers"
             );
             assert_eq!(
-                batched.engine.ops_executed, sync.engine.ops_executed,
-                "{tag}: batching changed the op stream"
+                inline.traffic, sync.traffic,
+                "{tag}: inline delivery changed traffic"
+            );
+            assert_eq!(
+                inline.engine.ops_executed, sync.engine.ops_executed,
+                "{tag}: inline delivery changed the op stream"
+            );
+            assert_eq!(inline_mem, sync_mem, "{tag}: readable memory changed");
+            assert!(
+                inline.engine.messages <= sync.engine.messages,
+                "{tag}: inline delivery must never add messages"
             );
             assert!(
-                batched.engine.messages <= sync.engine.messages,
-                "{tag}: batching must never add messages"
+                inline.engine.round_trips <= sync.engine.round_trips,
+                "{tag}: inline delivery must never add suspensions"
             );
-            assert!(
-                batched.engine.round_trips <= sync.engine.round_trips,
-                "{tag}: batching must never add round-trips"
-            );
-            batches += batched.engine.batches;
+            inline_ops += inline.engine.shard_local_ops;
         }
     }
-    assert!(batches > 0, "no message was ever batched");
+    assert!(inline_ops > 0, "no op was ever run inline");
 }

@@ -21,14 +21,14 @@ fn inter_lock_counter_is_exact_under_contention() {
         let counter = p.alloc(1);
         let l = p.lock_occ(false);
         let bar = p.barrier_of(32);
-        let out = p.run(32, move |ctx| {
+        let out = p.run_tasks(32, async move |ctx| {
             for _ in 0..4 {
-                ctx.lock(l);
-                let v = ctx.read(counter, 0);
-                ctx.write(counter, 0, v + 1);
-                ctx.unlock(l);
+                ctx.lock(l).await;
+                let v = ctx.read(counter, 0).await;
+                ctx.write(counter, 0, v + 1).await;
+                ctx.unlock(l).await;
             }
-            ctx.plan_barrier(bar);
+            ctx.plan_barrier(bar).await;
         });
         assert_eq!(
             out.peek(counter, 0),

@@ -77,13 +77,13 @@ fn env_assembled_requests_serialize_like_explicit_ones() {
     let hand_built = {
         let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
         let data = p.alloc(64);
-        p.run(2, move |ctx| {
+        p.run_tasks(2, async move |ctx| {
             let own = ctx.tid() as u64 * 32;
             for i in 0..32 {
-                ctx.write(data, own + i, i as u32);
+                ctx.write(data, own + i, i as u32).await;
             }
             for i in 0..32 {
-                ctx.read(data, own + i);
+                ctx.read(data, own + i).await;
             }
         })
     };
