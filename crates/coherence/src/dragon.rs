@@ -1,6 +1,6 @@
-//! Update-based Dragon coherence, flat (one block) or hierarchical
-//! (blocks + L3) — the second citizen of the protocol zoo next to
-//! [`crate::MesiSystem`].
+//! Update-based Dragon coherence over the shared directory hierarchy —
+//! the second citizen of the protocol zoo next to [`crate::MesiSystem`].
+//! Only the write path lives here.
 //!
 //! Where MESI *invalidates* other copies on a write, Dragon *updates*
 //! them: a store to a shared line broadcasts the written word to every
@@ -41,10 +41,11 @@
 use fxhash::FxHashMap;
 
 use hic_mem::addr::WORDS_PER_LINE;
-use hic_mem::cache::EvictedLine;
-use hic_mem::{Cache, LineAddr, Memory, Word, WordAddr};
-use hic_noc::{Mesh, TrafficCategory, TrafficLedger};
-use hic_sim::{CoreId, MachineConfig};
+use hic_mem::{LineAddr, Word, WordAddr};
+use hic_noc::TrafficCategory;
+use hic_sim::CoreId;
+
+use crate::hierarchy::{DirectoryHierarchy, LineState};
 
 /// Per-L1-line Dragon state. Absent from the map = Invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,433 +60,23 @@ pub enum Dragon {
     M,
 }
 
-impl Dragon {
-    fn is_shared(self) -> bool {
-        matches!(self, Dragon::Sc | Dragon::Sm)
-    }
-}
+impl LineState for Dragon {
+    const EXCLUSIVE: Dragon = Dragon::E;
+    const SHARED: Dragon = Dragon::Sc;
+    const L3_EVICT_KEEPS: Option<Dragon> = Some(Dragon::Sc);
 
-/// Directory entry: full map over the children of this level
-/// (cores of a block at L2; blocks of the chip at L3).
-#[derive(Debug, Clone, Default)]
-struct DirEntry {
-    /// Bitmask of children holding the line.
-    sharers: u64,
-    /// Child holding the line exclusively (E or M at L2; possibly-newer
-    /// L2 data at L3), if any.
-    owner: Option<usize>,
-}
-
-impl DirEntry {
-    fn add(&mut self, i: usize) {
-        self.sharers |= 1 << i;
-    }
-    fn remove(&mut self, i: usize) {
-        self.sharers &= !(1 << i);
-        if self.owner == Some(i) {
-            self.owner = None;
-        }
-    }
-    fn holds(&self, i: usize) -> bool {
-        self.sharers & (1 << i) != 0
-    }
-    fn others(&self, i: usize) -> Vec<usize> {
-        (0..64)
-            .filter(|&j| j != i && self.sharers & (1 << j) != 0)
-            .collect()
-    }
-    fn is_empty(&self) -> bool {
-        self.sharers == 0
+    fn is_exclusive(self) -> bool {
+        matches!(self, Dragon::E | Dragon::M)
     }
 }
 
 /// The update-based hardware-coherent memory system.
-#[derive(Debug)]
-pub struct DragonSystem {
-    cfg: MachineConfig,
-    mesh: Mesh,
-    cpb: usize,
-    bpb: usize,
-    /// Per-core private L1.
-    l1: Vec<Cache>,
-    /// Per-core Dragon state per resident line.
-    l1_state: Vec<FxHashMap<u64, Dragon>>,
-    /// L2 banks, global index `block * bpb + bank`.
-    l2: Vec<Cache>,
-    /// Per-block directory over that block's cores.
-    l2_dir: Vec<FxHashMap<u64, DirEntry>>,
-    /// L3 banks (hierarchical machine only).
-    l3: Vec<Cache>,
-    /// Directory over blocks (hierarchical machine only).
-    l3_dir: FxHashMap<u64, DirEntry>,
-    mem: Memory,
-    /// Flit ledger.
-    pub traffic: TrafficLedger,
-}
+pub type DragonSystem = DirectoryHierarchy<Dragon>;
 
 impl DragonSystem {
-    pub fn new(cfg: MachineConfig) -> DragonSystem {
-        let ncores = cfg.num_cores();
-        let nblocks = cfg.num_blocks();
-        let cpb = cfg.cores_per_block();
-        let bpb = cfg.l2_banks_per_block();
-        let l3 = cfg.l3();
-        let l3_banks = l3.map(|l| l.banks).unwrap_or(0);
-        DragonSystem {
-            mesh: Mesh::for_config(&cfg),
-            cpb,
-            bpb,
-            l1: (0..ncores).map(|_| Cache::new(cfg.l1)).collect(),
-            l1_state: vec![FxHashMap::default(); ncores],
-            l2: (0..nblocks * bpb).map(|_| Cache::new(cfg.l2)).collect(),
-            l2_dir: vec![FxHashMap::default(); nblocks],
-            l3: (0..l3_banks)
-                .map(|_| Cache::new(l3.expect("l3_banks > 0 implies an L3").geometry))
-                .collect(),
-            l3_dir: FxHashMap::default(),
-            mem: Memory::new(),
-            traffic: TrafficLedger::new(),
-            cfg,
-        }
-    }
-
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    #[inline]
-    fn block_of(&self, c: CoreId) -> usize {
-        c.0 / self.cpb
-    }
-
-    #[inline]
-    fn local_idx(&self, c: CoreId) -> usize {
-        c.0 % self.cpb
-    }
-
-    /// Global L2 bank index of a line's home within `blk`.
-    #[inline]
-    fn home_bank(&self, blk: usize, line: LineAddr) -> usize {
-        blk * self.bpb + (line.0 as usize % self.bpb)
-    }
-
-    /// Mesh tile of a global L2 bank (banks are colocated with core tiles).
-    #[inline]
-    fn bank_tile(&self, global_bank: usize) -> usize {
-        let blk = global_bank / self.bpb;
-        let bank = global_bank % self.bpb;
-        blk * self.cpb + bank
-    }
-
-    #[inline]
-    fn core_tile_of_local(&self, blk: usize, local: usize) -> usize {
-        blk * self.cpb + local
-    }
-
-    fn is_hier(&self) -> bool {
-        !self.l3.is_empty()
-    }
-
-    #[inline]
-    fn l3_bank(&self, line: LineAddr) -> usize {
-        line.0 as usize % self.l3.len()
-    }
-
-    /// Round trip of a local L3 bank access (0 on flat machines, which
-    /// never reach an L3 path).
-    #[inline]
-    fn l3_rt(&self) -> u64 {
-        self.cfg.l3().map(|l| l.rt).unwrap_or(0)
-    }
-
-    /// RT from a core tile to a corner-resident L3 bank.
-    fn rt_core_to_l3(&self, tile: usize, l3b: usize) -> u64 {
-        self.mesh.rt_latency_to_corner(tile, l3b)
-    }
-
     /// Flits of one single-word update message.
     fn update_flits(&self) -> u64 {
         self.cfg.flits_for(self.cfg.word_bytes)
-    }
-
-    // ------------------------------------------------------------------
-    // L1 side
-    // ------------------------------------------------------------------
-
-    fn l1_state_of(&self, c: CoreId, line: LineAddr) -> Option<Dragon> {
-        self.l1_state[c.0].get(&line.0).copied()
-    }
-
-    /// Install a line in an L1 with the given state, handling the victim.
-    fn l1_fill(&mut self, c: CoreId, line: LineAddr, data: [Word; WORDS_PER_LINE], st: Dragon) {
-        if let Some(victim) = self.l1[c.0].fill(line, data, 0) {
-            self.l1_evict(c, victim);
-        }
-        self.l1_state[c.0].insert(line.0, st);
-    }
-
-    /// Handle an L1 eviction: write dirty data back to the home L2 bank
-    /// (only E/M lines can be dirty — shared copies are kept clean by the
-    /// broadcast write-through), or send a replacement hint, and update
-    /// the directory.
-    fn l1_evict(&mut self, c: CoreId, victim: EvictedLine) {
-        let line = victim.addr;
-        let st = self.l1_state[c.0].remove(&line.0);
-        debug_assert!(st.is_some(), "evicted line had no state");
-        let blk = self.block_of(c);
-        if victim.dirty != 0 {
-            debug_assert!(
-                matches!(st, Some(Dragon::E | Dragon::M)),
-                "shared Dragon copies must stay clean"
-            );
-            let hb = self.home_bank(blk, line);
-            let merged = self.l2[hb].merge_words(line, &victim.data, victim.dirty);
-            debug_assert!(merged, "L2 must be inclusive of its L1s");
-            let bytes = victim.dirty_words() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Writeback, self.cfg.flits_for(bytes));
-        } else {
-            // Replacement hint keeps the full-map directory exact (and
-            // stops updates to a line nobody holds any more).
-            self.traffic.add(TrafficCategory::Writeback, 1);
-        }
-        let local = self.local_idx(c);
-        if let Some(e) = self.l2_dir[blk].get_mut(&line.0) {
-            e.remove(local);
-            if e.is_empty() {
-                self.l2_dir[blk].remove(&line.0);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Block-level acquisition (same shapes as MESI: misses fetch through
-    // the hierarchy; only the write path differs between the protocols)
-    // ------------------------------------------------------------------
-
-    /// Ensure the block's L2 holds a readable copy of `line`; returns extra
-    /// latency beyond the home-bank round trip.
-    fn ensure_block_readable(&mut self, blk: usize, line: LineAddr) -> u64 {
-        let hb = self.home_bank(blk, line);
-        if self.l2[hb].probe(line).is_hit() {
-            return 0;
-        }
-        let hb_tile = self.bank_tile(hb);
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            let mut lat = self.rt_core_to_l3(hb_tile, l3b) + self.l3_rt();
-            // Recall a block whose L2 may be newer than L3, if any.
-            let owner_blk = self.l3_dir.get(&line.0).and_then(|e| e.owner);
-            if let Some(b) = owner_blk {
-                if b != blk {
-                    lat += self.recall_block_to_l3(b, line, l3b);
-                }
-            }
-            // L3 fill from memory if needed (memory sits at the corners).
-            if !self.l3[l3b].probe(line).is_hit() {
-                lat += self.cfg.mem_rt;
-                let data = self.mem.read_line(line);
-                self.traffic
-                    .add(TrafficCategory::Memory, self.cfg.line_flits());
-                if let Some(v) = self.l3[l3b].fill(line, data, 0) {
-                    self.l3_evict(v);
-                }
-            }
-            // Transfer L3 -> L2 and record the block as a sharer.
-            let data = *self.l3[l3b].view(line).expect("just ensured").data;
-            self.traffic
-                .add(TrafficCategory::L2L3, self.cfg.line_flits());
-            if let Some(v) = self.l2[hb].fill(line, data, 0) {
-                self.l2_evict(blk, v);
-            }
-            self.l3_dir.entry(line.0).or_default().add(blk);
-            lat
-        } else {
-            // Flat machine: fetch from memory at the nearest corner.
-            let corner = self.mesh.nearest_corner(hb_tile);
-            let lat = self.mesh.rt_latency_to_corner(hb_tile, corner) + self.cfg.mem_rt;
-            let data = self.mem.read_line(line);
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.line_flits());
-            if let Some(v) = self.l2[hb].fill(line, data, 0) {
-                self.l2_evict(blk, v);
-            }
-            lat
-        }
-    }
-
-    /// Pull a possibly-newer line from `owner_blk`'s L2 down into L3 and
-    /// clear the block-ownership mark. Returns the latency of the recall.
-    fn recall_block_to_l3(&mut self, owner_blk: usize, line: LineAddr, l3b: usize) -> u64 {
-        let hb = self.home_bank(owner_blk, line);
-        let hb_tile = self.bank_tile(hb);
-        let mut lat = self.rt_core_to_l3(hb_tile, l3b) + self.cfg.l2_rt;
-        // First pull any L1 owner inside that block into its L2.
-        lat += self.pull_local_owner(owner_blk, line, hb, None);
-        // Then copy dirty words (if any) from L2 into L3.
-        let (data, dirty) = match self.l2[hb].view(line) {
-            Some(v) => (*v.data, v.dirty),
-            None => {
-                // The block's L2 lost the line via eviction (which already
-                // wrote it back); nothing to transfer.
-                self.l3_dir.entry(line.0).or_default().owner = None;
-                return lat;
-            }
-        };
-        if dirty != 0 {
-            let bytes = dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-            let merged = self.l3[l3b].merge_words(line, &data, dirty);
-            debug_assert!(merged, "L3 must be inclusive of L2s");
-            self.l2[hb].clean_line(line);
-        } else {
-            self.traffic.add(TrafficCategory::Invalidation, 2);
-        }
-        if let Some(e) = self.l3_dir.get_mut(&line.0) {
-            e.owner = None;
-        }
-        lat
-    }
-
-    /// If an L1 inside `blk` holds the line exclusively (E/M), push its
-    /// dirty words into the block's L2 and downgrade it to `Sc` — under
-    /// Dragon the previous owner *keeps* its copy and simply joins the
-    /// sharer set (it will receive updates from now on). Returns latency.
-    ///
-    /// When the requesting core is known, the data is forwarded directly
-    /// owner -> requester (three-hop protocol): the returned latency is
-    /// the *extra* beyond the home round trip the caller already charged.
-    fn pull_local_owner(
-        &mut self,
-        blk: usize,
-        line: LineAddr,
-        hb: usize,
-        requester: Option<CoreId>,
-    ) -> u64 {
-        let owner = match self.l2_dir[blk].get(&line.0).and_then(|e| e.owner) {
-            Some(o) => o,
-            None => return 0,
-        };
-        let hb_tile = self.bank_tile(hb);
-        let o_tile = self.core_tile_of_local(blk, owner);
-        let lat = match requester {
-            // Three-hop: home -> owner probe, owner lookup, owner ->
-            // requester data; minus the home -> requester return leg the
-            // caller's round-trip baseline already includes.
-            Some(c) => (self.mesh.latency(hb_tile, o_tile)
-                + self.cfg.l1_rt
-                + self.mesh.latency(o_tile, c.0))
-            .saturating_sub(self.mesh.latency(hb_tile, c.0)),
-            // Four-hop recall through the home (cross-level rounds).
-            None => self.mesh.rt_latency(hb_tile, o_tile) + self.cfg.l1_rt,
-        };
-        let c = CoreId(blk * self.cpb + owner);
-        let view = self.l1[c.0].view(line).expect("owner must hold the line");
-        let (data, dirty) = (*view.data, view.dirty);
-        // The probe/ack pair is coherence-control traffic; dirty data
-        // additionally rides back as a writeback.
-        self.traffic.add(TrafficCategory::Invalidation, 2);
-        if dirty != 0 {
-            let bytes = dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Writeback, self.cfg.flits_for(bytes));
-            let merged = self.l2[hb].merge_words(line, &data, dirty);
-            debug_assert!(merged, "L2 must be inclusive of its L1s");
-        }
-        self.l1[c.0].clean_line(line);
-        self.l1_state[c.0].insert(line.0, Dragon::Sc);
-        self.l2_dir[blk].get_mut(&line.0).unwrap().owner = None;
-        lat
-    }
-
-    // ------------------------------------------------------------------
-    // Evictions at L2 / L3 (inclusivity recalls)
-    // ------------------------------------------------------------------
-
-    fn l2_evict(&mut self, blk: usize, mut victim: EvictedLine) {
-        let line = victim.addr;
-        // Recall every L1 copy in the block.
-        if let Some(e) = self.l2_dir[blk].remove(&line.0) {
-            for local in e.others(usize::MAX) {
-                let c = CoreId(blk * self.cpb + local);
-                if let Some(inv) = self.l1[c.0].invalidate(line) {
-                    if inv.dirty != 0 {
-                        for w in 0..WORDS_PER_LINE {
-                            if inv.dirty & (1 << w) != 0 {
-                                victim.data[w] = inv.data[w];
-                            }
-                        }
-                        victim.dirty |= inv.dirty;
-                        let bytes = inv.dirty_words() as usize * 4;
-                        self.traffic
-                            .add(TrafficCategory::Writeback, self.cfg.flits_for(bytes));
-                    }
-                }
-                self.l1_state[c.0].remove(&line.0);
-                self.traffic.add(TrafficCategory::Invalidation, 2);
-            }
-        }
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            if victim.dirty != 0 {
-                let bytes = victim.dirty.count_ones() as usize * 4;
-                self.traffic
-                    .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-                let merged = self.l3[l3b].merge_words(line, &victim.data, victim.dirty);
-                debug_assert!(merged, "L3 inclusive of L2");
-            }
-            if let Some(e) = self.l3_dir.get_mut(&line.0) {
-                e.remove(blk);
-                if e.is_empty() {
-                    self.l3_dir.remove(&line.0);
-                }
-            }
-        } else if victim.dirty != 0 {
-            let bytes = victim.dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.flits_for(bytes));
-            self.mem.merge_words(line, &victim.data, victim.dirty);
-        }
-    }
-
-    fn l3_evict(&mut self, mut victim: EvictedLine) {
-        let line = victim.addr;
-        if let Some(e) = self.l3_dir.remove(&line.0) {
-            for blk in e.others(usize::MAX) {
-                let hb = self.home_bank(blk, line);
-                self.pull_local_owner(blk, line, hb, None);
-                // Drop every L1 sharer, then the L2 copy.
-                if let Some(de) = self.l2_dir[blk].remove(&line.0) {
-                    for local in de.others(usize::MAX) {
-                        let c = CoreId(blk * self.cpb + local);
-                        self.l1[c.0].invalidate(line);
-                        self.l1_state[c.0].remove(&line.0);
-                        self.traffic.add(TrafficCategory::Invalidation, 2);
-                    }
-                }
-                if let Some(inv) = self.l2[hb].invalidate(line) {
-                    if inv.dirty != 0 {
-                        for w in 0..WORDS_PER_LINE {
-                            if inv.dirty & (1 << w) != 0 {
-                                victim.data[w] = inv.data[w];
-                            }
-                        }
-                        victim.dirty |= inv.dirty;
-                        let bytes = inv.dirty_words() as usize * 4;
-                        self.traffic
-                            .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-                    }
-                }
-                self.traffic.add(TrafficCategory::Invalidation, 2);
-            }
-        }
-        if victim.dirty != 0 {
-            let bytes = victim.dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.flits_for(bytes));
-            self.mem.merge_words(line, &victim.data, victim.dirty);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -497,10 +88,11 @@ impl DragonSystem {
     /// deposit it in the shared levels. Returns `(latency, had_sharers)`;
     /// with no other sharer anywhere the caller converts the line to `M`.
     fn update_others(&mut self, c: CoreId, line: LineAddr, idx: usize, v: Word) -> (u64, bool) {
-        let blk = self.block_of(c);
+        let topo = self.cfg.topology;
+        let blk = topo.block_of(c.0);
         let local = self.local_idx(c);
-        let hb = self.home_bank(blk, line);
-        let hb_tile = self.bank_tile(hb);
+        let hb = topo.home_bank(blk, line.0);
+        let hb_tile = topo.bank_tile(hb);
         let mut lat = 0;
         let mut had_sharers = false;
 
@@ -514,24 +106,21 @@ impl DragonSystem {
             .map(|e| e.others(local))
             .unwrap_or_default();
         let mut max_leg = 0;
-        for t in &targets {
-            let c2 = CoreId(blk * self.cpb + t);
-            let hit = self.l1[c2.0].write_word(line, idx, v).is_some();
+        for &t in &targets {
+            let c2 = self.core_of(blk, t);
+            let hit = self.l1[c2].write_word(line, idx, v).is_some();
             debug_assert!(hit, "directory lists a sharer without the line");
             // Sharer copies stay clean: the home L2/L3 copy owns the
             // dirtiness (it plays the Sm role at the shared level).
-            self.l1[c2.0].clean_words(line, mask);
+            self.l1[c2].clean_words(line, mask);
             debug_assert!(matches!(
-                self.l1_state[c2.0].get(&line.0),
+                self.l1_state[c2].get(&line.0),
                 Some(Dragon::Sc | Dragon::Sm)
             ));
-            self.l1_state[c2.0].insert(line.0, Dragon::Sc);
+            self.l1_state[c2].insert(line.0, Dragon::Sc);
             self.traffic
                 .add(TrafficCategory::Invalidation, self.update_flits());
-            max_leg = max_leg.max(
-                self.mesh
-                    .rt_latency(hb_tile, self.core_tile_of_local(blk, *t)),
-            );
+            max_leg = max_leg.max(self.mesh.rt_latency(hb_tile, c2));
         }
         if !targets.is_empty() {
             had_sharers = true;
@@ -539,7 +128,7 @@ impl DragonSystem {
         }
 
         // Remote round: patch other blocks' copies via the L3 directory.
-        let remote: Vec<usize> = if self.is_hier() {
+        let remote: Vec<usize> = if self.cfg.is_hierarchical() {
             self.l3_dir
                 .get(&line.0)
                 .map(|e| e.others(blk))
@@ -549,8 +138,8 @@ impl DragonSystem {
         };
         if !remote.is_empty() {
             had_sharers = true;
-            let l3b = self.l3_bank(line);
-            let up = self.rt_core_to_l3(hb_tile, l3b) + self.l3_rt();
+            let l3b = topo.l3_bank(line.0);
+            let up = self.mesh.rt_latency_to_corner(hb_tile, l3b) + topo.l3_rt();
             // Cross-block sharing writes through to the L3 home bank,
             // which becomes the data authority; every L2 copy stays a
             // clean mirror.
@@ -559,9 +148,9 @@ impl DragonSystem {
             self.traffic.add(TrafficCategory::L2L3, self.update_flits());
             let mut max_leg = 0;
             for b in remote {
-                let bhb = self.home_bank(b, line);
-                let bhb_tile = self.bank_tile(bhb);
-                let leg = self.rt_core_to_l3(bhb_tile, l3b) + self.cfg.l2_rt;
+                let bhb = topo.home_bank(b, line.0);
+                let bhb_tile = topo.bank_tile(bhb);
+                let leg = self.mesh.rt_latency_to_corner(bhb_tile, l3b) + self.cfg.l2_rt;
                 // Patch the remote L2 mirror...
                 if self.l2[bhb].write_word(line, idx, v).is_some() {
                     self.l2[bhb].clean_words(line, mask);
@@ -573,17 +162,14 @@ impl DragonSystem {
                     .unwrap_or_default();
                 let mut fan = 0;
                 for local2 in locals {
-                    let c2 = CoreId(b * self.cpb + local2);
-                    let hit = self.l1[c2.0].write_word(line, idx, v).is_some();
+                    let c2 = self.core_of(b, local2);
+                    let hit = self.l1[c2].write_word(line, idx, v).is_some();
                     debug_assert!(hit, "directory lists a sharer without the line");
-                    self.l1[c2.0].clean_words(line, mask);
-                    self.l1_state[c2.0].insert(line.0, Dragon::Sc);
+                    self.l1[c2].clean_words(line, mask);
+                    self.l1_state[c2].insert(line.0, Dragon::Sc);
                     self.traffic
                         .add(TrafficCategory::Invalidation, self.update_flits());
-                    fan = fan.max(
-                        self.mesh
-                            .rt_latency(bhb_tile, self.core_tile_of_local(b, local2)),
-                    );
+                    fan = fan.max(self.mesh.rt_latency(bhb_tile, c2));
                 }
                 self.traffic
                     .add(TrafficCategory::Invalidation, self.update_flits());
@@ -606,7 +192,7 @@ impl DragonSystem {
             debug_assert!(merged, "home L2 holds every shared line of its block");
             self.traffic
                 .add(TrafficCategory::Writeback, self.update_flits());
-            if self.is_hier() {
+            if self.cfg.is_hierarchical() {
                 if let Some(e) = self.l3_dir.get_mut(&line.0) {
                     e.owner = Some(blk);
                 }
@@ -616,64 +202,8 @@ impl DragonSystem {
     }
 
     // ------------------------------------------------------------------
-    // Public interface
+    // The write path
     // ------------------------------------------------------------------
-
-    /// Coherent load. Returns the value and the access latency.
-    pub fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64) {
-        let line = w.line();
-        if self.l1_state_of(c, line).is_some() {
-            // Updates keep every resident copy fresh: a hit is always
-            // safe, whatever the state.
-            let v = self.l1[c.0]
-                .read_word(line, w.index_in_line())
-                .expect("state/cache sync");
-            return (v, self.cfg.l1_rt);
-        }
-        let blk = self.block_of(c);
-        let hb = self.home_bank(blk, line);
-        let hb_tile = self.bank_tile(hb);
-        let mut lat = self.cfg.l1_rt + self.mesh.rt_latency(c.0, hb_tile) + self.cfg.l2_rt;
-        lat += self.ensure_block_readable(blk, line);
-        // Forward from a local owner if one exists (three-hop); the owner
-        // stays resident as Sc.
-        lat += self.pull_local_owner(blk, line, hb, Some(c));
-        let data = *self.l2[hb].view(line).expect("block readable").data;
-        // E if no one else holds it anywhere; else Sc.
-        let local_sharers = self.l2_dir[blk]
-            .get(&line.0)
-            .map(|e| e.sharers)
-            .unwrap_or(0);
-        let exclusive_ok = if self.is_hier() {
-            let e = self.l3_dir.get(&line.0).expect("block recorded at L3");
-            e.sharers == 1 << blk
-        } else {
-            true
-        };
-        let st = if local_sharers == 0 && exclusive_ok {
-            Dragon::E
-        } else {
-            Dragon::Sc
-        };
-        let local = self.local_idx(c);
-        let entry = self.l2_dir[blk].entry(line.0).or_default();
-        entry.add(local);
-        if st == Dragon::E {
-            entry.owner = Some(local);
-            // Record block-level exclusivity so a later remote request
-            // recalls this block (an E copy may silently become M).
-            if self.is_hier() {
-                self.l3_dir
-                    .get_mut(&line.0)
-                    .expect("block recorded at L3")
-                    .owner = Some(blk);
-            }
-        }
-        self.traffic
-            .add(TrafficCategory::Linefill, self.cfg.line_flits());
-        self.l1_fill(c, line, data, st);
-        (data[w.index_in_line()], lat)
-    }
 
     /// Coherent store. Returns the access latency.
     pub fn write(&mut self, c: CoreId, w: WordAddr, v: Word) -> u64 {
@@ -690,178 +220,57 @@ impl DragonSystem {
                 self.l1[c.0].write_word(line, idx, v);
                 self.cfg.l1_rt
             }
-            Some(st) if st.is_shared() => self.shared_write(c, line, idx, v),
-            _ => {
-                // Write miss: fetch the line, then write under whatever
-                // sharing situation the fetch found.
-                let blk = self.block_of(c);
-                let hb = self.home_bank(blk, line);
-                let hb_tile = self.bank_tile(hb);
-                let mut lat = self.cfg.l1_rt + self.mesh.rt_latency(c.0, hb_tile) + self.cfg.l2_rt;
-                lat += self.ensure_block_readable(blk, line);
-                lat += self.pull_local_owner(blk, line, hb, Some(c));
+            Some(Dragon::Sc | Dragon::Sm) => {
+                let (_, _, lat) = self.home_request(c, line);
+                lat + self.shared_write(c, line, idx, v)
+            }
+            None => {
+                // Write miss: fetch the line (a local owner stays resident
+                // as Sc), then write under whatever sharing situation the
+                // fetch found.
+                let (blk, hb, lat) = self.fetch(c, line, Some(Dragon::Sc));
                 let data = *self.l2[hb].view(line).expect("block readable").data;
                 let local = self.local_idx(c);
-                let entry = self.l2_dir[blk].entry(line.0).or_default();
-                entry.add(local);
-                self.traffic
-                    .add(TrafficCategory::Linefill, self.cfg.line_flits());
+                self.l2_dir[blk].entry(line.0).or_default().add(local);
                 self.l1_fill(c, line, data, Dragon::Sc);
-                self.l1[c.0].write_word(line, idx, v);
-                self.l1[c.0].clean_words(line, 1 << idx);
-                let (bcast, had_sharers) = self.update_others(c, line, idx, v);
-                lat += bcast;
-                if had_sharers {
-                    self.l1_state[c.0].insert(line.0, Dragon::Sm);
-                } else {
-                    // Nobody else holds it: the line is private after all.
-                    self.l1_state[c.0].insert(line.0, Dragon::M);
-                    self.l1[c.0].write_word(line, idx, v); // redo, dirty
-                    self.l2_dir[blk].get_mut(&line.0).unwrap().owner = Some(local);
-                    if self.is_hier() {
-                        self.l3_dir.entry(line.0).or_default().owner = Some(blk);
-                    }
-                }
-                lat
+                lat + self.shared_write(c, line, idx, v)
             }
         }
     }
 
     /// A store to a line this core shares: patch the local copy, then
     /// broadcast. If the broadcast finds no other sharer (everyone
-    /// evicted), convert to `M` — the Dragon Sm->M transition.
+    /// evicted), convert to `M` — the Dragon Sm->M transition. Returns
+    /// the broadcast latency.
     fn shared_write(&mut self, c: CoreId, line: LineAddr, idx: usize, v: Word) -> u64 {
-        let blk = self.block_of(c);
-        let hb = self.home_bank(blk, line);
-        let hb_tile = self.bank_tile(hb);
-        let mut lat = self.cfg.l1_rt + self.mesh.rt_latency(c.0, hb_tile) + self.cfg.l2_rt;
         self.l1[c.0].write_word(line, idx, v);
         self.l1[c.0].clean_words(line, 1 << idx);
-        let (bcast, had_sharers) = self.update_others(c, line, idx, v);
-        lat += bcast;
+        let (lat, had_sharers) = self.update_others(c, line, idx, v);
         if had_sharers {
             self.l1_state[c.0].insert(line.0, Dragon::Sm);
         } else {
+            // Nobody else holds it: the line is private after all.
+            let blk = self.cfg.topology.block_of(c.0);
             let local = self.local_idx(c);
             self.l1_state[c.0].insert(line.0, Dragon::M);
             self.l1[c.0].write_word(line, idx, v); // redo, dirty
-            self.l2_dir[blk].get_mut(&line.0).unwrap().owner = Some(local);
-            if self.is_hier() {
+            self.l2_dir[blk]
+                .get_mut(&line.0)
+                .expect("the writer is listed")
+                .owner = Some(local);
+            if self.cfg.is_hierarchical() {
                 self.l3_dir.entry(line.0).or_default().owner = Some(blk);
             }
         }
         lat
     }
 
-    // ------------------------------------------------------------------
-    // Simulator backdoors (no timing, no traffic)
-    // ------------------------------------------------------------------
-
-    /// Read the newest value of a word, wherever it lives. Under Dragon
-    /// every copy of a shared line is identical, so any resident copy is
-    /// as good as the authority.
-    pub fn peek_word(&self, w: WordAddr) -> Word {
-        let line = w.line();
-        let idx = w.index_in_line();
-        // An M/E L1 copy is newest.
-        for (c, states) in self.l1_state.iter().enumerate() {
-            if matches!(states.get(&line.0), Some(Dragon::M | Dragon::E)) {
-                if let Some(v) = self.l1[c].view(line) {
-                    return v.data[idx];
-                }
-            }
-        }
-        // A dirty word in some L2 bank is next.
-        for bank in &self.l2 {
-            if let Some(v) = bank.view(line) {
-                if v.dirty & (1 << idx) != 0 {
-                    return v.data[idx];
-                }
-            }
-        }
-        for bank in &self.l3 {
-            if let Some(v) = bank.view(line) {
-                if v.dirty & (1 << idx) != 0 {
-                    return v.data[idx];
-                }
-            }
-        }
-        // Any clean cached copy equals the authority below it.
-        for bank in &self.l2 {
-            if let Some(v) = bank.view(line) {
-                return v.data[idx];
-            }
-        }
-        self.mem.read_word(w)
-    }
-
-    /// Write a word directly to memory, dropping every cached copy. For
-    /// test setup only.
-    pub fn poke_word(&mut self, w: WordAddr, v: Word) {
-        let line = w.line();
-        for c in 0..self.l1.len() {
-            self.l1[c].invalidate(line);
-            self.l1_state[c].remove(&line.0);
-        }
-        for bank in &mut self.l2 {
-            bank.invalidate(line);
-        }
-        for bank in &mut self.l3 {
-            bank.invalidate(line);
-        }
-        for d in &mut self.l2_dir {
-            d.remove(&line.0);
-        }
-        self.l3_dir.remove(&line.0);
-        self.mem.write_word(w, v);
-    }
-
-    /// Protocol invariant check, used by property tests: directories
-    /// match L1 residency; an owner implies sole local sharership; and —
-    /// Dragon's defining property — every resident copy of a line holds
-    /// identical words, with dirty words confined to E/M owners.
+    /// Protocol invariant check, used by property tests: MESI's checks
+    /// (owner implies sole sharer, directories match L1 residency, dirty
+    /// words only under E/M) and — Dragon's defining property — every
+    /// resident copy of a line holds identical words.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (blk, dir) in self.l2_dir.iter().enumerate() {
-            for (laddr, e) in dir {
-                if let Some(o) = e.owner {
-                    if e.sharers != 1 << o {
-                        return Err(format!(
-                            "blk{blk} line {laddr}: owner {o} but sharers {:b}",
-                            e.sharers
-                        ));
-                    }
-                }
-                for local in 0..self.cpb {
-                    let c = blk * self.cpb + local;
-                    let resident = self.l1_state[c].contains_key(laddr);
-                    let listed = e.holds(local);
-                    if resident != listed {
-                        return Err(format!(
-                            "blk{blk} line {laddr}: core {c} resident={resident} listed={listed}"
-                        ));
-                    }
-                }
-            }
-        }
-        for (c, states) in self.l1_state.iter().enumerate() {
-            let blk = c / self.cpb;
-            for (laddr, st) in states {
-                let listed = self.l2_dir[blk]
-                    .get(laddr)
-                    .map(|e| e.holds(c % self.cpb))
-                    .unwrap_or(false);
-                if !listed {
-                    return Err(format!("core {c} line {laddr} resident but unlisted"));
-                }
-                let view = self.l1[c]
-                    .view(LineAddr(*laddr))
-                    .ok_or_else(|| format!("core {c} line {laddr} stated but not cached"))?;
-                if st.is_shared() && view.dirty != 0 {
-                    return Err(format!("core {c} line {laddr} shared but dirty"));
-                }
-            }
-        }
-        // All resident copies of a line are byte-identical.
+        self.check_directory()?;
         let mut seen: FxHashMap<u64, [Word; WORDS_PER_LINE]> = FxHashMap::default();
         for (c, states) in self.l1_state.iter().enumerate() {
             for laddr in states.keys() {
@@ -883,6 +292,7 @@ impl DragonSystem {
 mod tests {
     use super::*;
     use hic_mem::Addr;
+    use hic_sim::MachineConfig;
 
     fn flat() -> DragonSystem {
         DragonSystem::new(MachineConfig::intra_block())

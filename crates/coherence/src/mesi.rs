@@ -1,23 +1,14 @@
-//! Full-map directory MESI, flat (one block) or hierarchical (blocks + L3).
-//!
-//! Timing: every access returns its latency in cycles, composed of cache
-//! round trips (Table III) plus mesh hops. Invalidation and recall rounds
-//! complete when the farthest target acknowledges (messages fan out in
-//! parallel, so latency is the max, while traffic counts every message).
-//!
-//! Value accuracy: lines carry real words; an M copy in an L1 is the only
-//! up-to-date copy until it is pulled down by a forward, recall, or
-//! writeback. `peek_word` (a simulator backdoor, no timing or traffic)
-//! always finds the newest value, which the test suite uses to check
-//! results.
+//! MESI over the shared directory hierarchy: the paper's HCC baseline
+//! (§VI: "a hierarchical full-mapped directory-based MESI protocol").
+//! A store needs an exclusive copy, so a write invalidates every other
+//! copy of the line at both directory levels; only the write path lives
+//! here.
 
-use fxhash::FxHashMap;
+use hic_mem::{LineAddr, Word, WordAddr};
+use hic_noc::TrafficCategory;
+use hic_sim::CoreId;
 
-use hic_mem::addr::WORDS_PER_LINE;
-use hic_mem::cache::EvictedLine;
-use hic_mem::{Cache, LineAddr, Memory, Word, WordAddr};
-use hic_noc::{Mesh, TrafficCategory, TrafficLedger};
-use hic_sim::{CoreId, MachineConfig};
+use crate::hierarchy::{DirectoryHierarchy, LineState};
 
 /// Per-L1-line MESI state. Absent from the map = Invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,735 +18,150 @@ pub enum Mesi {
     M,
 }
 
-/// Directory entry: full map over the children of this level
-/// (cores of a block at L2; blocks of the chip at L3).
-#[derive(Debug, Clone, Default)]
-struct DirEntry {
-    /// Bitmask of children holding the line.
-    sharers: u64,
-    /// Child holding the line exclusively (E or M), if any.
-    /// Invariant: `owner == Some(i)` implies `sharers == 1 << i`.
-    owner: Option<usize>,
-}
+impl LineState for Mesi {
+    const EXCLUSIVE: Mesi = Mesi::E;
+    const SHARED: Mesi = Mesi::S;
+    const L3_EVICT_KEEPS: Option<Mesi> = None;
 
-impl DirEntry {
-    fn add(&mut self, i: usize) {
-        self.sharers |= 1 << i;
-    }
-    fn remove(&mut self, i: usize) {
-        self.sharers &= !(1 << i);
-        if self.owner == Some(i) {
-            self.owner = None;
-        }
-    }
-    fn holds(&self, i: usize) -> bool {
-        self.sharers & (1 << i) != 0
-    }
-    fn others(&self, i: usize) -> Vec<usize> {
-        (0..64)
-            .filter(|&j| j != i && self.sharers & (1 << j) != 0)
-            .collect()
-    }
-    fn is_empty(&self) -> bool {
-        self.sharers == 0
+    fn is_exclusive(self) -> bool {
+        matches!(self, Mesi::E | Mesi::M)
     }
 }
 
-/// The hardware-coherent memory system.
-#[derive(Debug)]
-pub struct MesiSystem {
-    cfg: MachineConfig,
-    mesh: Mesh,
-    cpb: usize,
-    bpb: usize,
-    /// Per-core private L1.
-    l1: Vec<Cache>,
-    /// Per-core MESI state per resident line.
-    l1_state: Vec<FxHashMap<u64, Mesi>>,
-    /// L2 banks, global index `block * bpb + bank`.
-    l2: Vec<Cache>,
-    /// Per-block directory over that block's cores.
-    l2_dir: Vec<FxHashMap<u64, DirEntry>>,
-    /// L3 banks (hierarchical machine only).
-    l3: Vec<Cache>,
-    /// Directory over blocks (hierarchical machine only).
-    l3_dir: FxHashMap<u64, DirEntry>,
-    mem: Memory,
-    /// Flit ledger.
-    pub traffic: TrafficLedger,
-}
+/// The hardware-coherent memory system: full-map directory MESI, flat
+/// (one block) or hierarchical (blocks + L3).
+pub type MesiSystem = DirectoryHierarchy<Mesi>;
 
 impl MesiSystem {
-    pub fn new(cfg: MachineConfig) -> MesiSystem {
-        let ncores = cfg.num_cores();
-        let nblocks = cfg.num_blocks();
-        let cpb = cfg.cores_per_block();
-        let bpb = cfg.l2_banks_per_block();
-        let l3 = cfg.l3();
-        let l3_banks = l3.map(|l| l.banks).unwrap_or(0);
-        MesiSystem {
-            mesh: Mesh::for_config(&cfg),
-            cpb,
-            bpb,
-            l1: (0..ncores).map(|_| Cache::new(cfg.l1)).collect(),
-            l1_state: vec![FxHashMap::default(); ncores],
-            l2: (0..nblocks * bpb).map(|_| Cache::new(cfg.l2)).collect(),
-            l2_dir: vec![FxHashMap::default(); nblocks],
-            l3: (0..l3_banks)
-                .map(|_| Cache::new(l3.expect("l3_banks > 0 implies an L3").geometry))
-                .collect(),
-            l3_dir: FxHashMap::default(),
-            mem: Memory::new(),
-            traffic: TrafficLedger::new(),
-            cfg,
-        }
-    }
-
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    #[inline]
-    fn block_of(&self, c: CoreId) -> usize {
-        c.0 / self.cpb
-    }
-
-    #[inline]
-    fn local_idx(&self, c: CoreId) -> usize {
-        c.0 % self.cpb
-    }
-
-    /// Global L2 bank index of a line's home within `blk`.
-    #[inline]
-    fn home_bank(&self, blk: usize, line: LineAddr) -> usize {
-        blk * self.bpb + (line.0 as usize % self.bpb)
-    }
-
-    /// Mesh tile of a global L2 bank (banks are colocated with core tiles).
-    #[inline]
-    fn bank_tile(&self, global_bank: usize) -> usize {
-        let blk = global_bank / self.bpb;
-        let bank = global_bank % self.bpb;
-        blk * self.cpb + bank
-    }
-
-    #[inline]
-    fn core_tile_of_local(&self, blk: usize, local: usize) -> usize {
-        blk * self.cpb + local
-    }
-
-    fn is_hier(&self) -> bool {
-        !self.l3.is_empty()
-    }
-
-    #[inline]
-    fn l3_bank(&self, line: LineAddr) -> usize {
-        line.0 as usize % self.l3.len()
-    }
-
-    /// Round trip of a local L3 bank access (0 on flat machines, which
-    /// never reach an L3 path).
-    #[inline]
-    fn l3_rt(&self) -> u64 {
-        self.cfg.l3().map(|l| l.rt).unwrap_or(0)
-    }
-
-    /// RT from a core tile to a corner-resident L3 bank.
-    fn rt_core_to_l3(&self, tile: usize, l3b: usize) -> u64 {
-        self.mesh.rt_latency_to_corner(tile, l3b)
-    }
-
-    // ------------------------------------------------------------------
-    // L1 side
-    // ------------------------------------------------------------------
-
-    fn l1_state_of(&self, c: CoreId, line: LineAddr) -> Option<Mesi> {
-        self.l1_state[c.0].get(&line.0).copied()
-    }
-
-    /// Install a line in an L1 with the given state, handling the victim.
-    /// Fills always arrive clean; an M installer dirties words as it
-    /// writes them.
-    fn l1_fill(&mut self, c: CoreId, line: LineAddr, data: [Word; WORDS_PER_LINE], st: Mesi) {
-        if let Some(victim) = self.l1[c.0].fill(line, data, 0) {
-            self.l1_evict(c, victim);
-        }
-        self.l1_state[c.0].insert(line.0, st);
-    }
-
-    /// Handle an L1 eviction: write dirty data back to the home L2 bank,
-    /// or send a replacement hint, and update the directory.
-    fn l1_evict(&mut self, c: CoreId, victim: EvictedLine) {
-        let line = victim.addr;
-        let st = self.l1_state[c.0].remove(&line.0);
-        debug_assert!(st.is_some(), "evicted line had no state");
-        let blk = self.block_of(c);
-        if victim.dirty != 0 {
-            let hb = self.home_bank(blk, line);
-            let merged = self.l2[hb].merge_words(line, &victim.data, victim.dirty);
-            debug_assert!(merged, "L2 must be inclusive of its L1s");
-            let bytes = victim.dirty_words() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Writeback, self.cfg.flits_for(bytes));
-        } else {
-            // Replacement hint keeps the full-map directory exact.
-            self.traffic.add(TrafficCategory::Writeback, 1);
-        }
-        let local = self.local_idx(c);
-        if let Some(e) = self.l2_dir[blk].get_mut(&line.0) {
-            e.remove(local);
-            if e.is_empty() {
-                self.l2_dir[blk].remove(&line.0);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Block-level acquisition
-    // ------------------------------------------------------------------
-
-    /// Ensure the block's L2 holds a readable copy of `line`; returns extra
-    /// latency beyond the home-bank round trip.
-    fn ensure_block_readable(&mut self, blk: usize, line: LineAddr) -> u64 {
-        let hb = self.home_bank(blk, line);
-        if self.l2[hb].probe(line).is_hit() {
-            return 0;
-        }
-        let hb_tile = self.bank_tile(hb);
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            let mut lat = self.rt_core_to_l3(hb_tile, l3b) + self.l3_rt();
-            // Recall a remote exclusive block, if any.
-            let owner_blk = self.l3_dir.get(&line.0).and_then(|e| e.owner);
-            if let Some(b) = owner_blk {
-                if b != blk {
-                    lat += self.recall_block_to_l3(b, line, l3b);
-                }
-            }
-            // L3 fill from memory if needed (memory sits at the corners).
-            if !self.l3[l3b].probe(line).is_hit() {
-                lat += self.cfg.mem_rt;
-                let data = self.mem.read_line(line);
-                self.traffic
-                    .add(TrafficCategory::Memory, self.cfg.line_flits());
-                if let Some(v) = self.l3[l3b].fill(line, data, 0) {
-                    self.l3_evict(v);
-                }
-            }
-            // Transfer L3 -> L2 and record the block as a sharer.
-            let data = *self.l3[l3b].view(line).expect("just ensured").data;
-            self.traffic
-                .add(TrafficCategory::L2L3, self.cfg.line_flits());
-            if let Some(v) = self.l2[hb].fill(line, data, 0) {
-                self.l2_evict(blk, v);
-            }
-            self.l3_dir.entry(line.0).or_default().add(blk);
-            lat
-        } else {
-            // Flat machine: fetch from memory at the nearest corner.
-            let corner = self.mesh.nearest_corner(hb_tile);
-            let lat = self.mesh.rt_latency_to_corner(hb_tile, corner) + self.cfg.mem_rt;
-            let data = self.mem.read_line(line);
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.line_flits());
-            if let Some(v) = self.l2[hb].fill(line, data, 0) {
-                self.l2_evict(blk, v);
-            }
-            lat
-        }
-    }
-
-    /// Pull a possibly-dirty line from an exclusive block down into L3 and
-    /// downgrade the block to sharer. Returns the latency of the recall.
-    fn recall_block_to_l3(&mut self, owner_blk: usize, line: LineAddr, l3b: usize) -> u64 {
-        let hb = self.home_bank(owner_blk, line);
-        let hb_tile = self.bank_tile(hb);
-        let mut lat = self.rt_core_to_l3(hb_tile, l3b) + self.cfg.l2_rt;
-        // First pull any L1 owner inside that block into its L2.
-        lat += self.pull_local_owner(owner_blk, line, hb, false, None);
-        // Then copy dirty words (if any) from L2 into L3.
-        let (data, dirty) = match self.l2[hb].view(line) {
-            Some(v) => (*v.data, v.dirty),
-            None => {
-                // The block's L2 lost the line via eviction (which already
-                // wrote it back); nothing to transfer.
-                self.l3_dir.entry(line.0).or_default().owner = None;
-                return lat;
-            }
-        };
-        if dirty != 0 {
-            let bytes = dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-            let merged = self.l3[l3b].merge_words(line, &data, dirty);
-            debug_assert!(merged, "L3 must be inclusive of L2s");
-            self.l2[hb].clean_line(line);
-        } else {
-            self.traffic.add(TrafficCategory::Invalidation, 2);
-        }
-        if let Some(e) = self.l3_dir.get_mut(&line.0) {
-            e.owner = None;
-        }
-        lat
-    }
-
-    /// If an L1 inside `blk` owns the line (E/M), pull its data into the
-    /// block's L2 and downgrade it (to S, or drop it entirely when
-    /// `drop_owner` — used by remote RFOs). Returns latency.
-    ///
-    /// When the requesting core is known, the data is forwarded directly
-    /// owner -> requester (three-hop protocol): the returned latency is
-    /// the *extra* beyond the home round trip the caller already charged.
-    fn pull_local_owner(
-        &mut self,
-        blk: usize,
-        line: LineAddr,
-        hb: usize,
-        drop_owner: bool,
-        requester: Option<CoreId>,
-    ) -> u64 {
-        let owner = match self.l2_dir[blk].get(&line.0).and_then(|e| e.owner) {
-            Some(o) => o,
-            None => return 0,
-        };
-        let hb_tile = self.bank_tile(hb);
-        let o_tile = self.core_tile_of_local(blk, owner);
-        let lat = match requester {
-            // Three-hop: home -> owner probe, owner lookup, owner ->
-            // requester data; minus the home -> requester return leg the
-            // caller's round-trip baseline already includes.
-            Some(c) => (self.mesh.latency(hb_tile, o_tile)
-                + self.cfg.l1_rt
-                + self.mesh.latency(o_tile, c.0))
-            .saturating_sub(self.mesh.latency(hb_tile, c.0)),
-            // Four-hop recall through the home (cross-level rounds).
-            None => self.mesh.rt_latency(hb_tile, o_tile) + self.cfg.l1_rt,
-        };
-        let c = CoreId(blk * self.cpb + owner);
-        let view = self.l1[c.0].view(line).expect("owner must hold the line");
-        let (data, dirty) = (*view.data, view.dirty);
-        // The probe/ack pair is coherence-control traffic; dirty data
-        // additionally rides back as a writeback.
-        self.traffic.add(TrafficCategory::Invalidation, 2);
-        if dirty != 0 {
-            let bytes = dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Writeback, self.cfg.flits_for(bytes));
-            let merged = self.l2[hb].merge_words(line, &data, dirty);
-            debug_assert!(merged, "L2 must be inclusive of its L1s");
-        }
-        if drop_owner {
-            self.l1[c.0].invalidate(line);
-            self.l1_state[c.0].remove(&line.0);
-            let e = self.l2_dir[blk].get_mut(&line.0).unwrap();
-            e.remove(owner);
-            if e.is_empty() {
-                self.l2_dir[blk].remove(&line.0);
-            }
-        } else {
-            self.l1[c.0].clean_line(line);
-            self.l1_state[c.0].insert(line.0, Mesi::S);
-            self.l2_dir[blk].get_mut(&line.0).unwrap().owner = None;
-        }
-        lat
-    }
-
-    // ------------------------------------------------------------------
-    // Evictions at L2 / L3 (inclusivity recalls)
-    // ------------------------------------------------------------------
-
-    fn l2_evict(&mut self, blk: usize, mut victim: EvictedLine) {
-        let line = victim.addr;
-        // Recall every L1 copy in the block.
-        if let Some(e) = self.l2_dir[blk].remove(&line.0) {
-            for local in e.others(usize::MAX) {
-                let c = CoreId(blk * self.cpb + local);
-                if let Some(inv) = self.l1[c.0].invalidate(line) {
-                    if inv.dirty != 0 {
-                        for w in 0..WORDS_PER_LINE {
-                            if inv.dirty & (1 << w) != 0 {
-                                victim.data[w] = inv.data[w];
-                            }
-                        }
-                        victim.dirty |= inv.dirty;
-                        let bytes = inv.dirty_words() as usize * 4;
-                        self.traffic
-                            .add(TrafficCategory::Writeback, self.cfg.flits_for(bytes));
-                    }
-                }
-                self.l1_state[c.0].remove(&line.0);
-                self.traffic.add(TrafficCategory::Invalidation, 2);
-            }
-        }
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            if victim.dirty != 0 {
-                let bytes = victim.dirty.count_ones() as usize * 4;
-                self.traffic
-                    .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-                let merged = self.l3[l3b].merge_words(line, &victim.data, victim.dirty);
-                debug_assert!(merged, "L3 inclusive of L2");
-            }
-            if let Some(e) = self.l3_dir.get_mut(&line.0) {
-                e.remove(blk);
-                if e.is_empty() {
-                    self.l3_dir.remove(&line.0);
-                }
-            }
-        } else if victim.dirty != 0 {
-            let bytes = victim.dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.flits_for(bytes));
-            self.mem.merge_words(line, &victim.data, victim.dirty);
-        }
-    }
-
-    fn l3_evict(&mut self, mut victim: EvictedLine) {
-        let line = victim.addr;
-        if let Some(e) = self.l3_dir.remove(&line.0) {
-            for blk in e.others(usize::MAX) {
-                let hb = self.home_bank(blk, line);
-                self.pull_local_owner(blk, line, hb, true, None);
-                // Drop every remaining L1 sharer, then the L2 copy.
-                if let Some(de) = self.l2_dir[blk].remove(&line.0) {
-                    for local in de.others(usize::MAX) {
-                        let c = CoreId(blk * self.cpb + local);
-                        self.l1[c.0].invalidate(line);
-                        self.l1_state[c.0].remove(&line.0);
-                        self.traffic.add(TrafficCategory::Invalidation, 2);
-                    }
-                }
-                if let Some(inv) = self.l2[hb].invalidate(line) {
-                    if inv.dirty != 0 {
-                        for w in 0..WORDS_PER_LINE {
-                            if inv.dirty & (1 << w) != 0 {
-                                victim.data[w] = inv.data[w];
-                            }
-                        }
-                        victim.dirty |= inv.dirty;
-                        let bytes = inv.dirty_words() as usize * 4;
-                        self.traffic
-                            .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-                    }
-                }
-                self.traffic.add(TrafficCategory::Invalidation, 2);
-            }
-        }
-        if victim.dirty != 0 {
-            let bytes = victim.dirty.count_ones() as usize * 4;
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.flits_for(bytes));
-            self.mem.merge_words(line, &victim.data, victim.dirty);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Invalidation rounds
-    // ------------------------------------------------------------------
-
     /// Invalidate every copy of `line` other than requester `c`'s, at both
     /// directory levels. Returns the latency of the round (max fan-out leg).
     fn invalidate_others(&mut self, c: CoreId, line: LineAddr) -> u64 {
-        let blk = self.block_of(c);
+        let topo = self.cfg.topology;
+        let blk = topo.block_of(c.0);
         let local = self.local_idx(c);
-        let hb = self.home_bank(blk, line);
-        let hb_tile = self.bank_tile(hb);
+        let hb_tile = topo.bank_tile(topo.home_bank(blk, line.0));
         let mut lat = 0;
 
         // Local round: drop other L1 copies in this block.
         if let Some(e) = self.l2_dir[blk].get(&line.0) {
             let targets = e.others(local);
             let mut max_leg = 0;
-            for t in &targets {
-                let c2 = CoreId(blk * self.cpb + t);
+            for &t in &targets {
+                let c2 = self.core_of(blk, t);
                 // Upgrades only happen when the requester holds S, so no
                 // other copy can be dirty; RFOs pull the owner separately.
-                self.l1[c2.0].invalidate(line);
-                self.l1_state[c2.0].remove(&line.0);
+                self.l1[c2].invalidate(line);
+                self.l1_state[c2].remove(&line.0);
                 self.traffic.add(TrafficCategory::Invalidation, 2);
-                max_leg = max_leg.max(
-                    self.mesh
-                        .rt_latency(hb_tile, self.core_tile_of_local(blk, *t)),
-                );
+                max_leg = max_leg.max(self.mesh.rt_latency(hb_tile, c2));
             }
             if !targets.is_empty() {
                 lat = lat.max(max_leg);
-                let entry = self.l2_dir[blk].get_mut(&line.0).unwrap();
+                let entry = self.l2_dir[blk]
+                    .get_mut(&line.0)
+                    .expect("the targets are listed");
                 entry.sharers = 1 << local;
                 entry.owner = None;
             }
         }
 
         // Remote round: drop other blocks' copies via the L3 directory.
-        if self.is_hier() {
+        if self.cfg.is_hierarchical() {
             let remote: Vec<usize> = self
                 .l3_dir
                 .get(&line.0)
                 .map(|e| e.others(blk))
                 .unwrap_or_default();
             if !remote.is_empty() {
-                let l3b = self.l3_bank(line);
-                let up = self.rt_core_to_l3(hb_tile, l3b) + self.l3_rt();
+                let l3b = topo.l3_bank(line.0);
+                let up = self.mesh.rt_latency_to_corner(hb_tile, l3b) + topo.l3_rt();
                 let mut max_leg = 0;
                 for b in remote {
-                    let bhb = self.home_bank(b, line);
-                    let bhb_tile = self.bank_tile(bhb);
-                    let mut leg = self.rt_core_to_l3(bhb_tile, l3b) + self.cfg.l2_rt;
+                    let bhb_tile = topo.bank_tile(topo.home_bank(b, line.0));
+                    let mut leg = self.mesh.rt_latency_to_corner(bhb_tile, l3b) + self.cfg.l2_rt;
                     // Pull any dirty owner inside that block first, then
                     // drop all its copies.
-                    leg += self.pull_local_owner(b, line, bhb, true, None);
-                    if let Some(de) = self.l2_dir[b].remove(&line.0) {
-                        for local2 in de.others(usize::MAX) {
-                            let c2 = CoreId(b * self.cpb + local2);
-                            self.l1[c2.0].invalidate(line);
-                            self.l1_state[c2.0].remove(&line.0);
-                            self.traffic.add(TrafficCategory::Invalidation, 2);
-                        }
+                    let (pull, dropped) = self.drop_block(b, line, None);
+                    leg += pull;
+                    if let Some(inv) = dropped.filter(|inv| inv.dirty != 0) {
+                        self.l3[l3b].merge_words(line, &inv.data, inv.dirty);
                     }
-                    if let Some(inv) = self.l2[bhb].invalidate(line) {
-                        if inv.dirty != 0 {
-                            let l3bank = self.l3_bank(line);
-                            let bytes = inv.dirty.count_ones() as usize * 4;
-                            self.traffic
-                                .add(TrafficCategory::L2L3, self.cfg.flits_for(bytes));
-                            self.l3[l3bank].merge_words(line, &inv.data, inv.dirty);
-                        }
-                    }
-                    self.traffic.add(TrafficCategory::Invalidation, 2);
                     max_leg = max_leg.max(leg);
                 }
                 lat = lat.max(up + max_leg);
-                let e = self.l3_dir.get_mut(&line.0).unwrap();
+                let e = self
+                    .l3_dir
+                    .get_mut(&line.0)
+                    .expect("the remote blocks are listed");
                 e.sharers = 1 << blk;
                 e.owner = Some(blk);
             } else {
                 // Even with no remote sharers, taking block ownership is a
                 // directory update; piggybacked on the L2 round (no extra
                 // latency), but the L3 entry must record it.
-                self.l3_dir.entry(line.0).or_default().owner = Some(blk);
-                let e = self.l3_dir.get_mut(&line.0).unwrap();
+                let e = self.l3_dir.entry(line.0).or_default();
+                e.owner = Some(blk);
                 e.add(blk);
             }
         }
         lat
     }
 
-    // ------------------------------------------------------------------
-    // Public interface
-    // ------------------------------------------------------------------
-
-    /// Coherent load. Returns the value and the access latency.
-    pub fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64) {
-        let line = w.line();
-        if self.l1_state_of(c, line).is_some() {
-            let v = self.l1[c.0]
-                .read_word(line, w.index_in_line())
-                .expect("state/cache sync");
-            return (v, self.cfg.l1_rt);
-        }
-        let blk = self.block_of(c);
-        let hb = self.home_bank(blk, line);
-        let hb_tile = self.bank_tile(hb);
-        let mut lat = self.cfg.l1_rt + self.mesh.rt_latency(c.0, hb_tile) + self.cfg.l2_rt;
-        lat += self.ensure_block_readable(blk, line);
-        // Forward from a local owner if one exists (three-hop).
-        lat += self.pull_local_owner(blk, line, hb, false, Some(c));
-        let data = *self.l2[hb].view(line).expect("block readable").data;
-        // E if no one else holds it anywhere; else S.
-        let local_sharers = self.l2_dir[blk]
-            .get(&line.0)
-            .map(|e| e.sharers)
-            .unwrap_or(0);
-        let exclusive_ok = if self.is_hier() {
-            let e = self.l3_dir.get(&line.0).expect("block recorded at L3");
-            e.sharers == 1 << blk
-        } else {
-            true
-        };
-        let st = if local_sharers == 0 && exclusive_ok {
-            Mesi::E
-        } else {
-            Mesi::S
-        };
-        let local = self.local_idx(c);
-        let entry = self.l2_dir[blk].entry(line.0).or_default();
-        entry.add(local);
-        if st == Mesi::E {
-            entry.owner = Some(local);
-            // Record block-level exclusivity so a later remote request
-            // recalls this block (an E copy may silently become M).
-            if self.is_hier() {
-                self.l3_dir
-                    .get_mut(&line.0)
-                    .expect("block recorded at L3")
-                    .owner = Some(blk);
-            }
-        }
-        self.traffic
-            .add(TrafficCategory::Linefill, self.cfg.line_flits());
-        self.l1_fill(c, line, data, st);
-        (data[w.index_in_line()], lat)
-    }
-
     /// Coherent store. Returns the access latency.
     pub fn write(&mut self, c: CoreId, w: WordAddr, v: Word) -> u64 {
         let line = w.line();
+        let idx = w.index_in_line();
         match self.l1_state_of(c, line) {
             Some(Mesi::M) => {
-                self.l1[c.0].write_word(line, w.index_in_line(), v);
+                self.l1[c.0].write_word(line, idx, v);
                 self.cfg.l1_rt
             }
             Some(Mesi::E) => {
                 // Silent E->M upgrade.
                 self.l1_state[c.0].insert(line.0, Mesi::M);
-                self.l1[c.0].write_word(line, w.index_in_line(), v);
+                self.l1[c.0].write_word(line, idx, v);
                 self.cfg.l1_rt
             }
             Some(Mesi::S) => {
                 // Upgrade: invalidate all other copies.
-                let blk = self.block_of(c);
-                let hb = self.home_bank(blk, line);
-                let hb_tile = self.bank_tile(hb);
-                let mut lat = self.cfg.l1_rt + self.mesh.rt_latency(c.0, hb_tile) + self.cfg.l2_rt;
+                let (blk, _, mut lat) = self.home_request(c, line);
                 lat += self.invalidate_others(c, line);
                 let local = self.local_idx(c);
-                self.l2_dir[blk].get_mut(&line.0).unwrap().owner = Some(local);
+                self.l2_dir[blk]
+                    .get_mut(&line.0)
+                    .expect("the upgrading sharer is listed")
+                    .owner = Some(local);
                 self.l1_state[c.0].insert(line.0, Mesi::M);
-                self.l1[c.0].write_word(line, w.index_in_line(), v);
+                self.l1[c.0].write_word(line, idx, v);
                 lat
             }
             None => {
-                // Read-for-ownership.
-                let blk = self.block_of(c);
-                let hb = self.home_bank(blk, line);
-                let hb_tile = self.bank_tile(hb);
-                let mut lat = self.cfg.l1_rt + self.mesh.rt_latency(c.0, hb_tile) + self.cfg.l2_rt;
-                lat += self.ensure_block_readable(blk, line);
-                // Pull and drop any local owner; drop all other sharers.
-                lat += self.pull_local_owner(blk, line, hb, true, Some(c));
+                // Read-for-ownership: pull and drop any local owner, then
+                // drop all other sharers.
+                let (blk, hb, mut lat) = self.fetch(c, line, None);
                 lat += self.invalidate_others(c, line);
                 let data = *self.l2[hb].view(line).expect("block readable").data;
                 let local = self.local_idx(c);
                 let entry = self.l2_dir[blk].entry(line.0).or_default();
                 entry.sharers = 1 << local;
                 entry.owner = Some(local);
-                if self.is_hier() {
+                if self.cfg.is_hierarchical() {
                     let e = self.l3_dir.entry(line.0).or_default();
                     e.add(blk);
                     e.owner = Some(blk);
                 }
-                self.traffic
-                    .add(TrafficCategory::Linefill, self.cfg.line_flits());
                 self.l1_fill(c, line, data, Mesi::M);
-                self.l1[c.0].write_word(line, w.index_in_line(), v);
+                self.l1[c.0].write_word(line, idx, v);
                 lat
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Simulator backdoors (no timing, no traffic)
-    // ------------------------------------------------------------------
-
-    /// Read the newest value of a word, wherever it lives.
-    pub fn peek_word(&self, w: WordAddr) -> Word {
-        let line = w.line();
-        let idx = w.index_in_line();
-        // An M/E L1 copy is newest.
-        for (c, states) in self.l1_state.iter().enumerate() {
-            if matches!(states.get(&line.0), Some(Mesi::M | Mesi::E)) {
-                if let Some(v) = self.l1[c].view(line) {
-                    return v.data[idx];
-                }
-            }
-        }
-        // A dirty word in some L2 bank is next.
-        for bank in &self.l2 {
-            if let Some(v) = bank.view(line) {
-                if v.dirty & (1 << idx) != 0 {
-                    return v.data[idx];
-                }
-            }
-        }
-        for bank in &self.l3 {
-            if let Some(v) = bank.view(line) {
-                if v.dirty & (1 << idx) != 0 {
-                    return v.data[idx];
-                }
-            }
-        }
-        // Any clean cached copy equals memory... except memory may be
-        // stale if a clean S copy exists above a dirty L2/L3 copy, which
-        // the scans above already caught.
-        for bank in &self.l2 {
-            if let Some(v) = bank.view(line) {
-                return v.data[idx];
-            }
-        }
-        self.mem.read_word(w)
-    }
-
-    /// Write a word directly to memory, dropping every cached copy. For
-    /// test setup only.
-    pub fn poke_word(&mut self, w: WordAddr, v: Word) {
-        let line = w.line();
-        for c in 0..self.l1.len() {
-            self.l1[c].invalidate(line);
-            self.l1_state[c].remove(&line.0);
-        }
-        for bank in &mut self.l2 {
-            bank.invalidate(line);
-        }
-        for bank in &mut self.l3 {
-            bank.invalidate(line);
-        }
-        for d in &mut self.l2_dir {
-            d.remove(&line.0);
-        }
-        self.l3_dir.remove(&line.0);
-        self.mem.write_word(w, v);
-    }
-
-    /// Directory invariant check, used by property tests: an owner implies
-    /// exactly one sharer, and every sharer bit corresponds to a resident
-    /// L1 line with a matching state.
+    /// Invariant check, used by property tests: an owner implies exactly
+    /// one sharer, the directories list exactly the resident L1 lines,
+    /// and only exclusive copies hold dirty words.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (blk, dir) in self.l2_dir.iter().enumerate() {
-            for (laddr, e) in dir {
-                if let Some(o) = e.owner {
-                    if e.sharers != 1 << o {
-                        return Err(format!(
-                            "blk{blk} line {laddr}: owner {o} but sharers {:b}",
-                            e.sharers
-                        ));
-                    }
-                }
-                for local in 0..self.cpb {
-                    let c = blk * self.cpb + local;
-                    let resident = self.l1_state[c].contains_key(laddr);
-                    let listed = e.holds(local);
-                    if resident != listed {
-                        return Err(format!(
-                            "blk{blk} line {laddr}: core {c} resident={resident} listed={listed}"
-                        ));
-                    }
-                }
-            }
-        }
-        // And the reverse: resident L1 lines are listed.
-        for (c, states) in self.l1_state.iter().enumerate() {
-            let blk = c / self.cpb;
-            for laddr in states.keys() {
-                let listed = self.l2_dir[blk]
-                    .get(laddr)
-                    .map(|e| e.holds(c % self.cpb))
-                    .unwrap_or(false);
-                if !listed {
-                    return Err(format!("core {c} line {laddr} resident but unlisted"));
-                }
-            }
-        }
-        Ok(())
+        self.check_directory()
     }
 }
 
@@ -763,6 +169,7 @@ impl MesiSystem {
 mod tests {
     use super::*;
     use hic_mem::Addr;
+    use hic_sim::MachineConfig;
 
     fn flat() -> MesiSystem {
         MesiSystem::new(MachineConfig::intra_block())

@@ -6,10 +6,12 @@
 //! event counters, and the untimed peek/poke backdoors used by tests and
 //! program initialization.
 //!
-//! Three implementations exist:
+//! Four implementations exist:
 //!
 //! * [`IncoherentSystem`] — the paper's hardware-incoherent hierarchy;
 //! * [`MesiSystem`] — the directory-MESI hardware-coherent baseline;
+//! * [`DragonSystem`] — update-based Dragon over the same directory
+//!   hierarchy;
 //! * [`RefBackend`] — a flat, always-fresh store with uniform latency.
 //!   It has no caches at all, so no read can ever be stale: it is the
 //!   correctness oracle that cache-backed runs are checked against (see

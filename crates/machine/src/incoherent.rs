@@ -58,8 +58,6 @@ pub struct IncCounters {
 pub struct IncoherentSystem {
     cfg: MachineConfig,
     mesh: Mesh,
-    cpb: usize,
-    bpb: usize,
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     l3: Vec<Cache>,
@@ -93,14 +91,11 @@ impl IncoherentSystem {
     pub fn new(cfg: MachineConfig) -> IncoherentSystem {
         let ncores = cfg.num_cores();
         let nblocks = cfg.num_blocks();
-        let cpb = cfg.cores_per_block();
         let bpb = cfg.l2_banks_per_block();
         let l3 = cfg.l3();
         let l3_banks = l3.map(|l| l.banks).unwrap_or(0);
         IncoherentSystem {
             mesh: Mesh::for_config(&cfg),
-            cpb,
-            bpb,
             l1: (0..ncores).map(|_| Cache::new(cfg.l1)).collect(),
             l2: (0..nblocks * bpb).map(|_| Cache::new(cfg.l2)).collect(),
             l3: (0..l3_banks)
@@ -109,7 +104,7 @@ impl IncoherentSystem {
             mem: Memory::new(),
             meb: (0..ncores).map(|_| Meb::new(cfg.meb_entries)).collect(),
             ieb: (0..ncores).map(|_| Ieb::new(cfg.ieb_entries)).collect(),
-            tmap: ThreadMap::identity(nblocks, cpb),
+            tmap: ThreadMap::identity(nblocks, cfg.cores_per_block()),
             traffic: TrafficLedger::new(),
             counters: IncCounters::default(),
             wb_scratch: Vec::new(),
@@ -268,40 +263,6 @@ impl IncoherentSystem {
         &self.tmap
     }
 
-    #[inline]
-    fn block_of(&self, c: CoreId) -> usize {
-        c.0 / self.cpb
-    }
-
-    /// Global L2 bank index of a line's home within `blk`.
-    #[inline]
-    fn home_bank(&self, blk: usize, line: LineAddr) -> usize {
-        blk * self.bpb + (line.0 as usize % self.bpb)
-    }
-
-    /// Mesh tile of a global L2 bank.
-    #[inline]
-    fn bank_tile(&self, global_bank: usize) -> usize {
-        let blk = global_bank / self.bpb;
-        blk * self.cpb + (global_bank % self.bpb)
-    }
-
-    fn is_hier(&self) -> bool {
-        !self.l3.is_empty()
-    }
-
-    /// Round trip of a local L3 bank access (0 on flat machines, which
-    /// never reach an L3 path).
-    #[inline]
-    fn l3_rt(&self) -> u64 {
-        self.cfg.l3().map(|l| l.rt).unwrap_or(0)
-    }
-
-    #[inline]
-    fn l3_bank(&self, line: LineAddr) -> usize {
-        line.0 as usize % self.l3.len()
-    }
-
     // ------------------------------------------------------------------
     // Downward pushes (eviction / WB / INV writebacks)
     // ------------------------------------------------------------------
@@ -320,7 +281,7 @@ impl IncoherentSystem {
         let flits = self.cfg.flits_for(bytes);
         self.traffic.add(TrafficCategory::Writeback, flits);
         self.fault_transfer(flits, TrafficCategory::Writeback);
-        let hb = self.home_bank(blk, line);
+        let hb = self.cfg.topology.home_bank(blk, line.0);
         if self.l2[hb].merge_words(line, data, mask) {
             if let Some(chk) = self.checker.as_deref_mut() {
                 chk.on_push_to_block(blk, line, data, mask);
@@ -338,8 +299,8 @@ impl IncoherentSystem {
         }
         let bytes = mask.count_ones() as usize * 4;
         let flits = self.cfg.flits_for(bytes);
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
+        if self.cfg.is_hierarchical() {
+            let l3b = self.cfg.topology.l3_bank(line.0);
             if self.l3[l3b].merge_words(line, data, mask) {
                 self.traffic.add(TrafficCategory::L2L3, flits);
                 self.fault_transfer(flits, TrafficCategory::L2L3);
@@ -386,14 +347,14 @@ impl IncoherentSystem {
     /// Ensure the block's L2 holds `line`; returns the extra latency past
     /// the home-bank round trip.
     fn fetch_into_l2(&mut self, blk: usize, line: LineAddr) -> u64 {
-        let hb = self.home_bank(blk, line);
+        let hb = self.cfg.topology.home_bank(blk, line.0);
         if self.l2[hb].probe(line).is_hit() {
             return 0;
         }
-        let hb_tile = self.bank_tile(hb);
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            let mut lat = self.mesh.rt_latency_to_corner(hb_tile, l3b) + self.l3_rt();
+        let hb_tile = self.cfg.topology.bank_tile(hb);
+        if self.cfg.is_hierarchical() {
+            let l3b = self.cfg.topology.l3_bank(line.0);
+            let mut lat = self.mesh.rt_latency_to_corner(hb_tile, l3b) + self.cfg.topology.l3_rt();
             if !self.l3[l3b].probe(line).is_hit() {
                 lat += self.cfg.mem_rt;
                 let data = self.mem.read_line(line);
@@ -429,9 +390,9 @@ impl IncoherentSystem {
     /// Fetch `line` into core `c`'s L1 (it must currently miss).
     /// Returns the latency beyond the L1 probe.
     fn fetch_into_l1(&mut self, c: CoreId, line: LineAddr) -> u64 {
-        let blk = self.block_of(c);
-        let hb = self.home_bank(blk, line);
-        let mut lat = self.mesh.rt_latency(c.0, self.bank_tile(hb)) + self.cfg.l2_rt;
+        let blk = self.cfg.topology.block_of(c.0);
+        let hb = self.cfg.topology.home_bank(blk, line.0);
+        let mut lat = self.mesh.rt_latency(c.0, self.cfg.topology.bank_tile(hb)) + self.cfg.l2_rt;
         lat += self.fetch_into_l2(blk, line);
         let data = *self.l2[hb].view(line).expect("in L2 now").data;
         self.traffic
@@ -467,7 +428,7 @@ impl IncoherentSystem {
                 IebAction::Normal => {}
                 IebAction::RefreshFromShared => {
                     self.counters.ieb_refreshes += 1;
-                    let blk = self.block_of(c);
+                    let blk = self.cfg.topology.block_of(c.0);
                     if let Some(inv) = self.l1[c.0].invalidate(line) {
                         if inv.dirty != 0 {
                             self.push_below_l1(blk, line, &inv.data, inv.dirty);
@@ -519,9 +480,9 @@ impl IncoherentSystem {
         let line = w.line();
         let idx = w.index_in_line();
         self.traffic.add(TrafficCategory::Sync, 2);
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            let mut lat = self.mesh.rt_latency_to_corner(c.0, l3b) + self.l3_rt();
+        if self.cfg.is_hierarchical() {
+            let l3b = self.cfg.topology.l3_bank(line.0);
+            let mut lat = self.mesh.rt_latency_to_corner(c.0, l3b) + self.cfg.topology.l3_rt();
             if !self.l3[l3b].probe(line).is_hit() {
                 lat += self.cfg.mem_rt;
                 let data = self.mem.read_line(line);
@@ -533,9 +494,10 @@ impl IncoherentSystem {
             }
             (self.l3[l3b].view(line).expect("filled").data[idx], lat)
         } else {
-            let blk = self.block_of(c);
-            let hb = self.home_bank(blk, line);
-            let mut lat = self.mesh.rt_latency(c.0, self.bank_tile(hb)) + self.cfg.l2_rt;
+            let blk = self.cfg.topology.block_of(c.0);
+            let hb = self.cfg.topology.home_bank(blk, line.0);
+            let mut lat =
+                self.mesh.rt_latency(c.0, self.cfg.topology.bank_tile(hb)) + self.cfg.l2_rt;
             lat += self.fetch_into_l2(blk, line);
             (self.l2[hb].view(line).expect("filled").data[idx], lat)
         }
@@ -549,9 +511,9 @@ impl IncoherentSystem {
         let mut one = [0u32; WORDS_PER_LINE];
         one[idx] = v;
         let mask: DirtyMask = 1 << idx;
-        if self.is_hier() {
-            let l3b = self.l3_bank(line);
-            let mut lat = self.mesh.rt_latency_to_corner(c.0, l3b) + self.l3_rt();
+        if self.cfg.is_hierarchical() {
+            let l3b = self.cfg.topology.l3_bank(line.0);
+            let mut lat = self.mesh.rt_latency_to_corner(c.0, l3b) + self.cfg.topology.l3_rt();
             if !self.l3[l3b].probe(line).is_hit() {
                 lat += self.cfg.mem_rt;
                 let data = self.mem.read_line(line);
@@ -564,9 +526,10 @@ impl IncoherentSystem {
             self.l3[l3b].merge_words(line, &one, mask);
             lat
         } else {
-            let blk = self.block_of(c);
-            let hb = self.home_bank(blk, line);
-            let mut lat = self.mesh.rt_latency(c.0, self.bank_tile(hb)) + self.cfg.l2_rt;
+            let blk = self.cfg.topology.block_of(c.0);
+            let hb = self.cfg.topology.home_bank(blk, line.0);
+            let mut lat =
+                self.mesh.rt_latency(c.0, self.cfg.topology.bank_tile(hb)) + self.cfg.l2_rt;
             lat += self.fetch_into_l2(blk, line);
             self.l2[hb].merge_words(line, &one, mask);
             lat
@@ -591,21 +554,22 @@ impl IncoherentSystem {
     fn wb_is_global(&self, c: CoreId, scope: WbScope) -> bool {
         match scope {
             WbScope::ToL2 => false,
-            WbScope::ToL3 => self.is_hier(),
-            WbScope::Cons(t) => self.is_hier() && !self.is_local_thread(c, t),
+            WbScope::ToL3 => self.cfg.is_hierarchical(),
+            WbScope::Cons(t) => self.cfg.is_hierarchical() && !self.is_local_thread(c, t),
         }
     }
 
     fn inv_is_global(&self, c: CoreId, scope: InvScope) -> bool {
         match scope {
             InvScope::FromL1 => false,
-            InvScope::FromL2 => self.is_hier(),
-            InvScope::Prod(t) => self.is_hier() && !self.is_local_thread(c, t),
+            InvScope::FromL2 => self.cfg.is_hierarchical(),
+            InvScope::Prod(t) => self.cfg.is_hierarchical() && !self.is_local_thread(c, t),
         }
     }
 
     fn is_local_thread(&self, c: CoreId, t: ThreadId) -> bool {
-        self.tmap.is_local(hic_sim::BlockId(self.block_of(c)), t)
+        self.tmap
+            .is_local(hic_sim::BlockId(self.cfg.topology.block_of(c.0)), t)
     }
 
     fn exec_wb(&mut self, c: CoreId, target: Target, scope: WbScope) -> u64 {
@@ -615,7 +579,7 @@ impl IncoherentSystem {
         } else {
             self.counters.local_wbs += 1;
         }
-        let blk = self.block_of(c);
+        let blk = self.cfg.topology.block_of(c.0);
         let mut lat;
         // Collect (line, words-to-push) pairs from the L1 into the
         // reusable scratch list (returned to `self` before exiting).
@@ -685,7 +649,10 @@ impl IncoherentSystem {
         }
         if matches!(target, Target::All) {
             // Drain ack: round trip to the nearest-home L2 bank.
-            let hb0 = self.bank_tile(blk * self.bpb);
+            let hb0 = self
+                .cfg
+                .topology
+                .bank_tile(blk * self.cfg.l2_banks_per_block());
             lat += self.mesh.rt_latency(c.0, hb0) + self.cfg.l2_rt;
         }
         // Global scope: additionally push the L2's dirty copies down to L3.
@@ -699,8 +666,8 @@ impl IncoherentSystem {
                     // its own tags concurrently; a bank with no dirty
                     // lines flash-completes.
                     let mut trav = FLASH_CYCLES;
-                    for bank in 0..self.bpb {
-                        let gb = blk * self.bpb + bank;
+                    for bank in 0..self.cfg.l2_banks_per_block() {
+                        let gb = blk * self.cfg.l2_banks_per_block() + bank;
                         if self.l2[gb].dirty_lines_resident() > 0 {
                             trav = self.cfg.l2.num_lines() as u64 / self.cfg.tags_per_cycle;
                         }
@@ -711,7 +678,7 @@ impl IncoherentSystem {
                 }
                 _ => {
                     for line in target.lines().expect("non-ALL") {
-                        let hb = self.home_bank(blk, line);
+                        let hb = self.cfg.topology.home_bank(blk, line.0);
                         if let Some(v) = self.l2[hb].view(line) {
                             let mask = v.dirty & target.word_mask(line);
                             if mask != 0 {
@@ -730,19 +697,23 @@ impl IncoherentSystem {
                     // is acknowledged, so the ack round trip is to the
                     // *farthest* involved L3 bank, not whichever bank the
                     // first work item happened to map to.
-                    let hb_tile = self.bank_tile(blk * self.bpb);
-                    let l3_rt = self.l3_rt();
+                    let hb_tile = self
+                        .cfg
+                        .topology
+                        .bank_tile(blk * self.cfg.l2_banks_per_block());
+                    let l3_rt = self.cfg.topology.l3_rt();
                     let ack = l2_work
                         .iter()
                         .map(|&(line, _)| {
-                            self.mesh.rt_latency_to_corner(hb_tile, self.l3_bank(line))
+                            self.mesh
+                                .rt_latency_to_corner(hb_tile, self.cfg.topology.l3_bank(line.0))
                         })
                         .max()
                         .unwrap_or(0);
                     lat += ack + l3_rt;
                 }
                 for &(line, mask) in &l2_work {
-                    let hb = self.home_bank(blk, line);
+                    let hb = self.cfg.topology.home_bank(blk, line.0);
                     let data = *self.l2[hb].view(line).expect("resident").data;
                     self.push_below_l2(line, &data, mask);
                     self.l2[hb].clean_words(line, mask);
@@ -763,7 +734,7 @@ impl IncoherentSystem {
         } else {
             self.counters.local_invs += 1;
         }
-        let blk = self.block_of(c);
+        let blk = self.cfg.topology.block_of(c.0);
         let mut lat = self.cfg.l1_rt;
         let mut wb_work = 0u64;
         match target {
@@ -814,7 +785,10 @@ impl IncoherentSystem {
         if global {
             lat += self.cfg.l2_rt;
             if matches!(target, Target::All) {
-                let hb0_tile = self.bank_tile(blk * self.bpb);
+                let hb0_tile = self
+                    .cfg
+                    .topology
+                    .bank_tile(blk * self.cfg.l2_banks_per_block());
                 lat += self.mesh.rt_latency(c.0, hb0_tile);
             }
             let mut l2_wb = 0u64;
@@ -823,8 +797,8 @@ impl IncoherentSystem {
                     // Banks gang-clear / traverse concurrently.
                     let mut trav = FLASH_CYCLES;
                     let mut lines = std::mem::take(&mut self.inv_scratch);
-                    for bank in 0..self.bpb {
-                        let gb = blk * self.bpb + bank;
+                    for bank in 0..self.cfg.l2_banks_per_block() {
+                        let gb = blk * self.cfg.l2_banks_per_block() + bank;
                         if self.l2[gb].dirty_lines_resident() > 0 {
                             trav = self.cfg.l2.num_lines() as u64 / self.cfg.tags_per_cycle;
                         }
@@ -845,7 +819,7 @@ impl IncoherentSystem {
                 }
                 _ => {
                     for line in target.lines().expect("non-ALL") {
-                        let hb = self.home_bank(blk, line);
+                        let hb = self.cfg.topology.home_bank(blk, line.0);
                         if let Some(inv) = self.l2[hb].invalidate(line) {
                             if inv.dirty != 0 {
                                 self.push_below_l2(line, &inv.data, inv.dirty);

@@ -1,12 +1,14 @@
 //! Machine assembly: the execution-driven timing simulators.
 //!
-//! Three memory backends share the same geometry, NoC, and backing memory
+//! Four memory backends share the same geometry, NoC, and backing memory
 //! model behind the [`MemBackend`] trait:
 //!
 //! * [`IncoherentSystem`] — the paper's hardware-incoherent hierarchy,
 //!   driven by WB/INV instructions, with MEB/IEB support and the
 //!   ThreadMap-based level-adaptive instructions;
 //! * `MesiSystem` (from `hic-coherence`) — the HCC baseline;
+//! * `DragonSystem` (from `hic-coherence`) — update-based coherence over
+//!   the same directory hierarchy;
 //! * [`RefBackend`] — a flat always-fresh store used as a correctness
 //!   oracle.
 //!

@@ -23,7 +23,7 @@ use hic_noc::{Mesh, TrafficCategory, TrafficLedger};
 use hic_sim::{CoreId, Cycle, EngineStats, MachineConfig, StallCategory, StallLedger};
 use hic_sync::{Grant, SyncController, SyncId};
 
-use crate::backend::{BackendKind, MemBackend, RefBackend};
+use crate::backend::{MemBackend, RefBackend};
 use crate::error::RunError;
 use crate::incoherent::{IncCounters, IncoherentSystem};
 use crate::ops::Op;
@@ -248,14 +248,6 @@ impl Machine {
 
     pub fn backend_mut(&mut self) -> &mut dyn MemBackend {
         &mut *self.backend
-    }
-
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
-    pub fn is_coherent(&self) -> bool {
-        self.backend.kind() == BackendKind::Coherent
     }
 
     /// Access to the incoherent system (ThreadMap setup, counters).

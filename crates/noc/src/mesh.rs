@@ -7,7 +7,6 @@
 //! each chip corner", Table III).
 
 use crate::faults::LinkFaults;
-use hic_sim::CoreId;
 
 /// A position on the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,22 +161,6 @@ impl Mesh {
             .expect("four corners")
     }
 
-    /// Latency helper used by coherence: the farthest of a set of tiles
-    /// from `from` (an invalidation round completes when the slowest ack
-    /// returns).
-    pub fn max_rt_latency<'a>(&self, from: usize, to: impl IntoIterator<Item = &'a usize>) -> u64 {
-        to.into_iter()
-            .map(|&t| self.rt_latency(from, t))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Convenience: round trip from a core to an L2 bank where cores and
-    /// banks share tiles (bank `b` is at tile `b`).
-    pub fn core_to_bank_rt(&self, core: CoreId, bank: usize) -> u64 {
-        self.rt_latency(core.0, bank)
-    }
-
     pub fn hop_cycles(&self) -> u64 {
         self.hop_cycles
     }
@@ -234,14 +217,6 @@ mod tests {
         assert_eq!(m.corner(m.nearest_corner(0)), m.tile(0));
         // Tile 15 = (3,3) = SE corner.
         assert_eq!(m.corner(m.nearest_corner(15)), m.tile(15));
-    }
-
-    #[test]
-    fn max_rt_latency_picks_farthest() {
-        let m = Mesh::new(16, 4);
-        let sharers = [1usize, 15usize];
-        assert_eq!(m.max_rt_latency(0, sharers.iter()), m.rt_latency(0, 15));
-        assert_eq!(m.max_rt_latency(0, [].iter()), 0);
     }
 
     #[test]

@@ -118,6 +118,12 @@ pub enum ConfigError {
     },
     /// A banked level was configured with zero banks.
     ZeroBanks { level: &'static str },
+    /// More L2 banks per block than cores: each bank shares the tile of
+    /// one of its block's cores.
+    TooManyL2Banks {
+        banks: usize,
+        cores_per_block: usize,
+    },
     /// A multi-block machine has no shared L3: cross-block uncached
     /// accesses and model-2 WB/INV need a globally shared level.
     MissingL3 { blocks: usize },
@@ -164,6 +170,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroBanks { level } => {
                 write!(f, "{level} must have at least one bank")
             }
+            ConfigError::TooManyL2Banks {
+                banks,
+                cores_per_block,
+            } => write!(
+                f,
+                "{banks} L2 banks per block exceed its {cores_per_block} cores \
+                 (each bank sits on one of its block's core tiles)"
+            ),
             ConfigError::MissingL3 { blocks } => write!(
                 f,
                 "a {blocks}-block machine needs a shared L3 (cross-block \
@@ -289,6 +303,47 @@ impl Topology {
         self.l3.is_some()
     }
 
+    /// Block of core `core`.
+    #[inline]
+    pub fn block_of(&self, core: usize) -> usize {
+        core / self.cores_per_block
+    }
+
+    /// Global index (`block * l2_banks_per_block + bank`) of the home L2
+    /// bank of line `line` inside `block`: lines interleave across the
+    /// block's banks.
+    #[inline]
+    pub fn home_bank(&self, block: usize, line: u64) -> usize {
+        block * self.l2_banks_per_block + (line as usize % self.l2_banks_per_block)
+    }
+
+    /// Mesh tile of global L2 bank `bank`: bank `b` of block `k` sits on
+    /// the tile of the block's core `b`, which exists because validation
+    /// keeps `l2_banks_per_block <= cores_per_block`.
+    #[inline]
+    pub fn bank_tile(&self, bank: usize) -> usize {
+        let per_block = self.l2_banks_per_block;
+        bank / per_block * self.cores_per_block + bank % per_block
+    }
+
+    /// L3 bank (and mesh corner) of line `line`: lines interleave across
+    /// the banks. Only hierarchical machines have one.
+    #[inline]
+    pub fn l3_bank(&self, line: u64) -> usize {
+        line as usize
+            % self
+                .l3
+                .expect("only hierarchical machines have an L3")
+                .banks
+    }
+
+    /// Round trip of a local L3 bank access (0 on flat machines, which
+    /// never reach an L3 path).
+    #[inline]
+    pub fn l3_rt(&self) -> u64 {
+        self.l3.map_or(0, |l3| l3.rt)
+    }
+
     /// `"BxC"` display form, e.g. `4x8`.
     pub fn shape_label(&self) -> String {
         format!("{}x{}", self.blocks, self.cores_per_block)
@@ -386,6 +441,12 @@ impl TopologyBuilder {
         let l2_banks_per_block = self.l2_banks_per_block.unwrap_or(self.cores_per_block);
         if l2_banks_per_block == 0 {
             return Err(ConfigError::ZeroBanks { level: "L2" });
+        }
+        if l2_banks_per_block > self.cores_per_block {
+            return Err(ConfigError::TooManyL2Banks {
+                banks: l2_banks_per_block,
+                cores_per_block: self.cores_per_block,
+            });
         }
         let l3 = self.l3.unwrap_or_else(|| {
             if self.blocks > 1 {
@@ -675,6 +736,39 @@ mod tests {
             TopologyBuilder::new(1, 8).l2_banks_per_block(0).validate(),
             Err(ConfigError::ZeroBanks { level: "L2" })
         ));
+        // Block 0's upper banks would land on block 1's tiles, and the
+        // last block's past the mesh.
+        assert_eq!(
+            TopologyBuilder::new(2, 4).l2_banks_per_block(8).validate(),
+            Err(ConfigError::TooManyL2Banks {
+                banks: 8,
+                cores_per_block: 4
+            })
+        );
+        assert!(TopologyBuilder::new(2, 4)
+            .l2_banks_per_block(4)
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
+    fn l2_banks_sit_on_their_own_blocks_tiles() {
+        for (blocks, cores, banks) in [(1, 16, 16), (4, 8, 8), (2, 4, 2), (8, 8, 4)] {
+            let t = TopologyBuilder::new(blocks, cores)
+                .l2_banks_per_block(banks)
+                .validate()
+                .unwrap();
+            for blk in 0..blocks {
+                for line in 0..64 {
+                    let bank = t.home_bank(blk, line);
+                    assert_eq!(
+                        t.block_of(t.bank_tile(bank)),
+                        blk,
+                        "{blocks}x{cores}x{banks}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

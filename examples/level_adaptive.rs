@@ -12,7 +12,7 @@
 //! ```
 
 use hic_analysis::{Access, Analyzer, ArrayId, Node, Pattern, Program};
-use hic_runtime::{Config, InterConfig, ProgramBuilder};
+use hic_runtime::{CommOp, Config, EpochPlan, InterConfig, ProgramBuilder};
 
 const N: u64 = 512;
 const ITERS: usize = 3;
@@ -87,6 +87,10 @@ fn run_once(cfg: InterConfig) -> (u64, u64, u64, bool) {
                 ctx.plan_barrier(bar).await;
             }
         }
+        // The plan WBs wrote back only what neighbors consume; write this
+        // thread's whole chunk of `a` back for the host to read.
+        ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(a.slice(lo, hi))))
+            .await;
     });
 
     // Host reference.
