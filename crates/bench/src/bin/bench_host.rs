@@ -41,18 +41,23 @@ use hic_bench::host::{
     run_check_overhead, run_fault_suite, run_geometry_matrix, run_lint_suite, run_parallel_suite,
     run_suite, to_json,
 };
-use hic_bench::{bench_with_setup, Timing};
-use hic_runtime::{Config, IntraConfig, ProgramBuilder};
-use hic_sim::Json;
+use hic_bench::{bench, Timing};
+use hic_machine::Machine;
+use hic_runtime::{Config, InterConfig, IntraConfig, ProgramBuilder};
+use hic_sim::{Json, MachineConfig, TopologyBuilder};
 
 fn micro_timings() -> Vec<Timing> {
     // A small, representative micro set: one communication-heavy kernel
-    // under the baseline config, measured end to end.
+    // under the baseline config, measured end to end, and the per-run
+    // fixed cost — building the 4x8 inter-block machine, and an empty run
+    // on a 2x2 machine.
     let cfg = IntraConfig::ALL[0];
-    vec![bench_with_setup(
-        "micro/flag_ping_pong_64",
-        || (),
-        move |()| {
+    let inter = MachineConfig::inter_block();
+    let two_by_two = Config::Inter(InterConfig::Base)
+        .with_topology(TopologyBuilder::new(2, 2).validate().expect("2x2 topology"))
+        .expect("an inter-block scheme on a hierarchical topology");
+    vec![
+        bench("micro/flag_ping_pong_64", move || {
             let mut p = ProgramBuilder::new(Config::Intra(cfg));
             let flag = p.flag();
             let bar = p.barrier_of(2);
@@ -70,8 +75,12 @@ fn micro_timings() -> Vec<Timing> {
                     ctx.barrier(bar).await;
                 }
             })
-        },
-    )]
+        }),
+        bench("micro/build_inter32", || Machine::incoherent(inter)),
+        bench("micro/empty_run_2x2", || {
+            ProgramBuilder::new(two_by_two).run(two_by_two.num_threads(), |_| {})
+        }),
+    ]
 }
 
 fn main() -> ExitCode {

@@ -8,6 +8,13 @@
 //! The cache stores real word values. It is policy-free: callers decide
 //! when lines move. Evictions return the victim so the caller can spill
 //! its dirty words down the hierarchy.
+//!
+//! Slot storage is paged like [`crate::Memory`]'s line store: a page holds
+//! the slots of 64 consecutive sets and is allocated by the first fill
+//! into one of them, so building a cache costs O(pages), not O(capacity),
+//! and a run pays only for the sets it touches (DESIGN.md §9). Paging is
+//! invisible to callers: slot numbering, victim choice and sweep order are
+//! those of a flat slot array.
 
 use crate::addr::{LineAddr, WORDS_PER_LINE};
 use crate::checkpoint::CheckpointStore;
@@ -39,6 +46,116 @@ impl Slot {
             lru: 0,
             data: [0; WORDS_PER_LINE],
         }
+    }
+
+    fn view(&self) -> LineView<'_> {
+        LineView {
+            addr: self.addr,
+            dirty: self.dirty,
+            data: &self.data,
+        }
+    }
+
+    fn evicted(&self) -> EvictedLine {
+        EvictedLine {
+            addr: self.addr,
+            dirty: self.dirty,
+            data: self.data,
+        }
+    }
+}
+
+/// log2 of the sets one page of slot storage covers.
+const PAGE_SETS_SHIFT: u32 = 6;
+const PAGE_SETS: usize = 1 << PAGE_SETS_SHIFT;
+
+/// Paged slot storage. Page `p` holds the slots of sets
+/// `p * PAGE_SETS ..` (a cache with fewer sets is one page) and stays
+/// `None` until the first fill into one of them. Slot
+/// `id = set * ways + way` lives at offset `id % page_slots` of page
+/// `id / page_slots`, so IDs are those of a flat slot array.
+#[derive(Debug, Clone)]
+struct Slots {
+    sets: usize,
+    ways: usize,
+    /// Slots per page: `min(sets, PAGE_SETS) * ways`.
+    page_slots: usize,
+    pages: Vec<Option<Box<[Slot]>>>,
+}
+
+impl Slots {
+    fn new(sets: usize, ways: usize) -> Slots {
+        Slots {
+            sets,
+            ways,
+            page_slots: sets.min(PAGE_SETS) * ways,
+            pages: vec![None; sets.div_ceil(PAGE_SETS)],
+        }
+    }
+
+    /// The page of `addr`'s set, and the offset of the set's first way
+    /// in that page.
+    #[inline]
+    fn locate(&self, addr: LineAddr) -> (usize, usize) {
+        let set = (addr.0 as usize) & (self.sets - 1);
+        (set >> PAGE_SETS_SHIFT, (set & (PAGE_SETS - 1)) * self.ways)
+    }
+
+    /// The slot holding `addr`, with its ID, if resident.
+    #[inline]
+    fn find(&self, addr: LineAddr) -> Option<(usize, &Slot)> {
+        let (page, first) = self.locate(addr);
+        let set = &self.pages[page].as_deref()?[first..first + self.ways];
+        let way = set.iter().position(|s| s.valid && s.addr == addr)?;
+        Some((page * self.page_slots + first + way, &set[way]))
+    }
+
+    #[inline]
+    fn find_mut(&mut self, addr: LineAddr) -> Option<(usize, &mut Slot)> {
+        let (page, first) = self.locate(addr);
+        let set = &mut self.pages[page].as_deref_mut()?[first..first + self.ways];
+        let way = set.iter().position(|s| s.valid && s.addr == addr)?;
+        Some((page * self.page_slots + first + way, &mut set[way]))
+    }
+
+    /// The slot a fill of `addr` takes: the one already holding it, else
+    /// the set's first invalid way, else its least recently used one.
+    /// Allocates the page on first use.
+    fn fill_slot(&mut self, addr: LineAddr) -> (usize, &mut Slot) {
+        let (page, first) = self.locate(addr);
+        let page_slots = self.page_slots;
+        let set = &mut self.pages[page]
+            .get_or_insert_with(|| vec![Slot::empty(); page_slots].into())
+            [first..first + self.ways];
+        let way = match set.iter().position(|s| s.valid && s.addr == addr) {
+            Some(way) => way,
+            None => set.iter().position(|s| !s.valid).unwrap_or_else(|| {
+                (0..set.len())
+                    .min_by_key(|&w| set[w].lru)
+                    .expect("a set has at least one way")
+            }),
+        };
+        (page * page_slots + first + way, &mut set[way])
+    }
+
+    /// Slot `id`; `None` when its page is unallocated or `id` is out of
+    /// range.
+    fn get(&self, id: usize) -> Option<&Slot> {
+        self.pages
+            .get(id / self.page_slots)?
+            .as_deref()?
+            .get(id % self.page_slots)
+    }
+
+    /// The slot a set bit of a slot bitmap names (its page is allocated).
+    fn by_bit(&self, id: usize) -> &Slot {
+        self.get(id)
+            .expect("a set bitmap bit names an allocated slot")
+    }
+
+    /// Every slot of every allocated page, in ascending ID order.
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        self.pages.iter().flatten().flat_map(|page| page.iter())
     }
 }
 
@@ -80,11 +197,13 @@ impl LookupResult {
 
 /// Set-associative write-back cache with LRU replacement and per-word
 /// dirty bits.
+///
+/// Slot storage is paged: construction allocates no page, the first fill
+/// into a page's sets allocates it, and a lookup into an unallocated page
+/// is a miss.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: usize,
-    ways: usize,
-    slots: Vec<Slot>,
+    slots: Slots,
     tick: u64,
     /// Number of valid lines resident.
     line_count_resident: usize,
@@ -122,6 +241,16 @@ fn line_parity(data: &[Word; WORDS_PER_LINE]) -> bool {
     data.iter().fold(0u32, |p, w| p ^ w.count_ones()) & 1 == 1
 }
 
+/// Set or clear bit `i` of a slot bitmap.
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    if on {
+        bits[i / 64] |= 1 << (i % 64);
+    } else {
+        bits[i / 64] &= !(1 << (i % 64));
+    }
+}
+
 /// Iterate the indices of set bits in a slot bitmap, ascending.
 fn for_each_set_bit(bits: &[u64], mut f: impl FnMut(usize)) {
     for (w, &word) in bits.iter().enumerate() {
@@ -150,9 +279,7 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         let words = (sets * ways).div_ceil(64);
         Cache {
-            sets,
-            ways,
-            slots: vec![Slot::empty(); sets * ways],
+            slots: Slots::new(sets, ways),
             tick: 0,
             line_count_resident: 0,
             dirty_line_count: 0,
@@ -170,8 +297,8 @@ impl Cache {
     /// (the best recovery point available once its epoch is underway).
     pub fn enable_checkpoints(&mut self) {
         let mut ck = Box::new(CheckpointStore::new());
-        for s in self.slots.iter().filter(|s| s.valid && s.dirty != 0) {
-            ck.rebase(s.addr, &s.data, s.dirty);
+        for s in self.valid_lines().filter(|s| s.dirty != 0) {
+            ck.rebase(s.addr, s.data, s.dirty);
         }
         self.ckpt = Some(ck);
     }
@@ -197,12 +324,11 @@ impl Cache {
     /// but untracked / checkpointing is off (the caller must fall back
     /// to the fatal path).
     pub fn rollback_line(&mut self, addr: LineAddr) -> Option<u64> {
-        let i = self.find(addr)?;
+        let (id, s) = self.slots.find_mut(addr)?;
         let (image, stores) = self.ckpt.as_ref()?.rollback_image(addr)?;
-        self.slots[i].data = image;
+        s.data = image;
         if self.parity_enabled {
-            let p = line_parity(&self.slots[i].data);
-            self.set_parity_bit(i, p);
+            set_bit(&mut self.parity_bits, id, line_parity(&image));
         }
         Some(stores)
     }
@@ -219,20 +345,12 @@ impl Cache {
     pub fn enable_parity(&mut self) {
         self.parity_enabled = true;
         self.parity_bits.fill(0);
-        for i in 0..self.slots.len() {
-            if self.slots[i].valid && line_parity(&self.slots[i].data) {
-                self.parity_bits[i / 64] |= 1 << (i % 64);
+        let (slots, parity) = (&self.slots, &mut self.parity_bits);
+        for_each_set_bit(&self.valid_bits, |i| {
+            if line_parity(&slots.by_bit(i).data) {
+                set_bit(parity, i, true);
             }
-        }
-    }
-
-    #[inline]
-    fn set_parity_bit(&mut self, i: usize, on: bool) {
-        if on {
-            self.parity_bits[i / 64] |= 1 << (i % 64);
-        } else {
-            self.parity_bits[i / 64] &= !(1 << (i % 64));
-        }
+        });
     }
 
     /// Flip the stored parity of slot `i` when a word changes from `old`
@@ -250,10 +368,10 @@ impl Cache {
         if !self.parity_enabled {
             return true;
         }
-        match self.find(addr) {
-            Some(i) => {
-                let stored = self.parity_bits[i / 64] & (1 << (i % 64)) != 0;
-                stored == line_parity(&self.slots[i].data)
+        match self.slots.find(addr) {
+            Some((id, s)) => {
+                let stored = self.parity_bits[id / 64] & (1 << (id % 64)) != 0;
+                stored == line_parity(&s.data)
             }
             None => true,
         }
@@ -263,41 +381,23 @@ impl Cache {
     /// updating its parity, modeling a transient upset in the data array.
     /// Returns `true` if the line was resident and the bit was flipped.
     pub fn corrupt_bit(&mut self, addr: LineAddr, word: usize, bit: u32) -> bool {
-        match self.find(addr) {
-            Some(i) => {
-                self.slots[i].data[word % WORDS_PER_LINE] ^= 1 << (bit % Word::BITS);
+        match self.slots.find_mut(addr) {
+            Some((_, s)) => {
+                s.data[word % WORDS_PER_LINE] ^= 1 << (bit % Word::BITS);
                 true
             }
             None => false,
         }
     }
 
-    #[inline]
-    fn set_valid_bit(&mut self, i: usize, on: bool) {
-        if on {
-            self.valid_bits[i / 64] |= 1 << (i % 64);
-        } else {
-            self.valid_bits[i / 64] &= !(1 << (i % 64));
-        }
-    }
-
-    #[inline]
-    fn set_dirty_bit(&mut self, i: usize, on: bool) {
-        if on {
-            self.dirty_bits[i / 64] |= 1 << (i % 64);
-        } else {
-            self.dirty_bits[i / 64] &= !(1 << (i % 64));
-        }
-    }
-
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets
+        self.slots.sets
     }
 
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
-        self.sets * self.ways
+        self.slots.sets * self.slots.ways
     }
 
     /// Number of valid lines currently resident.
@@ -312,75 +412,50 @@ impl Cache {
         self.dirty_line_count
     }
 
-    #[inline]
-    fn set_of(&self, addr: LineAddr) -> usize {
-        (addr.0 as usize) & (self.sets - 1)
-    }
-
-    #[inline]
-    fn set_slots(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.ways..(set + 1) * self.ways
-    }
-
-    fn find(&self, addr: LineAddr) -> Option<usize> {
-        let set = self.set_of(addr);
-        self.set_slots(set)
-            .find(|&i| self.slots[i].valid && self.slots[i].addr == addr)
+    /// Number of allocated pages of slot storage (each 64 sets, or the
+    /// whole cache when it has fewer).
+    pub fn pages_materialized(&self) -> usize {
+        self.slots.pages.iter().filter(|p| p.is_some()).count()
     }
 
     /// The line ID the MEB stores: position of the line within the cache
     /// (set index * ways + way), `line_id_bits` wide (paper §IV-B1).
     pub fn line_id(&self, addr: LineAddr) -> Option<usize> {
-        self.find(addr)
+        self.slots.find(addr).map(|(id, _)| id)
     }
 
     /// Line address currently resident at a given line ID, if valid.
     /// Used when draining the MEB: an ID whose slot was re-filled by a
     /// different (never-written) line is a stale MEB entry.
     pub fn line_at_id(&self, id: usize) -> Option<LineView<'_>> {
-        let s = self.slots.get(id)?;
-        if s.valid {
-            Some(LineView {
-                addr: s.addr,
-                dirty: s.dirty,
-                data: &s.data,
-            })
-        } else {
-            None
-        }
+        self.slots.get(id).filter(|s| s.valid).map(Slot::view)
     }
 
     /// Probe without disturbing LRU state.
     pub fn probe(&self, addr: LineAddr) -> LookupResult {
-        match self.find(addr) {
-            Some(i) => LookupResult::Hit {
-                dirty: self.slots[i].dirty,
-            },
+        match self.slots.find(addr) {
+            Some((_, s)) => LookupResult::Hit { dirty: s.dirty },
             None => LookupResult::Miss,
         }
     }
 
     /// Immutable view of a resident line.
     pub fn view(&self, addr: LineAddr) -> Option<LineView<'_>> {
-        self.find(addr).map(|i| LineView {
-            addr: self.slots[i].addr,
-            dirty: self.slots[i].dirty,
-            data: &self.slots[i].data,
-        })
+        self.slots.find(addr).map(|(_, s)| s.view())
     }
 
     /// Read one word if the line is resident; bumps LRU.
     pub fn read_word(&mut self, addr: LineAddr, word: usize) -> Option<Word> {
-        let i = self.find(addr)?;
+        let (_, s) = self.slots.find_mut(addr)?;
         self.tick += 1;
-        self.slots[i].lru = self.tick;
-        Some(self.slots[i].data[word])
+        s.lru = self.tick;
+        Some(s.data[word])
     }
 
     /// Is a specific word of a resident line dirty?
     pub fn word_dirty(&self, addr: LineAddr, word: usize) -> bool {
-        match self.find(addr) {
-            Some(i) => self.slots[i].dirty & (1 << word) != 0,
+        match self.slots.find(addr) {
+            Some((_, s)) => s.dirty & (1 << word) != 0,
             None => false,
         }
     }
@@ -389,25 +464,23 @@ impl Cache {
     /// LRU. Returns `true` on hit. The second element reports whether the
     /// word was clean before (the MEB inserts on clean->dirty transitions).
     pub fn write_word(&mut self, addr: LineAddr, word: usize, value: Word) -> Option<bool> {
-        let i = self.find(addr)?;
+        let (id, s) = self.slots.find_mut(addr)?;
         self.tick += 1;
         if let Some(ck) = self.ckpt.as_mut() {
             // Journal the store *before* it lands: the first store to an
             // untracked line captures the pre-store image as its base.
-            ck.on_store(addr, word, value, &self.slots[i].data);
+            ck.on_store(addr, word, value, &s.data);
         }
-        let s = &mut self.slots[i];
         s.lru = self.tick;
         if s.dirty == 0 {
             self.dirty_line_count += 1;
-            self.dirty_bits[i / 64] |= 1 << (i % 64);
+            set_bit(&mut self.dirty_bits, id, true);
         }
-        let s = &mut self.slots[i];
         let was_clean = s.dirty & (1 << word) == 0;
         let old = s.data[word];
         s.data[word] = value;
         s.dirty |= 1 << word;
-        self.update_parity_for_write(i, old, value);
+        self.update_parity_for_write(id, old, value);
         Some(was_clean)
     }
 
@@ -420,78 +493,53 @@ impl Cache {
         data: [Word; WORDS_PER_LINE],
         dirty: DirtyMask,
     ) -> Option<EvictedLine> {
-        if let Some(i) = self.find(addr) {
+        let (id, s) = self.slots.fill_slot(addr);
+        self.tick += 1;
+        if s.valid && s.addr == addr {
             // Refill of a resident line: overwrite data, merge dirty mask.
-            self.tick += 1;
-            let s = &mut self.slots[i];
             s.lru = self.tick;
             s.data = data;
-            if self.parity_enabled {
-                let p = line_parity(&self.slots[i].data);
-                self.set_parity_bit(i, p);
-            }
-            if self.slots[i].dirty == 0 && dirty != 0 {
+            if s.dirty == 0 && dirty != 0 {
                 self.dirty_line_count += 1;
-                self.dirty_bits[i / 64] |= 1 << (i % 64);
+                set_bit(&mut self.dirty_bits, id, true);
             }
-            self.slots[i].dirty |= dirty;
-            let now_dirty = self.slots[i].dirty;
+            s.dirty |= dirty;
+            if self.parity_enabled {
+                set_bit(&mut self.parity_bits, id, line_parity(&data));
+            }
             if let Some(ck) = self.ckpt.as_mut() {
                 // Wholesale data replacement: the old journal no longer
                 // reconstructs this line. Re-capture (still dirty) or
                 // drop (clean).
-                ck.rebase(addr, &data, now_dirty);
+                ck.rebase(addr, &data, s.dirty);
             }
             return None;
         }
-        let set = self.set_of(addr);
-        // Choose an invalid slot, else the LRU victim.
-        let mut victim_idx = set * self.ways;
-        let mut best_lru = u64::MAX;
-        for i in self.set_slots(set) {
-            if !self.slots[i].valid {
-                victim_idx = i;
-                break;
-            }
-            if self.slots[i].lru < best_lru {
-                best_lru = self.slots[i].lru;
-                victim_idx = i;
-            }
-        }
-        let evicted = if self.slots[victim_idx].valid {
-            self.line_count_resident -= 1;
-            if self.slots[victim_idx].dirty != 0 {
-                self.dirty_line_count -= 1;
-            }
-            let v = &self.slots[victim_idx];
-            Some(EvictedLine {
-                addr: v.addr,
-                dirty: v.dirty,
-                data: v.data,
-            })
-        } else {
-            None
-        };
-        if let (Some(ev), Some(ck)) = (&evicted, self.ckpt.as_mut()) {
-            ck.prune(ev.addr);
-        }
-        self.tick += 1;
-        if dirty != 0 {
-            self.dirty_line_count += 1;
-        }
-        self.slots[victim_idx] = Slot {
+        let evicted = s.valid.then(|| s.evicted());
+        *s = Slot {
             addr,
             valid: true,
             dirty,
             lru: self.tick,
             data,
         };
+        if let Some(ev) = &evicted {
+            self.line_count_resident -= 1;
+            if ev.dirty != 0 {
+                self.dirty_line_count -= 1;
+            }
+            if let Some(ck) = self.ckpt.as_mut() {
+                ck.prune(ev.addr);
+            }
+        }
         self.line_count_resident += 1;
-        self.set_valid_bit(victim_idx, true);
-        self.set_dirty_bit(victim_idx, dirty != 0);
+        if dirty != 0 {
+            self.dirty_line_count += 1;
+        }
+        set_bit(&mut self.valid_bits, id, true);
+        set_bit(&mut self.dirty_bits, id, dirty != 0);
         if self.parity_enabled {
-            let p = line_parity(&self.slots[victim_idx].data);
-            self.set_parity_bit(victim_idx, p);
+            set_bit(&mut self.parity_bits, id, line_parity(&data));
         }
         if dirty != 0 {
             if let Some(ck) = self.ckpt.as_mut() {
@@ -510,47 +558,43 @@ impl Cache {
         data: &[Word; WORDS_PER_LINE],
         mask: DirtyMask,
     ) -> bool {
-        match self.find(addr) {
-            Some(i) => {
-                self.tick += 1;
-                let mut parity_delta = 0u32;
-                let s = &mut self.slots[i];
-                s.lru = self.tick;
-                for (w, incoming) in data.iter().enumerate() {
-                    if mask & (1 << w) != 0 {
-                        parity_delta ^= s.data[w] ^ *incoming;
-                        s.data[w] = *incoming;
-                    }
-                }
-                if self.parity_enabled && parity_delta.count_ones() & 1 == 1 {
-                    self.parity_bits[i / 64] ^= 1 << (i % 64);
-                }
-                if self.slots[i].dirty == 0 && mask != 0 {
-                    self.dirty_line_count += 1;
-                    self.dirty_bits[i / 64] |= 1 << (i % 64);
-                }
-                self.slots[i].dirty |= mask;
-                let (d, now_dirty) = (self.slots[i].data, self.slots[i].dirty);
-                if let Some(ck) = self.ckpt.as_mut() {
-                    // An incoming writeback replaced words out-of-band of
-                    // the store journal: re-capture at the merged image.
-                    ck.rebase(addr, &d, now_dirty);
-                }
-                true
+        let Some((id, s)) = self.slots.find_mut(addr) else {
+            return false;
+        };
+        self.tick += 1;
+        s.lru = self.tick;
+        let mut parity_delta = 0u32;
+        for (w, incoming) in data.iter().enumerate() {
+            if mask & (1 << w) != 0 {
+                parity_delta ^= s.data[w] ^ *incoming;
+                s.data[w] = *incoming;
             }
-            None => false,
         }
+        if self.parity_enabled && parity_delta.count_ones() & 1 == 1 {
+            self.parity_bits[id / 64] ^= 1 << (id % 64);
+        }
+        if s.dirty == 0 && mask != 0 {
+            self.dirty_line_count += 1;
+            set_bit(&mut self.dirty_bits, id, true);
+        }
+        s.dirty |= mask;
+        if let Some(ck) = self.ckpt.as_mut() {
+            // An incoming writeback replaced words out-of-band of the
+            // store journal: re-capture at the merged image.
+            ck.rebase(addr, &s.data, s.dirty);
+        }
+        true
     }
 
     /// Clear the dirty bits of a resident line (it was just written back
     /// and is now "clean valid", §III-B). Returns the mask that was dirty.
     pub fn clean_line(&mut self, addr: LineAddr) -> DirtyMask {
-        match self.find(addr) {
-            Some(i) => {
-                let was = std::mem::take(&mut self.slots[i].dirty);
+        match self.slots.find_mut(addr) {
+            Some((id, s)) => {
+                let was = std::mem::take(&mut s.dirty);
                 if was != 0 {
                     self.dirty_line_count -= 1;
-                    self.set_dirty_bit(i, false);
+                    set_bit(&mut self.dirty_bits, id, false);
                     if let Some(ck) = self.ckpt.as_mut() {
                         ck.prune(addr);
                     }
@@ -565,12 +609,12 @@ impl Cache {
     /// (word- or range-granularity) writeback must not mark words it did
     /// not transfer as clean — their updates would be silently lost.
     pub fn clean_words(&mut self, addr: LineAddr, mask: DirtyMask) {
-        if let Some(i) = self.find(addr) {
-            let was = self.slots[i].dirty;
-            self.slots[i].dirty &= !mask;
-            if was != 0 && self.slots[i].dirty == 0 {
+        if let Some((id, s)) = self.slots.find_mut(addr) {
+            let was = s.dirty;
+            s.dirty &= !mask;
+            if was != 0 && s.dirty == 0 {
                 self.dirty_line_count -= 1;
-                self.set_dirty_bit(i, false);
+                set_bit(&mut self.dirty_bits, id, false);
                 if let Some(ck) = self.ckpt.as_mut() {
                     ck.prune(addr);
                 }
@@ -581,36 +625,29 @@ impl Cache {
     /// Invalidate a resident line, returning its content so the caller can
     /// first write back dirty words (INV must not lose updates, §III-B).
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<EvictedLine> {
-        let i = self.find(addr)?;
+        let (id, s) = self.slots.find_mut(addr)?;
+        s.valid = false;
+        let ev = s.evicted();
         if let Some(ck) = self.ckpt.as_mut() {
             ck.prune(addr);
         }
-        self.slots[i].valid = false;
         self.line_count_resident -= 1;
-        if self.slots[i].dirty != 0 {
+        if ev.dirty != 0 {
             self.dirty_line_count -= 1;
         }
-        self.set_valid_bit(i, false);
-        self.set_dirty_bit(i, false);
-        let s = &self.slots[i];
-        Some(EvictedLine {
-            addr: s.addr,
-            dirty: s.dirty,
-            data: s.data,
-        })
+        set_bit(&mut self.valid_bits, id, false);
+        set_bit(&mut self.dirty_bits, id, false);
+        Some(ev)
     }
 
     /// Iterate over all valid lines (for WB ALL / INV ALL traversals).
     ///
-    /// Deliberately a raw slot sweep rather than a bitmap walk: this is
-    /// the naive reference the property tests compare the valid/dirty
-    /// slot bitmaps against.
+    /// Deliberately a raw slot sweep (over the allocated pages, in
+    /// ascending slot order) rather than a bitmap walk: this is the naive
+    /// reference the property tests compare the valid/dirty slot bitmaps
+    /// against.
     pub fn valid_lines(&self) -> impl Iterator<Item = LineView<'_>> {
-        self.slots.iter().filter(|s| s.valid).map(|s| LineView {
-            addr: s.addr,
-            dirty: s.dirty,
-            data: &s.data,
-        })
+        self.slots.iter().filter(|s| s.valid).map(Slot::view)
     }
 
     /// Visit every valid line with at least one dirty word in ascending
@@ -618,13 +655,9 @@ impl Cache {
     /// dirty-slot bitmap instead of sweeping all slots.
     pub fn for_each_dirty_line(&self, mut f: impl FnMut(LineView<'_>)) {
         for_each_set_bit(&self.dirty_bits, |i| {
-            let s = &self.slots[i];
+            let s = self.slots.by_bit(i);
             debug_assert!(s.valid && s.dirty != 0, "stale dirty bit for slot {i}");
-            f(LineView {
-                addr: s.addr,
-                dirty: s.dirty,
-                data: &s.data,
-            });
+            f(s.view());
         });
     }
 
@@ -635,7 +668,7 @@ impl Cache {
     /// across instructions instead of allocating.
     pub fn dirty_line_addrs_into(&self, out: &mut Vec<LineAddr>) {
         for_each_set_bit(&self.dirty_bits, |i| {
-            let s = &self.slots[i];
+            let s = self.slots.by_bit(i);
             debug_assert!(s.valid && s.dirty != 0, "stale dirty bit for slot {i}");
             out.push(s.addr);
         });
@@ -645,7 +678,7 @@ impl Cache {
     /// order).
     pub fn valid_line_addrs_into(&self, out: &mut Vec<LineAddr>) {
         for_each_set_bit(&self.valid_bits, |i| {
-            let s = &self.slots[i];
+            let s = self.slots.by_bit(i);
             debug_assert!(s.valid, "stale valid bit for slot {i}");
             out.push(s.addr);
         });
@@ -665,11 +698,10 @@ impl Cache {
         out
     }
 
-    /// Drop every line (power-on reset; used between experiment runs).
+    /// Drop every line and every page (power-on reset; used between
+    /// experiment runs).
     pub fn reset(&mut self) {
-        for s in &mut self.slots {
-            *s = Slot::empty();
-        }
+        self.slots.pages.fill(None);
         self.tick = 0;
         self.line_count_resident = 0;
         self.dirty_line_count = 0;
@@ -953,6 +985,65 @@ mod tests {
         c.fill(LineAddr(1), line_data(500), 0);
         assert_eq!(c.rollback_line(LineAddr(1)), Some(0));
         assert_eq!(c.read_word(LineAddr(1), 2), Some(502));
+    }
+
+    /// One 4 MB, 8-way L3 bank of the inter-block machine: 8192 sets,
+    /// 128 pages.
+    fn l3_bank() -> Cache {
+        Cache::new(CacheGeometry {
+            size_bytes: 4 * 1024 * 1024,
+            ways: 8,
+            line_bytes: 64,
+        })
+    }
+
+    #[test]
+    fn fresh_cache_allocates_no_page() {
+        let c = l3_bank();
+        assert_eq!(c.pages_materialized(), 0);
+        let lines = 2 * c.capacity_lines() as u64;
+        assert!((0..lines).all(|l| c.probe(LineAddr(l)) == LookupResult::Miss));
+        assert!((0..c.capacity_lines()).all(|id| c.line_at_id(id).is_none()));
+        assert_eq!(c.valid_lines().count(), 0);
+    }
+
+    #[test]
+    fn a_fill_allocates_only_its_page() {
+        let mut c = l3_bank();
+        c.fill(LineAddr(5), line_data(5), 0);
+        assert_eq!(c.pages_materialized(), 1);
+        // Lines 0..64 fill sets 0..64: still the first page.
+        for l in 0..64 {
+            c.fill(LineAddr(l), line_data(l as Word), 0);
+        }
+        assert_eq!(c.pages_materialized(), 1);
+        // Set 64 starts the second page; line 8192 maps back to set 0.
+        c.fill(LineAddr(64), line_data(64), 0);
+        c.fill(LineAddr(8192), line_data(8192), 0);
+        assert_eq!(c.pages_materialized(), 2);
+        assert_eq!(c.resident_lines(), 66);
+        c.reset();
+        assert_eq!(c.pages_materialized(), 0);
+        assert!(!c.probe(LineAddr(5)).is_hit());
+    }
+
+    #[test]
+    fn line_ids_are_flat_slot_indices() {
+        let mut c = l3_bank();
+        // Set 4000 (page 62), first way; then the second way of set 0.
+        c.fill(LineAddr(4000), line_data(0), 0);
+        c.fill(LineAddr(0), line_data(0), 0);
+        c.fill(LineAddr(8192), line_data(0), 0);
+        assert_eq!(c.line_id(LineAddr(4000)), Some(4000 * 8));
+        assert_eq!(c.line_id(LineAddr(8192)), Some(1));
+        assert_eq!(c.line_at_id(4000 * 8).unwrap().addr, LineAddr(4000));
+        assert_eq!(c.line_at_id(1).unwrap().addr, LineAddr(8192));
+        assert!(c.line_at_id(4000 * 8 + 1).is_none());
+        assert!(c.line_at_id(c.capacity_lines()).is_none());
+        // Bitmap walks and the raw sweep agree on ascending slot order.
+        let order = vec![LineAddr(0), LineAddr(8192), LineAddr(4000)];
+        assert_eq!(c.valid_line_addrs(), order);
+        assert_eq!(c.valid_lines().map(|v| v.addr).collect::<Vec<_>>(), order);
     }
 
     #[test]

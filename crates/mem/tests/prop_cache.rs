@@ -3,6 +3,10 @@
 //! written word is ever lost — the cache plus the backing store always
 //! holds the newest value of every word.
 //!
+//! Each property runs on a one-page cache and on one whose slot storage
+//! spans eight pages, and checks after every op that each resident line's
+//! MEB line ID maps back to it.
+//!
 //! Randomized with the deterministic in-repo `SplitMix64` (fixed seeds).
 
 use hic_mem::addr::WORDS_PER_LINE;
@@ -22,9 +26,66 @@ enum OpKind {
     Clean { line: u64 },
 }
 
-fn gen_op(rng: &mut SplitMix64) -> OpKind {
-    // More lines (24) than capacity: forces evictions.
-    let line = rng.below(24);
+/// A cache shape and the lines the properties touch in it. Both draw
+/// more lines per set than there are ways, so evictions are frequent.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// 4 sets x 2 ways, a single page: 24 lines, 6 per set.
+    Tiny,
+    /// 512 sets x 2 ways, 8 pages of 64 sets: 3 lines on each of the
+    /// first and last set of every page, so ops straddle every page
+    /// boundary and probe pages not yet allocated.
+    Paged,
+}
+
+const SHAPES: [Shape; 2] = [Shape::Tiny, Shape::Paged];
+
+impl Shape {
+    fn cache(self) -> Cache {
+        let size_bytes = match self {
+            Shape::Tiny => 512,
+            Shape::Paged => 512 * 2 * 64,
+        };
+        Cache::new(CacheGeometry {
+            size_bytes,
+            ways: 2,
+            line_bytes: 64,
+        })
+    }
+
+    /// Pages of slot storage the shape's lines fall in.
+    fn pages(self) -> usize {
+        match self {
+            Shape::Tiny => 1,
+            Shape::Paged => 8,
+        }
+    }
+
+    fn line(self, rng: &mut SplitMix64) -> u64 {
+        match self {
+            Shape::Tiny => rng.below(24),
+            Shape::Paged => {
+                let set = rng.below(8) * 64 + 63 * rng.below(2);
+                set + 512 * rng.below(3)
+            }
+        }
+    }
+}
+
+/// Every resident line's line ID (`set * ways + way`) maps back to it.
+fn assert_line_ids_round_trip(cache: &Cache, ctx: &str) {
+    for la in cache.valid_line_addrs() {
+        let id = cache.line_id(la).expect("a resident line has a line ID");
+        assert_eq!(
+            cache.line_at_id(id).map(|v| v.addr),
+            Some(la),
+            "{ctx}: line ID {id} does not map back to {la:?}"
+        );
+    }
+}
+
+fn gen_op(rng: &mut SplitMix64, shape: Shape) -> OpKind {
+    let line = shape.line(rng);
     match rng.below(4) {
         0 => OpKind::Write {
             line,
@@ -40,18 +101,9 @@ fn gen_op(rng: &mut SplitMix64) -> OpKind {
     }
 }
 
-fn gen_ops(rng: &mut SplitMix64, max_len: u64) -> Vec<OpKind> {
+fn gen_ops(rng: &mut SplitMix64, shape: Shape, max_len: u64) -> Vec<OpKind> {
     let len = 1 + rng.below(max_len - 1);
-    (0..len).map(|_| gen_op(rng)).collect()
-}
-
-/// Tiny cache (4 sets x 2 ways) so evictions are frequent.
-fn tiny_cache() -> Cache {
-    Cache::new(CacheGeometry {
-        size_bytes: 512,
-        ways: 2,
-        line_bytes: 64,
-    })
+    (0..len).map(|_| gen_op(rng, shape)).collect()
 }
 
 fn spill(mem: &mut Memory, ev: hic_mem::cache::EvictedLine) {
@@ -62,76 +114,86 @@ fn spill(mem: &mut Memory, ev: hic_mem::cache::EvictedLine) {
 
 #[test]
 fn no_written_word_is_ever_lost() {
-    let mut rng = SplitMix64::new(0xCAC4E);
-    for case in 0..64 {
-        let ops = gen_ops(&mut rng, 200);
-        let mut cache = tiny_cache();
-        let mut mem = Memory::new();
-        // Reference: the true current value of every word.
-        let mut model = std::collections::HashMap::<(u64, usize), u32>::new();
+    for shape in SHAPES {
+        let mut rng = SplitMix64::new(0xCAC4E);
+        let mut most_pages = 0;
+        for case in 0..64 {
+            let ops = gen_ops(&mut rng, shape, 200);
+            let mut cache = shape.cache();
+            let mut mem = Memory::new();
+            // Reference: the true current value of every word.
+            let mut model = std::collections::HashMap::<(u64, usize), u32>::new();
 
-        for op in ops {
-            match op {
-                OpKind::Write { line, word, value } => {
-                    let la = LineAddr(line);
-                    if cache.write_word(la, word, value).is_none() {
-                        let data = mem.read_line(la);
-                        if let Some(ev) = cache.fill(la, data, 0) {
-                            spill(&mut mem, ev);
-                        }
-                        cache.write_word(la, word, value).expect("just filled");
-                    }
-                    model.insert((line, word), value);
-                }
-                OpKind::Read { line, word } => {
-                    let la = LineAddr(line);
-                    let got = match cache.read_word(la, word) {
-                        Some(v) => v,
-                        None => {
+            for op in ops {
+                match op {
+                    OpKind::Write { line, word, value } => {
+                        let la = LineAddr(line);
+                        if cache.write_word(la, word, value).is_none() {
                             let data = mem.read_line(la);
                             if let Some(ev) = cache.fill(la, data, 0) {
                                 spill(&mut mem, ev);
                             }
-                            cache.read_word(la, word).expect("just filled")
+                            cache.write_word(la, word, value).expect("just filled");
                         }
-                    };
-                    let want = model.get(&(line, word)).copied().unwrap_or(0);
-                    assert_eq!(
-                        got, want,
-                        "case {case}: read {line}:{word} saw {got} want {want}"
-                    );
-                }
-                OpKind::Invalidate { line } => {
-                    if let Some(ev) = cache.invalidate(LineAddr(line)) {
-                        spill(&mut mem, ev);
+                        model.insert((line, word), value);
+                    }
+                    OpKind::Read { line, word } => {
+                        let la = LineAddr(line);
+                        let got = match cache.read_word(la, word) {
+                            Some(v) => v,
+                            None => {
+                                let data = mem.read_line(la);
+                                if let Some(ev) = cache.fill(la, data, 0) {
+                                    spill(&mut mem, ev);
+                                }
+                                cache.read_word(la, word).expect("just filled")
+                            }
+                        };
+                        let want = model.get(&(line, word)).copied().unwrap_or(0);
+                        assert_eq!(
+                            got, want,
+                            "{shape:?} case {case}: read {line}:{word} saw {got} want {want}"
+                        );
+                    }
+                    OpKind::Invalidate { line } => {
+                        if let Some(ev) = cache.invalidate(LineAddr(line)) {
+                            spill(&mut mem, ev);
+                        }
+                    }
+                    OpKind::Clean { line } => {
+                        let la = LineAddr(line);
+                        if let Some(v) = cache.view(la) {
+                            if v.dirty != 0 {
+                                let (data, dirty) = (*v.data, v.dirty);
+                                mem.merge_words(la, &data, dirty);
+                                cache.clean_line(la);
+                            }
+                        }
                     }
                 }
-                OpKind::Clean { line } => {
-                    let la = LineAddr(line);
-                    if let Some(v) = cache.view(la) {
-                        if v.dirty != 0 {
-                            let (data, dirty) = (*v.data, v.dirty);
-                            mem.merge_words(la, &data, dirty);
-                            cache.clean_line(la);
-                        }
-                    }
-                }
+                // Counter invariants hold at every step.
+                assert!(cache.dirty_lines_resident() <= cache.resident_lines());
+                assert!(cache.resident_lines() <= cache.capacity_lines());
+                assert_line_ids_round_trip(&cache, &format!("{shape:?} case {case}"));
             }
-            // Counter invariants hold at every step.
-            assert!(cache.dirty_lines_resident() <= cache.resident_lines());
-            assert!(cache.resident_lines() <= cache.capacity_lines());
-        }
+            most_pages = most_pages.max(cache.pages_materialized());
 
-        // Drain the cache: memory must now hold the model exactly.
-        for la in cache.valid_line_addrs() {
-            if let Some(ev) = cache.invalidate(la) {
-                spill(&mut mem, ev);
+            // Drain the cache: memory must now hold the model exactly.
+            for la in cache.valid_line_addrs() {
+                if let Some(ev) = cache.invalidate(la) {
+                    spill(&mut mem, ev);
+                }
+            }
+            for ((line, word), want) in model {
+                let got = mem.read_word(WordAddr(line * WORDS_PER_LINE as u64 + word as u64));
+                assert_eq!(
+                    got, want,
+                    "{shape:?} case {case}: after drain, {line}:{word}"
+                );
             }
         }
-        for ((line, word), want) in model {
-            let got = mem.read_word(WordAddr(line * WORDS_PER_LINE as u64 + word as u64));
-            assert_eq!(got, want, "case {case}: after drain, {line}:{word}");
-        }
+        // The generator reaches every page.
+        assert_eq!(most_pages, shape.pages(), "{shape:?}");
     }
 }
 
@@ -139,43 +201,46 @@ fn no_written_word_is_ever_lost() {
 /// nonzero dirty mask.
 #[test]
 fn dirty_counter_is_exact() {
-    let mut rng = SplitMix64::new(0xD1271);
-    for case in 0..64 {
-        let ops = gen_ops(&mut rng, 100);
-        let mut cache = tiny_cache();
-        let mut mem = Memory::new();
-        for op in ops {
-            match op {
-                OpKind::Write { line, word, value } => {
-                    let la = LineAddr(line);
-                    if cache.write_word(la, word, value).is_none() {
-                        let data = mem.read_line(la);
-                        if let Some(ev) = cache.fill(la, data, 0) {
-                            spill(&mut mem, ev);
-                        }
-                        cache.write_word(la, word, value);
-                    }
-                }
-                OpKind::Read { line, word } => {
-                    let la = LineAddr(line);
-                    if cache.read_word(la, word).is_none() {
-                        let data = mem.read_line(la);
-                        if let Some(ev) = cache.fill(la, data, 0) {
-                            spill(&mut mem, ev);
+    for shape in SHAPES {
+        let mut rng = SplitMix64::new(0xD1271);
+        for case in 0..64 {
+            let ops = gen_ops(&mut rng, shape, 100);
+            let mut cache = shape.cache();
+            let mut mem = Memory::new();
+            for op in ops {
+                match op {
+                    OpKind::Write { line, word, value } => {
+                        let la = LineAddr(line);
+                        if cache.write_word(la, word, value).is_none() {
+                            let data = mem.read_line(la);
+                            if let Some(ev) = cache.fill(la, data, 0) {
+                                spill(&mut mem, ev);
+                            }
+                            cache.write_word(la, word, value);
                         }
                     }
-                }
-                OpKind::Invalidate { line } => {
-                    if let Some(ev) = cache.invalidate(LineAddr(line)) {
-                        spill(&mut mem, ev);
+                    OpKind::Read { line, word } => {
+                        let la = LineAddr(line);
+                        if cache.read_word(la, word).is_none() {
+                            let data = mem.read_line(la);
+                            if let Some(ev) = cache.fill(la, data, 0) {
+                                spill(&mut mem, ev);
+                            }
+                        }
+                    }
+                    OpKind::Invalidate { line } => {
+                        if let Some(ev) = cache.invalidate(LineAddr(line)) {
+                            spill(&mut mem, ev);
+                        }
+                    }
+                    OpKind::Clean { line } => {
+                        cache.clean_line(LineAddr(line));
                     }
                 }
-                OpKind::Clean { line } => {
-                    cache.clean_line(LineAddr(line));
-                }
+                let truth = cache.valid_lines().filter(|v| v.dirty != 0).count();
+                assert_eq!(cache.dirty_lines_resident(), truth, "{shape:?} case {case}");
+                assert_line_ids_round_trip(&cache, &format!("{shape:?} case {case}"));
             }
-            let truth = cache.valid_lines().filter(|v| v.dirty != 0).count();
-            assert_eq!(cache.dirty_lines_resident(), truth, "case {case}");
         }
     }
 }
@@ -187,72 +252,76 @@ fn dirty_counter_is_exact() {
 /// invalidate sequences.
 #[test]
 fn dirty_index_matches_naive_recount() {
-    let mut rng = SplitMix64::new(0x1D8E);
-    for case in 0..96 {
-        let len = 1 + rng.below(199);
-        let mut cache = tiny_cache();
-        let mut mem = Memory::new();
-        for step in 0..len {
-            let line = rng.below(24);
-            let la = LineAddr(line);
-            match rng.below(7) {
-                0 => {
-                    // Fill with a random (possibly dirty) mask.
-                    let mask = (rng.next_u32() & 0xFFFF) as u16;
-                    let data = mem.read_line(la);
-                    if let Some(ev) = cache.fill(la, data, mask) {
-                        spill(&mut mem, ev);
-                    }
-                }
-                1 => {
-                    let word = rng.below(WORDS_PER_LINE as u64) as usize;
-                    let value = rng.next_u32();
-                    if cache.write_word(la, word, value).is_none() {
+    for shape in SHAPES {
+        let mut rng = SplitMix64::new(0x1D8E);
+        for case in 0..96 {
+            let len = 1 + rng.below(199);
+            let mut cache = shape.cache();
+            let mut mem = Memory::new();
+            for step in 0..len {
+                let line = shape.line(&mut rng);
+                let la = LineAddr(line);
+                match rng.below(7) {
+                    0 => {
+                        // Fill with a random (possibly dirty) mask.
+                        let mask = (rng.next_u32() & 0xFFFF) as u16;
                         let data = mem.read_line(la);
-                        if let Some(ev) = cache.fill(la, data, 0) {
+                        if let Some(ev) = cache.fill(la, data, mask) {
                             spill(&mut mem, ev);
                         }
-                        cache.write_word(la, word, value);
+                    }
+                    1 => {
+                        let word = rng.below(WORDS_PER_LINE as u64) as usize;
+                        let value = rng.next_u32();
+                        if cache.write_word(la, word, value).is_none() {
+                            let data = mem.read_line(la);
+                            if let Some(ev) = cache.fill(la, data, 0) {
+                                spill(&mut mem, ev);
+                            }
+                            cache.write_word(la, word, value);
+                        }
+                    }
+                    2 => {
+                        let mask = (rng.next_u32() & 0xFFFF) as u16;
+                        let data = [rng.next_u32(); WORDS_PER_LINE];
+                        cache.merge_words(la, &data, mask);
+                    }
+                    3 => {
+                        cache.clean_line(la);
+                    }
+                    4 => {
+                        // Partial clean: may or may not leave dirty words.
+                        let mask = (rng.next_u32() & 0xFFFF) as u16;
+                        cache.clean_words(la, mask);
+                    }
+                    _ => {
+                        if let Some(ev) = cache.invalidate(la) {
+                            spill(&mut mem, ev);
+                        }
                     }
                 }
-                2 => {
-                    let mask = (rng.next_u32() & 0xFFFF) as u16;
-                    let data = [rng.next_u32(); WORDS_PER_LINE];
-                    cache.merge_words(la, &data, mask);
-                }
-                3 => {
-                    cache.clean_line(la);
-                }
-                4 => {
-                    // Partial clean: may or may not leave dirty words.
-                    let mask = (rng.next_u32() & 0xFFFF) as u16;
-                    cache.clean_words(la, mask);
-                }
-                _ => {
-                    if let Some(ev) = cache.invalidate(la) {
-                        spill(&mut mem, ev);
-                    }
-                }
-            }
 
-            let naive_valid: Vec<LineAddr> = cache.valid_lines().map(|v| v.addr).collect();
-            let naive_dirty: Vec<LineAddr> = cache
-                .valid_lines()
-                .filter(|v| v.dirty != 0)
-                .map(|v| v.addr)
-                .collect();
-            assert_eq!(
-                cache.valid_line_addrs(),
-                naive_valid,
-                "case {case} step {step}: valid index diverged from slot sweep"
-            );
-            assert_eq!(
-                cache.dirty_line_addrs(),
-                naive_dirty,
-                "case {case} step {step}: dirty index diverged from slot sweep"
-            );
-            assert_eq!(cache.dirty_lines_resident(), naive_dirty.len());
-            assert_eq!(cache.resident_lines(), naive_valid.len());
+                let ctx = format!("{shape:?} case {case} step {step}");
+                let naive_valid: Vec<LineAddr> = cache.valid_lines().map(|v| v.addr).collect();
+                let naive_dirty: Vec<LineAddr> = cache
+                    .valid_lines()
+                    .filter(|v| v.dirty != 0)
+                    .map(|v| v.addr)
+                    .collect();
+                assert_eq!(
+                    cache.valid_line_addrs(),
+                    naive_valid,
+                    "{ctx}: valid index diverged from slot sweep"
+                );
+                assert_eq!(
+                    cache.dirty_line_addrs(),
+                    naive_dirty,
+                    "{ctx}: dirty index diverged from slot sweep"
+                );
+                assert_eq!(cache.dirty_lines_resident(), naive_dirty.len());
+                assert_eq!(cache.resident_lines(), naive_valid.len());
+                assert_line_ids_round_trip(&cache, &ctx);
+            }
         }
     }
 }
