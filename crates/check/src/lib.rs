@@ -14,11 +14,16 @@
 //! in global simulated-time order, so the checker sees one consistent
 //! serialization) and maintains:
 //!
-//! * **vector clocks** per thread and per sync object ([`VectorClock`],
-//!   FastTrack-style), advanced only by sync operations — barriers, lock
-//!   release/acquire, flag set/wait. WB/INV annotations never create
-//!   ordering; that asymmetry is the whole point: sync without the right
-//!   data movement is exactly the bug class being hunted;
+//! * **vector clocks** per thread and per sync object
+//!   ([`VectorClock`](hic_core::VectorClock), FastTrack-style), advanced
+//!   only by sync operations — barriers, lock release/acquire, flag
+//!   set/wait. WB/INV annotations never create ordering; that asymmetry
+//!   is the whole point: sync without the right data movement is exactly
+//!   the bug class being hunted. The clocks, each thread's last
+//!   release/acquire and the stale-read attribution rule live in
+//!   [`HappensBefore`], which `hic-lint`'s abstract interpreter drives
+//!   too, so the static and the dynamic tool order and attribute alike
+//!   by construction;
 //! * **shadow per-word metadata** (`WordMeta` in a sparse
 //!   `ShadowMap`): last writer, the writer's epoch at the store, the
 //!   stored value, and how far down the hierarchy that value has provably
@@ -49,8 +54,11 @@
 //! *negatives* in ABA corners — acceptable for a sanitizer, where a
 //! report must always be a real protocol violation.
 
-use fxhash::{FxHashMap, FxHashSet};
-use hic_core::VectorClock;
+mod hb;
+
+pub use hb::HappensBefore;
+
+use fxhash::FxHashSet;
 use hic_mem::addr::WORDS_PER_LINE;
 use hic_mem::cache::DirtyMask;
 use hic_mem::{LineAddr, Region, ShadowMap, Word, WordAddr};
@@ -83,7 +91,7 @@ impl CheckMode {
 }
 
 /// What kind of protocol violation a [`Finding`] reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FindingKind {
     /// An ordered load observed a stale value that never reached the
     /// reader/writer's common cache level: the producer's WB is missing
@@ -342,14 +350,11 @@ pub struct Checker {
     mode: CheckMode,
     /// Cores per block: thread/core `t` lives in block `t / cpb`.
     cpb: usize,
-    clocks: Vec<VectorClock>,
-    sync_clocks: FxHashMap<usize, VectorClock>,
-    last_release: Vec<Option<SyncRef>>,
-    last_acquire: Vec<Option<SyncRef>>,
+    hb: HappensBefore,
     shadow: ShadowMap<WordMeta>,
     regions: Vec<(Region, String)>,
     findings: Vec<Finding>,
-    seen: FxHashSet<(u8, u64, usize)>,
+    seen: FxHashSet<(FindingKind, u64, usize)>,
     checks: u64,
     tracked_words: u64,
     suppressed: u64,
@@ -367,12 +372,7 @@ impl Checker {
         Checker {
             mode,
             cpb: cpb.max(1),
-            clocks: (0..nthreads)
-                .map(|t| VectorClock::thread(nthreads, t))
-                .collect(),
-            sync_clocks: FxHashMap::default(),
-            last_release: vec![None; nthreads],
-            last_acquire: vec![None; nthreads],
+            hb: HappensBefore::new(nthreads),
             shadow: ShadowMap::new(),
             regions: Vec::new(),
             findings: Vec::new(),
@@ -417,7 +417,7 @@ impl Checker {
     }
 
     fn store_common(&mut self, t: usize, w: WordAddr, v: Word, state: u8) {
-        let epoch = self.clocks[t].get(t);
+        let epoch = self.hb.epoch(t);
         let block = (t / self.cpb) as u8;
         let slot = self.shadow.entry(w);
         let prev = *slot;
@@ -437,7 +437,7 @@ impl Checker {
             return;
         }
         let pw = prev.writer as usize;
-        if pw != t && !self.clocks[t].covers(pw, prev.epoch) {
+        if pw != t && !self.hb.ordered(t, pw, prev.epoch) {
             let f = Finding {
                 kind: FindingKind::WriteRace,
                 addr: w,
@@ -447,7 +447,7 @@ impl Checker {
                 observed: v,
                 expected: prev.value,
                 write_epoch: prev.epoch,
-                actor_view: self.clocks[t].get(pw),
+                actor_view: self.hb.view(t, pw),
                 at: self.now,
                 sync_hint: None,
             };
@@ -474,7 +474,7 @@ impl Checker {
             // A thread always sees its own latest store through its L1.
             return;
         }
-        if !self.clocks[t].covers(writer, m.epoch) {
+        if !self.hb.ordered(t, writer, m.epoch) {
             // The write is not ordered before this read: either a benign
             // racy-read idiom (Figure 6) or a race already reported at the
             // conflicting write. Staleness is not a protocol violation
@@ -488,11 +488,7 @@ impl Checker {
         let reader_block = t / self.cpb;
         let reached =
             m.state == ST_GLOBAL || (m.state == ST_BLOCK && m.block as usize == reader_block);
-        let (kind, sync_hint) = if reached {
-            (FindingKind::MissingInv, self.last_acquire[t])
-        } else {
-            (FindingKind::MissingWb, self.last_release[writer])
-        };
+        let (kind, sync_hint) = self.hb.stale_read(t, writer, reached);
         let f = Finding {
             kind,
             addr: w,
@@ -502,7 +498,7 @@ impl Checker {
             observed,
             expected: m.value,
             write_epoch: m.epoch,
-            actor_view: self.clocks[t].get(writer),
+            actor_view: self.hb.view(t, writer),
             at: self.now,
             sync_hint,
         };
@@ -580,56 +576,19 @@ impl Checker {
 
     /// A barrier released: all `participants` joined each other.
     pub fn on_barrier(&mut self, id: usize, participants: &[usize]) {
-        let Some((&first, rest)) = participants.split_first() else {
-            return;
-        };
-        let mut joined = self.clocks[first].clone();
-        for &p in rest {
-            joined.join(&self.clocks[p]);
-        }
-        let r = SyncRef {
-            op: SyncOp::Barrier,
-            id,
-            at: self.now,
-        };
-        for &p in participants {
-            self.clocks[p] = joined.clone();
-            self.clocks[p].bump(p);
-            // A barrier is both a release (for pre-barrier writes) and an
-            // acquire (for post-barrier reads).
-            self.last_release[p] = Some(r);
-            self.last_acquire[p] = Some(r);
-        }
+        self.hb.barrier(id, participants, self.now);
     }
 
     /// Thread `t` performed a release-side op (lock release, flag set)
     /// through sync object `id`.
     pub fn on_release(&mut self, t: usize, op: SyncOp, id: usize) {
-        let n = self.clocks.len();
-        let sc = self
-            .sync_clocks
-            .entry(id)
-            .or_insert_with(|| VectorClock::object(n));
-        sc.join(&self.clocks[t]);
-        self.clocks[t].bump(t);
-        self.last_release[t] = Some(SyncRef {
-            op,
-            id,
-            at: self.now,
-        });
+        self.hb.release(t, op, id, self.now);
     }
 
     /// Thread `t` completed an acquire-side op (lock granted, flag wait
     /// satisfied) through sync object `id`.
     pub fn on_acquire(&mut self, t: usize, op: SyncOp, id: usize) {
-        if let Some(sc) = self.sync_clocks.get(&id) {
-            self.clocks[t].join(sc);
-        }
-        self.last_acquire[t] = Some(SyncRef {
-            op,
-            id,
-            at: self.now,
-        });
+        self.hb.acquire(t, op, id, self.now);
     }
 
     // ------------------------------------------------------------------
@@ -644,12 +603,7 @@ impl Checker {
     }
 
     fn report(&mut self, f: Finding) {
-        let kind_tag = match f.kind {
-            FindingKind::MissingWb => 0u8,
-            FindingKind::MissingInv => 1,
-            FindingKind::WriteRace => 2,
-        };
-        if !self.seen.insert((kind_tag, f.addr.0, f.actor.0)) {
+        if !self.seen.insert((f.kind, f.addr.0, f.actor.0)) {
             self.suppressed += 1;
             return;
         }

@@ -8,8 +8,13 @@
 //! Level-adaptive instructions consult it: `WB_CONS(addr, cons)` writes
 //! back only to L2 if `cons` is local, else to L3; `INV_PROD(addr, prod)`
 //! invalidates only the L1 if `prod` is local, else L1 and L2.
+//! [`ThreadMap::wb_is_global`] / [`ThreadMap::inv_is_global`] are that
+//! scope resolution for every WB/INV flavor; the incoherent machine and
+//! `hic-lint`'s abstract interpreter both resolve scopes through them.
 
 use hic_sim::{BlockId, ThreadId};
+
+use crate::isa::{InvScope, WbScope};
 
 /// Per-block thread-residency table.
 #[derive(Debug, Clone, Default)]
@@ -74,6 +79,26 @@ impl ThreadMap {
         self.threads.len()
     }
 
+    /// Does a WB of `scope` issued in block `issuer` reach the global
+    /// level (L3)? A one-block machine has no level below its L2.
+    pub fn wb_is_global(&self, issuer: BlockId, scope: WbScope) -> bool {
+        match scope {
+            WbScope::ToL2 => false,
+            WbScope::ToL3 => self.num_blocks() > 1,
+            WbScope::Cons(t) => self.num_blocks() > 1 && !self.is_local(issuer, t),
+        }
+    }
+
+    /// Does an INV of `scope` issued in block `issuer` drop the block's
+    /// L2 copies too (not only the issuer's L1)?
+    pub fn inv_is_global(&self, issuer: BlockId, scope: InvScope) -> bool {
+        match scope {
+            InvScope::FromL1 => false,
+            InvScope::FromL2 => self.num_blocks() > 1,
+            InvScope::Prod(t) => self.num_blocks() > 1 && !self.is_local(issuer, t),
+        }
+    }
+
     /// Storage cost in bits: each block's table holds up to
     /// `entries_per_block` thread IDs of `thread_id_bits` each plus a
     /// valid bit.
@@ -114,6 +139,24 @@ mod tests {
         let mut m = ThreadMap::new(2);
         m.assign(ThreadId(1), BlockId(0));
         m.assign(ThreadId(1), BlockId(1));
+    }
+
+    #[test]
+    fn scopes_resolve_through_the_map() {
+        let m = ThreadMap::identity(4, 8);
+        let b0 = BlockId(0);
+        assert!(!m.wb_is_global(b0, WbScope::ToL2));
+        assert!(m.wb_is_global(b0, WbScope::ToL3));
+        assert!(!m.wb_is_global(b0, WbScope::Cons(ThreadId(7))));
+        assert!(m.wb_is_global(b0, WbScope::Cons(ThreadId(8))));
+        assert!(!m.inv_is_global(b0, InvScope::FromL1));
+        assert!(m.inv_is_global(b0, InvScope::FromL2));
+        assert!(!m.inv_is_global(BlockId(2), InvScope::Prod(ThreadId(16))));
+        assert!(m.inv_is_global(BlockId(2), InvScope::Prod(ThreadId(15))));
+        // One block: nothing is global.
+        let flat = ThreadMap::identity(1, 16);
+        assert!(!flat.wb_is_global(b0, WbScope::ToL3));
+        assert!(!flat.inv_is_global(b0, InvScope::FromL2));
     }
 
     #[test]

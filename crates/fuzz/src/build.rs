@@ -1,8 +1,9 @@
 //! Materialize a [`CaseDesc`] into the two artifacts under audit: the
 //! declarative [`ProgramRecord`] `hic-lint` verifies and the runnable
-//! program the backends execute. Both are driven by the same description
-//! and share [`plans_for`] for every `plan_wb` / `plan_inv` call site,
-//! so the record cannot drift from the run — the precondition for using
+//! program the backends execute. Both are driven by the same description,
+//! declare their allocations and sync objects through one `setup`, and
+//! share [`plans_for`] for every `plan_wb` / `plan_inv` call site, so the
+//! record cannot drift from the run — the precondition for using
 //! lint-vs-sanitizer disagreement as a soundness signal.
 //!
 //! Program shape (per thread `t`, `n` threads, `R` rounds, slice `W`):
@@ -28,8 +29,8 @@
 
 use hic_mem::Region;
 use hic_runtime::{
-    CheckMode, CommOp, Config, Diagnostics, EpochPlan, FaultPlan, PlanOverrides, ProgramBuilder,
-    ProgramRecord, RunError,
+    BarrierId, CheckMode, CommOp, Config, Diagnostics, EpochPlan, FaultPlan, FlagId, FlagOpts,
+    PlanOverrides, ProgramBuilder, ProgramRecord, RunError,
 };
 use hic_sim::{ThreadId, TopologyBuilder};
 
@@ -155,41 +156,68 @@ fn config_for(desc: &CaseDesc, backend: Backend) -> Result<Config, String> {
         .map_err(|e| format!("config: {e:?}"))
 }
 
-/// Sizes of the two compared regions.
-fn geometry(desc: &CaseDesc) -> (u64, u64) {
-    let n = desc.threads as u64;
-    (n * desc.slice, n * desc.rounds.len() as u64)
+/// The allocations and sync objects of a case, declared in one order.
+struct CaseSetup {
+    data: Region,
+    out: Region,
+    racy: Option<Region>,
+    /// The global barrier every thread joins.
+    bar: BarrierId,
+    /// Round `r`'s k-of-n sub-barrier, when the round uses one.
+    sub_bars: Vec<Option<BarrierId>>,
+    /// Round `r`'s per-edge flags, when the round syncs by flags.
+    flags: Vec<Vec<FlagId>>,
 }
 
-/// Build the declarative record of a case (what `hic-lint` verifies).
-pub fn record_of(desc: &CaseDesc) -> Result<ProgramRecord, String> {
-    let config = config_for(desc, Backend::Subject)?;
-    let (data_words, out_words) = geometry(desc);
-    let n = desc.threads;
-    let mut p = ProgramBuilder::new(config);
-    let data = p.alloc_named("data", data_words);
-    let out = p.alloc_named("out", out_words);
+/// Builder for `backend` holding the case's allocations and sync objects.
+/// Shared by [`record_of`] and [`run_dynamic`], as the apps share their
+/// `setup()`, so the record names exactly the addresses and sync ids the
+/// run uses.
+fn setup(desc: &CaseDesc, backend: Backend) -> Result<(ProgramBuilder, CaseSetup), String> {
+    let config = config_for(desc, backend)?;
+    let n = desc.threads as u64;
+    let mut p = if backend == Backend::Reference {
+        ProgramBuilder::with_reference_backend(config)
+    } else {
+        ProgramBuilder::new(config)
+    };
+    let data = p.alloc_named("data", n * desc.slice);
+    let out = p.alloc_named("out", n * desc.rounds.len() as u64);
     let racy = desc.racy.then(|| p.alloc_named("racy", 4));
-    let bar = p.barrier_of(n);
-    let sub_bars: Vec<_> = (0..desc.rounds.len())
+    let bar = p.barrier_of(desc.threads);
+    let sub_bars = (0..desc.rounds.len())
         .map(|r| {
             (desc.rounds[r].sync == SyncShape::SubBarrier)
                 .then(|| p.barrier_of(participants(desc, r).len()))
         })
         .collect();
-    let flags: Vec<Vec<_>> = (0..desc.rounds.len())
-        .map(|r| {
-            if desc.rounds[r].sync == SyncShape::Flags {
-                desc.rounds[r].edges.iter().map(|_| p.flag()).collect()
-            } else {
-                Vec::new()
-            }
+    let flags = desc
+        .rounds
+        .iter()
+        .map(|round| match round.sync {
+            SyncShape::Flags => round.edges.iter().map(|_| p.flag()).collect(),
+            _ => Vec::new(),
         })
         .collect();
+    let s = CaseSetup {
+        data,
+        out,
+        racy,
+        bar,
+        sub_bars,
+        flags,
+    };
+    Ok((p, s))
+}
 
+/// Build the declarative record of a case (what `hic-lint` verifies).
+pub fn record_of(desc: &CaseDesc) -> Result<ProgramRecord, String> {
+    let (p, s) = setup(desc, Backend::Subject)?;
+    let (data, bar) = (s.data, s.bar);
+    let n = desc.threads;
     let mut rec = p.record(n);
     rec.host_reads(data);
-    rec.host_reads(out);
+    rec.host_reads(s.out);
     let slice_of = |o: usize| data.slice(o as u64 * desc.slice, (o as u64 + 1) * desc.slice);
     for t in 0..n {
         let mut th = rec.thread(t);
@@ -199,7 +227,7 @@ pub fn record_of(desc: &CaseDesc) -> Result<ProgramRecord, String> {
             }
         }
         th.plan_barrier(bar);
-        if let Some(racy) = racy {
+        if let Some(racy) = s.racy {
             // Reads before writes (DEF-USE convention) — relevant when
             // n == 2 and thread 1 is both racy writer and racy reader.
             if t == n - 1 {
@@ -219,18 +247,18 @@ pub fn record_of(desc: &CaseDesc) -> Result<ProgramRecord, String> {
                 }
                 SyncShape::SubBarrier => {
                     if participants(desc, r).contains(&t) {
-                        th.plan_barrier(sub_bars[r].unwrap());
+                        th.plan_barrier(s.sub_bars[r].unwrap());
                     }
                 }
                 SyncShape::Flags => {
                     for (ei, e) in round.edges.iter().enumerate() {
                         if e.p == t {
-                            th.flag_set(flags[r][ei], true);
+                            th.flag_set(s.flags[r][ei], true);
                         }
                     }
                     for (ei, e) in round.edges.iter().enumerate() {
                         if e.c == t {
-                            th.flag_wait(flags[r][ei], true);
+                            th.flag_wait(s.flags[r][ei], true);
                         }
                     }
                 }
@@ -248,7 +276,7 @@ pub fn record_of(desc: &CaseDesc) -> Result<ProgramRecord, String> {
             }
             if consumed {
                 let o = t as u64 * desc.rounds.len() as u64 + r as u64;
-                th.writes(out.slice(o, o + 1));
+                th.writes(s.out.slice(o, o + 1));
             }
             th.plan_barrier(bar);
         }
@@ -265,14 +293,7 @@ pub fn run_dynamic(
     fault: Option<FaultPlan>,
     overrides: Option<PlanOverrides>,
 ) -> Result<DynOutcome, String> {
-    let config = config_for(desc, backend)?;
-    let (data_words, out_words) = geometry(desc);
-    let n = desc.threads;
-    let mut p = if backend == Backend::Reference {
-        ProgramBuilder::with_reference_backend(config)
-    } else {
-        ProgramBuilder::new(config)
-    };
+    let (mut p, s) = setup(desc, backend)?;
     p.check_mode(check);
     p.watchdog_cycles(WATCHDOG_CYCLES);
     p.watchdog_wall_ms(WATCHDOG_WALL_MS);
@@ -282,25 +303,8 @@ pub fn run_dynamic(
     if let Some(o) = overrides {
         p.override_plans(o);
     }
-    let data = p.alloc_named("data", data_words);
-    let out_r = p.alloc_named("out", out_words);
-    let racy = desc.racy.then(|| p.alloc_named("racy", 4));
-    let bar = p.barrier_of(n);
-    let sub_bars: Vec<_> = (0..desc.rounds.len())
-        .map(|r| {
-            (desc.rounds[r].sync == SyncShape::SubBarrier)
-                .then(|| p.barrier_of(participants(desc, r).len()))
-        })
-        .collect();
-    let flags: Vec<Vec<_>> = (0..desc.rounds.len())
-        .map(|r| {
-            if desc.rounds[r].sync == SyncShape::Flags {
-                desc.rounds[r].edges.iter().map(|_| p.flag()).collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
+    let (data, out, bar) = (s.data, s.out, s.bar);
+    let n = desc.threads;
 
     let d = desc.clone();
     let outcome = p.run_tasks(n, async move |ctx| {
@@ -314,7 +318,7 @@ pub fn run_dynamic(
             }
         }
         ctx.plan_barrier(bar).await;
-        if let Some(racy) = racy {
+        if let Some(racy) = s.racy {
             if t == 0 {
                 ctx.racy_store(racy.at(0), 1_111).await;
             }
@@ -335,20 +339,18 @@ pub fn run_dynamic(
                 SyncShape::Barrier => ctx.plan_barrier(bar).await,
                 SyncShape::SubBarrier => {
                     if participants(&d, r).contains(&t) {
-                        ctx.plan_barrier(sub_bars[r].unwrap()).await;
+                        ctx.plan_barrier(s.sub_bars[r].unwrap()).await;
                     }
                 }
                 SyncShape::Flags => {
                     for (ei, e) in round.edges.iter().enumerate() {
                         if e.p == t {
-                            ctx.flag_set_opts(flags[r][ei], hic_runtime::FlagOpts::raw())
-                                .await;
+                            ctx.flag_set_opts(s.flags[r][ei], FlagOpts::raw()).await;
                         }
                     }
                     for (ei, e) in round.edges.iter().enumerate() {
                         if e.c == t {
-                            ctx.flag_wait_opts(flags[r][ei], hic_runtime::FlagOpts::raw())
-                                .await;
+                            ctx.flag_wait_opts(s.flags[r][ei], FlagOpts::raw()).await;
                         }
                     }
                 }
@@ -365,7 +367,7 @@ pub fn run_dynamic(
                 }
             }
             if consumed {
-                ctx.write(out_r, t as u64 * d.rounds.len() as u64 + r as u64, sum)
+                ctx.write(out, t as u64 * d.rounds.len() as u64 + r as u64, sum)
                     .await;
             }
             ctx.plan_barrier(bar).await;
@@ -375,7 +377,7 @@ pub fn run_dynamic(
 
     let error = outcome.result().err().map(render_err);
     let (data_mem, out_mem) = if error.is_none() {
-        (outcome.peek_all(data), outcome.peek_all(out_r))
+        (outcome.peek_all(data), outcome.peek_all(out))
     } else {
         (Vec::new(), Vec::new())
     };

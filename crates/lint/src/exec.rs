@@ -1,11 +1,16 @@
 //! The abstract interpreter behind `hic-lint`.
 //!
 //! A [`ProgramRecord`] is lowered to per-thread streams of abstract
-//! operations — region reads/writes, WB/INV instructions with the exact
-//! scope the [`ThreadCtx`](hic_runtime::ThreadCtx) lowering would give
-//! them under the record's configuration, and sync ops — and interpreted
-//! over an abstract memory model that mirrors the incoherent machine's
-//! *visibility* semantics without its timing:
+//! operations — region reads/writes, WB/INV instructions, and sync ops.
+//! The instructions are exactly the ones [`ThreadCtx`](hic_runtime::ThreadCtx)
+//! issues: each event goes through the same `Config` lowering
+//! (`Config::sync_wb` / `sync_inv` for barriers and flags,
+//! `Config::plan_wb` / `plan_inv` for plan call sites), and each
+//! instruction's scope resolves through the same
+//! [`ThreadMap::wb_is_global`] / [`ThreadMap::inv_is_global`] the
+//! incoherent machine uses. The streams are interpreted over an
+//! abstract memory model that mirrors the machine's *visibility*
+//! semantics without its timing:
 //!
 //! * copies are line-granular (fills and INV drops move whole lines, as
 //!   `fetch_into_l1` / `exec_inv` do), values word-granular;
@@ -21,12 +26,16 @@
 //!   stale copy), so a clean lint is sound and a finding is a real plan
 //!   deficiency, not a timing artifact.
 //!
-//! Ordering uses the same FastTrack vector clocks as the dynamic
-//! sanitizer (`hic-check`): a read is checked only when a sync path
-//! orders the write before it, and a stale checked read is attributed to
-//! the producer side (value never reached the reader/writer's common
-//! level → missing WB) or the consumer side (it did → missing INV),
-//! with the sync op that should have carried the fix.
+//! Ordering and attribution are the dynamic sanitizer's own: the
+//! interpreter drives a [`HappensBefore`] from `hic-check`, stamping each
+//! sync op with its sync-step counter where the sanitizer stamps the
+//! cycle. A read is checked only when a sync path orders the write
+//! before it, and a stale checked read is attributed by
+//! [`HappensBefore::stale_read`]: to the producer side (the value never
+//! reached the reader/writer's common level → missing WB) or the
+//! consumer side (it did → missing INV), with the sync op that should
+//! have carried the fix. The two tools differ only in their memory
+//! models.
 //!
 //! Threads are scheduled run-to-block round-robin: barriers park until
 //! their participant count arrives, flag waits park until the flag is
@@ -37,11 +46,11 @@
 //! short of participants, flag never set) is a structure error.
 
 use fxhash::{FxHashMap, FxHashSet};
-use hic_check::{FindingKind, SyncOp, SyncRef};
-use hic_core::VectorClock;
+use hic_check::{FindingKind, HappensBefore, SyncOp, SyncRef};
+use hic_core::{CohInstr, Target, ThreadMap};
 use hic_mem::addr::WORDS_PER_LINE;
-use hic_mem::Region;
-use hic_runtime::{CommOp, InterConfig, ProgramRecord, RecEvent, RecSync, Scheme};
+use hic_mem::{Region, WordAddr};
+use hic_runtime::{CommOp, FlagOpts, ProgramRecord, RecEvent};
 use hic_sim::ThreadId;
 
 use crate::report::{LintCoverage, LintFinding, LintReport};
@@ -72,34 +81,24 @@ pub(crate) struct OpInfo {
     pub op: CommOp,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ATarget {
-    All,
-    Range(Region),
+/// Does `target` cover word `w`? The lowering yields ranges and ALL only.
+fn covers_word(target: Target, w: u64) -> bool {
+    match target {
+        Target::All => true,
+        Target::Range(r) => r.contains(WordAddr(w)),
+        Target::Operand(..) => unreachable!("no sync or plan lowers to an operand"),
+    }
 }
 
-impl ATarget {
-    fn covers_word(self, w: u64) -> bool {
-        match self {
-            ATarget::All => true,
-            ATarget::Range(r) => r.contains(hic_mem::WordAddr(w)),
-        }
-    }
-
-    /// Line range `[lo, hi)` the target's INV drops (INV is line-granular:
-    /// every line the range touches is dropped whole).
-    fn line_range(self) -> Option<(u64, u64)> {
-        match self {
-            ATarget::All => None,
-            ATarget::Range(r) => {
-                if r.words == 0 {
-                    Some((0, 0))
-                } else {
-                    let wpl = WORDS_PER_LINE as u64;
-                    Some((r.start.0 / wpl, (r.end().0 - 1) / wpl + 1))
-                }
-            }
-        }
+/// Line range `[lo, hi)` an INV of `target` drops (INV is line-granular:
+/// every line the range touches is dropped whole); `None` for ALL.
+fn line_range(target: Target) -> Option<(u64, u64)> {
+    let wpl = WORDS_PER_LINE as u64;
+    match target {
+        Target::All => None,
+        Target::Range(r) if r.words == 0 => Some((0, 0)),
+        Target::Range(r) => Some((r.start.0 / wpl, (r.end().0 - 1) / wpl + 1)),
+        Target::Operand(..) => unreachable!("no sync or plan lowers to an operand"),
     }
 }
 
@@ -108,12 +107,12 @@ enum AOp {
     Read(Region),
     Write(Region),
     Wb {
-        target: ATarget,
+        target: Target,
         global: bool,
         id: Option<u32>,
     },
     Inv {
-        target: ATarget,
+        target: Target,
         global: bool,
         id: Option<u32>,
     },
@@ -128,185 +127,76 @@ pub(crate) struct Lowered {
     pub ops: Vec<OpInfo>,
 }
 
-/// Lower the record's events into abstract op streams, mirroring the
-/// `ThreadCtx` lowering for the record's configuration exactly
-/// (`plan_wb_ops` / `plan_inv_ops` / `barrier_with` / `flag_*_opts`).
+/// Lower the record's events into abstract op streams: every WB/INV is
+/// an instruction the record's `Config` yields for the event, scoped
+/// by the identity [`ThreadMap`]. Plan-op instructions get an id into
+/// [`Lowered::ops`].
 pub(crate) fn lower(rec: &ProgramRecord) -> Lowered {
     let cfg = rec.config;
-    let coherent = cfg.is_coherent();
-    let inter = matches!(cfg.scheme(), Scheme::Inter(_));
-    let cpb = cfg.machine_config().cores_per_block();
+    let mc = cfg.machine_config();
+    let tmap = ThreadMap::identity(mc.num_blocks(), mc.cores_per_block());
+    let num_plan_ops = rec.num_plan_ops();
     let mut ops: Vec<OpInfo> = Vec::new();
     let mut streams = Vec::with_capacity(rec.nthreads);
-    for t in 0..rec.nthreads {
-        let mut s: Vec<AOp> = Vec::new();
+    for (t, events) in rec.threads.iter().enumerate() {
+        let block = tmap.block_of(ThreadId(t)).expect("every thread is mapped");
+        let aop = |instr: CohInstr, id: Option<u32>| match instr {
+            CohInstr::Wb { target, scope } => AOp::Wb {
+                target,
+                global: tmap.wb_is_global(block, scope),
+                id,
+            },
+            CohInstr::Inv { target, scope } => AOp::Inv {
+                target,
+                global: tmap.inv_is_global(block, scope),
+                id,
+            },
+        };
+        let mut plan_op = |is_wb: bool, site: usize, index: usize, op: CommOp| {
+            // Sized once, on the first tagged op (Base tags none).
+            ops.reserve(num_plan_ops - ops.len());
+            ops.push(OpInfo {
+                thread: t,
+                is_wb,
+                site,
+                index,
+                op,
+            });
+            Some(ops.len() as u32 - 1)
+        };
+        let carried = |raw: bool| FlagOpts { raw }.carried();
+        let mut s: Vec<AOp> = Vec::with_capacity(events.len());
         let (mut wb_site, mut inv_site) = (0usize, 0usize);
-        let plan_op =
-            |ops: &mut Vec<OpInfo>, is_wb: bool, site: usize, index: usize, op: CommOp| {
-                let id = ops.len() as u32;
-                ops.push(OpInfo {
-                    thread: t,
-                    is_wb,
-                    site,
-                    index,
-                    op,
-                });
-                Some(id)
-            };
-        for ev in &rec.threads[t] {
+        for ev in events {
             match ev {
                 RecEvent::Reads(r) => s.push(AOp::Read(*r)),
                 RecEvent::Writes(r) => s.push(AOp::Write(*r)),
                 RecEvent::PlanWb(plan) => {
-                    let site = wb_site;
+                    for (index, instr) in cfg.plan_wb(plan) {
+                        let id = index.and_then(|i| plan_op(true, wb_site, i, plan.wb[i]));
+                        s.push(aop(instr, id));
+                    }
                     wb_site += 1;
-                    if coherent {
-                        continue;
-                    }
-                    match cfg.scheme() {
-                        Scheme::Inter(InterConfig::Base) => s.push(AOp::Wb {
-                            target: ATarget::All,
-                            global: true,
-                            id: None,
-                        }),
-                        Scheme::Inter(InterConfig::Addr) => {
-                            for (i, op) in plan.wb.iter().enumerate() {
-                                s.push(AOp::Wb {
-                                    target: ATarget::Range(op.region),
-                                    global: true,
-                                    id: plan_op(&mut ops, true, site, i, *op),
-                                });
-                            }
-                        }
-                        Scheme::Inter(InterConfig::AddrL) => {
-                            for (i, op) in plan.wb.iter().enumerate() {
-                                // WB_CONS: global iff the consumer is not
-                                // in the issuer's block (`wb_is_global`).
-                                let global = op.peer.is_none_or(|p| p.0 / cpb != t / cpb);
-                                s.push(AOp::Wb {
-                                    target: ATarget::Range(op.region),
-                                    global,
-                                    id: plan_op(&mut ops, true, site, i, *op),
-                                });
-                            }
-                        }
-                        Scheme::Intra(_) => {
-                            for (i, op) in plan.wb.iter().enumerate() {
-                                s.push(AOp::Wb {
-                                    target: ATarget::Range(op.region),
-                                    global: false,
-                                    id: plan_op(&mut ops, true, site, i, *op),
-                                });
-                            }
-                        }
-                        Scheme::Inter(InterConfig::Hcc | InterConfig::Dragon) => unreachable!(),
-                    }
                 }
                 RecEvent::PlanInv(plan) => {
-                    let site = inv_site;
+                    for (index, instr) in cfg.plan_inv(plan) {
+                        let id = index.and_then(|i| plan_op(false, inv_site, i, plan.inv[i]));
+                        s.push(aop(instr, id));
+                    }
                     inv_site += 1;
-                    if coherent {
-                        continue;
-                    }
-                    match cfg.scheme() {
-                        Scheme::Inter(InterConfig::Base) => s.push(AOp::Inv {
-                            target: ATarget::All,
-                            global: true,
-                            id: None,
-                        }),
-                        Scheme::Inter(InterConfig::Addr) => {
-                            for (i, op) in plan.inv.iter().enumerate() {
-                                s.push(AOp::Inv {
-                                    target: ATarget::Range(op.region),
-                                    global: true,
-                                    id: plan_op(&mut ops, false, site, i, *op),
-                                });
-                            }
-                        }
-                        Scheme::Inter(InterConfig::AddrL) => {
-                            for (i, op) in plan.inv.iter().enumerate() {
-                                // INV_PROD: global iff the producer is not
-                                // in the issuer's block (`inv_is_global`).
-                                let global = op.peer.is_none_or(|p| p.0 / cpb != t / cpb);
-                                s.push(AOp::Inv {
-                                    target: ATarget::Range(op.region),
-                                    global,
-                                    id: plan_op(&mut ops, false, site, i, *op),
-                                });
-                            }
-                        }
-                        Scheme::Intra(_) => {
-                            for (i, op) in plan.inv.iter().enumerate() {
-                                s.push(AOp::Inv {
-                                    target: ATarget::Range(op.region),
-                                    global: false,
-                                    id: plan_op(&mut ops, false, site, i, *op),
-                                });
-                            }
-                        }
-                        Scheme::Inter(InterConfig::Hcc | InterConfig::Dragon) => unreachable!(),
-                    }
                 }
                 RecEvent::Barrier { bar, wb, inv } => {
-                    if !coherent {
-                        match wb {
-                            RecSync::All => s.push(AOp::Wb {
-                                target: ATarget::All,
-                                global: inter,
-                                id: None,
-                            }),
-                            RecSync::None => {}
-                            RecSync::Regions(rs) => {
-                                for r in rs {
-                                    s.push(AOp::Wb {
-                                        target: ATarget::Range(*r),
-                                        global: inter,
-                                        id: None,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    s.extend(cfg.sync_wb(wb.into()).map(|i| aop(i, None)));
                     s.push(AOp::Barrier(*bar));
-                    if !coherent {
-                        match inv {
-                            RecSync::All => s.push(AOp::Inv {
-                                target: ATarget::All,
-                                global: inter,
-                                id: None,
-                            }),
-                            RecSync::None => {}
-                            RecSync::Regions(rs) => {
-                                for r in rs {
-                                    s.push(AOp::Inv {
-                                        target: ATarget::Range(*r),
-                                        global: inter,
-                                        id: None,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    s.extend(cfg.sync_inv(inv.into()).map(|i| aop(i, None)));
                 }
                 RecEvent::FlagSet { flag, raw } => {
-                    if !raw && !coherent {
-                        s.push(AOp::Wb {
-                            target: ATarget::All,
-                            global: inter,
-                            id: None,
-                        });
-                    }
+                    s.extend(cfg.sync_wb(carried(*raw)).map(|i| aop(i, None)));
                     s.push(AOp::FlagSet(*flag));
                 }
                 RecEvent::FlagWait { flag, raw } => {
                     s.push(AOp::FlagWait(*flag));
-                    if !raw && !coherent {
-                        s.push(AOp::Inv {
-                            target: ATarget::All,
-                            global: inter,
-                            id: None,
-                        });
-                    }
+                    s.extend(cfg.sync_inv(carried(*raw)).map(|i| aop(i, None)));
                 }
                 RecEvent::FlagClear { flag } => s.push(AOp::FlagClear(*flag)),
             }
@@ -314,6 +204,30 @@ pub(crate) fn lower(rec: &ProgramRecord) -> Lowered {
         streams.push(s);
     }
     Lowered { streams, ops }
+}
+
+/// Distinct words `rec` writes: exactly the words the interpreter will
+/// track, so its word map is sized once instead of doubling.
+fn written_words(rec: &ProgramRecord) -> usize {
+    let mut writes: Vec<Region> = rec
+        .threads
+        .iter()
+        .flatten()
+        .filter_map(|ev| match ev {
+            RecEvent::Writes(r) => Some(*r),
+            _ => None,
+        })
+        .collect();
+    writes.sort_unstable_by_key(|r| r.start.0);
+    let (mut words, mut covered) = (0u64, 0u64);
+    for r in writes {
+        let lo = r.start.0.max(covered);
+        if r.end().0 > lo {
+            words += r.end().0 - lo;
+            covered = r.end().0;
+        }
+    }
+    words as usize
 }
 
 // ----------------------------------------------------------------------
@@ -415,16 +329,6 @@ struct RawFinding {
     hint: Option<SyncRef>,
 }
 
-struct BarState {
-    waiting: Vec<usize>,
-    acc: VectorClock,
-}
-
-struct FlagState {
-    set: bool,
-    clock: VectorClock,
-}
-
 struct Interp<'a> {
     rec: &'a ProgramRecord,
     nthreads: usize,
@@ -433,20 +337,22 @@ struct Interp<'a> {
     lines: FxHashMap<u64, LineState>,
     dirty_l1: Vec<FxHashSet<u64>>,
     dirty_l2: Vec<FxHashSet<u64>>,
-    clocks: Vec<VectorClock>,
+    hb: HappensBefore,
     next_version: u64,
+    /// Sync ops executed so far: the `at` of every [`SyncRef`].
     step: u64,
-    barriers: FxHashMap<usize, BarState>,
-    flags: FxHashMap<usize, FlagState>,
-    last_release: Vec<Option<SyncRef>>,
-    last_acquire: Vec<Option<SyncRef>>,
+    /// Threads parked at each barrier, in arrival order.
+    barriers: FxHashMap<usize, Vec<usize>>,
+    /// Flags currently set.
+    set_flags: FxHashSet<usize>,
     findings: Vec<RawFinding>,
-    seen: FxHashSet<(u8, u64, usize)>,
+    seen: FxHashSet<(FindingKind, u64, usize)>,
     checks: u64,
     poisoned_fills: u64,
     errors: Vec<String>,
     attrib: Option<Attrib>,
-    /// Last op that dropped a *stale* copy of (word) from (thread)'s L1.
+    /// Last op that dropped a *stale* copy of (word) from (thread)'s L1
+    /// (kept only while collecting [`Attrib`]).
     l1_drop: FxHashMap<(u64, usize), u32>,
     /// ... and from (block)'s L2.
     l2_drop: FxHashMap<(u64, usize), u32>,
@@ -461,17 +367,15 @@ impl<'a> Interp<'a> {
             rec,
             nthreads: n,
             cpb: rec.config.machine_config().cores_per_block(),
-            words: FxHashMap::default(),
+            words: FxHashMap::with_capacity_and_hasher(written_words(rec), Default::default()),
             lines: FxHashMap::default(),
             dirty_l1: vec![FxHashSet::default(); n],
             dirty_l2: vec![FxHashSet::default(); nblocks],
-            clocks: (0..n).map(|t| VectorClock::thread(n, t)).collect(),
+            hb: HappensBefore::new(n),
             next_version: 1,
             step: 0,
             barriers: FxHashMap::default(),
-            flags: FxHashMap::default(),
-            last_release: vec![None; n],
-            last_acquire: vec![None; n],
+            set_flags: FxHashSet::default(),
             findings: Vec::new(),
             seen: FxHashSet::default(),
             checks: 0,
@@ -488,12 +392,7 @@ impl<'a> Interp<'a> {
     }
 
     fn report(&mut self, f: RawFinding) {
-        let tag = match f.kind {
-            FindingKind::MissingWb => 0,
-            FindingKind::MissingInv => 1,
-            FindingKind::WriteRace => 2,
-        };
-        if self.findings.len() < MAX_RAW_FINDINGS && self.seen.insert((tag, f.word, f.actor)) {
+        if self.findings.len() < MAX_RAW_FINDINGS && self.seen.insert((f.kind, f.word, f.actor)) {
             self.findings.push(f);
         }
     }
@@ -517,7 +416,7 @@ impl<'a> Interp<'a> {
                 // A capture racing with the word's last write is
                 // indeterminate: poison it so no later ordered read can
                 // benefit from a favorably-interleaved abstract schedule.
-                let racy = aw.version != 0 && !self.clocks[t].covers(aw.writer, aw.epoch);
+                let racy = aw.version != 0 && !self.hb.ordered(t, aw.writer, aw.epoch);
                 poisoned += racy as u64;
                 if fill_l2 {
                     aw.l2_v[b] = if racy { POISON_V } else { aw.mem_v };
@@ -546,18 +445,14 @@ impl<'a> Interp<'a> {
         if aw.version == 0 || aw.writer == t {
             return;
         }
-        if !self.clocks[t].covers(aw.writer, aw.epoch) {
+        if !self.hb.ordered(t, aw.writer, aw.epoch) {
             return; // unordered: the sanitizer would not check it either
         }
         self.checks += 1;
         let visible = aw.l1_v[t];
         if visible != aw.version {
             let reached = aw.state == ST_GLOBAL || (aw.state == ST_BLOCK && aw.home == b);
-            let (kind, hint) = if reached {
-                (FindingKind::MissingInv, self.last_acquire[t])
-            } else {
-                (FindingKind::MissingWb, self.last_release[aw.writer])
-            };
+            let (kind, hint) = self.hb.stale_read(t, aw.writer, reached);
             let (writer, epoch) = (aw.writer, aw.epoch);
             self.report(RawFinding {
                 kind,
@@ -612,7 +507,7 @@ impl<'a> Interp<'a> {
         let n = self.nthreads;
         let b = self.block_of(t);
         let aw = self.words.entry(w).or_insert_with(|| AWord::initial(n));
-        if aw.version != 0 && aw.writer != t && !self.clocks[t].covers(aw.writer, aw.epoch) {
+        if aw.version != 0 && aw.writer != t && !self.hb.ordered(t, aw.writer, aw.epoch) {
             let (writer, epoch) = (aw.writer, aw.epoch);
             self.report(RawFinding {
                 kind: FindingKind::WriteRace,
@@ -627,7 +522,7 @@ impl<'a> Interp<'a> {
         aw.version = self.next_version;
         self.next_version += 1;
         aw.writer = t;
-        aw.epoch = self.clocks[t].get(t);
+        aw.epoch = self.hb.epoch(t);
         aw.state = ST_L1;
         aw.home = b;
         aw.l1_v[t] = aw.version;
@@ -693,12 +588,12 @@ impl<'a> Interp<'a> {
         self.dirty_l2[b].remove(&w);
     }
 
-    fn exec_wb(&mut self, t: usize, target: ATarget, global: bool, id: Option<u32>) {
+    fn exec_wb(&mut self, t: usize, target: Target, global: bool, id: Option<u32>) {
         // L1 phase: push the issuer's dirty words inside the target.
         let work: Vec<u64> = self.dirty_l1[t]
             .iter()
             .copied()
-            .filter(|&w| target.covers_word(w))
+            .filter(|&w| covers_word(target, w))
             .collect();
         for w in work {
             self.push_l1_copy(t, w, id);
@@ -709,7 +604,7 @@ impl<'a> Interp<'a> {
             let l2_work: Vec<u64> = self.dirty_l2[b]
                 .iter()
                 .copied()
-                .filter(|&w| target.covers_word(w))
+                .filter(|&w| covers_word(target, w))
                 .collect();
             for w in l2_work {
                 self.push_l2_copy(b, w, id);
@@ -736,7 +631,7 @@ impl<'a> Interp<'a> {
                 self.push_l1_copy(t, w, id);
             }
             let aw = self.words.get(&w).unwrap();
-            if aw.l1_v[t] != aw.version {
+            if aw.l1_v[t] != aw.version && self.attrib.is_some() {
                 if let Some(id) = id {
                     self.l1_drop.insert((w, t), id);
                 }
@@ -763,7 +658,7 @@ impl<'a> Interp<'a> {
                 self.push_l2_copy(b, w, id);
             }
             let aw = self.words.get(&w).unwrap();
-            if aw.l2_v[b] != aw.version {
+            if aw.l2_v[b] != aw.version && self.attrib.is_some() {
                 if let Some(id) = id {
                     self.l2_drop.insert((w, b), id);
                 }
@@ -771,9 +666,9 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn exec_inv(&mut self, t: usize, target: ATarget, global: bool, id: Option<u32>) {
+    fn exec_inv(&mut self, t: usize, target: Target, global: bool, id: Option<u32>) {
         let b = self.block_of(t);
-        match target.line_range() {
+        match line_range(target) {
             Some((lo, hi)) => {
                 for line in lo..hi {
                     self.drop_l1_line(t, line, id);
@@ -824,20 +719,11 @@ impl<'a> Interp<'a> {
             match status[t] {
                 Status::AtBarrier(_) => return progressed,
                 Status::AtFlag(f) => {
-                    let ready = self.flags.get(&f).is_some_and(|fs| fs.set);
-                    if !ready {
+                    if !self.set_flags.contains(&f) {
                         return progressed;
                     }
-                    // Acquire: join the flag's clock.
-                    let fs = self.flags.get(&f).unwrap();
-                    let clock = fs.clock.clone();
-                    self.clocks[t].join(&clock);
                     self.step += 1;
-                    self.last_acquire[t] = Some(SyncRef {
-                        op: SyncOp::FlagWait,
-                        id: f,
-                        at: self.step,
-                    });
+                    self.hb.acquire(t, SyncOp::FlagWait, f, self.step);
                     status[t] = Status::Running;
                     progressed = true;
                 }
@@ -870,31 +756,15 @@ impl<'a> Interp<'a> {
                             return progressed;
                         }
                         AOp::FlagSet(f) => {
-                            // Release: the flag's clock absorbs ours, we
-                            // start a new epoch.
                             self.step += 1;
-                            let n = self.nthreads;
-                            let mine = self.clocks[t].clone();
-                            let fs = self.flags.entry(f).or_insert_with(|| FlagState {
-                                set: false,
-                                clock: VectorClock::object(n),
-                            });
-                            fs.clock.join(&mine);
-                            fs.set = true;
-                            self.clocks[t].bump(t);
-                            self.last_release[t] = Some(SyncRef {
-                                op: SyncOp::FlagSet,
-                                id: f,
-                                at: self.step,
-                            });
+                            self.hb.release(t, SyncOp::FlagSet, f, self.step);
+                            self.set_flags.insert(f);
                         }
                         AOp::FlagWait(f) => {
                             status[t] = Status::AtFlag(f);
                         }
                         AOp::FlagClear(f) => {
-                            if let Some(fs) = self.flags.get_mut(&f) {
-                                fs.set = false;
-                            }
+                            self.set_flags.remove(&f);
                         }
                     }
                 }
@@ -902,9 +772,9 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Arrive at `bar`; release every waiter (join-all-then-bump, as the
-    /// sanitizer's barrier handling does) once the participant count is
-    /// reached. Returns true when this arrival released the barrier.
+    /// Arrive at `bar`; once the participant count is reached, release
+    /// every waiter through [`HappensBefore::barrier`]. Returns true when
+    /// this arrival released the barrier.
     fn arrive_barrier(&mut self, t: usize, bar: usize, status: &mut [Status]) -> bool {
         let participants = match self.rec.barrier_participants(bar) {
             Some(p) => p,
@@ -914,34 +784,18 @@ impl<'a> Interp<'a> {
                 return true; // treat as a no-op barrier
             }
         };
-        let n = self.nthreads;
-        let st = self.barriers.entry(bar).or_insert_with(|| BarState {
-            waiting: Vec::new(),
-            acc: VectorClock::object(n),
-        });
-        st.waiting.push(t);
-        st.acc.join(&self.clocks[t]);
-        if st.waiting.len() < participants {
+        let waiting = self.barriers.entry(bar).or_default();
+        waiting.push(t);
+        if waiting.len() < participants {
             status[t] = Status::AtBarrier(bar);
             return false;
         }
-        let waiting = std::mem::take(&mut st.waiting);
-        let joined = std::mem::replace(&mut st.acc, VectorClock::object(n));
         self.step += 1;
-        let sref = SyncRef {
-            op: SyncOp::Barrier,
-            id: bar,
-            at: self.step,
-        };
-        for &w in &waiting {
-            self.clocks[w] = joined.clone();
-            self.clocks[w].bump(w);
-            self.last_release[w] = Some(sref);
-            self.last_acquire[w] = Some(sref);
-            if w != t {
-                status[w] = Status::Running;
-            }
+        self.hb.barrier(bar, waiting, self.step);
+        for &w in waiting.iter().filter(|&&w| w != t) {
+            status[w] = Status::Running;
         }
+        waiting.clear();
         true
     }
 
@@ -976,15 +830,11 @@ impl<'a> Interp<'a> {
 
     /// Aggregate raw per-word findings into ranged [`LintFinding`]s.
     fn aggregate(&self) -> Vec<LintFinding> {
-        let mut groups: FxHashMap<(u8, usize, usize), Vec<&RawFinding>> = FxHashMap::default();
-        let mut order: Vec<(u8, usize, usize)> = Vec::new();
+        type Key = (FindingKind, usize, usize);
+        let mut groups: FxHashMap<Key, Vec<&RawFinding>> = FxHashMap::default();
+        let mut order: Vec<Key> = Vec::new();
         for f in &self.findings {
-            let tag = match f.kind {
-                FindingKind::MissingWb => 0,
-                FindingKind::MissingInv => 1,
-                FindingKind::WriteRace => 2,
-            };
-            let key = (tag, f.writer, f.actor);
+            let key = (f.kind, f.writer, f.actor);
             groups.entry(key).or_insert_with(|| {
                 order.push(key);
                 Vec::new()
@@ -1002,7 +852,7 @@ impl<'a> Interp<'a> {
                     j += 1;
                 }
                 let first = fs[i];
-                let start = hic_mem::WordAddr(first.word);
+                let start = WordAddr(first.word);
                 let words = (fs[j - 1].word - first.word) + 1;
                 let region = self
                     .rec
@@ -1064,7 +914,7 @@ fn coverage_of(streams: &[Vec<AOp>]) -> LintCoverage {
                 } else {
                     cov.wb_local += 1;
                 }
-                if matches!(target, ATarget::All) {
+                if matches!(target, Target::All) {
                     cov.wb_all += 1;
                 }
             }
@@ -1074,7 +924,7 @@ fn coverage_of(streams: &[Vec<AOp>]) -> LintCoverage {
                 } else {
                     cov.inv_local += 1;
                 }
-                if matches!(target, ATarget::All) {
+                if matches!(target, Target::All) {
                     cov.inv_all += 1;
                 }
             }

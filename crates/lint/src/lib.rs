@@ -21,11 +21,15 @@
 //! [`ProgramBuilder::override_plans`](hic_runtime::ProgramBuilder::override_plans),
 //! and are re-verified before being returned.
 //!
-//! The abstract memory model mirrors the incoherent machine's
+//! Lint shares its policy instead of copying it: the WB/INV lowering is
+//! the runtime's (`Config::sync_wb`, `Config::plan_wb`, ...), scopes
+//! resolve through the machine's `ThreadMap`, and ordering and
+//! attribution come from the sanitizer's `HappensBefore`. Only the
+//! memory model is its own: it mirrors the incoherent machine's
 //! visibility rules (see `exec`'s module docs) but not its timing, and
-//! models no evictions — so static findings are a superset of anything a
-//! timed run can observe: a clean lint is a proof, a finding is a real
-//! plan deficiency.
+//! models no evictions — so static findings are a superset of anything
+//! a timed run can observe: a clean lint is a proof, a finding is a
+//! real plan deficiency.
 
 mod exec;
 mod optimize;

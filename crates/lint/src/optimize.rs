@@ -29,6 +29,7 @@
 //! net, not a code path programs are expected to hit.
 
 use fxhash::FxHashMap;
+use hic_core::ThreadMap;
 use hic_mem::Region;
 use hic_runtime::{
     coalesce_ops, CommOp, Config, EpochPlan, InterConfig, PlanOverrides, ProgramRecord, RecEvent,
@@ -57,7 +58,8 @@ fn rewrite_round(
     ops: &[OpInfo],
     stats: &mut OptStats,
 ) -> Vec<(usize, bool, usize, EpochPlan)> {
-    let cpb = current.config.machine_config().cores_per_block();
+    let mc = current.config.machine_config();
+    let tmap = ThreadMap::identity(mc.num_blocks(), mc.cores_per_block());
     let addr_l = current.config == Config::Inter(InterConfig::AddrL);
     let mut kept: Vec<Option<CommOp>> = Vec::with_capacity(ops.len());
     let mut round_pruned = 0usize;
@@ -88,8 +90,9 @@ fn rewrite_round(
                 attrib.served_writer.get(&id)
             };
             if let Some(served) = served {
-                let issuer_block = info.thread / cpb;
-                if !served.is_empty() && served.iter().all(|&p| p / cpb == issuer_block) {
+                let issuer = tmap.block_of(ThreadId(info.thread)).expect("mapped");
+                if !served.is_empty() && served.iter().all(|&p| tmap.is_local(issuer, ThreadId(p)))
+                {
                     // All peers local: naming any one of them makes the
                     // op block-local under the Addr+L scope rules.
                     op.peer = Some(ThreadId(*served.iter().min().unwrap()));
@@ -135,18 +138,6 @@ fn rewrite_round(
         stats.downgraded += round_downgraded;
     }
     delta
-}
-
-fn plan_op_count(rec: &ProgramRecord) -> usize {
-    rec.threads
-        .iter()
-        .flatten()
-        .map(|ev| match ev {
-            RecEvent::PlanWb(p) => p.wb.len(),
-            RecEvent::PlanInv(p) => p.inv.len(),
-            _ => 0,
-        })
-        .sum()
 }
 
 /// Verify `rec` and, when clean, compute minimized [`PlanOverrides`].
@@ -199,7 +190,7 @@ pub fn optimize(rec: &ProgramRecord) -> OptOutcome {
     if acc.is_empty() {
         return identity(report, stats);
     }
-    stats.ops_after = plan_op_count(&current);
+    stats.ops_after = current.num_plan_ops();
     stats.sites_overridden = acc.num_overridden();
 
     // Safety net: the minimized record must itself verify clean.

@@ -96,13 +96,8 @@ pub trait MemBackend: Send {
     /// Untimed memory backdoor for pre-run initialization.
     fn poke_word(&mut self, w: WordAddr, v: Word);
 
-    /// Downcast for incoherent-specific setup (ThreadMap, L1 probes).
+    /// Downcast for incoherent-specific probes (counters, L1 lines).
     fn as_incoherent(&self) -> Option<&IncoherentSystem> {
-        None
-    }
-
-    /// Mutable downcast (see [`MemBackend::as_incoherent`]).
-    fn as_incoherent_mut(&mut self) -> Option<&mut IncoherentSystem> {
         None
     }
 
@@ -219,10 +214,6 @@ impl MemBackend for IncoherentSystem {
     }
 
     fn as_incoherent(&self) -> Option<&IncoherentSystem> {
-        Some(self)
-    }
-
-    fn as_incoherent_mut(&mut self) -> Option<&mut IncoherentSystem> {
         Some(self)
     }
 
@@ -447,11 +438,9 @@ mod tests {
     #[test]
     fn incoherent_downcast_roundtrips() {
         let cfg = MachineConfig::intra_block();
-        let mut b: Box<dyn MemBackend> = Box::new(IncoherentSystem::new(cfg));
+        let b: Box<dyn MemBackend> = Box::new(IncoherentSystem::new(cfg));
         assert!(b.as_incoherent().is_some());
-        assert!(b.as_incoherent_mut().is_some());
-        let mut m: Box<dyn MemBackend> = Box::new(MesiSystem::new(cfg));
+        let m: Box<dyn MemBackend> = Box::new(MesiSystem::new(cfg));
         assert!(m.as_incoherent().is_none());
-        assert!(m.as_incoherent_mut().is_none());
     }
 }

@@ -26,7 +26,7 @@ use hic_mem::addr::WORDS_PER_LINE;
 use hic_mem::cache::{DirtyMask, EvictedLine};
 use hic_mem::{Cache, LineAddr, Memory, Word, WordAddr};
 use hic_noc::{Mesh, TrafficCategory, TrafficLedger};
-use hic_sim::{CoreId, MachineConfig, ThreadId};
+use hic_sim::{BlockId, CoreId, MachineConfig};
 
 /// Cycles for a flash (gang) clear of a whole cache's valid bits. ALL-
 /// flavor operations complete in this time when the dirty-line counter
@@ -252,15 +252,6 @@ impl IncoherentSystem {
 
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// Replace the thread-to-block map (the runtime fills it at spawn).
-    pub fn set_thread_map(&mut self, tmap: ThreadMap) {
-        self.tmap = tmap;
-    }
-
-    pub fn thread_map(&self) -> &ThreadMap {
-        &self.tmap
     }
 
     // ------------------------------------------------------------------
@@ -550,36 +541,14 @@ impl IncoherentSystem {
         }
     }
 
-    /// Resolve a WB scope to "global" (must reach L3) using the ThreadMap.
-    fn wb_is_global(&self, c: CoreId, scope: WbScope) -> bool {
-        match scope {
-            WbScope::ToL2 => false,
-            WbScope::ToL3 => self.cfg.is_hierarchical(),
-            WbScope::Cons(t) => self.cfg.is_hierarchical() && !self.is_local_thread(c, t),
-        }
-    }
-
-    fn inv_is_global(&self, c: CoreId, scope: InvScope) -> bool {
-        match scope {
-            InvScope::FromL1 => false,
-            InvScope::FromL2 => self.cfg.is_hierarchical(),
-            InvScope::Prod(t) => self.cfg.is_hierarchical() && !self.is_local_thread(c, t),
-        }
-    }
-
-    fn is_local_thread(&self, c: CoreId, t: ThreadId) -> bool {
-        self.tmap
-            .is_local(hic_sim::BlockId(self.cfg.topology.block_of(c.0)), t)
-    }
-
     fn exec_wb(&mut self, c: CoreId, target: Target, scope: WbScope) -> u64 {
-        let global = self.wb_is_global(c, scope);
+        let blk = self.cfg.topology.block_of(c.0);
+        let global = self.tmap.wb_is_global(BlockId(blk), scope);
         if global {
             self.counters.global_wbs += 1;
         } else {
             self.counters.local_wbs += 1;
         }
-        let blk = self.cfg.topology.block_of(c.0);
         let mut lat;
         // Collect (line, words-to-push) pairs from the L1 into the
         // reusable scratch list (returned to `self` before exiting).
@@ -728,13 +697,13 @@ impl IncoherentSystem {
     }
 
     fn exec_inv(&mut self, c: CoreId, target: Target, scope: InvScope) -> u64 {
-        let global = self.inv_is_global(c, scope);
+        let blk = self.cfg.topology.block_of(c.0);
+        let global = self.tmap.inv_is_global(BlockId(blk), scope);
         if global {
             self.counters.global_invs += 1;
         } else {
             self.counters.local_invs += 1;
         }
-        let blk = self.cfg.topology.block_of(c.0);
         let mut lat = self.cfg.l1_rt;
         let mut wb_work = 0u64;
         match target {
@@ -948,6 +917,7 @@ impl IncoherentSystem {
 mod tests {
     use super::*;
     use hic_mem::{Addr, Region};
+    use hic_sim::ThreadId;
 
     fn intra() -> IncoherentSystem {
         IncoherentSystem::new(MachineConfig::intra_block())

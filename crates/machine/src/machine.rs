@@ -250,11 +250,6 @@ impl Machine {
         &mut *self.backend
     }
 
-    /// Access to the incoherent system (ThreadMap setup, counters).
-    pub fn incoherent_mut(&mut self) -> Option<&mut IncoherentSystem> {
-        self.backend.as_incoherent_mut()
-    }
-
     pub fn sync_mut(&mut self) -> &mut SyncController {
         &mut self.sync
     }

@@ -8,8 +8,19 @@
 //! `Config::Inter(..)` on 4 blocks × 8 cores — and
 //! [`Config::with_topology`] retargets a scheme onto any other validated
 //! geometry (the sweep behind `bench_host --geometry`).
+//!
+//! A `Config` also owns the annotation policy of its Table II row: which
+//! WB/INV flavors a barrier, flag or lock carries ([`Config::sync_wb`],
+//! [`Config::sync_inv`]) and which instructions an epoch plan lowers to
+//! ([`Config::plan_wb`], [`Config::plan_inv`]). `ThreadCtx` issues
+//! exactly what they yield, and `hic-lint` interprets exactly that.
 
-use hic_sim::{ConfigError, MachineConfig, Topology};
+use hic_core::{CohInstr, Target};
+use hic_mem::Region;
+use hic_sim::{ConfigError, MachineConfig, ThreadId, Topology};
+
+use crate::ctx::SyncData;
+use crate::plan::{CommOp, EpochPlan};
 
 /// Intra-block configurations (upper half of Table II), plus the
 /// update-based Dragon protocol from the extended protocol zoo.
@@ -232,6 +243,96 @@ impl Config {
             _ => None,
         }
     }
+
+    // ------------------------------------------------------------------
+    // Annotation lowering (§IV-A, §V)
+    // ------------------------------------------------------------------
+
+    /// The WB half a barrier, flag set or lock carries for `data`, in
+    /// issue order; nothing under hardware coherence. A sync names no
+    /// consumer, so on the inter-block machine it writes back to L3
+    /// (Addr and Addr+L refine epoch data movement through plans, not
+    /// the conservative cross-block semantics of a sync).
+    pub fn sync_wb<'a>(self, data: SyncData<'a>) -> impl Iterator<Item = CohInstr> + 'a {
+        self.sync_targets(data)
+            .map(move |t| self.wb_flavor(t, None))
+    }
+
+    /// The INV half a barrier, flag wait or lock carries for `data`.
+    pub fn sync_inv<'a>(self, data: SyncData<'a>) -> impl Iterator<Item = CohInstr> + 'a {
+        self.sync_targets(data)
+            .map(move |t| self.inv_flavor(t, None))
+    }
+
+    /// The instructions a `plan_wb` call site issues for `plan`, each
+    /// tagged with the index of its op in `plan.wb`. Base ignores the
+    /// plan and issues one `WB_L3 ALL`, tagged `None`.
+    pub fn plan_wb(self, plan: &EpochPlan) -> impl Iterator<Item = (Option<usize>, CohInstr)> + '_ {
+        self.plan_targets(&plan.wb)
+            .map(move |(i, t, consumer)| (i, self.wb_flavor(t, consumer)))
+    }
+
+    /// The instructions a `plan_inv` call site issues for `plan`, tagged
+    /// like [`Config::plan_wb`]'s (Base: one `INV_L2 ALL`).
+    pub fn plan_inv(
+        self,
+        plan: &EpochPlan,
+    ) -> impl Iterator<Item = (Option<usize>, CohInstr)> + '_ {
+        self.plan_targets(&plan.inv)
+            .map(move |(i, t, producer)| (i, self.inv_flavor(t, producer)))
+    }
+
+    /// The WB flavor for `target`: `WB_CONS` when Addr+L knows the
+    /// consumer, `WB_L3` elsewhere on the inter-block machine, plain `WB`
+    /// within one block.
+    fn wb_flavor(self, target: Target, consumer: Option<ThreadId>) -> CohInstr {
+        match (self.inter(), consumer) {
+            (Some(InterConfig::AddrL), Some(c)) => CohInstr::wb_cons(target, c),
+            (Some(_), _) => CohInstr::wb_l3(target),
+            (None, _) => CohInstr::wb(target),
+        }
+    }
+
+    /// The INV flavor for `target`: `INV_PROD` when Addr+L knows the
+    /// producer, `INV_L2` elsewhere on the inter-block machine, plain
+    /// `INV` within one block.
+    fn inv_flavor(self, target: Target, producer: Option<ThreadId>) -> CohInstr {
+        match (self.inter(), producer) {
+            (Some(InterConfig::AddrL), Some(p)) => CohInstr::inv_prod(target, p),
+            (Some(_), _) => CohInstr::inv_l2(target),
+            (None, _) => CohInstr::inv(target),
+        }
+    }
+
+    fn sync_targets(self, data: SyncData<'_>) -> impl Iterator<Item = Target> + '_ {
+        let (all, regions): (bool, &[Region]) = match data {
+            _ if self.is_coherent() => (false, &[]),
+            SyncData::All => (true, &[]),
+            SyncData::None => (false, &[]),
+            SyncData::Regions(rs) => (false, rs),
+        };
+        all.then_some(Target::All)
+            .into_iter()
+            .chain(regions.iter().map(|&r| Target::range(r)))
+    }
+
+    /// `(plan-op index, target, peer)` of each instruction a plan call
+    /// site issues for `ops`: one per op, or one untagged ALL under Base.
+    fn plan_targets(
+        self,
+        ops: &[CommOp],
+    ) -> impl Iterator<Item = (Option<usize>, Target, Option<ThreadId>)> + '_ {
+        let (all, ops): (bool, &[CommOp]) = match self.scheme {
+            _ if self.is_coherent() => (false, &[]),
+            Scheme::Inter(InterConfig::Base) => (true, &[]),
+            _ => (false, ops),
+        };
+        all.then_some((None, Target::All, None)).into_iter().chain(
+            ops.iter()
+                .enumerate()
+                .map(|(i, op)| (Some(i), Target::range(op.region), op.peer)),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -286,6 +387,73 @@ mod tests {
         let flat = TopologyBuilder::new(1, 4).validate().unwrap();
         let c = Config::Intra(IntraConfig::BMI).with_topology(flat).unwrap();
         assert_eq!(c.num_threads(), 4);
+    }
+
+    #[test]
+    fn lowering_follows_table2() {
+        use crate::plan::CommOp;
+        use hic_core::{InvScope, WbScope};
+        use hic_mem::WordAddr;
+
+        let r = Region::new(WordAddr(0), 16);
+        let plan = EpochPlan::new()
+            .with_wb(CommOp::known(r, ThreadId(1)))
+            .with_wb(CommOp::unknown(r))
+            .with_inv(CommOp::known(r, ThreadId(0)));
+        let wb = |c: Config| c.plan_wb(&plan).collect::<Vec<_>>();
+        let inv = |c: Config| c.plan_inv(&plan).collect::<Vec<_>>();
+        let t = Target::range(r);
+        assert_eq!(
+            wb(Config::Inter(InterConfig::Base)),
+            [(None, CohInstr::wb_l3(Target::All))]
+        );
+        assert_eq!(
+            wb(Config::Inter(InterConfig::Addr)),
+            [(Some(0), CohInstr::wb_l3(t)), (Some(1), CohInstr::wb_l3(t))]
+        );
+        assert_eq!(
+            wb(Config::Inter(InterConfig::AddrL)),
+            [
+                (Some(0), CohInstr::wb_cons(t, ThreadId(1))),
+                (Some(1), CohInstr::wb_l3(t))
+            ]
+        );
+        assert_eq!(
+            inv(Config::Inter(InterConfig::AddrL)),
+            [(Some(0), CohInstr::inv_prod(t, ThreadId(0)))]
+        );
+        assert_eq!(
+            inv(Config::Intra(IntraConfig::BMI)),
+            [(Some(0), CohInstr::inv(t))]
+        );
+        assert!(wb(Config::Inter(InterConfig::Hcc)).is_empty());
+
+        let regions = [r, r];
+        let base = Config::Inter(InterConfig::Base);
+        let all: Vec<_> = base.sync_wb(SyncData::All).collect();
+        assert_eq!(all, [CohInstr::wb_l3(Target::All)]);
+        let each: Vec<_> = base.sync_inv(SyncData::Regions(&regions)).collect();
+        assert!(each.iter().all(|i| matches!(
+            i,
+            CohInstr::Inv {
+                scope: InvScope::FromL2,
+                ..
+            }
+        )));
+        assert_eq!(each.len(), 2);
+        let intra: Vec<_> = Config::Intra(IntraConfig::Base)
+            .sync_wb(SyncData::All)
+            .collect();
+        assert!(matches!(
+            intra[..],
+            [CohInstr::Wb {
+                target: Target::All,
+                scope: WbScope::ToL2
+            }]
+        ));
+        assert_eq!(base.sync_wb(SyncData::None).count(), 0);
+        let hcc = Config::Intra(IntraConfig::Hcc);
+        assert_eq!(hcc.sync_inv(SyncData::All).count(), 0);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! The context translates high-level events (barrier, lock, flag,
 //! epoch-boundary plans) into the op sequence mandated by the active
-//! configuration — this is where the paper's annotation methodology
-//! (§IV-A, §V-A) lives:
+//! configuration — the paper's annotation methodology (§IV-A, §V-A):
 //!
 //! * barriers: `WB ALL` before, `INV ALL` after (incoherent configs);
 //! * critical sections: `[WB ALL if OCC]`, `INV ALL` *before* the acquire,
@@ -14,6 +13,13 @@
 //! * flags: `WB ALL` before a set, `INV ALL` after a completed wait;
 //! * data races: per-word WB / INV around the racy accesses (Figure 6);
 //! * model-2 epoch plans: global or level-adaptive WB/INV per Table II.
+//!
+//! Which WB/INV flavor each of these carries is not decided here: the
+//! barrier, flag, lock and plan methods issue exactly the instructions
+//! [`Config::sync_wb`], [`Config::sync_inv`], [`Config::plan_wb`] and
+//! [`Config::plan_inv`] yield, the lowering `hic-lint` interprets too.
+//! This module adds only where the sync op itself goes and the MEB/IEB
+//! markers.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -25,7 +31,7 @@ use hic_mem::{f32_to_word, word_to_f32, Region, Word, WordAddr};
 use hic_sim::{Cycle, ThreadId};
 use hic_sync::SyncId;
 
-use crate::config::{Config, InterConfig, Scheme};
+use crate::config::Config;
 use crate::engine::{Engine, Scheduler};
 use crate::plan::{EpochPlan, PlanOverrides};
 
@@ -109,6 +115,16 @@ impl FlagOpts {
     /// No data movement, ordering only.
     pub fn raw() -> FlagOpts {
         FlagOpts { raw: true }
+    }
+
+    /// What the flag op carries on its data side: `ALL`, or nothing
+    /// when raw.
+    pub fn carried(self) -> SyncData<'static> {
+        if self.raw {
+            SyncData::None
+        } else {
+            SyncData::All
+        }
     }
 }
 
@@ -214,6 +230,13 @@ impl ThreadCtx {
             self.engine.exec(self.tid, Op::Compute(pending)).await;
         }
         self.engine.exec(self.tid, op).await
+    }
+
+    /// Issue each coherence instruction of a lowering, in order.
+    async fn issue_coh(&self, instrs: impl Iterator<Item = CohInstr>) {
+        for instr in instrs {
+            self.issue(Op::Coh(instr)).await;
+        }
     }
 
     /// Accumulate `cycles` of modeled computation cheaply; merged into a
@@ -327,59 +350,10 @@ impl ThreadCtx {
     /// inter-block machine. Coherent (HCC) runs ignore the options:
     /// hardware moves the data.
     pub async fn barrier_with(&self, b: BarrierId, opts: BarrierOpts<'_>) {
-        if self.coherent() {
-            self.issue(Op::BarrierArrive(b.0)).await;
-            return;
-        }
-        let inter = matches!(self.shared().config.scheme(), Scheme::Inter(_));
-        match opts.wb {
-            SyncData::All => {
-                // All incoherent inter configs communicate cross-block at
-                // barriers conservatively; Addr/Addr+L refine *epoch* data
-                // movement via plans, not the barrier-global semantics.
-                self.issue(Op::Coh(if inter {
-                    CohInstr::wb_l3(Target::All)
-                } else {
-                    CohInstr::wb_all()
-                }))
-                .await;
-            }
-            SyncData::None => {}
-            SyncData::Regions(regions) => {
-                for &r in regions {
-                    let t = Target::range(r);
-                    self.issue(Op::Coh(if inter {
-                        CohInstr::wb_l3(t)
-                    } else {
-                        CohInstr::wb(t)
-                    }))
-                    .await;
-                }
-            }
-        }
+        let cfg = self.config();
+        self.issue_coh(cfg.sync_wb(opts.wb)).await;
         self.issue(Op::BarrierArrive(b.0)).await;
-        match opts.inv {
-            SyncData::All => {
-                self.issue(Op::Coh(if inter {
-                    CohInstr::inv_l2(Target::All)
-                } else {
-                    CohInstr::inv_all()
-                }))
-                .await;
-            }
-            SyncData::None => {}
-            SyncData::Regions(regions) => {
-                for &r in regions {
-                    let t = Target::range(r);
-                    self.issue(Op::Coh(if inter {
-                        CohInstr::inv_l2(t)
-                    } else {
-                        CohInstr::inv(t)
-                    }))
-                    .await;
-                }
-            }
-        }
+        self.issue_coh(cfg.sync_inv(opts.inv)).await;
     }
 
     /// Global barrier with the default annotations: `WB ALL` immediately
@@ -393,78 +367,55 @@ impl ThreadCtx {
     /// active configuration.
     pub async fn lock(&self, l: LockId) {
         let info = self.shared().locks[l.0];
-        if self.coherent() {
-            // HCC and Dragon: hardware moves the data.
-            self.issue(Op::LockAcquire(info.id)).await;
-            return;
+        let cfg = self.config();
+        let (meb, ieb) = cfg
+            .intra()
+            .map_or((false, false), |c| (c.uses_meb(), c.uses_ieb()));
+        let inter = cfg.inter().is_some();
+        if info.occ {
+            // Post everything written since the last full WB so
+            // consumers of outside-critical-section data see it.
+            self.issue_coh(cfg.sync_wb(SyncData::All)).await;
         }
-        match self.shared().config.scheme() {
-            Scheme::Intra(cfg) => {
-                if info.occ {
-                    // Post everything written since the last full WB so
-                    // consumers of outside-critical-section data see it.
-                    self.issue(Op::Coh(CohInstr::wb_all())).await;
-                }
-                if cfg.uses_ieb() {
-                    // Lazy invalidation: first reads inside the critical
-                    // section refresh on demand.
-                    self.issue(Op::IebBegin).await;
-                } else {
-                    // INV placed immediately *before* the acquire to keep
-                    // the critical section short (§IV-A1).
-                    self.issue(Op::Coh(CohInstr::inv_all())).await;
-                }
-                self.issue(Op::LockAcquire(info.id)).await;
-                if cfg.uses_meb() {
-                    self.issue(Op::MebBegin).await;
-                }
-            }
-            Scheme::Inter(_) => {
-                if info.occ {
-                    self.issue(Op::Coh(CohInstr::wb_l3(Target::All))).await;
-                }
-                self.issue(Op::LockAcquire(info.id)).await;
-                // Unlike the intra-block case, the INV must come *after*
-                // the acquire: INV_L2 drops lines from the *shared* L2,
-                // and same-block peers can legitimately re-fill it with
-                // then-fresh (later stale) lines while this core waits in
-                // the lock queue. The paper's "INV immediately before the
-                // acquire" optimization (§IV-A1) relies on the invalidated
-                // cache being private, which only holds for the L1.
-                self.issue(Op::Coh(CohInstr::inv_l2(Target::All))).await;
-            }
+        if ieb {
+            // Lazy invalidation: first reads inside the critical section
+            // refresh on demand.
+            self.issue(Op::IebBegin).await;
+        } else if !inter {
+            // INV placed immediately *before* the acquire to keep the
+            // critical section short (§IV-A1).
+            self.issue_coh(cfg.sync_inv(SyncData::All)).await;
+        }
+        self.issue(Op::LockAcquire(info.id)).await;
+        if inter {
+            // Unlike the intra-block case, the INV must come *after* the
+            // acquire: INV_L2 drops lines from the *shared* L2, and
+            // same-block peers can legitimately re-fill it with
+            // then-fresh (later stale) lines while this core waits in the
+            // lock queue. The paper's "INV immediately before the
+            // acquire" optimization (§IV-A1) relies on the invalidated
+            // cache being private, which only holds for the L1.
+            self.issue_coh(cfg.sync_inv(SyncData::All)).await;
+        }
+        if meb {
+            self.issue(Op::MebBegin).await;
         }
     }
 
-    /// Release a lock, inserting the exit annotations.
+    /// Release a lock, inserting the exit annotations: post the critical
+    /// section's writes (served by the MEB under B+M, since recording
+    /// started at the acquire), release, and under OCC prepare to consume
+    /// data produced outside earlier holders' critical sections.
     pub async fn unlock(&self, l: LockId) {
         let info = self.shared().locks[l.0];
-        if self.coherent() {
-            self.issue(Op::LockRelease(info.id)).await;
-            return;
+        let cfg = self.config();
+        if cfg.intra().is_some_and(|c| c.uses_ieb()) {
+            self.issue(Op::IebEnd).await;
         }
-        match self.shared().config.scheme() {
-            Scheme::Intra(cfg) => {
-                if cfg.uses_ieb() {
-                    self.issue(Op::IebEnd).await;
-                }
-                // Post the critical section's writes (served by the MEB
-                // under B+M, since recording started at the acquire).
-                self.issue(Op::Coh(CohInstr::wb_all())).await;
-                self.issue(Op::LockRelease(info.id)).await;
-                if info.occ {
-                    // Prepare to consume data produced outside earlier
-                    // holders' critical sections.
-                    self.issue(Op::Coh(CohInstr::inv_all())).await;
-                }
-            }
-            Scheme::Inter(_) => {
-                self.issue(Op::Coh(CohInstr::wb_l3(Target::All))).await;
-                self.issue(Op::LockRelease(info.id)).await;
-                if info.occ {
-                    self.issue(Op::Coh(CohInstr::inv_l2(Target::All))).await;
-                }
-            }
+        self.issue_coh(cfg.sync_wb(SyncData::All)).await;
+        self.issue(Op::LockRelease(info.id)).await;
+        if info.occ {
+            self.issue_coh(cfg.sync_inv(SyncData::All)).await;
         }
     }
 
@@ -473,13 +424,7 @@ impl ThreadCtx {
     /// first so the waiter sees everything written before the set
     /// (§IV-A1, Figure 4c); with `raw: true` the set only orders.
     pub async fn flag_set_opts(&self, f: FlagId, opts: FlagOpts) {
-        if !opts.raw && !self.coherent() {
-            let instr = match self.shared().config.scheme() {
-                Scheme::Inter(_) => CohInstr::wb_l3(Target::All),
-                _ => CohInstr::wb_all(),
-            };
-            self.issue(Op::Coh(instr)).await;
-        }
+        self.issue_coh(self.config().sync_wb(opts.carried())).await;
         self.issue(Op::FlagSet(f.0)).await;
     }
 
@@ -488,13 +433,7 @@ impl ThreadCtx {
     /// data; with `raw: true` the wait only orders.
     pub async fn flag_wait_opts(&self, f: FlagId, opts: FlagOpts) {
         self.issue(Op::FlagWait(f.0)).await;
-        if !opts.raw && !self.coherent() {
-            let instr = match self.shared().config.scheme() {
-                Scheme::Inter(_) => CohInstr::inv_l2(Target::All),
-                _ => CohInstr::inv_all(),
-            };
-            self.issue(Op::Coh(instr)).await;
-        }
+        self.issue_coh(self.config().sync_inv(opts.carried())).await;
     }
 
     /// Set a condition flag with the default annotations. Sugar for
@@ -529,42 +468,8 @@ impl ThreadCtx {
             Some(o) => o.wb_at(self.tid, site).unwrap_or(plan),
             None => plan,
         };
-        self.plan_wb_ops(plan).await;
-    }
-
-    async fn plan_wb_ops(&self, plan: &EpochPlan) {
-        if self.coherent() {
-            return;
-        }
-        match self.shared().config.scheme() {
-            Scheme::Inter(InterConfig::Base) => {
-                self.issue(Op::Coh(CohInstr::wb_l3(Target::All))).await;
-            }
-            Scheme::Inter(InterConfig::Addr) => {
-                for op in &plan.wb {
-                    self.issue(Op::Coh(CohInstr::wb_l3(Target::range(op.region))))
-                        .await;
-                }
-            }
-            Scheme::Inter(InterConfig::AddrL) => {
-                for op in &plan.wb {
-                    let t = Target::range(op.region);
-                    let instr = match op.peer {
-                        Some(peer) => CohInstr::wb_cons(t, peer),
-                        None => CohInstr::wb_l3(t),
-                    };
-                    self.issue(Op::Coh(instr)).await;
-                }
-            }
-            _ => {
-                // Model-2 programs can also run on the single-block
-                // machine; everything is local there.
-                for op in &plan.wb {
-                    self.issue(Op::Coh(CohInstr::wb(Target::range(op.region))))
-                        .await;
-                }
-            }
-        }
+        self.issue_coh(self.config().plan_wb(plan).map(|(_, instr)| instr))
+            .await;
     }
 
     /// Execute the invalidation half of an epoch plan (call at the *start*
@@ -577,40 +482,8 @@ impl ThreadCtx {
             Some(o) => o.inv_at(self.tid, site).unwrap_or(plan),
             None => plan,
         };
-        self.plan_inv_ops(plan).await;
-    }
-
-    async fn plan_inv_ops(&self, plan: &EpochPlan) {
-        if self.coherent() {
-            return;
-        }
-        match self.shared().config.scheme() {
-            Scheme::Inter(InterConfig::Base) => {
-                self.issue(Op::Coh(CohInstr::inv_l2(Target::All))).await;
-            }
-            Scheme::Inter(InterConfig::Addr) => {
-                for op in &plan.inv {
-                    self.issue(Op::Coh(CohInstr::inv_l2(Target::range(op.region))))
-                        .await;
-                }
-            }
-            Scheme::Inter(InterConfig::AddrL) => {
-                for op in &plan.inv {
-                    let t = Target::range(op.region);
-                    let instr = match op.peer {
-                        Some(peer) => CohInstr::inv_prod(t, peer),
-                        None => CohInstr::inv_l2(t),
-                    };
-                    self.issue(Op::Coh(instr)).await;
-                }
-            }
-            _ => {
-                for op in &plan.inv {
-                    self.issue(Op::Coh(CohInstr::inv(Target::range(op.region))))
-                        .await;
-                }
-            }
-        }
+        self.issue_coh(self.config().plan_inv(plan).map(|(_, instr)| instr))
+            .await;
     }
 
     /// An inter-block barrier *without* implicit global data movement:

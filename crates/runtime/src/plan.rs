@@ -4,8 +4,10 @@
 //! produces, for each thread and each epoch boundary, the list of regions
 //! it must write back (with the consuming thread, when known) and the
 //! regions it must self-invalidate (with the producing thread, when
-//! known). The `ThreadCtx` translates the plan into the right WB/INV
-//! flavor for the active configuration:
+//! known). [`Config::plan_wb`](crate::Config::plan_wb) /
+//! [`Config::plan_inv`](crate::Config::plan_inv) translate the plan into
+//! the right WB/INV flavor for the active configuration, for
+//! `ThreadCtx` and `hic-lint` alike:
 //!
 //! * `Base` ignores the plan and uses global `WB ALL` / `INV ALL`;
 //! * `Addr` uses the regions but always goes global (`WB_L3`, `INV_L2`);

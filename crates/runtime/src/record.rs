@@ -4,10 +4,15 @@
 //! per thread, the ordered sequence of epoch-level events — region read /
 //! write summaries, the `EpochPlan` passed to each `plan_wb` / `plan_inv`
 //! call site, and the synchronization operations (barriers with their
-//! carried [`SyncData`](crate::SyncData) halves, flag sets / waits /
+//! carried [`SyncData`] halves, flag sets / waits /
 //! clears). `hic-lint` consumes the record to prove WB/INV sufficiency
 //! and to compute minimized [`PlanOverrides`](crate::PlanOverrides) the
 //! runtime swaps in at the same call sites.
+//!
+//! A record speaks the run's vocabulary: a [`RecSync`] lends itself as a
+//! `SyncData`, so `hic-lint` lowers each event through the same
+//! [`Config`] functions `ThreadCtx` issues from ([`Config::sync_wb`],
+//! [`Config::plan_wb`], ...), not through a copy of their rules.
 //!
 //! The record's event order per thread must match the program's dynamic
 //! order, and in particular the number and order of `plan_wb` /
@@ -19,7 +24,7 @@
 use hic_mem::{Region, WordAddr};
 
 use crate::config::Config;
-use crate::ctx::{BarrierId, FlagId};
+use crate::ctx::{BarrierId, FlagId, SyncData};
 use crate::plan::EpochPlan;
 
 /// Owned mirror of [`crate::SyncData`]: what one side of a sync op moves.
@@ -31,6 +36,16 @@ pub enum RecSync {
     None,
     /// Only these regions.
     Regions(Vec<Region>),
+}
+
+impl<'a> From<&'a RecSync> for SyncData<'a> {
+    fn from(s: &'a RecSync) -> SyncData<'a> {
+        match s {
+            RecSync::All => SyncData::All,
+            RecSync::None => SyncData::None,
+            RecSync::Regions(rs) => SyncData::Regions(rs),
+        }
+    }
 }
 
 /// One recorded per-thread event.
@@ -142,6 +157,19 @@ impl ProgramRecord {
     /// Total events across all threads.
     pub fn num_events(&self) -> usize {
         self.threads.iter().map(Vec::len).sum()
+    }
+
+    /// Total planned WB/INV ops across every plan call site.
+    pub fn num_plan_ops(&self) -> usize {
+        self.threads
+            .iter()
+            .flatten()
+            .map(|ev| match ev {
+                RecEvent::PlanWb(p) => p.wb.len(),
+                RecEvent::PlanInv(p) => p.inv.len(),
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Every planned WB/INV op in the record, in (thread, program-order)
