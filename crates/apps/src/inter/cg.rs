@@ -175,7 +175,20 @@ impl Cg {
                     .collect()
             })
             .collect();
-        let inv_plans = inspect_indirect(&reads_by_thread, chunks, pvr);
+        let plans = inspect_indirect(&reads_by_thread, chunks, pvr)
+            .into_iter()
+            .enumerate()
+            .map(|(t, inv_p)| {
+                let (lo, hi) = chunks.range(t);
+                let wb = |r: Region| EpochPlan::new().with_wb(CommOp::unknown(r));
+                CgPlans {
+                    inv_p,
+                    wb_partial: wb(partials.slice(t as u64, t as u64 + 1)),
+                    wb_p: wb(pvr.slice(lo, hi)),
+                    wb_x: wb(xv.slice(lo, hi)),
+                }
+            })
+            .collect();
         (
             p,
             CgSetup {
@@ -194,7 +207,10 @@ impl Cg {
                 partials,
                 bar,
                 reads_by_thread,
-                inv_plans,
+                plans,
+                inv_partials: EpochPlan::new().with_inv(CommOp::unknown(partials)),
+                wb_scalars: EpochPlan::new().with_wb(CommOp::unknown(scalars)),
+                inv_scalars: EpochPlan::new().with_inv(CommOp::unknown(scalars)),
             },
         )
     }
@@ -217,7 +233,28 @@ struct CgSetup {
     partials: Region,
     bar: BarrierId,
     reads_by_thread: Vec<Vec<u64>>,
-    inv_plans: Vec<EpochPlan>,
+    /// Per thread: its own epoch plans.
+    plans: Vec<CgPlans>,
+    /// Thread 0 invalidates every dot partial before combining them.
+    inv_partials: EpochPlan,
+    /// Thread 0 publishes the scalars it computed.
+    wb_scalars: EpochPlan,
+    /// Every thread invalidates the scalars before reading alpha/beta.
+    inv_scalars: EpochPlan,
+}
+
+/// One thread's epoch plans, built once by [`Cg::setup`]: the record
+/// declares exactly the plans the kernel issues.
+struct CgPlans {
+    /// The inspector's targeted INV of the remotely produced `p`
+    /// elements this thread reads.
+    inv_p: EpochPlan,
+    /// Publish this thread's dot partial (a reduction: global scope).
+    wb_partial: EpochPlan,
+    /// Publish this thread's chunk of `p` for the next matvec.
+    wb_p: EpochPlan,
+    /// Publish this thread's chunk of `x` for the host verifier.
+    wb_x: EpochPlan,
 }
 
 /// Maximal contiguous runs of a (possibly unsorted, duplicated) element
@@ -263,13 +300,8 @@ impl App for Cg {
             );
             let my_chunk = |r: Region| r.slice(lo, hi);
             let my_partial = s.partials.slice(t as u64, t as u64 + 1);
-            let wb_partial = EpochPlan::new().with_wb(CommOp::unknown(my_partial));
-            let inv_partials = EpochPlan::new().with_inv(CommOp::unknown(s.partials));
-            let wb_scalars = EpochPlan::new().with_wb(CommOp::unknown(s.scalars));
-            let scalar_inv = EpochPlan::new().with_inv(CommOp::unknown(s.scalars));
-            let wb_p = EpochPlan::new().with_wb(CommOp::unknown(my_chunk(s.pvr)));
+            let plans = &s.plans[t];
             let pvr_runs = element_runs(&s.reads_by_thread[t]);
-            let my_inv = s.inv_plans[t].clone();
             let mut th = rec.thread(t);
 
             // dot(a, b) as the closure records it: partials written and
@@ -278,9 +310,9 @@ impl App for Cg {
                 ($a:expr, $b:expr) => {
                     th.reads(my_chunk($a)).reads(my_chunk($b));
                     th.writes(my_partial);
-                    th.plan_wb(&wb_partial).plan_barrier(s.bar);
+                    th.plan_wb(&plans.wb_partial).plan_barrier(s.bar);
                     if t == 0 {
-                        th.plan_inv(&inv_partials);
+                        th.plan_inv(&s.inv_partials);
                         th.reads(s.partials);
                         th.writes(s.scalars.slice(0, 1));
                     }
@@ -298,13 +330,13 @@ impl App for Cg {
             if t == 0 {
                 th.reads(s.scalars.slice(0, 1));
                 th.writes(s.scalars.slice(1, 2));
-                th.plan_wb(&wb_scalars);
+                th.plan_wb(&s.wb_scalars);
             }
             th.plan_barrier(s.bar);
 
             for _ in 0..iters {
                 // q = A p over own rows, p consumed through indirection.
-                th.plan_inv(&my_inv);
+                th.plan_inv(&plans.inv_p);
                 th.reads(s.rowptr.slice(lo, hi + 1));
                 th.reads(s.colr.slice(jlo, jhi));
                 th.reads(s.valr.slice(jlo, jhi));
@@ -320,10 +352,10 @@ impl App for Cg {
                 if t == 0 {
                     th.reads(s.scalars.slice(0, 2));
                     th.writes(s.scalars.slice(2, 3));
-                    th.plan_wb(&wb_scalars);
+                    th.plan_wb(&s.wb_scalars);
                 }
                 th.plan_barrier(s.bar);
-                th.plan_inv(&scalar_inv);
+                th.plan_inv(&s.inv_scalars);
                 th.reads(s.scalars.slice(2, 3));
 
                 // x += alpha p; r -= alpha q (own chunks).
@@ -340,19 +372,19 @@ impl App for Cg {
                     th.reads(s.scalars.slice(0, 2));
                     th.writes(s.scalars.slice(3, 4));
                     th.writes(s.scalars.slice(1, 2));
-                    th.plan_wb(&wb_scalars);
+                    th.plan_wb(&s.wb_scalars);
                 }
                 th.plan_barrier(s.bar);
-                th.plan_inv(&scalar_inv);
+                th.plan_inv(&s.inv_scalars);
                 th.reads(s.scalars.slice(3, 4));
 
                 // p = r + beta p (own chunk).
                 th.reads(my_chunk(s.rv)).reads(my_chunk(s.pvr));
                 th.writes(my_chunk(s.pvr));
-                th.plan_wb(&wb_p).plan_barrier(s.bar);
+                th.plan_wb(&plans.wb_p).plan_barrier(s.bar);
             }
             // Final: publish x for the host verifier.
-            th.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(my_chunk(s.xv))));
+            th.plan_wb(&plans.wb_x);
             th.plan_barrier(s.bar);
         }
         Some(rec)
@@ -380,7 +412,10 @@ impl App for Cg {
             partials,
             bar,
             reads_by_thread: _,
-            inv_plans,
+            plans,
+            inv_partials,
+            wb_scalars,
+            inv_scalars,
         } = s;
         let nnz = m.col.len();
 
@@ -402,16 +437,11 @@ impl App for Cg {
             }
             ctx.epoch_boundary(bar, &EpochPlan::new()).await;
 
-            // Per-thread epoch plans.
-            let my_inv = &inv_plans[t];
-            let my_p_chunk = pvr.slice(lo as u64, hi as u64);
-            let wb_p = EpochPlan::new().with_wb(CommOp::unknown(my_p_chunk));
-            let scalar_inv = EpochPlan::new().with_inv(CommOp::unknown(scalars));
+            let plans = &plans[t];
 
             // dot(a, b): per-thread partials combined serially by thread
             // 0, the usual translation of an OpenMP reduction clause. The
             // combine order is thread order, which the host mirrors.
-            let my_partial = partials.slice(t as u64, t as u64 + 1);
             let dot = async |a: hic_mem::Region, b: hic_mem::Region| {
                 let mut s = 0.0f32;
                 for i in lo..hi {
@@ -421,12 +451,10 @@ impl App for Cg {
                 ctx.write_f32(partials, t as u64, s).await;
                 // Reduction: consumers of partials cannot be ordered
                 // against the producers, so the writeback goes global.
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(my_partial)))
-                    .await;
+                ctx.plan_wb(&plans.wb_partial).await;
                 ctx.plan_barrier(bar).await;
                 if t == 0 {
-                    ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(partials)))
-                        .await;
+                    ctx.plan_inv(&inv_partials).await;
                     let mut total = 0.0f32;
                     for tt in 0..ctx.nthreads() as u64 {
                         total += ctx.read_f32(partials, tt).await;
@@ -441,8 +469,7 @@ impl App for Cg {
             if t == 0 {
                 let rsold = ctx.read_f32(scalars, 0).await;
                 ctx.write_f32(scalars, 1, rsold).await;
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)))
-                    .await;
+                ctx.plan_wb(&wb_scalars).await;
             }
             ctx.plan_barrier(bar).await;
 
@@ -450,7 +477,7 @@ impl App for Cg {
                 // q = A p over own rows; p consumed through indirection:
                 // the executor invalidates exactly the remotely-produced
                 // elements the inspector found (INV_PROD under Addr+L).
-                ctx.plan_inv(my_inv).await;
+                ctx.plan_inv(&plans.inv_p).await;
                 for i in lo..hi {
                     let jl = ctx.read(rowptr, i as u64).await;
                     let jh = ctx.read(rowptr, i as u64 + 1).await;
@@ -474,11 +501,10 @@ impl App for Cg {
                     let pq = ctx.read_f32(scalars, 0).await;
                     let rsold = ctx.read_f32(scalars, 1).await;
                     ctx.write_f32(scalars, 2, rsold / pq).await;
-                    ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)))
-                        .await;
+                    ctx.plan_wb(&wb_scalars).await;
                 }
                 ctx.plan_barrier(bar).await;
-                ctx.plan_inv(&scalar_inv).await;
+                ctx.plan_inv(&inv_scalars).await;
                 let alpha = ctx.read_f32(scalars, 2).await;
 
                 // x += alpha p; r -= alpha q (own chunks, no comm).
@@ -500,11 +526,10 @@ impl App for Cg {
                     let rsold = ctx.read_f32(scalars, 1).await;
                     ctx.write_f32(scalars, 3, rsnew / rsold).await;
                     ctx.write_f32(scalars, 1, rsnew).await;
-                    ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(scalars)))
-                        .await;
+                    ctx.plan_wb(&wb_scalars).await;
                 }
                 ctx.plan_barrier(bar).await;
-                ctx.plan_inv(&scalar_inv).await;
+                ctx.plan_inv(&inv_scalars).await;
                 let beta = ctx.read_f32(scalars, 3).await;
 
                 // p = r + beta p (own chunk): p is the next matvec's
@@ -516,12 +541,11 @@ impl App for Cg {
                     ctx.write_f32(pvr, i as u64, np).await;
                     ctx.tick(3);
                 }
-                ctx.plan_wb(&wb_p).await;
+                ctx.plan_wb(&plans.wb_p).await;
                 ctx.plan_barrier(bar).await;
             }
             // Final: write back x so the verifier sees it.
-            ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(xv.slice(lo as u64, hi as u64))))
-                .await;
+            ctx.plan_wb(&plans.wb_x).await;
             ctx.plan_barrier(bar).await;
         });
 

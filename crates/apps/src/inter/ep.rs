@@ -199,6 +199,24 @@ impl EpHier {
         let global = p.alloc_named("global", BINS as u64);
         let block_bars: Vec<_> = (0..nblocks).map(|_| p.barrier_of(cpb)).collect();
         let bar = p.barrier();
+        let bins = BINS as u64;
+        let plans = (0..nthreads)
+            .map(|t| {
+                let block = t / cpb;
+                let leader = block * cpb;
+                let mine = partials.slice(t as u64 * bins, (t as u64 + 1) * bins);
+                let all = partials.slice(
+                    (block * cpb) as u64 * bins,
+                    ((block + 1) * cpb) as u64 * bins,
+                );
+                let mine_bs = block_sums.slice(block as u64 * bins, (block as u64 + 1) * bins);
+                EpHierPlans {
+                    publish: EpochPlan::new().with_wb(CommOp::known(mine, ThreadId(leader))),
+                    gather_block: EpochPlan::new().with_inv(CommOp::unknown(all)),
+                    publish_block: EpochPlan::new().with_wb(CommOp::known(mine_bs, ThreadId(0))),
+                }
+            })
+            .collect();
         (
             p,
             EpHierSetup {
@@ -210,6 +228,9 @@ impl EpHier {
                 global,
                 block_bars,
                 bar,
+                plans,
+                gather_global: EpochPlan::new().with_inv(CommOp::unknown(block_sums)),
+                publish_global: EpochPlan::new().with_wb(CommOp::unknown(global)),
             },
         )
     }
@@ -225,6 +246,23 @@ struct EpHierSetup {
     global: hic_mem::Region,
     block_bars: Vec<BarrierId>,
     bar: BarrierId,
+    /// Per thread: its epoch plans (the block ones only a leader issues).
+    plans: Vec<EpHierPlans>,
+    /// Thread 0 invalidates the block sums before combining them.
+    gather_global: EpochPlan,
+    /// Thread 0 publishes the global result.
+    publish_global: EpochPlan,
+}
+
+/// One thread's epoch plans, built once by [`EpHier::setup`]: the record
+/// declares exactly the plans the kernel issues.
+struct EpHierPlans {
+    /// Publish this thread's partials to its block leader.
+    publish: EpochPlan,
+    /// A leader invalidates its block's partials before combining them.
+    gather_block: EpochPlan,
+    /// A leader publishes its block sum to thread 0.
+    publish_block: EpochPlan,
 }
 
 impl App for EpHier {
@@ -248,11 +286,12 @@ impl App for EpHier {
         for t in 0..s.nthreads {
             let block = t / s.cpb;
             let leader = block * s.cpb;
+            let plans = &s.plans[t];
             let mine = s.partials.slice(t as u64 * bins, (t as u64 + 1) * bins);
             let mut th = rec.thread(t);
             // Level 1: publish partials to the block leader.
             th.writes(mine);
-            th.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ThreadId(leader))));
+            th.plan_wb(&plans.publish);
             th.plan_barrier(s.block_bars[block]);
             // Level 2: leaders combine their block, publish globally.
             if t == leader {
@@ -260,21 +299,21 @@ impl App for EpHier {
                     (block * s.cpb) as u64 * bins,
                     ((block + 1) * s.cpb) as u64 * bins,
                 );
-                th.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(all)));
+                th.plan_inv(&plans.gather_block);
                 th.reads(all);
                 let mine_bs = s
                     .block_sums
                     .slice(block as u64 * bins, (block as u64 + 1) * bins);
                 th.writes(mine_bs);
-                th.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine_bs, ThreadId(0))));
+                th.plan_wb(&plans.publish_block);
             }
             th.plan_barrier(s.bar);
             // Level 3: thread 0 combines the block sums.
             if t == 0 {
-                th.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(s.block_sums)));
+                th.plan_inv(&s.gather_global);
                 th.reads(s.block_sums);
                 th.writes(s.global);
-                th.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(s.global)));
+                th.plan_wb(&s.publish_global);
             }
             th.plan_barrier(s.bar);
         }
@@ -295,33 +334,30 @@ impl App for EpHier {
             global,
             block_bars,
             bar,
+            plans,
+            gather_global,
+            publish_global,
         } = s;
 
         let out = p.run_tasks(nthreads, async move |ctx| {
             let t = ctx.tid();
             let block = t / cpb;
             let leader = block * cpb;
+            let plans = &plans[t];
             let (sx, sy, q) = Ep::host_thread(t, pairs);
             let _ = (sx, sy);
             ctx.tick(pairs as u64 * 18);
             // Level 1: publish partials to the block leader — a known
             // producer-consumer pair in the same block, so WB_CONS stays
             // local under Addr+L.
-            let mine = partials.slice((t * BINS) as u64, ((t + 1) * BINS) as u64);
             for (b, qb) in q.iter().enumerate() {
                 ctx.write(partials, (t * BINS + b) as u64, *qb).await;
             }
-            ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ctx.thread(leader))))
-                .await;
+            ctx.plan_wb(&plans.publish).await;
             ctx.plan_barrier(block_bars[block]).await;
             // Level 2: leaders combine their block, publish globally.
             if t == leader {
-                let all = partials.slice(
-                    (block * cpb * BINS) as u64,
-                    ((block + 1) * cpb * BINS) as u64,
-                );
-                ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(all)))
-                    .await;
+                ctx.plan_inv(&plans.gather_block).await;
                 let mut sums = [0u32; BINS];
                 for local in 0..cpb {
                     for (b, s) in sums.iter_mut().enumerate() {
@@ -333,15 +369,12 @@ impl App for EpHier {
                 for (b, s) in sums.iter().enumerate() {
                     ctx.write(block_sums, (block * BINS + b) as u64, *s).await;
                 }
-                let mine = block_sums.slice((block * BINS) as u64, ((block + 1) * BINS) as u64);
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::known(mine, ctx.thread(0))))
-                    .await;
+                ctx.plan_wb(&plans.publish_block).await;
             }
             ctx.plan_barrier(bar).await;
             // Level 3: thread 0 combines the block sums.
             if t == 0 {
-                ctx.plan_inv(&EpochPlan::new().with_inv(CommOp::unknown(block_sums)))
-                    .await;
+                ctx.plan_inv(&gather_global).await;
                 for b in 0..BINS {
                     let mut s = 0u32;
                     for blk in 0..nblocks {
@@ -349,8 +382,7 @@ impl App for EpHier {
                     }
                     ctx.write(global, b as u64, s).await;
                 }
-                ctx.plan_wb(&EpochPlan::new().with_wb(CommOp::unknown(global)))
-                    .await;
+                ctx.plan_wb(&publish_global).await;
             }
             ctx.plan_barrier(bar).await;
         });

@@ -140,6 +140,18 @@ impl Jacobi {
         };
         let plans = Analyzer::new(&program, nthreads).analyze();
         let chunks = Chunks::new(interior, nthreads);
+        // The final writeback each thread posts for verification: its
+        // band of `ga` (only threads with a non-empty band).
+        let final_wb = (0..nthreads)
+            .map(|t| {
+                let (ilo, ihi) = chunks.range(t);
+                (ihi > ilo).then(|| {
+                    let c = c as u64;
+                    EpochPlan::new()
+                        .with_wb(CommOp::unknown(ga.slice((ilo + 1) * c, (ihi + 1) * c)))
+                })
+            })
+            .collect();
         (
             p,
             JacobiSetup {
@@ -148,22 +160,10 @@ impl Jacobi {
                 gb,
                 bar,
                 plans,
+                final_wb,
                 chunks,
             },
         )
-    }
-
-    /// The final-writeback plan thread `t` posts for verification (only
-    /// threads with a non-empty band).
-    fn final_wb(&self, s: &JacobiSetup, t: usize) -> Option<EpochPlan> {
-        let (ilo, ihi) = s.chunks.range(t);
-        if ihi <= ilo {
-            return None;
-        }
-        let c = self.cols as u64;
-        let lo_w = (ilo + 1) * c;
-        let hi_w = (ihi + 1) * c;
-        Some(EpochPlan::new().with_wb(CommOp::unknown(s.ga.slice(lo_w, hi_w))))
     }
 }
 
@@ -174,6 +174,8 @@ struct JacobiSetup {
     gb: Region,
     bar: BarrierId,
     plans: NodePlans,
+    /// Per thread: the final writeback of its band, if it has one.
+    final_wb: Vec<Option<EpochPlan>>,
     chunks: Chunks,
 }
 
@@ -197,7 +199,6 @@ impl App for Jacobi {
         rec.host_reads(s.ga);
         for t in 0..s.nthreads {
             let (ilo, ihi) = s.chunks.range(t);
-            let final_wb = self.final_wb(&s, t);
             let mut th = rec.thread(t);
             let grids = [s.ga, s.gb];
             for _ in 0..iters {
@@ -216,7 +217,7 @@ impl App for Jacobi {
                     th.plan_barrier(s.bar);
                 }
             }
-            if let Some(wb) = &final_wb {
+            if let Some(wb) = &s.final_wb[t] {
                 th.plan_wb(wb);
             }
             th.plan_barrier(s.bar);
@@ -235,6 +236,7 @@ impl App for Jacobi {
             gb,
             bar,
             plans,
+            final_wb,
             chunks,
         } = s;
 
@@ -267,14 +269,8 @@ impl App for Jacobi {
                 }
             }
             // Post the final grid for verification.
-            if ihi > ilo {
-                let lo_w = ((ilo as usize + 1) * c) as u64;
-                let hi_w = ((ihi as usize + 1) * c) as u64;
-                ctx.plan_wb(
-                    &hic_runtime::EpochPlan::new()
-                        .with_wb(hic_runtime::CommOp::unknown(ga.slice(lo_w, hi_w))),
-                )
-                .await;
+            if let Some(wb) = &final_wb[t] {
+                ctx.plan_wb(wb).await;
             }
             ctx.plan_barrier(bar).await;
         });

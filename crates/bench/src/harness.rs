@@ -11,17 +11,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Default time budget per benchmark (after warm-up). Override with
-/// `HIC_BENCH_BUDGET_MS` (CI smoke jobs set a small value).
+/// Time budget per benchmark (after warm-up).
 const BUDGET: Duration = Duration::from_millis(1000);
-
-fn budget() -> Duration {
-    match hic_runtime::request::env::bench_budget_ms() {
-        Ok(Some(ms)) => Duration::from_millis(ms),
-        Ok(None) => BUDGET,
-        Err(e) => panic!("{e}"),
-    }
-}
 /// Iteration caps: at least MIN (for stable means), at most MAX (so a
 /// nanosecond-scale routine doesn't spin the budget away on clock reads).
 const MIN_ITERS: u64 = 5;
@@ -83,10 +74,9 @@ pub fn bench_with_setup<S, T>(
     for _ in 0..WARMUP {
         black_box(routine(setup()));
     }
-    let budget = budget();
     let mut iters = 0u64;
     let mut total = Duration::ZERO;
-    while (total < budget || iters < MIN_ITERS) && iters < MAX_ITERS {
+    while (total < BUDGET || iters < MIN_ITERS) && iters < MAX_ITERS {
         let input = setup();
         let start = Instant::now();
         black_box(routine(input));

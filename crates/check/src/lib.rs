@@ -79,14 +79,21 @@ pub enum CheckMode {
 }
 
 impl CheckMode {
-    /// Parse the `HIC_CHECK` environment-variable convention.
-    pub fn parse(s: &str) -> Option<CheckMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "0" | "" => Some(CheckMode::Off),
-            "report" => Some(CheckMode::Report),
-            "strict" | "1" | "on" => Some(CheckMode::Strict),
-            _ => None,
+    /// The canonical lower-case name: `off`, `report` or `strict`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckMode::Off => "off",
+            CheckMode::Report => "report",
+            CheckMode::Strict => "strict",
         }
+    }
+
+    /// The mode [`CheckMode::name`] gives `s`, if any: the exact inverse,
+    /// with no aliases.
+    pub fn parse(s: &str) -> Option<CheckMode> {
+        [CheckMode::Off, CheckMode::Report, CheckMode::Strict]
+            .into_iter()
+            .find(|m| m.name() == s)
     }
 }
 
@@ -652,6 +659,16 @@ mod tests {
     /// block 1.
     fn checker() -> Checker {
         Checker::new(CheckMode::Report, 4, 2)
+    }
+
+    #[test]
+    fn mode_names_round_trip_exactly() {
+        for m in [CheckMode::Off, CheckMode::Report, CheckMode::Strict] {
+            assert_eq!(CheckMode::parse(m.name()), Some(m));
+        }
+        for alias in ["", "0", "1", "on", "Strict", " report"] {
+            assert_eq!(CheckMode::parse(alias), None, "{alias:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! of cache lines overlapping its target; per-word dirty bits guarantee the
 //! expansion never destroys co-located updates.
 
-use hic_mem::addr::{Addr, Region, WORD_BYTES};
+use hic_mem::addr::{Addr, Region};
 use hic_mem::{LineAddr, WordAddr};
 use hic_sim::ThreadId;
 
@@ -246,13 +246,6 @@ impl CohInstr {
             }
         }
     }
-}
-
-/// A region covering `n` words starting at byte address `a` — helper for
-/// building range-flavored instructions from raw addresses.
-pub fn range_of(a: Addr, words: u64) -> Region {
-    assert_eq!(a.0 % WORD_BYTES, 0, "range base must be word aligned");
-    Region::new(a.word(), words)
 }
 
 #[cfg(test)]

@@ -125,11 +125,11 @@ impl FaultPlan {
         }
     }
 
-    /// The canned recoverable plan used by the `HIC_FAULTS=<seed>` env
-    /// knob: timing faults plus clean-line bit flips. Every fault in it
+    /// The canned recoverable plan a request's `FaultSpec::Recoverable`
+    /// names: timing faults plus clean-line bit flips. Every fault in it
     /// is recoverable, so any race-free program must still produce
     /// bit-identical readable memory (and stay finding-free under
-    /// `HIC_CHECK=strict`).
+    /// `CheckMode::Strict`).
     pub fn from_seed(seed: u64) -> FaultPlan {
         FaultPlan {
             flip_period: 400,

@@ -28,19 +28,6 @@ use hic_sim::{CoreId, MachineConfig};
 
 use crate::incoherent::{IncCounters, IncoherentSystem};
 
-/// Which family of memory system a backend implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Software-managed (WB/INV) incoherent hierarchy.
-    Incoherent,
-    /// Hardware-coherent invalidation-based directory MESI.
-    Coherent,
-    /// Hardware-coherent update-based directory Dragon.
-    CoherentUpdate,
-    /// Flat always-fresh reference store (correctness oracle).
-    Reference,
-}
-
 /// A memory system the [`crate::Machine`] can drive.
 ///
 /// All timed operations return latencies in cycles; the machine charges
@@ -48,9 +35,6 @@ pub enum BackendKind {
 /// Implementations must be deterministic: the same operation sequence
 /// must produce the same latencies, traffic, and values on every run.
 pub trait MemBackend: Send {
-    /// The backend family (drives config-dependent runtime behavior).
-    fn kind(&self) -> BackendKind;
-
     /// Timed load: `(value, latency)`.
     fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64);
 
@@ -141,10 +125,6 @@ pub trait MemBackend: Send {
 }
 
 impl MemBackend for IncoherentSystem {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Incoherent
-    }
-
     fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64) {
         let r = IncoherentSystem::read(self, c, w);
         if let Some(chk) = self.checker.as_deref_mut() {
@@ -245,10 +225,6 @@ impl MemBackend for IncoherentSystem {
 }
 
 impl MemBackend for MesiSystem {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Coherent
-    }
-
     fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64) {
         MesiSystem::read(self, c, w)
     }
@@ -291,10 +267,6 @@ impl MemBackend for MesiSystem {
 }
 
 impl MemBackend for DragonSystem {
-    fn kind(&self) -> BackendKind {
-        BackendKind::CoherentUpdate
-    }
-
     fn read(&mut self, c: CoreId, w: WordAddr) -> (Word, u64) {
         DragonSystem::read(self, c, w)
     }
@@ -364,10 +336,6 @@ impl RefBackend {
 }
 
 impl MemBackend for RefBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Reference
-    }
-
     fn read(&mut self, _c: CoreId, w: WordAddr) -> (Word, u64) {
         (self.mem.read_word(w), self.access_rt)
     }
@@ -425,14 +393,6 @@ mod tests {
         assert_eq!(lat, 0);
         assert!(is_wb);
         assert_eq!(b.peek_word(w), 7);
-    }
-
-    #[test]
-    fn backends_report_their_kind() {
-        let cfg = MachineConfig::intra_block();
-        assert_eq!(IncoherentSystem::new(cfg).kind(), BackendKind::Incoherent);
-        assert_eq!(MesiSystem::new(cfg).kind(), BackendKind::Coherent);
-        assert_eq!(RefBackend::new(&cfg).kind(), BackendKind::Reference);
     }
 
     #[test]

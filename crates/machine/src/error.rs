@@ -28,11 +28,11 @@ pub enum RunError {
     /// An injected bit flip corrupted a cache line holding dirty words.
     /// The dirty data exists nowhere else in the hierarchy, so the run
     /// cannot silently produce wrong answers — it fails instead. With
-    /// epoch-checkpoint rollback recovery (`FaultPlan::recover`, the
-    /// `HIC_RECOVER` knob) the corruption is repaired by restore +
-    /// replay and this error is reachable only on recovery-disabled
-    /// runs or when a second upset strikes the same line during its own
-    /// replay window.
+    /// epoch-checkpoint rollback recovery (`FaultPlan::recover`, a
+    /// request's `FaultSpec::CorruptingRecover`) the corruption is
+    /// repaired by restore + replay and this error is reachable only on
+    /// recovery-disabled runs or when a second upset strikes the same
+    /// line during its own replay window.
     CorruptDirtyLine { detail: String },
     /// The incoherence sanitizer (`hic-check`) latched a fatal finding
     /// under `CheckMode::Strict`. The message is the rendered finding

@@ -880,17 +880,6 @@ impl IncoherentSystem {
         self.mem.read_word(w)
     }
 
-    /// The value core `c` would load right now (stale or not), without
-    /// timing. Used by staleness tests.
-    pub fn peek_local(&self, c: CoreId, w: WordAddr) -> Word {
-        let line = w.line();
-        let idx = w.index_in_line();
-        if let Some(v) = self.l1[c.0].view(line) {
-            return v.data[idx];
-        }
-        self.peek_word(w)
-    }
-
     /// Write a word directly to memory, dropping every cached copy.
     /// For test setup only.
     pub fn poke_word(&mut self, w: WordAddr, v: Word) {

@@ -24,7 +24,7 @@ pub mod machine;
 pub mod ops;
 pub mod trace;
 
-pub use backend::{BackendKind, MemBackend, RefBackend};
+pub use backend::{MemBackend, RefBackend};
 pub use error::RunError;
 pub use hic_fault::{FaultPlan, ResilienceStats};
 pub use hic_noc::TrafficLedger;

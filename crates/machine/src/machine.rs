@@ -246,14 +246,6 @@ impl Machine {
         &*self.backend
     }
 
-    pub fn backend_mut(&mut self) -> &mut dyn MemBackend {
-        &mut *self.backend
-    }
-
-    pub fn sync_mut(&mut self) -> &mut SyncController {
-        &mut self.sync
-    }
-
     /// Declare sync variables (runtime setup).
     pub fn alloc_barrier(&mut self, participants: usize) -> SyncId {
         self.sync.alloc_barrier(participants)
@@ -651,7 +643,6 @@ impl Machine {
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("backend", &self.backend.kind())
             .field("cores", &self.cfg.num_cores())
             .field("parked", &self.parked.len())
             .finish()

@@ -54,11 +54,6 @@ impl BumpAllocator {
         self.next_word = base + words;
         Region::new(WordAddr(base), words)
     }
-
-    /// Total words allocated so far (high-water mark).
-    pub fn allocated_words(&self) -> u64 {
-        self.next_word
-    }
 }
 
 #[cfg(test)]

@@ -77,20 +77,7 @@ impl ProgramBuilder {
         } else {
             Machine::incoherent(mc)
         };
-        ProgramBuilder {
-            config,
-            machine,
-            alloc: BumpAllocator::new(),
-            locks: Vec::new(),
-            scheduler: Scheduler::Default,
-            check: CheckMode::Off,
-            regions: Vec::new(),
-            barriers: Vec::new(),
-            overrides: None,
-            fault: None,
-            watchdog_cycles: None,
-            watchdog_wall_ms: None,
-        }
+        Self::with_machine(config, machine)
     }
 
     /// Create a builder whose machine is the flat always-fresh reference
@@ -100,7 +87,11 @@ impl ProgramBuilder {
     /// and can never serve a stale value. Property tests use this as the
     /// correctness oracle for cache-backed runs.
     pub fn with_reference_backend(config: Config) -> ProgramBuilder {
-        let machine = Machine::reference(config.machine_config());
+        Self::with_machine(config, Machine::reference(config.machine_config()))
+    }
+
+    /// A builder with every run option at its default, around `machine`.
+    fn with_machine(config: Config, machine: Machine) -> ProgramBuilder {
         ProgramBuilder {
             config,
             machine,

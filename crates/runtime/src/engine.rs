@@ -79,10 +79,9 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// Parse an engine name (`HIC_ENGINE`, the `engine=` key field):
-    /// `default` or `linear`.
+    /// Parse an engine name (the `engine=` key field): `default` or
+    /// `linear`, the exact inverse of [`Scheduler::name`].
     pub fn parse(s: &str) -> Option<Scheduler> {
-        let s = s.trim().to_ascii_lowercase();
         [Scheduler::Default, Scheduler::Linear]
             .into_iter()
             .find(|e| e.name() == s)

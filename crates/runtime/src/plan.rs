@@ -77,11 +77,6 @@ impl EpochPlan {
         }
     }
 
-    /// Total number of planned operations (both halves).
-    pub fn num_ops(&self) -> usize {
-        self.wb.len() + self.inv.len()
-    }
-
     /// One half of the plan: the WB ops (`wb = true`) or the INV ops.
     pub fn side(&self, wb: bool) -> &[CommOp] {
         if wb {

@@ -154,11 +154,6 @@ impl ProgramRecord {
             .collect()
     }
 
-    /// Total events across all threads.
-    pub fn num_events(&self) -> usize {
-        self.threads.iter().map(Vec::len).sum()
-    }
-
     /// Total planned WB/INV ops across every plan call site.
     pub fn num_plan_ops(&self) -> usize {
         self.threads

@@ -9,13 +9,14 @@
 //! starts an application run — `App::run_req`, the `hic-serve` sweep
 //! server, the bench frontends, tests — builds one of these:
 //!
-//! * [`RunRequest::new`] for explicit construction;
-//! * [`RunRequest::from_env`] for the environment knobs (`HIC_CHECK`,
-//!   `HIC_FAULTS`, `HIC_RECOVER`, `HIC_ENGINE`), the only place in the
-//!   workspace that reads them, with typed [`RequestError`]s for
-//!   malformed values;
+//! * [`RunRequest::new`] for explicit construction, with the optional
+//!   fields (sanitizer mode, fault plan, engine, ...) set directly;
 //! * [`RunRequest::parse_key`] to rebuild a request from its canonical
-//!   serialized form.
+//!   serialized form, with typed [`RequestError`]s for malformed keys.
+//!
+//! Nothing reads the process environment: a run is what its request
+//! says, so the same request gives the same run in a test, a bench
+//! frontend or the sweep server.
 //!
 //! [`RunRequest::cache_key`] is the canonical serialization: a compact,
 //! versioned, single-line string that is a pure function of every field
@@ -103,8 +104,7 @@ pub enum FaultSpec {
     /// Dirty-line flips with epoch-checkpoint rollback recovery
     /// ([`FaultPlan::corrupting_recoverable`]): corruption is repaired
     /// by restore + replay, so the run must complete bit-identical and
-    /// chargeable rollbacks appear in `ResilienceStats`. This is what
-    /// `HIC_RECOVER=1` upgrades `HIC_FAULTS` to.
+    /// chargeable rollbacks appear in `ResilienceStats`.
     CorruptingRecover { seed: u64 },
 }
 
@@ -145,12 +145,6 @@ impl FaultSpec {
 /// Why a [`RunRequest`] could not be built or parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
-    /// An environment knob holds a value its parser rejects.
-    BadEnv {
-        var: &'static str,
-        value: String,
-        expected: &'static str,
-    },
     /// A serialized request names an unknown field value.
     BadKey { field: &'static str, detail: String },
     /// The scheme/topology pair the request describes is invalid.
@@ -160,13 +154,6 @@ pub enum RequestError {
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RequestError::BadEnv {
-                var,
-                value,
-                expected,
-            } => {
-                write!(f, "bad {var}={value:?} (expected {expected})")
-            }
             RequestError::BadKey { field, detail } => {
                 write!(f, "bad run-request key: {field}: {detail}")
             }
@@ -198,11 +185,11 @@ pub struct RunRequest {
     pub config: Config,
     /// Input-size class.
     pub scale: Scale,
-    /// Incoherence-sanitizer mode (subsumes `HIC_CHECK`).
+    /// Incoherence-sanitizer mode.
     pub check: CheckMode,
-    /// Seeded fault plan, if any (subsumes `HIC_FAULTS`).
+    /// Seeded fault plan, if any.
     pub fault: Option<FaultSpec>,
-    /// Engine choice (subsumes `HIC_ENGINE`).
+    /// Engine choice.
     pub engine: Scheduler,
     /// Plan substitutions from a static optimizer (`hic-lint`),
     /// installed at matching call sites (subsumes `App::run_with`).
@@ -215,7 +202,7 @@ pub struct RunRequest {
 
 impl RunRequest {
     /// A plain request: no sanitizer, no faults, default engine, no
-    /// overrides, no watchdogs. Never consults the environment.
+    /// overrides, no watchdogs.
     pub fn new(app: &str, config: Config, scale: Scale) -> RunRequest {
         RunRequest {
             app: app.to_string(),
@@ -228,30 +215,6 @@ impl RunRequest {
             watchdog_cycles: None,
             watchdog_wall_ms: None,
         }
-    }
-
-    /// A request whose check mode, fault seed, and engine come from
-    /// `HIC_CHECK`, `HIC_FAULTS`, and `HIC_ENGINE` — the only reader of
-    /// those variables, so a knob reaches exactly the runs built here.
-    /// Malformed values are typed errors. `HIC_RECOVER=1` upgrades the
-    /// `HIC_FAULTS` seed from the canned recoverable plan to the
-    /// corrupting-with-rollback plan: dirty-line flips land too, repaired
-    /// by epoch-checkpoint restore + replay.
-    pub fn from_env(app: &str, config: Config, scale: Scale) -> Result<RunRequest, RequestError> {
-        let mut req = RunRequest::new(app, config, scale);
-        if let Some(mode) = env::check_mode()? {
-            req.check = mode;
-        }
-        let recover = env::recover()?;
-        req.fault = env::fault_seed()?.map(|seed| {
-            if recover {
-                FaultSpec::CorruptingRecover { seed }
-            } else {
-                FaultSpec::Recoverable { seed }
-            }
-        });
-        req.engine = env::engine()?.unwrap_or_default();
-        Ok(req)
     }
 
     /// The configuration (scheme + topology) this request runs under.
@@ -292,7 +255,7 @@ impl RunRequest {
             topo.l2_banks_per_block(),
             l3,
             self.scale.name(),
-            check_key(self.check),
+            self.check.name(),
             self.fault.map_or("-".to_string(), FaultSpec::key),
             self.engine.name(),
             opt(self.watchdog_cycles),
@@ -374,25 +337,28 @@ impl RunRequest {
 
         let scale = Scale::parse(get("scale")?)
             .ok_or_else(|| bad("scale", &format!("unknown scale {:?}", fields["scale"])))?;
-        let check = match get("check")? {
-            "off" => CheckMode::Off,
-            "report" => CheckMode::Report,
-            "strict" => CheckMode::Strict,
-            other => return Err(bad("check", &format!("unknown mode {other:?}"))),
-        };
+        let check = get("check")?;
+        let check = CheckMode::parse(check).ok_or_else(|| {
+            bad(
+                "check",
+                &format!("unknown mode {check:?} (expected off|report|strict)"),
+            )
+        })?;
         let fault = match get("fault")? {
             "-" => None,
-            spec => Some(
-                FaultSpec::parse(spec)
-                    .ok_or_else(|| bad("fault", "expected r<seed> or c<seed>"))?,
-            ),
+            spec => Some(FaultSpec::parse(spec).ok_or_else(|| {
+                bad(
+                    "fault",
+                    &format!("unknown plan {spec:?} (expected r<seed>, c<seed> or cr<seed>)"),
+                )
+            })?),
         };
         let engine = match get("engine")? {
             "-" => Scheduler::Default,
             spec => Scheduler::parse(spec).ok_or_else(|| {
                 bad(
                     "engine",
-                    &format!("unknown engine {spec:?} (expected {})", env::ENGINES),
+                    &format!("unknown engine {spec:?} (expected default|linear)"),
                 )
             })?,
         };
@@ -450,14 +416,6 @@ fn parse_scheme(s: &str) -> Option<Scheme> {
         .find(|c| c.name() == name)
         .map(Scheme::Inter),
         _ => None,
-    }
-}
-
-fn check_key(mode: CheckMode) -> &'static str {
-    match mode {
-        CheckMode::Off => "off",
-        CheckMode::Report => "report",
-        CheckMode::Strict => "strict",
     }
 }
 
@@ -564,102 +522,6 @@ fn parse_plans(s: &str, nthreads: usize) -> Result<Option<PlanOverrides>, String
         }
     }
     Ok(Some(o))
-}
-
-/// The environment knobs, each parsed in exactly one place. `Ok(None)`
-/// means "unset"; a set-but-malformed value is a typed
-/// [`RequestError::BadEnv`]. Only [`RunRequest::from_env`] reads the run
-/// knobs; [`env::bench_budget_ms`] is the bench harness's own knob.
-pub mod env {
-    use super::{CheckMode, RequestError, Scheduler};
-
-    /// The engine names `HIC_ENGINE` and the `engine=` key accept.
-    pub(super) const ENGINES: &str = "default|linear";
-
-    fn var(name: &'static str) -> Option<String> {
-        std::env::var(name).ok().filter(|v| !v.trim().is_empty())
-    }
-
-    /// Parse a `HIC_CHECK`-shaped value: `off`, `report`, or `strict`.
-    pub(super) fn parse_check_mode(v: &str) -> Result<CheckMode, RequestError> {
-        CheckMode::parse(v).ok_or_else(|| RequestError::BadEnv {
-            var: "HIC_CHECK",
-            value: v.to_string(),
-            expected: "off|report|strict",
-        })
-    }
-
-    /// Parse a `HIC_FAULTS`-shaped value: a decimal seed.
-    pub(super) fn parse_fault_seed(v: &str) -> Result<u64, RequestError> {
-        v.trim().parse().map_err(|_| RequestError::BadEnv {
-            var: "HIC_FAULTS",
-            value: v.to_string(),
-            expected: "a decimal seed",
-        })
-    }
-
-    /// Parse a `HIC_ENGINE`-shaped value: `default` or `linear`.
-    pub(super) fn parse_engine(v: &str) -> Result<Scheduler, RequestError> {
-        Scheduler::parse(v).ok_or_else(|| RequestError::BadEnv {
-            var: "HIC_ENGINE",
-            value: v.to_string(),
-            expected: ENGINES,
-        })
-    }
-
-    /// Parse a `HIC_BENCH_BUDGET_MS`-shaped value: milliseconds.
-    pub(super) fn parse_bench_budget_ms(v: &str) -> Result<u64, RequestError> {
-        v.trim().parse().map_err(|_| RequestError::BadEnv {
-            var: "HIC_BENCH_BUDGET_MS",
-            value: v.to_string(),
-            expected: "milliseconds",
-        })
-    }
-
-    /// `HIC_CHECK`: `off`, `report`, or `strict`.
-    pub(super) fn check_mode() -> Result<Option<CheckMode>, RequestError> {
-        var("HIC_CHECK").map(|v| parse_check_mode(&v)).transpose()
-    }
-
-    /// `HIC_FAULTS`: a decimal seed for the canned recoverable plan.
-    pub(super) fn fault_seed() -> Result<Option<u64>, RequestError> {
-        var("HIC_FAULTS").map(|v| parse_fault_seed(&v)).transpose()
-    }
-
-    /// Parse a `HIC_RECOVER`-shaped value: `0`/`false` or `1`/`true`.
-    pub(super) fn parse_recover(v: &str) -> Result<bool, RequestError> {
-        match v.trim() {
-            "1" | "true" => Ok(true),
-            "0" | "false" => Ok(false),
-            _ => Err(RequestError::BadEnv {
-                var: "HIC_RECOVER",
-                value: v.to_string(),
-                expected: "0|1|false|true",
-            }),
-        }
-    }
-
-    /// `HIC_RECOVER`: upgrade the `HIC_FAULTS` plan to dirty-line flips
-    /// with epoch-checkpoint rollback recovery. Unset means off.
-    pub(super) fn recover() -> Result<bool, RequestError> {
-        var("HIC_RECOVER")
-            .map(|v| parse_recover(&v))
-            .transpose()
-            .map(|o| o.unwrap_or(false))
-    }
-
-    /// `HIC_ENGINE`: `default` or `linear`.
-    pub(super) fn engine() -> Result<Option<Scheduler>, RequestError> {
-        var("HIC_ENGINE").map(|v| parse_engine(&v)).transpose()
-    }
-
-    /// `HIC_BENCH_BUDGET_MS`: the bench harness's per-measurement time
-    /// budget in milliseconds.
-    pub fn bench_budget_ms() -> Result<Option<u64>, RequestError> {
-        var("HIC_BENCH_BUDGET_MS")
-            .map(|v| parse_bench_budget_ms(&v))
-            .transpose()
-    }
 }
 
 #[cfg(test)]
@@ -817,23 +679,33 @@ mod tests {
                 ..
             })
         ));
+        // The check and fault fields name every form they accept.
+        let key = RunRequest::new("FFT", Config::Intra(IntraConfig::Base), Scale::Test).cache_key();
+        for (field, from, to, expected) in [
+            ("check", "check=off", "check=on", "off|report|strict"),
+            (
+                "fault",
+                "fault=-",
+                "fault=x7",
+                "r<seed>, c<seed> or cr<seed>",
+            ),
+        ] {
+            match RunRequest::parse_key(&key.replace(from, to)) {
+                Err(RequestError::BadKey { field: f, detail }) => {
+                    assert_eq!(f, field);
+                    assert!(detail.contains(expected), "{detail}");
+                }
+                other => panic!("{to} gave {other:?}"),
+            }
+        }
     }
 
     /// The engine names retired with the one-engine merge are typed
-    /// errors that name the accepted values, both as `HIC_ENGINE` values
-    /// and inside a cache key.
+    /// errors inside a cache key that name the accepted values.
     #[test]
     fn retired_engine_names_are_typed_errors() {
         let key = RunRequest::new("FFT", Config::Intra(IntraConfig::Base), Scale::Test).cache_key();
         for retired in ["heap", "sharded", "sharded:4"] {
-            match env::parse_engine(retired) {
-                Err(RequestError::BadEnv {
-                    var: "HIC_ENGINE",
-                    expected,
-                    ..
-                }) => assert_eq!(expected, "default|linear"),
-                other => panic!("HIC_ENGINE={retired} gave {other:?}"),
-            }
             let bad = key.replace("engine=default", &format!("engine={retired}"));
             match RunRequest::parse_key(&bad) {
                 Err(RequestError::BadKey {
@@ -843,42 +715,5 @@ mod tests {
                 other => panic!("engine={retired} gave {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn env_values_parse_with_typed_errors() {
-        // The parsers are tested on values directly — mutating the
-        // process env in a unit test would race with other tests in this
-        // binary. `from_env` is exercised end-to-end by
-        // `tests/serve_api.rs`, which owns its process env.
-        assert_eq!(env::parse_check_mode("report"), Ok(CheckMode::Report));
-        assert_eq!(env::parse_fault_seed(" 42 "), Ok(42));
-        assert_eq!(env::parse_engine("linear"), Ok(Scheduler::Linear));
-        assert_eq!(env::parse_engine(" Default "), Ok(Scheduler::Default));
-        assert_eq!(env::parse_bench_budget_ms("50"), Ok(50));
-
-        let err = env::parse_engine("warp").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RequestError::BadEnv {
-                    var: "HIC_ENGINE",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        assert!(env::parse_check_mode("loud").is_err());
-        assert!(env::parse_fault_seed("abc").is_err());
-        assert!(env::parse_bench_budget_ms("fast").is_err());
-        assert_eq!(env::parse_recover("1"), Ok(true));
-        assert_eq!(env::parse_recover("false"), Ok(false));
-        assert!(matches!(
-            env::parse_recover("yes"),
-            Err(RequestError::BadEnv {
-                var: "HIC_RECOVER",
-                ..
-            })
-        ));
     }
 }

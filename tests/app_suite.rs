@@ -1,25 +1,72 @@
 //! End-to-end: every application x every configuration must compute the
 //! same (host-verified) result. A stale read anywhere — a missing WB/INV,
 //! a broken MESI transition, a lost dirty word — fails these tests.
+//!
+//! Every cell runs under each of `MODES`: correctness must not depend
+//! on the sanitizer, on injected faults or on the engine (§III–§IV: a
+//! race-free program is correct because of where its WB/INV sit, not
+//! because of timing).
 
 mod common;
 
 use hic_apps::{inter_apps, intra_apps, sweep_requests, Scale};
-use hic_runtime::{Config, InterConfig, IntraConfig};
+use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, IntraConfig, RunRequest, Scheduler};
 
-// CI reruns this suite under the environment knobs (HIC_CHECK,
-// HIC_FAULTS, HIC_RECOVER, HIC_ENGINE), so every request is assembled
-// with `RunRequest::from_env`: the same explicit-RunRequest path the
-// server uses, with the knobs folded in up front.
-fn check(app: &str, config: Config) {
-    let r = common::run_from_env(app, config, Scale::Test);
-    assert!(
-        r.correct,
-        "{app} under {} computed a wrong result: {}",
-        config.name(),
-        r.detail
-    );
-    assert!(r.stats.total_cycles > 0);
+/// The (check, fault, engine) of each run mode: a plain run; the strict
+/// sanitizer; the recoverable fault plan and the corrupting plan with
+/// rollback recovery, both under the strict sanitizer; the `Linear`
+/// oracle engine.
+const MODES: [(CheckMode, Option<FaultSpec>, Scheduler); 5] = [
+    (CheckMode::Off, None, Scheduler::Default),
+    (CheckMode::Strict, None, Scheduler::Default),
+    (
+        CheckMode::Strict,
+        Some(FaultSpec::Recoverable { seed: 2026 }),
+        Scheduler::Default,
+    ),
+    (
+        CheckMode::Strict,
+        Some(FaultSpec::CorruptingRecover { seed: 2026 }),
+        Scheduler::Default,
+    ),
+    (CheckMode::Off, None, Scheduler::Linear),
+];
+
+/// Run each cell under every mode. Under a fault mode the incoherent
+/// cells must together record injected faults, or the plan never
+/// reached the runs.
+fn check(cells: &[RunRequest]) {
+    assert!(!cells.is_empty());
+    for (check, fault, engine) in MODES {
+        let mut injected = 0;
+        for cell in cells {
+            let req = RunRequest {
+                check,
+                fault,
+                engine,
+                ..cell.clone()
+            };
+            let r = common::run(&req);
+            assert!(
+                r.correct,
+                "{} computed a wrong result: {}",
+                req.cache_key(),
+                r.detail
+            );
+            assert!(r.stats.total_cycles > 0);
+            if !req.config.is_coherent() {
+                let s = &r.stats.resilience;
+                injected += s.retries + s.delayed_acks + s.bit_flips;
+            }
+        }
+        if fault.is_some() && cells.iter().any(|c| !c.config.is_coherent()) {
+            assert!(
+                injected > 0,
+                "{}: no fault was injected under {fault:?}",
+                cells[0].app
+            );
+        }
+    }
 }
 
 /// Every cell of the paper grid that runs `app`: its family's Table II
@@ -29,10 +76,7 @@ fn check_grid_cells(app: &str) {
         .into_iter()
         .filter(|c| c.app == app)
         .collect();
-    assert!(!cells.is_empty(), "{app} is not a grid app");
-    for cell in cells {
-        check(&cell.app, cell.config);
-    }
+    check(&cells);
 }
 
 macro_rules! app_test {
@@ -68,16 +112,20 @@ app_test!(jacobi_all_configs, "Jacobi");
 /// bit for bit on every application.
 #[test]
 fn dragon_runs_the_full_intra_suite() {
-    for app in intra_apps(Scale::Test) {
-        check(app.name(), Config::Intra(IntraConfig::Dragon));
-    }
+    let cells: Vec<_> = intra_apps(Scale::Test)
+        .iter()
+        .map(|app| RunRequest::new(app.name(), Config::Intra(IntraConfig::Dragon), Scale::Test))
+        .collect();
+    check(&cells);
 }
 
 /// Dragon on the hierarchical machine: cross-block update broadcasts and
 /// L3 recalls must preserve every app's host-verified result.
 #[test]
 fn dragon_runs_the_full_inter_suite() {
-    for app in inter_apps(Scale::Test) {
-        check(app.name(), Config::Inter(InterConfig::Dragon));
-    }
+    let cells: Vec<_> = inter_apps(Scale::Test)
+        .iter()
+        .map(|app| RunRequest::new(app.name(), Config::Inter(InterConfig::Dragon), Scale::Test))
+        .collect();
+    check(&cells);
 }

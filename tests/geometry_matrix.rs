@@ -1,10 +1,10 @@
 //! Smoke subset of the application suite on non-paper topologies.
 //!
 //! The `Topology` refactor's contract is that nothing in the stack is
-//! specialized to the paper's two machines (1x16 and 4x8). CI runs this
-//! file under `HIC_CHECK=strict` (the `geometry-matrix` job), so every
-//! run here is also swept by the incoherence sanitizer: a WB/INV policy
-//! that is only correct on the paper's shapes fails loudly.
+//! specialized to the paper's two machines (1x16 and 4x8). Every run
+//! here is made plain and again under the strict incoherence sanitizer:
+//! a WB/INV policy that is only correct on the paper's shapes fails
+//! loudly.
 //!
 //! Three non-paper shapes, smallest to largest:
 //!
@@ -19,21 +19,26 @@
 mod common;
 
 use hic_apps::Scale;
-use hic_runtime::{Config, InterConfig, IntraConfig};
+use hic_runtime::{CheckMode, Config, InterConfig, IntraConfig, RunRequest};
 use hic_sim::TopologyBuilder;
 
-/// Run each smoke app under `config`, with the environment's knobs
-/// (`RunRequest::from_env`: CI forces `HIC_CHECK=strict` here).
+/// Run each smoke app under `config`, plain and under the strict
+/// sanitizer.
 fn check(apps: [&str; 2], config: Config) {
     for app in apps {
-        let r = common::run_from_env(app, config, Scale::Test);
-        assert!(
-            r.correct,
-            "{app} under {} on {}: {}",
-            config.name(),
-            config.topology().shape_label(),
-            r.detail
-        );
+        for check in [CheckMode::Off, CheckMode::Strict] {
+            let mut req = RunRequest::new(app, config, Scale::Test);
+            req.check = check;
+            let r = common::run(&req);
+            assert!(
+                r.correct,
+                "{app} under {} on {} (check={}): {}",
+                config.name(),
+                config.topology().shape_label(),
+                check.name(),
+                r.detail
+            );
+        }
     }
 }
 

@@ -8,18 +8,19 @@
 //! refactor's contract is that `Topology::intra_block()` /
 //! `Topology::inter_block()` describe *exactly* the machines the seed
 //! hard-coded — so every row must reproduce, cycle for cycle and flit
-//! for flit. CI also runs this file under `HIC_ENGINE=linear`: every
-//! engine must hit the same pins.
+//! for flit, under both engines: the default one and the `Linear`
+//! oracle must hit the same pins.
 //!
 //! Re-pin (only when an intentional timing-model change lands): run
 //!   cargo test --release --test golden_equivalence
 //! A drifting test checks every cell of its suite, then fails once,
-//! printing the replacement `GOLDEN` row of each drifted cell; paste
-//! those rows over the old ones.
+//! printing the replacement `GOLDEN` row of each drifted cell (tagged
+//! with the engine that drifted); paste those rows over the old ones.
 
 mod common;
 
 use hic_apps::{sweep_requests, Scale};
+use hic_runtime::{RunRequest, Scheduler};
 
 /// (app, config, total_cycles, [linefill, writeback, invalidation,
 /// memory, l2l3, sync]) — captured at the seed commit.
@@ -105,36 +106,42 @@ fn golden_row(app: &str, cfg: &str) -> &'static (&'static str, &'static str, u64
         .unwrap_or_else(|| panic!("no golden row for {app} / {cfg}"))
 }
 
-/// Run every grid cell of one suite (intra- or inter-block) with the
-/// environment's knobs and compare it with its pin. Fails once, after
-/// every cell ran, listing the replacement row of each drifted cell.
+/// Run every grid cell of one suite (intra- or inter-block) under both
+/// engines and compare it with its pin. Fails once, after every cell
+/// ran, listing the replacement row of each drifted cell.
 fn check_suite(intra: bool) {
     let mut drifted = Vec::new();
-    for cell in sweep_requests(Scale::Test)
-        .into_iter()
-        .filter(|c| c.config.intra().is_some() == intra)
-    {
-        let cfg = cell.config.name();
-        let r = common::run_from_env(&cell.app, cell.config, cell.scale);
-        assert!(r.correct, "{} under {cfg}: {}", cell.app, r.detail);
-        let t = r.stats.traffic;
-        let got = (
-            r.stats.total_cycles,
-            [
-                t.linefill,
-                t.writeback,
-                t.invalidation,
-                t.memory,
-                t.l2l3,
-                t.sync,
-            ],
-        );
-        let (_, _, cycles, traffic) = golden_row(&cell.app, cfg);
-        if got != (*cycles, *traffic) {
-            drifted.push(format!(
-                "    (\"{}\", \"{cfg}\", {}, {:?}),",
-                cell.app, got.0, got.1
-            ));
+    for engine in [Scheduler::Default, Scheduler::Linear] {
+        for cell in sweep_requests(Scale::Test)
+            .into_iter()
+            .filter(|c| c.config.intra().is_some() == intra)
+        {
+            let cfg = cell.config.name();
+            let req = RunRequest { engine, ..cell };
+            let r = common::run(&req);
+            assert!(r.correct, "{}: {}", req.cache_key(), r.detail);
+            let t = r.stats.traffic;
+            let got = (
+                r.stats.total_cycles,
+                [
+                    t.linefill,
+                    t.writeback,
+                    t.invalidation,
+                    t.memory,
+                    t.l2l3,
+                    t.sync,
+                ],
+            );
+            let (_, _, cycles, traffic) = golden_row(&req.app, cfg);
+            if got != (*cycles, *traffic) {
+                drifted.push(format!(
+                    "    (\"{}\", \"{cfg}\", {}, {:?}), // engine={}",
+                    req.app,
+                    got.0,
+                    got.1,
+                    engine.name()
+                ));
+            }
         }
     }
     assert!(

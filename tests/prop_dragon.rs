@@ -1,5 +1,5 @@
 //! Property-based end-to-end tests for the update-based Dragon backend
-//! and for non-paper topologies, mirroring `prop_epochs.rs`.
+//! and for non-paper topologies, on `prop_epochs.rs`'s programs.
 //!
 //! Dragon is hardware-coherent: like MESI it needs no WB/INV
 //! annotations, so any data-race-free program must compute exactly what
@@ -15,97 +15,12 @@
 //!
 //! Randomized with the deterministic in-repo `SplitMix64` (fixed seeds).
 
+#[path = "common/epochs.rs"]
+mod epochs;
+
+use epochs::{gen_program, run_on};
 use hic_runtime::{Config, InterConfig, IntraConfig, ProgramBuilder};
 use hic_sim::{SplitMix64, TopologyBuilder};
-
-const WORDS: usize = 48;
-
-#[derive(Debug, Clone)]
-struct EpochProgram {
-    threads: usize,
-    /// `writers[e][w]` = thread writing word `w` in epoch `e`, if any.
-    writers: Vec<Vec<Option<u8>>>,
-}
-
-fn gen_program(rng: &mut SplitMix64, threads: usize) -> EpochProgram {
-    let epochs = 2 + rng.below(2);
-    let writers = (0..epochs)
-        .map(|_| {
-            (0..WORDS)
-                .map(|_| {
-                    if rng.unit_f64() < 0.4 {
-                        Some(rng.below(threads as u64) as u8)
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    EpochProgram { threads, writers }
-}
-
-fn value(e: usize, t: u8, w: usize) -> u32 {
-    (e as u32 + 1) * 100_000 + (t as u32) * 1000 + w as u32
-}
-
-fn host_model(prog: &EpochProgram) -> Vec<Vec<u32>> {
-    let mut model = vec![vec![0u32; WORDS]];
-    for (e, epoch) in prog.writers.iter().enumerate() {
-        let mut next = model[e].clone();
-        for (w, wr) in epoch.iter().enumerate() {
-            if let Some(t) = wr {
-                next[w] = value(e, *t, w);
-            }
-        }
-        model.push(next);
-    }
-    model
-}
-
-/// Run the program on the given builder; panics on any stale read.
-/// Returns the final state of the shared array.
-fn run_on(mut p: ProgramBuilder, label: &str, prog: &EpochProgram) -> Vec<u32> {
-    let threads = prog.threads;
-    let data = p.alloc(WORDS as u64);
-    let bar = p.barrier_of(threads);
-    let writers = prog.writers.clone();
-
-    let model = std::sync::Arc::new(host_model(prog));
-    let model2 = std::sync::Arc::clone(&model);
-    let label2 = label.to_string();
-
-    let out = p.run_tasks(threads, async move |ctx| {
-        for (e, epoch) in writers.iter().enumerate() {
-            for (w, wr) in epoch.iter().enumerate() {
-                if wr.is_none() {
-                    let got = ctx.read(data, w as u64).await;
-                    let want = model2[e][w];
-                    assert_eq!(
-                        got, want,
-                        "stale read of word {w} in epoch {e} under {label2}"
-                    );
-                }
-            }
-            for (w, wr) in epoch.iter().enumerate() {
-                if *wr == Some(ctx.tid() as u8) {
-                    ctx.write(data, w as u64, value(e, ctx.tid() as u8, w))
-                        .await;
-                }
-            }
-            ctx.barrier(bar).await;
-        }
-    });
-
-    let last = model.last().unwrap();
-    let mut finals = Vec::with_capacity(WORDS);
-    for (w, want) in last.iter().enumerate() {
-        let got = out.peek(data, w as u64);
-        assert_eq!(got, *want, "final word {w} under {label}");
-        finals.push(got);
-    }
-    finals
-}
 
 /// Dragon on the single-block machine vs the cache-free oracle: final
 /// readable memory must agree word for word.

@@ -1,5 +1,6 @@
 //! Differential property tests for `hic-lint` against the dynamic
-//! sanitizer, on the same random epoch programs as `tests/prop_check.rs`:
+//! sanitizer, on the random schedules `tests/prop_check.rs` runs too
+//! (`tests/common/schedules.rs`):
 //!
 //! * the static verifier flags a plan deletion **iff** the dynamic
 //!   sanitizer trips on the equivalent run — same finding kind, same
@@ -12,6 +13,9 @@
 //! Randomized with the in-repo deterministic `SplitMix64` (fixed seeds)
 //! so failures are reproducible.
 
+#[path = "common/schedules.rs"]
+mod schedules;
+
 use hic_apps::inter::cg::Cg;
 use hic_apps::inter::jacobi::Jacobi;
 use hic_apps::{App, Scale};
@@ -22,104 +26,7 @@ use hic_runtime::{
     ProgramRecord, RunOutcome, RunRequest,
 };
 use hic_sim::{SplitMix64, ThreadId};
-
-/// Threads in the program: blocks 0 (cores 0-7) and 1 (core 8), so the
-/// random edges cover same-block and cross-block communication.
-const N: usize = 9;
-/// Words per thread-owned slice (one cache line).
-const SLICE: u64 = 16;
-
-/// One planned producer -> consumer transfer in one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Edge {
-    p: usize,
-    c: usize,
-}
-
-/// A random communication schedule: per round, a set of edges with
-/// pairwise-distinct producers (so deleting one WB cannot be masked by
-/// another WB of the same region in the same round).
-fn random_schedule(rng: &mut SplitMix64) -> Vec<Vec<Edge>> {
-    let rounds = 2 + (rng.next_u64() % 3) as usize; // 2..=4
-    (0..rounds)
-        .map(|_| {
-            let mut edges: Vec<Edge> = Vec::new();
-            let want = 1 + (rng.next_u64() % 5) as usize; // 1..=5
-            while edges.len() < want {
-                let p = (rng.next_u64() % N as u64) as usize;
-                let c = (rng.next_u64() % N as u64) as usize;
-                if p == c || edges.iter().any(|e| e.p == p) {
-                    continue;
-                }
-                edges.push(Edge { p, c });
-            }
-            edges
-        })
-        .collect()
-}
-
-/// Deleted plan entry: (round, edge index, true = the WB half).
-type Deletion = Option<(usize, usize, bool)>;
-
-/// The schedule run dynamically under report-mode checking — the same
-/// program as `tests/prop_check.rs`.
-fn run_schedule(
-    cfg: InterConfig,
-    schedule: &[Vec<Edge>],
-    deletion: Deletion,
-) -> hic_runtime::Diagnostics {
-    let schedule = schedule.to_vec();
-    let mut p = ProgramBuilder::new(Config::Inter(cfg));
-    p.check_mode(CheckMode::Report);
-    let data = p.alloc_named("data", N as u64 * SLICE);
-    let bar = p.barrier_of(N);
-    let out = p.run_tasks(N, async move |ctx| {
-        let t = ctx.tid();
-        let slice_of = |o: usize| data.slice(o as u64 * SLICE, (o as u64 + 1) * SLICE);
-        for o in 0..N {
-            if o != t {
-                for i in 0..SLICE {
-                    ctx.read(data, o as u64 * SLICE + i).await;
-                }
-            }
-        }
-        ctx.plan_barrier(bar).await;
-        for (r, edges) in schedule.iter().enumerate() {
-            for i in 0..SLICE {
-                ctx.write(
-                    data,
-                    t as u64 * SLICE + i,
-                    (r as u32 + 1) * 10_000 + t as u32 * 100 + i as u32,
-                )
-                .await;
-            }
-            let mut wb = EpochPlan::new();
-            for (ei, e) in edges.iter().enumerate() {
-                if e.p == t && deletion != Some((r, ei, true)) {
-                    wb = wb.with_wb(CommOp::known(slice_of(e.p), ctx.thread(e.c)));
-                }
-            }
-            ctx.plan_wb(&wb).await;
-            ctx.plan_barrier(bar).await;
-            let mut inv = EpochPlan::new();
-            for (ei, e) in edges.iter().enumerate() {
-                if e.c == t && deletion != Some((r, ei, false)) {
-                    inv = inv.with_inv(CommOp::known(slice_of(e.p), ctx.thread(e.p)));
-                }
-            }
-            ctx.plan_inv(&inv).await;
-            for e in edges.iter() {
-                if e.c == t {
-                    for i in 0..SLICE {
-                        ctx.read(data, e.p as u64 * SLICE + i).await;
-                    }
-                }
-            }
-            ctx.plan_barrier(bar).await;
-        }
-    });
-    out.diagnostics().clone()
-}
+use schedules::{random_schedule, run_schedule, Deletion, Edge, N, SLICE};
 
 /// The same schedule as a declarative record: region summaries instead
 /// of word loops, identical sync structure and plan call sites.

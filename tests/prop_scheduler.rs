@@ -6,112 +6,18 @@
 //! ledgers, traffic, the simulated op ledger, and readable memory. The
 //! oracle suspends every core before every op and picks by linear scan.
 //!
-//! The generator emits deadlock-free programs by construction: every
-//! thread runs the same number of rounds, every round ends with a full
-//! barrier, and every lock acquire is bracketed with its release.
+//! The generator (`tests/common/scripts.rs`) emits deadlock-free
+//! programs by construction.
 //!
 //! Randomized with the deterministic in-repo `SplitMix64` (fixed seeds).
+
+#[path = "common/scripts.rs"]
+mod scripts;
 
 use hic_machine::RunStats;
 use hic_runtime::{CheckMode, Config, FaultPlan, IntraConfig, ProgramBuilder, Scheduler};
 use hic_sim::{SplitMix64, TopologyBuilder};
-
-const THREADS: usize = 4;
-const WORDS: u64 = 64;
-
-#[derive(Debug, Clone)]
-enum Action {
-    Store {
-        idx: u64,
-        val: u32,
-    },
-    Load {
-        idx: u64,
-    },
-    Compute {
-        cycles: u64,
-    },
-    /// Lock-protected read-modify-write of a shared counter.
-    Critical {
-        bumps: u32,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Script {
-    /// `rounds[r][t]` = actions of thread `t` in round `r`.
-    rounds: Vec<Vec<Vec<Action>>>,
-}
-
-fn gen_action(rng: &mut SplitMix64) -> Action {
-    match rng.below(5) {
-        0 | 1 => Action::Store {
-            idx: rng.below(WORDS),
-            val: rng.next_u32(),
-        },
-        2 => Action::Load {
-            idx: rng.below(WORDS),
-        },
-        3 => Action::Compute {
-            cycles: 1 + rng.below(40),
-        },
-        _ => Action::Critical {
-            bumps: 1 + rng.next_u32() % 3,
-        },
-    }
-}
-
-fn gen_script(rng: &mut SplitMix64) -> Script {
-    let rounds = (0..1 + rng.below(3))
-        .map(|_| {
-            (0..THREADS)
-                .map(|_| (0..rng.below(9)).map(|_| gen_action(rng)).collect())
-                .collect()
-        })
-        .collect();
-    Script { rounds }
-}
-
-/// Run `script` on the flat intra machine under `cfg`. `setup` picks the
-/// engine and any other knob. Returns the stats and the final readable
-/// memory (data words + counter).
-fn run_script(
-    cfg: IntraConfig,
-    script: &Script,
-    setup: impl FnOnce(&mut ProgramBuilder),
-) -> (RunStats, Vec<u32>) {
-    let mut p = ProgramBuilder::new(Config::Intra(cfg));
-    setup(&mut p);
-    let data = p.alloc(WORDS);
-    let counter = p.alloc(1);
-    let l = p.lock_occ(false);
-    let bar = p.barrier_of(THREADS);
-    let rounds = script.rounds.clone();
-    let out = p.run_tasks(THREADS, async move |ctx| {
-        for round in &rounds {
-            for action in &round[ctx.tid()] {
-                match *action {
-                    Action::Store { idx, val } => ctx.write(data, idx, val).await,
-                    Action::Load { idx } => {
-                        ctx.read(data, idx).await;
-                    }
-                    Action::Compute { cycles } => ctx.compute(cycles).await,
-                    Action::Critical { bumps } => {
-                        ctx.lock(l).await;
-                        let v = ctx.read(counter, 0).await;
-                        ctx.write(counter, 0, v + bumps).await;
-                        ctx.unlock(l).await;
-                    }
-                }
-            }
-            ctx.barrier(bar).await;
-        }
-    });
-    assert!(out.result().is_ok(), "run failed: {:?}", out.result());
-    let mut mem = out.peek_all(data);
-    mem.push(out.peek(counter, 0));
-    (out.stats().clone(), mem)
-}
+use scripts::{gen_script, run_script, Action, Script, THREADS, WORDS};
 
 /// Assert that two runs are observationally identical: simulated time,
 /// stall ledgers, traffic categories, and the simulated part of the

@@ -1,9 +1,9 @@
 //! End-to-end coverage of the `hic-serve` job server and its
 //! `RunRequest` wire contract:
 //!
-//! * the canonical cache key round-trips through `parse_key`, including
-//!   requests assembled from the environment knobs, which reach only the
-//!   runs `RunRequest::from_env` builds;
+//! * the canonical cache key round-trips through `parse_key`, and no
+//!   request or run reads the environment variables that once set run
+//!   modes;
 //! * an identical resubmission is answered from the result cache with
 //!   bit-identical statistics;
 //! * a watchdog-killed job reports `hang` and the server keeps serving;
@@ -52,28 +52,26 @@ fn cache_keys_round_trip_through_parse_key() {
 
 #[test]
 fn env_assembled_requests_serialize_like_explicit_ones() {
-    // This integration-test binary owns its process environment, and
-    // only `RunRequest::from_env` reads the knobs, so setting them here
-    // cannot leak into the other tests' runs.
-    const KNOBS: [&str; 5] = [
-        "HIC_CHECK",
-        "HIC_FAULTS",
-        "HIC_RECOVER",
-        "HIC_ENGINE",
-        "HIC_BENCH_BUDGET_MS",
+    // The variables that once set run modes and the bench budget.
+    // Nothing reads them any more: with every one set, a request, its
+    // parsed key and a hand-built run are what they are without them.
+    // This integration-test binary owns its process environment, so
+    // setting them here cannot leak into the other test binaries.
+    const RETIRED: [(&str, &str); 5] = [
+        ("HIC_CHECK", "strict"),
+        ("HIC_FAULTS", "13"),
+        ("HIC_RECOVER", "1"),
+        ("HIC_ENGINE", "linear"),
+        ("HIC_BENCH_BUDGET_MS", "125"),
     ];
-    std::env::set_var("HIC_CHECK", "report");
-    std::env::set_var("HIC_FAULTS", "13");
-    std::env::set_var("HIC_ENGINE", "linear");
-    std::env::set_var("HIC_BENCH_BUDGET_MS", "125");
-    let from_env = RunRequest::from_env("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
-        .expect("well-formed knobs");
-    std::env::set_var("HIC_RECOVER", "1");
-    let recovering = RunRequest::from_env("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
-        .expect("well-formed knobs");
-    // A hand-built run, made while every knob is set, sees none of them:
-    // no sanitizer, no fault plan, and the default engine retiring its
-    // L1 hits in the app thread.
+    for (var, value) in RETIRED {
+        std::env::set_var(var, value);
+    }
+    let req = fft(IntraConfig::Base);
+    let key = req.cache_key();
+    let parsed = RunRequest::parse_key(&key).expect("canonical keys parse");
+    // A hand-built run sees none of them either: no sanitizer, no fault
+    // plan, and the default engine running ops inline.
     let hand_built = {
         let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
         let data = p.alloc(64);
@@ -87,21 +85,16 @@ fn env_assembled_requests_serialize_like_explicit_ones() {
             }
         })
     };
-    for var in KNOBS {
+    for (var, _) in RETIRED {
         std::env::remove_var(var);
     }
 
-    let mut explicit = fft(IntraConfig::Base);
-    explicit.check = CheckMode::Report;
-    explicit.fault = Some(FaultSpec::Recoverable { seed: 13 });
-    explicit.engine = Scheduler::Linear;
-    assert_eq!(from_env, explicit);
-    // The bench harness's budget knob is not part of the run, so it
-    // cannot split identical runs across two cache keys.
-    assert_eq!(from_env.cache_key(), explicit.cache_key());
-
-    explicit.fault = Some(FaultSpec::CorruptingRecover { seed: 13 });
-    assert_eq!(recovering, explicit);
+    assert_eq!(
+        (req.check, req.fault, req.engine),
+        (CheckMode::Off, None, Scheduler::Default)
+    );
+    assert!(key.contains(";check=off;fault=-;engine=default;"), "{key}");
+    assert_eq!(parsed, req);
 
     assert!(hand_built.result().is_ok());
     assert_eq!(hand_built.diagnostics().mode, CheckMode::Off);
