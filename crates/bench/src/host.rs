@@ -6,8 +6,9 @@
 //! trajectory of the simulator itself is tracked PR over PR. The JSON
 //! records, per run and in aggregate: host wall time, simulated-machine
 //! ops executed, sim-ops per host second, and the engine ledger
-//! (`EngineStats`: ops run inline as `shard_local_ops`, suspensions as
-//! `round_trips`, wakeups, and `messages` = ops executed; `batches` and
+//! (`EngineStats`: ops run without suspending, at the smallest key or
+//! because they are private, as `shard_local_ops`; suspensions as
+//! `round_trips`; wakeups; and `messages` = ops executed; `batches` and
 //! `lock_waits` are always 0 under the single-threaded executor). The
 //! document is built as a [`Json`] value.
 

@@ -49,6 +49,16 @@ pub trait MemBackend: Send {
     /// Uncacheable store (see [`MemBackend::read_uncached`]).
     fn write_uncached(&mut self, c: CoreId, w: WordAddr, v: Word) -> u64;
 
+    /// Does core `c`'s load (`store == false`) or store of `w` touch only
+    /// the core's own private state right now? Such an access commutes
+    /// with every other core's op. A read-only probe that moves no LRU
+    /// state. `false` (the default) where an access can reach shared
+    /// state or another core's copy: the coherent hierarchies and the
+    /// flat reference store.
+    fn is_private_access(&self, _c: CoreId, _w: WordAddr, _store: bool) -> bool {
+        false
+    }
+
     /// Execute a WB/INV instruction; returns `(latency, is_wb)` so the
     /// machine can charge the right stall category. Backends that need no
     /// software coherence management complete them in zero cycles.
@@ -155,6 +165,10 @@ impl MemBackend for IncoherentSystem {
             chk.on_store_unc(c.0, w, v);
         }
         lat
+    }
+
+    fn is_private_access(&self, c: CoreId, w: WordAddr, store: bool) -> bool {
+        IncoherentSystem::is_private_access(self, c, w, store)
     }
 
     fn exec_coh(&mut self, c: CoreId, instr: CohInstr) -> (u64, bool) {

@@ -463,6 +463,16 @@ impl IncoherentSystem {
         }
     }
 
+    /// Does core `c`'s load or store of `w` touch only its own L1, MEB
+    /// and IEB? A store hit sets a dirty bit and may feed the MEB; a load
+    /// hit reads the L1, unless an active IEB epoch may refresh the line
+    /// from the shared cache. No other core's op ever changes this core's
+    /// L1, so the answer still holds at the op's simulated time. Probes
+    /// without moving LRU state.
+    pub(crate) fn is_private_access(&self, c: CoreId, w: WordAddr, store: bool) -> bool {
+        (store || !self.ieb[c.0].active()) && self.l1[c.0].probe(w.line()).is_hit()
+    }
+
     /// Uncacheable load: served by the globally shared level — the L3 on
     /// the multi-block machine, the L2 otherwise — without touching the
     /// L1. Correct use requires that the word is accessed *only*

@@ -3,7 +3,10 @@
 //!
 //! The runtime (in `hic-runtime`) guarantees that `execute` is called in
 //! global simulated-time order across cores (conservative event ordering),
-//! so every memory-system transition happens at a well-defined time.
+//! so every memory-system transition happens at a well-defined time. The
+//! one exception is a private op ([`Machine::is_private`]): it touches
+//! only its own core's state, commutes with every other core's op, and
+//! may run as soon as its core reaches it.
 //!
 //! The memory side is any [`MemBackend`] (incoherent, MESI-coherent, or
 //! the flat reference oracle); the machine itself is backend-agnostic.
@@ -89,6 +92,9 @@ pub struct Machine {
     /// Mirror of "the backend has a sanitizer attached", so the hot path
     /// pays a plain bool test (not a virtual call) when checking is off.
     has_checker: bool,
+    /// Set when a sanitizer, fault plan or trace is installed. Each
+    /// observes the global op order, so no op is private from then on.
+    observed: bool,
     /// The installed fault plan, if any (kept for diagnostics).
     fault_plan: Option<FaultPlan>,
     /// Sync-controller ack-delay injection (`hic-fault`, SALT_SYNC
@@ -117,6 +123,7 @@ impl Machine {
             finished_at: vec![None; n],
             trace: TraceRing::default(),
             has_checker: false,
+            observed: false,
             fault_plan: None,
             ack_faults: None,
             cfg,
@@ -130,6 +137,7 @@ impl Machine {
     /// by parity. Fully deterministic for a given plan and program.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
         self.fault_plan = Some(plan);
+        self.observed = true;
         self.mesh.set_faults(plan.link_faults());
         self.backend.install_faults(&plan);
         self.ack_faults = Some(FaultState::new(plan, SALT_SYNC));
@@ -151,6 +159,7 @@ impl Machine {
         let mut chk = Checker::new(mode, self.cfg.num_cores(), self.cfg.cores_per_block());
         chk.set_regions(regions);
         self.has_checker = self.backend.attach_checker(Box::new(chk));
+        self.observed |= self.has_checker;
         self.has_checker
     }
 
@@ -230,6 +239,7 @@ impl Machine {
     /// debugging; retrieve with [`Machine::trace`].
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = TraceRing::new(capacity);
+        self.observed |= self.trace.enabled();
     }
 
     /// The trace ring (empty unless [`Machine::enable_trace`] was called).
@@ -324,6 +334,27 @@ impl Machine {
     /// Drain pending wakeups (parked cores that may now resume).
     pub fn take_wakeups(&mut self) -> Vec<Wakeup> {
         std::mem::take(&mut self.wakeups)
+    }
+
+    /// Is `op` private for core `c` right now: does it touch only state
+    /// that no other core's op reads or writes, so that it commutes with
+    /// every other core's op and may run ahead of the global `(time,
+    /// core)` order? A `Compute` is private on every backend, a load or
+    /// store when the backend says so ([`MemBackend::is_private_access`]).
+    /// Nothing is private once a sanitizer, fault plan or trace is
+    /// installed: those observe the global op order, and on such runs
+    /// the answer costs one branch.
+    #[inline]
+    pub fn is_private(&self, c: CoreId, op: &Op) -> bool {
+        if self.observed {
+            return false;
+        }
+        match *op {
+            Op::Compute(_) => true,
+            Op::Load(w) => self.backend.is_private_access(c, w, false),
+            Op::Store(w, _) => self.backend.is_private_access(c, w, true),
+            _ => false,
+        }
     }
 
     /// Execute `op` for core `c` whose local clock reads `now`.
@@ -866,6 +897,43 @@ mod tests {
         finish_active(&mut m, 177);
         let stats = m.finish();
         assert_eq!(stats.ledgers[2].rest, 77);
+    }
+
+    #[test]
+    fn private_ops_are_l1_hits_and_computes_until_observed() {
+        let (a, b) = (w(0x100), w(0x200));
+        let fresh = || {
+            let mut m = intra_inc();
+            m.execute(CoreId(0), &Op::Store(a, 1), 0);
+            m
+        };
+        let m = fresh();
+        let private = |m: &Machine, op: Op| m.is_private(CoreId(0), &op);
+        assert!(private(&m, Op::Compute(5)));
+        assert!(private(&m, Op::Load(a)) && private(&m, Op::Store(a, 2)));
+        assert!(!private(&m, Op::Load(b)) && !private(&m, Op::Store(b, 2)));
+        assert!(!m.is_private(CoreId(1), &Op::Load(a)), "another core's L1");
+        assert!(!private(&m, Op::Coh(CohInstr::wb_all())));
+        // Inside an IEB epoch a load hit may refresh from the L2; a store
+        // hit stays private.
+        let mut m = fresh();
+        m.execute(CoreId(0), &Op::IebBegin, 10);
+        assert!(!private(&m, Op::Load(a)) && private(&m, Op::Store(a, 2)));
+        // MESI: another core's write can take a line away.
+        let mut m = Machine::coherent(MachineConfig::intra_block());
+        m.execute(CoreId(0), &Op::Store(a, 1), 0);
+        assert!(private(&m, Op::Compute(5)) && !private(&m, Op::Load(a)));
+        // A sanitizer, a fault plan or a trace observes the global order.
+        let observers: [fn(&mut Machine); 3] = [
+            |m| assert!(m.enable_check(CheckMode::Report, Vec::new())),
+            |m| m.enable_faults(hic_fault::FaultPlan::zero(1)),
+            |m| m.enable_trace(8),
+        ];
+        for observe in observers {
+            let mut m = fresh();
+            observe(&mut m);
+            assert!(!private(&m, Op::Compute(5)) && !private(&m, Op::Load(a)));
+        }
     }
 
     #[test]

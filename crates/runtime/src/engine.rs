@@ -7,7 +7,7 @@
 //! `RefCell`; a task borrows it only between its own awaits, never
 //! across one. Machine transitions happen in global simulated-time
 //! order: the ready core with the smallest `(local time, core id)` runs
-//! its next op first.
+//! its next op first. Private ops are the one exception (below).
 //!
 //! # The loop
 //!
@@ -15,20 +15,28 @@
 //! core's key is exactly the time of its next op. A core about to issue
 //! an op compares its own key with the smallest key in the ready heap.
 //! If its key is smaller it is the global minimum: the core executes the
-//! op on the machine inline and keeps running. Otherwise it pushes its
-//! key and yields; the loop pops the minimum key and polls that core,
-//! which then executes its op. A blocking op that parks the core
-//! (`Exec::Parked`) suspends it until a synchronization grant's
-//! `Wakeup` pushes it back at the resume time. This is the order of the
+//! op on the machine inline and keeps running. If not, the core asks the
+//! machine whether the op is private ([`Machine::is_private`]): an op
+//! that touches only state no other core's op reads or writes, such as
+//! an L1 hit on the incoherent hierarchy or a `Compute` on any backend.
+//! A private op commutes with every other core's op, so the core runs
+//! it inline too, ahead of the global order, and keeps running.
+//! Otherwise it pushes its key and yields; the loop pops the minimum key
+//! and polls that core, which then executes its op. A blocking op that
+//! parks the core (`Exec::Parked`) suspends it until a synchronization
+//! grant's `Wakeup` pushes it back at the resume time. Every op that is
+//! not private still runs at the minimum key, in the order of the
 //! reference loop — wait for every core's next op, then run the minimum
-//! — by construction.
+//! — so every machine transition another core can observe happens in
+//! that order by construction. Nothing is private while a sanitizer,
+//! fault plan or trace is installed: each observes the global op order.
 //!
 //! # The oracle
 //!
 //! [`Scheduler::Linear`] is the reference every property test and the
 //! golden pins compare against: a linear scan over the ready cores picks
 //! the next core, and every op goes through that pick — no core ever
-//! runs an op inline.
+//! runs an op inline, private or not.
 //!
 //! # Failure handling
 //!
@@ -44,8 +52,14 @@
 //! operation history when tracing is enabled). A kernel that panics
 //! unwinds out of the run with its own payload.
 //!
-//! The watchdogs run between ops, so neither can stop a kernel that
-//! loops in host code without issuing any.
+//! Both watchdogs run inside the execution of every op, inline and
+//! private ops included, so a kernel that spins on an L1 hit (which
+//! never suspends) still ends in [`RunError::Hang`]. When a private
+//! spin runs ahead, the cycle watchdog names the first core over budget
+//! in host order, which may differ from the core `Linear` names (the
+//! first in `(time, core)` order); the error kind is the same. Neither
+//! watchdog can stop a kernel that loops in host code without issuing
+//! any op.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -70,7 +84,7 @@ const WALL_CHECK_PERIOD: u32 = 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// The production engine: heap picker, and a core runs its op
-    /// inline whenever it holds the smallest key.
+    /// inline whenever it holds the smallest key or the op is private.
     #[default]
     Default,
     /// The reference oracle: a linear scan picks the next core, and
@@ -154,13 +168,16 @@ impl State {
         Some(c)
     }
 
-    /// Does core `c`'s next op precede every ready core's?
-    fn runs_inline(&self, c: usize) -> bool {
+    /// May core `c` run `op` now, without suspending? Only the default
+    /// engine does, when the op precedes every ready core's or when it
+    /// is private (it commutes with every other core's op).
+    fn runs_inline(&self, c: usize, op: &Op) -> bool {
         !self.linear
-            && self
+            && (self
                 .heap
                 .peek()
                 .is_none_or(|&Reverse(top)| (self.time[c], c) < top)
+                || self.machine.is_private(CoreId(c), op))
     }
 
     /// Execute core `c`'s op at its clock, push every core the op woke,
@@ -298,12 +315,13 @@ impl Engine {
         }
     }
 
-    /// Execute `op` for core `c` in global `(time, core)` order and
-    /// return its value. An op that kills the run never returns.
+    /// Execute `op` for core `c` in global `(time, core)` order, or at
+    /// once when it is private, and return its value. An op that kills
+    /// the run never returns.
     pub(crate) async fn exec(&self, c: usize, op: Op) -> Option<Word> {
         let inline = {
             let mut s = self.state.borrow_mut();
-            let inline = s.runs_inline(c);
+            let inline = s.runs_inline(c, &op);
             if inline {
                 s.stats.shard_local_ops += 1;
             } else {
@@ -402,6 +420,7 @@ pub(crate) fn run_tasks(
 mod tests {
     use super::*;
     use crate::config::{Config, IntraConfig};
+    use hic_core::{CohInstr, Target};
     use hic_mem::{Region, WordAddr};
     use hic_sim::MachineConfig;
 
@@ -562,6 +581,76 @@ mod tests {
         assert!(msg.contains("BarrierArrive"), "trace tail missing: {msg}");
     }
 
+    /// Words on distinct lines. From cores 0 and 1 of the intra machine,
+    /// a first access to A, X or Y misses to memory in 179 cycles; Z is
+    /// never cached, so an `INV` of it takes 3 cycles.
+    const A: WordAddr = WordAddr(16);
+    const X: WordAddr = WordAddr(32);
+    const Y: WordAddr = WordAddr(48);
+    const Z: WordAddr = WordAddr(80);
+
+    /// A core above the heap top runs its private ops (L1 hits, computes)
+    /// without suspending, while its misses and its barrier still wait
+    /// for the `(time, core)` order. Core 0 stores A (a miss), then
+    /// issues six 3-cycle `INV`s of Z, which are global ops. Core 1
+    /// stores X (a miss), loads it four times (hits), computes 5 cycles
+    /// and loads Y (a miss). Both then meet at a barrier. Key by key:
+    ///
+    /// - Both stores run inline at the smallest key. Core 0's first
+    ///   `INV` at (179, 0) suspends.
+    /// - Core 1 sits above the heap top from (179, 1) on: its four hits
+    ///   and its compute run at once. Its miss on Y at (192, 1)
+    ///   suspends.
+    /// - Core 0 runs `INV`s at 179–191 until the one at (194, 0)
+    ///   suspends behind (192, 1). Core 1's miss ends at 371, and its
+    ///   barrier at (371, 1) suspends behind (194, 0).
+    /// - Core 0 finishes its `INV`s and arrives first; core 1's arrival
+    ///   releases both. Core 0 resumes 4 cycles earlier (one hop closer
+    ///   to the barrier's bank), so core 1's finish suspends once more.
+    ///
+    /// That is 5 suspensions out of 18 ops. Without the private rule,
+    /// core 1's hits would suspend whenever core 0 is behind, and the
+    /// two cores would leapfrog through 11.
+    #[test]
+    fn private_ops_above_the_heap_top_do_not_suspend() {
+        let run = |scheduler| {
+            let cfg = Config::Intra(IntraConfig::Base);
+            let mut m = machine(cfg);
+            let b = crate::ctx::BarrierId(m.alloc_barrier(2));
+            let (_, stats, err) = run_tasks(m, shared(2, cfg, scheduler, None), async |ctx| {
+                if ctx.tid() == 0 {
+                    ctx.store(A, 1).await;
+                    for _ in 0..6 {
+                        ctx.coh(CohInstr::inv(Target::word(Z))).await;
+                    }
+                } else {
+                    ctx.store(X, 2).await;
+                    for _ in 0..4 {
+                        assert_eq!(ctx.load(X).await, 2);
+                    }
+                    ctx.compute(5).await;
+                    ctx.load(Y).await;
+                }
+                ctx.barrier_with(b, crate::ctx::BarrierOpts::none()).await;
+            });
+            assert!(err.is_none(), "{err:?}");
+            assert_ledger_invariant(&stats.engine, scheduler);
+            stats
+        };
+        let default = run(Scheduler::Default);
+        let linear = run(Scheduler::Linear);
+        assert_eq!(default.engine.ops_executed, 18);
+        assert_eq!(
+            (default.engine.round_trips, default.engine.shard_local_ops),
+            (5, 13),
+            "{:?}",
+            default.engine
+        );
+        assert_eq!(linear.engine.round_trips, 18);
+        assert_eq!(default.total_cycles, linear.total_cycles);
+        assert_eq!(default.ledgers, linear.ledgers);
+    }
+
     #[test]
     fn cycle_watchdog_reports_hang() {
         for cfg in [IntraConfig::Base, IntraConfig::Hcc] {
@@ -577,5 +666,54 @@ mod tests {
             };
             assert!(detail.contains("budget"), "{detail}");
         }
+        // Core 0 spins on an L1 hit, a private op that never suspends,
+        // while core 1 still holds the earlier key (0, 1). The budget
+        // stops the spin on both engines; the loop bound only keeps a
+        // broken watchdog from hanging the test.
+        for scheduler in [Scheduler::Default, Scheduler::Linear] {
+            let cfg = Config::Intra(IntraConfig::Base);
+            let shared = shared(2, cfg, scheduler, Some(1000));
+            let (_, _, err) = run_tasks(machine(cfg), shared, async |ctx| {
+                if ctx.tid() == 0 {
+                    ctx.store(X, 1).await;
+                    for _ in 0..100_000 {
+                        ctx.load(X).await;
+                    }
+                } else {
+                    ctx.store(Y, 2).await;
+                }
+            });
+            let Some(RunError::Hang { detail }) = err else {
+                unreachable!("{scheduler:?}: expected a hang error, got {err:?}");
+            };
+            assert!(detail.contains("core0 reached"), "{detail}");
+        }
+    }
+
+    /// The wall-clock watchdog counts private ops too: a spin on an L1
+    /// hit that never suspends still ends in `Hang`. The loop bound only
+    /// keeps a broken watchdog from hanging the test.
+    #[test]
+    fn wall_watchdog_stops_a_private_spin() {
+        let cfg = Config::Intra(IntraConfig::Base);
+        let shared = RtShared {
+            watchdog_wall_ms: Some(20),
+            ..shared(2, cfg, Scheduler::Default, None)
+        };
+        let (_, stats, err) = run_tasks(machine(cfg), shared, async |ctx| {
+            if ctx.tid() == 0 {
+                ctx.store(X, 1).await;
+                for _ in 0..100_000_000u64 {
+                    ctx.load(X).await;
+                }
+            } else {
+                ctx.store(Y, 2).await;
+            }
+        });
+        let Some(RunError::Hang { detail }) = err else {
+            unreachable!("expected a hang error, got {err:?}");
+        };
+        assert!(detail.contains("wall-clock"), "{detail}");
+        assert!(stats.engine.shard_local_ops > stats.engine.round_trips);
     }
 }

@@ -125,7 +125,8 @@ impl std::ops::AddAssign for StallLedger {
 /// describe how the runtime's executor scheduled the simulated cores'
 /// tasks (inline ops, suspensions, wakeups), so they change with the
 /// engine while `StallLedger` cycle counts must not. Every op is either
-/// run inline or preceded by exactly one suspension, so
+/// run without suspending (at the smallest `(time, core)` key, or
+/// because it is private) or preceded by exactly one suspension, so
 /// `shard_local_ops + round_trips == ops_executed`; under the `Linear`
 /// oracle every op suspends and `shard_local_ops == 0`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -138,14 +139,17 @@ pub struct EngineStats {
     /// Always 0: ops are never coalesced.
     pub batches: u64,
     /// Suspensions before an op: the issuing core yielded to the loop
-    /// because another ready core's op came first.
+    /// because another ready core's op came first and the op was not
+    /// private.
     pub round_trips: u64,
     /// Wakeups delivered to parked cores.
     pub wakeups: u64,
     /// Maximum number of simultaneously parked cores observed.
     pub peak_parked: u64,
-    /// Ops the issuing core ran inline, without yielding, because its
-    /// `(time, core)` key was the smallest.
+    /// Ops the issuing core ran without suspending: either its
+    /// `(time, core)` key was the smallest, or the op was private (it
+    /// touches only the core's own state, so it commutes with every
+    /// other core's op).
     pub shard_local_ops: u64,
     /// Always 0: the executor is single-threaded and takes no lock.
     pub lock_waits: u64,

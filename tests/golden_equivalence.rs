@@ -9,7 +9,10 @@
 //! `Topology::inter_block()` describe *exactly* the machines the seed
 //! hard-coded — so every row must reproduce, cycle for cycle and flit
 //! for flit, under both engines: the default one and the `Linear`
-//! oracle must hit the same pins.
+//! oracle must hit the same pins. Beyond the pins, each cell's default
+//! run must equal its `Linear` run on every simulated field: per-core
+//! stall ledgers, the incoherent machine's event counters, the
+//! resilience ledger and the engine's op, wakeup and peak-parked counts.
 //!
 //! Re-pin (only when an intentional timing-model change lands): run
 //!   cargo test --release --test golden_equivalence
@@ -20,6 +23,7 @@
 mod common;
 
 use hic_apps::{sweep_requests, Scale};
+use hic_machine::RunStats;
 use hic_runtime::{RunRequest, Scheduler};
 
 /// (app, config, total_cycles, [linefill, writeback, invalidation,
@@ -106,18 +110,43 @@ fn golden_row(app: &str, cfg: &str) -> &'static (&'static str, &'static str, u64
         .unwrap_or_else(|| panic!("no golden row for {app} / {cfg}"))
 }
 
+/// Every simulated field of a run: cycles, stall ledgers, traffic, the
+/// incoherent machine's event counters, the resilience ledger and the
+/// simulated part of the engine ledger (suspensions and inline ops are
+/// host-side and legitimately differ between engines).
+fn simulated(s: &RunStats) -> impl PartialEq + std::fmt::Debug + '_ {
+    (
+        s.total_cycles,
+        &s.ledgers,
+        s.traffic,
+        s.counters,
+        s.resilience,
+        (
+            s.engine.ops_executed,
+            s.engine.wakeups,
+            s.engine.peak_parked,
+        ),
+    )
+}
+
 /// Run every grid cell of one suite (intra- or inter-block) under both
-/// engines and compare it with its pin. Fails once, after every cell
-/// ran, listing the replacement row of each drifted cell.
+/// engines, compare each run with its pin, and the default engine's run
+/// with the oracle's on every simulated field. Fails once, after every
+/// cell ran, listing the replacement row of each drifted cell and every
+/// cell whose engines disagree.
 fn check_suite(intra: bool) {
     let mut drifted = Vec::new();
-    for engine in [Scheduler::Default, Scheduler::Linear] {
-        for cell in sweep_requests(Scale::Test)
-            .into_iter()
-            .filter(|c| c.config.intra().is_some() == intra)
-        {
-            let cfg = cell.config.name();
-            let req = RunRequest { engine, ..cell };
+    let mut diverged = Vec::new();
+    for cell in sweep_requests(Scale::Test)
+        .into_iter()
+        .filter(|c| c.config.intra().is_some() == intra)
+    {
+        let cfg = cell.config.name();
+        let [default, linear] = [Scheduler::Default, Scheduler::Linear].map(|engine| {
+            let req = RunRequest {
+                engine,
+                ..cell.clone()
+            };
             let r = common::run(&req);
             assert!(r.correct, "{}: {}", req.cache_key(), r.detail);
             let t = r.stats.traffic;
@@ -142,15 +171,27 @@ fn check_suite(intra: bool) {
                     engine.name()
                 ));
             }
+            r.stats
+        });
+        if simulated(&default) != simulated(&linear) {
+            diverged.push(format!(
+                "{} / {cfg}:\n  default {:?}\n  linear  {:?}",
+                cell.app,
+                simulated(&default),
+                simulated(&linear)
+            ));
         }
     }
     assert!(
-        drifted.is_empty(),
+        drifted.is_empty() && diverged.is_empty(),
         "{} cells drifted from the seed's cycles or \
          [linefill, writeback, invalidation, memory, l2l3, sync] traffic; \
-         replacement GOLDEN rows:\n{}",
+         replacement GOLDEN rows:\n{}\n{} cells ran differently under the \
+         default engine and the Linear oracle:\n{}",
         drifted.len(),
-        drifted.join("\n")
+        drifted.join("\n"),
+        diverged.len(),
+        diverged.join("\n")
     );
 }
 

@@ -1,8 +1,10 @@
 //! Property test for how ops travel from a core's task to the engine:
 //! running an op inline is a pure host-side optimization. The default
 //! engine runs a core's op in place while the core holds the smallest
-//! `(time, core)` key; the `Linear` oracle suspends the core before
-//! every op and resumes it only when the loop picks it. For any program
+//! `(time, core)` key, or when the op is private (an L1 hit or a
+//! compute, which commutes with every other core's op); the `Linear`
+//! oracle suspends the core before every op and resumes it only when
+//! the loop picks it. For any program
 //! both must produce bit-identical simulated results — total cycles,
 //! stall ledgers, traffic, the op stream and readable memory — and only
 //! the host-side suspension count may differ, never in the oracle's
