@@ -49,11 +49,13 @@ use hic_sim::{Json, MachineConfig, TopologyBuilder};
 fn micro_timings() -> Vec<Timing> {
     // A small, representative micro set: one communication-heavy kernel
     // under the baseline config, measured end to end, and the per-run
-    // fixed cost — building the 4x8 inter-block machine, and an empty run
-    // on a 2x2 machine.
+    // fixed cost — building the 4x8 inter-block machine, an empty run on
+    // a 2x2 machine, and a short run that first touches every L2 and L3
+    // bank of the 4x8 machine.
     let cfg = IntraConfig::ALL[0];
     let inter = MachineConfig::inter_block();
-    let two_by_two = Config::Inter(InterConfig::Base)
+    let base = Config::Inter(InterConfig::Base);
+    let two_by_two = base
         .with_topology(TopologyBuilder::new(2, 2).validate().expect("2x2 topology"))
         .expect("an inter-block scheme on a hierarchical topology");
     vec![
@@ -79,6 +81,20 @@ fn micro_timings() -> Vec<Timing> {
         bench("micro/build_inter32", || Machine::incoherent(inter)),
         bench("micro/empty_run_2x2", || {
             ProgramBuilder::new(two_by_two).run(two_by_two.num_threads(), |_| {})
+        }),
+        bench("micro/first_touch_inter32", move || {
+            // Poke 256 lines, then thread t stores to lines t, t + 32, ...:
+            // each block's threads reach all 8 of its L2 banks, and every
+            // thread group of 4 all 4 L3 banks.
+            let mut p = ProgramBuilder::new(base);
+            let data = p.alloc(256 * 16);
+            p.init_with(data, |i| i as u32);
+            p.run_tasks(base.num_threads(), async move |ctx| {
+                for k in 0..8u32 {
+                    let line = (ctx.tid() as u64 + 32 * k as u64) * 16;
+                    ctx.write(data, line, k).await;
+                }
+            })
         }),
     ]
 }

@@ -115,6 +115,10 @@ pub struct DirectoryHierarchy<S> {
     mem: Memory,
     /// Flit ledger.
     pub traffic: TrafficLedger,
+    /// Whether any cache may hold a line. The hierarchy is inclusive, so
+    /// every fill starts at an L2 miss in `ensure_block_readable`, which
+    /// sets it; until then `poke_word` writes memory alone.
+    filled: bool,
 }
 
 impl<S: LineState> DirectoryHierarchy<S> {
@@ -135,6 +139,7 @@ impl<S: LineState> DirectoryHierarchy<S> {
             l3_dir: FxHashMap::default(),
             mem: Memory::new(),
             traffic: TrafficLedger::new(),
+            filled: false,
             cfg,
         }
     }
@@ -252,6 +257,7 @@ impl<S: LineState> DirectoryHierarchy<S> {
         if self.l2[hb].probe(line).is_hit() {
             return 0;
         }
+        self.filled = true;
         let hb_tile = topo.bank_tile(hb);
         if self.cfg.is_hierarchical() {
             let l3b = topo.l3_bank(line.0);
@@ -551,7 +557,8 @@ impl<S: LineState> DirectoryHierarchy<S> {
     // Simulator backdoors (no timing, no traffic)
     // ------------------------------------------------------------------
 
-    /// Read the newest value of a word, wherever it lives.
+    /// Read the newest value of a word, wherever it lives: any L1, and
+    /// the line's home L2 and L3 banks.
     pub fn peek_word(&self, w: WordAddr) -> Word {
         let line = w.line();
         let idx = w.index_in_line();
@@ -563,8 +570,11 @@ impl<S: LineState> DirectoryHierarchy<S> {
                 }
             }
         }
-        // A dirty word in some L2 bank is next, then in some L3 bank.
-        for bank in self.l2.iter().chain(&self.l3) {
+        let topo = &self.cfg.topology;
+        let l2 = topo.home_banks(line.0).map(|b| &self.l2[b]);
+        let l3 = topo.home_l3_bank(line.0).map(|b| &self.l3[b]);
+        // A dirty word in a home L2 bank is next, then in the L3 bank.
+        for bank in l2.clone().chain(l3) {
             if let Some(v) = bank.view(line) {
                 if v.dirty & (1 << idx) != 0 {
                     return v.data[idx];
@@ -574,7 +584,7 @@ impl<S: LineState> DirectoryHierarchy<S> {
         // Any clean L2 copy equals the level below it, and memory is
         // stale only under a dirty L2/L3 copy, which the scans above
         // already caught.
-        for bank in &self.l2 {
+        for bank in l2 {
             if let Some(v) = bank.view(line) {
                 return v.data[idx];
             }
@@ -582,21 +592,25 @@ impl<S: LineState> DirectoryHierarchy<S> {
         self.mem.read_word(w)
     }
 
-    /// Write a word directly to memory, dropping every cached copy. For
-    /// test setup only.
+    /// Write a word directly to memory, dropping every cached copy and
+    /// directory entry. Before the first fill no cache holds anything,
+    /// and only memory is written. For test setup and pre-run
+    /// initialization.
     pub fn poke_word(&mut self, w: WordAddr, v: Word) {
-        let line = w.line();
-        for c in 0..self.l1.len() {
-            self.l1[c].invalidate(line);
-            self.l1_state[c].remove(&line.0);
+        if self.filled {
+            let line = w.line();
+            for c in 0..self.l1.len() {
+                self.l1[c].invalidate(line);
+                self.l1_state[c].remove(&line.0);
+            }
+            for bank in self.l2.iter_mut().chain(&mut self.l3) {
+                bank.invalidate(line);
+            }
+            for d in &mut self.l2_dir {
+                d.remove(&line.0);
+            }
+            self.l3_dir.remove(&line.0);
         }
-        for bank in self.l2.iter_mut().chain(&mut self.l3) {
-            bank.invalidate(line);
-        }
-        for d in &mut self.l2_dir {
-            d.remove(&line.0);
-        }
-        self.l3_dir.remove(&line.0);
         self.mem.write_word(w, v);
     }
 
@@ -647,5 +661,161 @@ impl<S: LineState> DirectoryHierarchy<S> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DragonSystem, MesiSystem};
+    use hic_sim::{SplitMix64, TopologyBuilder};
+
+    /// What each protocol adds to the hierarchy: its write path and its
+    /// invariants.
+    trait Protocol {
+        fn store(&mut self, c: CoreId, w: WordAddr, v: Word);
+        fn invariants(&self) -> Result<(), String>;
+    }
+
+    impl Protocol for MesiSystem {
+        fn store(&mut self, c: CoreId, w: WordAddr, v: Word) {
+            self.write(c, w, v);
+        }
+        fn invariants(&self) -> Result<(), String> {
+            self.check_invariants()
+        }
+    }
+
+    impl Protocol for DragonSystem {
+        fn store(&mut self, c: CoreId, w: WordAddr, v: Word) {
+            self.write(c, w, v);
+        }
+        fn invariants(&self) -> Result<(), String> {
+            self.check_invariants()
+        }
+    }
+
+    /// The paper's two machines and a 2x4 one with two L2 banks per
+    /// block.
+    fn bank_shapes() -> [MachineConfig; 3] {
+        let two_by_four = TopologyBuilder::new(2, 4)
+            .l2_banks_per_block(2)
+            .validate()
+            .expect("2x4 shape is valid");
+        [
+            MachineConfig::intra_block(),
+            MachineConfig::inter_block(),
+            MachineConfig::with_topology(two_by_four),
+        ]
+    }
+
+    /// `peek_word` over every L2 and L3 bank, wherever the line could
+    /// be: the oracle the home-bank lookup is checked against.
+    fn peek_every_bank<S: LineState>(m: &DirectoryHierarchy<S>, w: WordAddr) -> Word {
+        let (line, idx) = (w.line(), w.index_in_line());
+        let exclusive = m.l1_state.iter().enumerate().find_map(|(c, states)| {
+            states.get(&line.0).filter(|st| st.is_exclusive())?;
+            m.l1[c].view(line)
+        });
+        let dirty =
+            m.l2.iter()
+                .chain(&m.l3)
+                .filter_map(|b| b.view(line).filter(|v| v.dirty & (1 << idx) != 0));
+        let clean = m.l2.iter().filter_map(|b| b.view(line));
+        exclusive
+            .into_iter()
+            .chain(dirty)
+            .chain(clean)
+            .map(|v| v.data[idx])
+            .next()
+            .unwrap_or_else(|| m.mem.read_word(w))
+    }
+
+    /// A word of one of 24 neighboring lines, or of one of 48 lines that
+    /// share a set of every cache (12 per set, past every level's ways),
+    /// so fills evict and recall at L1, L2 and L3.
+    fn bank_word(rng: &mut SplitMix64) -> WordAddr {
+        let line = if rng.below(2) == 0 {
+            rng.below(24)
+        } else {
+            (1 + rng.below(12)) * 8192 + rng.below(4)
+        };
+        WordAddr(line * WORDS_PER_LINE as u64 + rng.below(WORDS_PER_LINE as u64))
+    }
+
+    fn check_peek_and_poke<S: LineState>(seed: u64)
+    where
+        DirectoryHierarchy<S>: Protocol,
+    {
+        let mut rng = SplitMix64::new(seed);
+        for cfg in bank_shapes() {
+            let cores = cfg.num_cores();
+            for case in 0..8 {
+                let mut m = DirectoryHierarchy::<S>::new(cfg);
+                let mut written = std::collections::BTreeSet::new();
+                for step in 0..150 {
+                    let c = CoreId(rng.below(cores as u64) as usize);
+                    let a = bank_word(&mut rng);
+                    let v = rng.next_u32();
+                    let ctx = format!("{} case {case} step {step}", cfg.topology.shape_label());
+                    match rng.below(16) {
+                        0..=6 => {
+                            m.read(c, a);
+                        }
+                        7..=14 => {
+                            m.store(c, a, v);
+                            written.insert(a);
+                        }
+                        _ => {
+                            m.poke_word(a, v);
+                            written.insert(a);
+                            let line = a.line();
+                            let mut caches = m.l1.iter().chain(&m.l2).chain(&m.l3);
+                            assert!(
+                                caches.all(|cache| !cache.probe(line).is_hit()),
+                                "{ctx}: a poke left a cached copy"
+                            );
+                            assert!(
+                                m.l1_state.iter().all(|s| !s.contains_key(&line.0))
+                                    && m.l2_dir.iter().all(|d| !d.contains_key(&line.0))
+                                    && !m.l3_dir.contains_key(&line.0),
+                                "{ctx}: a poke left a directory entry"
+                            );
+                            for r in 0..cores {
+                                assert_eq!(m.read(CoreId(r), a).0, v, "{ctx}: core {r} read");
+                            }
+                        }
+                    }
+                    if let Err(e) = m.invariants() {
+                        panic!("{ctx}: {e}");
+                    }
+                    for &x in &written {
+                        assert_eq!(m.peek_word(x), peek_every_bank(&m, x), "{ctx}: {x:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn poke_fresh<S: LineState>() {
+        let mut m = DirectoryHierarchy::<S>::new(MachineConfig::inter_block());
+        for i in 0..4096u64 {
+            m.poke_word(WordAddr(i), i as Word * 3 + 1);
+        }
+        let caches = m.l1.iter().chain(&m.l2).chain(&m.l3);
+        assert_eq!(caches.map(Cache::sets_materialized).sum::<usize>(), 0);
+        assert!((0..4096u64).all(|i| m.peek_word(WordAddr(i)) == i as Word * 3 + 1));
+    }
+
+    #[test]
+    fn poking_a_fresh_machine_materializes_no_cache_storage() {
+        poke_fresh::<crate::Mesi>();
+        poke_fresh::<crate::Dragon>();
+    }
+
+    #[test]
+    fn peek_matches_every_bank_and_poke_drops_every_copy() {
+        check_peek_and_poke::<crate::Mesi>(0x3E5B);
+        check_peek_and_poke::<crate::Dragon>(0xD4A6);
     }
 }

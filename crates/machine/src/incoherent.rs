@@ -85,6 +85,10 @@ pub struct IncoherentSystem {
     /// Latched unrecoverable fault (a corrupted dirty line), taken once
     /// by the machine and surfaced as `RunError::CorruptDirtyLine`.
     fault_fatal: Option<String>,
+    /// Whether any cache may hold a line. Every cached line starts as a
+    /// read of memory, so `read_line_for_fill` sets it; until then
+    /// `poke_word` writes memory alone.
+    filled: bool,
 }
 
 impl IncoherentSystem {
@@ -113,6 +117,7 @@ impl IncoherentSystem {
             checker: None,
             faults: None,
             fault_fatal: None,
+            filled: false,
             cfg,
         }
     }
@@ -335,6 +340,35 @@ impl IncoherentSystem {
     // Upward fetches
     // ------------------------------------------------------------------
 
+    /// Read `line` from memory for a fill, charging its traffic. Every
+    /// cached line starts as such a read, so this is where the machine
+    /// notes that a cache may hold something.
+    fn read_line_for_fill(&mut self, line: LineAddr) -> [Word; WORDS_PER_LINE] {
+        self.filled = true;
+        self.traffic
+            .add(TrafficCategory::Memory, self.cfg.line_flits());
+        self.mem.read_line(line)
+    }
+
+    /// Ensure L3 bank `l3b` holds `line`, filling it from memory on a
+    /// miss; returns the memory latency (0 on a hit). `link_faults`
+    /// passes the memory transfer through the fault plan, as a fetch
+    /// into an L2 does; an uncached access's does not.
+    fn fill_l3_on_miss(&mut self, l3b: usize, line: LineAddr, link_faults: bool) -> u64 {
+        if self.l3[l3b].probe(line).is_hit() {
+            return 0;
+        }
+        let data = self.read_line_for_fill(line);
+        let mut lat = self.cfg.mem_rt;
+        if link_faults {
+            lat += self.fault_transfer(self.cfg.line_flits(), TrafficCategory::Memory);
+        }
+        if let Some(v) = self.l3[l3b].fill(line, data, 0) {
+            self.handle_l3_eviction(v);
+        }
+        lat
+    }
+
     /// Ensure the block's L2 holds `line`; returns the extra latency past
     /// the home-bank round trip.
     fn fetch_into_l2(&mut self, blk: usize, line: LineAddr) -> u64 {
@@ -346,16 +380,7 @@ impl IncoherentSystem {
         if self.cfg.is_hierarchical() {
             let l3b = self.cfg.topology.l3_bank(line.0);
             let mut lat = self.mesh.rt_latency_to_corner(hb_tile, l3b) + self.cfg.topology.l3_rt();
-            if !self.l3[l3b].probe(line).is_hit() {
-                lat += self.cfg.mem_rt;
-                let data = self.mem.read_line(line);
-                self.traffic
-                    .add(TrafficCategory::Memory, self.cfg.line_flits());
-                lat += self.fault_transfer(self.cfg.line_flits(), TrafficCategory::Memory);
-                if let Some(v) = self.l3[l3b].fill(line, data, 0) {
-                    self.handle_l3_eviction(v);
-                }
-            }
+            lat += self.fill_l3_on_miss(l3b, line, true);
             let data = *self.l3[l3b].view(line).expect("just filled").data;
             self.traffic
                 .add(TrafficCategory::L2L3, self.cfg.line_flits());
@@ -367,9 +392,7 @@ impl IncoherentSystem {
         } else {
             let corner = self.mesh.nearest_corner(hb_tile);
             let mut lat = self.mesh.rt_latency_to_corner(hb_tile, corner) + self.cfg.mem_rt;
-            let data = self.mem.read_line(line);
-            self.traffic
-                .add(TrafficCategory::Memory, self.cfg.line_flits());
+            let data = self.read_line_for_fill(line);
             lat += self.fault_transfer(self.cfg.line_flits(), TrafficCategory::Memory);
             if let Some(v) = self.l2[hb].fill(line, data, 0) {
                 self.handle_l2_eviction(v);
@@ -484,15 +507,7 @@ impl IncoherentSystem {
         if self.cfg.is_hierarchical() {
             let l3b = self.cfg.topology.l3_bank(line.0);
             let mut lat = self.mesh.rt_latency_to_corner(c.0, l3b) + self.cfg.topology.l3_rt();
-            if !self.l3[l3b].probe(line).is_hit() {
-                lat += self.cfg.mem_rt;
-                let data = self.mem.read_line(line);
-                self.traffic
-                    .add(TrafficCategory::Memory, self.cfg.line_flits());
-                if let Some(v) = self.l3[l3b].fill(line, data, 0) {
-                    self.handle_l3_eviction(v);
-                }
-            }
+            lat += self.fill_l3_on_miss(l3b, line, false);
             (self.l3[l3b].view(line).expect("filled").data[idx], lat)
         } else {
             let blk = self.cfg.topology.block_of(c.0);
@@ -515,15 +530,7 @@ impl IncoherentSystem {
         if self.cfg.is_hierarchical() {
             let l3b = self.cfg.topology.l3_bank(line.0);
             let mut lat = self.mesh.rt_latency_to_corner(c.0, l3b) + self.cfg.topology.l3_rt();
-            if !self.l3[l3b].probe(line).is_hit() {
-                lat += self.cfg.mem_rt;
-                let data = self.mem.read_line(line);
-                self.traffic
-                    .add(TrafficCategory::Memory, self.cfg.line_flits());
-                if let Some(vi) = self.l3[l3b].fill(line, data, 0) {
-                    self.handle_l3_eviction(vi);
-                }
-            }
+            lat += self.fill_l3_on_miss(l3b, line, false);
             self.l3[l3b].merge_words(line, &one, mask);
             lat
         } else {
@@ -855,53 +862,48 @@ impl IncoherentSystem {
     // Simulator backdoors (no timing, no traffic)
     // ------------------------------------------------------------------
 
+    /// The shared caches that can hold `line`: its home L2 bank in each
+    /// block, in block order, then its L3 bank. Every fill goes to these.
+    fn home_caches(&self, line: LineAddr) -> impl Iterator<Item = &Cache> {
+        let topo = &self.cfg.topology;
+        let l2 = topo.home_banks(line.0).map(|b| &self.l2[b]);
+        l2.chain(topo.home_l3_bank(line.0).map(|b| &self.l3[b]))
+    }
+
     /// Newest written-back value of a word: L2-dirty, then L3-dirty, then
-    /// any cached copy at L2/L3, then memory. Note: *unwritten-back* L1
-    /// dirty data is intentionally not consulted — `peek_word` answers
-    /// "what would a fresh reader see", which is the property the
-    /// correctness tests check after final writebacks.
+    /// any cached copy at L2/L3, then memory, looking only in the line's
+    /// home banks. Note: *unwritten-back* L1 dirty data is intentionally
+    /// not consulted — `peek_word` answers "what would a fresh reader
+    /// see", which is the property the correctness tests check after
+    /// final writebacks.
     pub fn peek_word(&self, w: WordAddr) -> Word {
         let line = w.line();
         let idx = w.index_in_line();
-        for bank in &self.l2 {
-            if let Some(v) = bank.view(line) {
-                if v.dirty & (1 << idx) != 0 {
-                    return v.data[idx];
-                }
-            }
+        let dirty = self
+            .home_caches(line)
+            .filter_map(|b| b.view(line).filter(|v| v.dirty & (1 << idx) != 0));
+        let any = self.home_caches(line).filter_map(|b| b.view(line));
+        match dirty.chain(any).next() {
+            Some(v) => v.data[idx],
+            None => self.mem.read_word(w),
         }
-        for bank in &self.l3 {
-            if let Some(v) = bank.view(line) {
-                if v.dirty & (1 << idx) != 0 {
-                    return v.data[idx];
-                }
-            }
-        }
-        for bank in &self.l2 {
-            if let Some(v) = bank.view(line) {
-                return v.data[idx];
-            }
-        }
-        for bank in &self.l3 {
-            if let Some(v) = bank.view(line) {
-                return v.data[idx];
-            }
-        }
-        self.mem.read_word(w)
     }
 
     /// Write a word directly to memory, dropping every cached copy.
-    /// For test setup only.
+    /// Before the first fill no cache holds anything, and only memory is
+    /// written. For test setup and pre-run initialization.
     pub fn poke_word(&mut self, w: WordAddr, v: Word) {
-        let line = w.line();
-        for c in &mut self.l1 {
-            c.invalidate(line);
-        }
-        for b in &mut self.l2 {
-            b.invalidate(line);
-        }
-        for b in &mut self.l3 {
-            b.invalidate(line);
+        if self.filled {
+            let line = w.line();
+            for c in &mut self.l1 {
+                c.invalidate(line);
+            }
+            for b in &mut self.l2 {
+                b.invalidate(line);
+            }
+            for b in &mut self.l3 {
+                b.invalidate(line);
+            }
         }
         self.mem.write_word(w, v);
     }
@@ -916,7 +918,7 @@ impl IncoherentSystem {
 mod tests {
     use super::*;
     use hic_mem::{Addr, Region};
-    use hic_sim::ThreadId;
+    use hic_sim::{SplitMix64, ThreadId, TopologyBuilder};
 
     fn intra() -> IncoherentSystem {
         IncoherentSystem::new(MachineConfig::intra_block())
@@ -1174,6 +1176,140 @@ mod tests {
             // Data is visible either in the L1 (recent lines) or below
             // (evicted lines wrote back). Read through the core.
             assert_eq!(m.read(CoreId(0), w(i * step)).0, i as Word + 1);
+        }
+    }
+
+    /// The paper's two machines and a 2x4 one with two L2 banks per
+    /// block.
+    fn bank_shapes() -> [MachineConfig; 3] {
+        let two_by_four = TopologyBuilder::new(2, 4)
+            .l2_banks_per_block(2)
+            .validate()
+            .expect("2x4 shape is valid");
+        [
+            MachineConfig::intra_block(),
+            MachineConfig::inter_block(),
+            MachineConfig::with_topology(two_by_four),
+        ]
+    }
+
+    /// `peek_word` over every L2 bank, then every L3 bank, wherever the
+    /// line could be: the oracle the home-bank lookup is checked against.
+    fn peek_every_bank(m: &IncoherentSystem, w: WordAddr) -> Word {
+        let (line, idx) = (w.line(), w.index_in_line());
+        let banks = || m.l2.iter().chain(&m.l3);
+        banks()
+            .filter_map(|b| b.view(line).filter(|v| v.dirty & (1 << idx) != 0))
+            .chain(banks().filter_map(|b| b.view(line)))
+            .map(|v| v.data[idx])
+            .next()
+            .unwrap_or_else(|| m.mem.read_word(w))
+    }
+
+    /// A word of one of 24 neighboring lines, or of one of 48 lines that
+    /// share a set of every cache (12 per set, past every level's ways),
+    /// so fills evict at L1, L2 and L3.
+    fn bank_word(rng: &mut SplitMix64) -> WordAddr {
+        let line = if rng.below(2) == 0 {
+            rng.below(24)
+        } else {
+            (1 + rng.below(12)) * 8192 + rng.below(4)
+        };
+        WordAddr(line * WORDS_PER_LINE as u64 + rng.below(WORDS_PER_LINE as u64))
+    }
+
+    /// A random WB or INV of every target and scope flavor.
+    fn bank_coh(rng: &mut SplitMix64, w: WordAddr, cores: usize) -> CohInstr {
+        let other = ThreadId(rng.below(cores as u64) as usize);
+        let t = Target::word(w);
+        match rng.below(8) {
+            0 => CohInstr::wb(t),
+            1 => CohInstr::wb_l3(t),
+            2 => CohInstr::wb_cons(t, other),
+            3 => CohInstr::wb_all(),
+            4 => CohInstr::inv(t),
+            5 => CohInstr::inv_l2(t),
+            6 => CohInstr::inv_prod(t, other),
+            _ => CohInstr::inv_all(),
+        }
+    }
+
+    #[test]
+    fn poking_a_fresh_machine_materializes_no_cache_storage() {
+        let mut m = inter();
+        for i in 0..4096u64 {
+            m.poke_word(WordAddr(i), i as Word * 3 + 1);
+        }
+        let caches = m.l1.iter().chain(&m.l2).chain(&m.l3);
+        assert_eq!(caches.map(Cache::sets_materialized).sum::<usize>(), 0);
+        assert!((0..4096u64).all(|i| m.peek_word(WordAddr(i)) == i as Word * 3 + 1));
+    }
+
+    #[test]
+    fn poke_after_an_uncached_first_fill_drops_the_l3_copy() {
+        for store in [false, true] {
+            let mut m = inter();
+            let a = w(0x4000);
+            if store {
+                m.write_uncached(CoreId(0), a, 5);
+            } else {
+                m.read_uncached(CoreId(0), a);
+            }
+            m.poke_word(a, 9);
+            assert_eq!(m.read_uncached(CoreId(3), a).0, 9, "store = {store}");
+        }
+    }
+
+    #[test]
+    fn peek_matches_every_bank_and_poke_drops_every_copy() {
+        let mut rng = SplitMix64::new(0xBA4C);
+        for cfg in bank_shapes() {
+            let cores = cfg.num_cores();
+            for case in 0..12 {
+                let mut m = IncoherentSystem::new(cfg);
+                let mut written = std::collections::BTreeSet::new();
+                for step in 0..150 {
+                    let c = CoreId(rng.below(cores as u64) as usize);
+                    let a = bank_word(&mut rng);
+                    let v = rng.next_u32();
+                    let ctx = format!("{} case {case} step {step}", cfg.topology.shape_label());
+                    match rng.below(16) {
+                        0..=4 => {
+                            m.read(c, a);
+                        }
+                        5..=9 => {
+                            m.write(c, a, v);
+                            written.insert(a);
+                        }
+                        10 => {
+                            m.read_uncached(c, a);
+                        }
+                        11 => {
+                            m.write_uncached(c, a, v);
+                            written.insert(a);
+                        }
+                        12..=14 => {
+                            m.exec_coh(c, bank_coh(&mut rng, a, cores));
+                        }
+                        _ => {
+                            m.poke_word(a, v);
+                            written.insert(a);
+                            let line = a.line();
+                            let mut caches = m.l1.iter().chain(&m.l2).chain(&m.l3);
+                            assert!(
+                                caches.all(|cache| !cache.probe(line).is_hit()),
+                                "{ctx}: a poke left a cached copy"
+                            );
+                            for r in 0..cores {
+                                assert_eq!(m.read(CoreId(r), a).0, v, "{ctx}: core {r} read");
+                            }
+                        }
+                    }
+                    for &x in &written {
+                        assert_eq!(m.peek_word(x), peek_every_bank(&m, x), "{ctx}: {x:?}");
+                    }
+                }
+            }
         }
     }
 }

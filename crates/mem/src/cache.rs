@@ -9,10 +9,11 @@
 //! when lines move. Evictions return the victim so the caller can spill
 //! its dirty words down the hierarchy.
 //!
-//! Slot storage is paged like [`crate::Memory`]'s line store: a page holds
-//! the slots of 64 consecutive sets and is allocated by the first fill
-//! into one of them, so building a cache costs O(pages), not O(capacity),
-//! and a run pays only for the sets it touches (DESIGN.md §9). Paging is
+//! Slot storage is allocated one set at a time: a set's slots are created
+//! by the first fill into it, so building a cache allocates nothing and a
+//! run pays only for the sets it touches (DESIGN.md §9). Bank interleaving
+//! sends a shared-cache bank only every `banks`-th line, so storage in
+//! blocks of consecutive sets would mostly sit empty there. The layout is
 //! invisible to callers: slot numbering, victim choice and sweep order are
 //! those of a flat slot array.
 
@@ -65,97 +66,113 @@ impl Slot {
     }
 }
 
-/// log2 of the sets one page of slot storage covers.
-const PAGE_SETS_SHIFT: u32 = 6;
-const PAGE_SETS: usize = 1 << PAGE_SETS_SHIFT;
-
-/// Paged slot storage. Page `p` holds the slots of sets
-/// `p * PAGE_SETS ..` (a cache with fewer sets is one page) and stays
-/// `None` until the first fill into one of them. Slot
-/// `id = set * ways + way` lives at offset `id % page_slots` of page
-/// `id / page_slots`, so IDs are those of a flat slot array.
+/// Per-set slot storage. A set's `ways` slots are one contiguous run of
+/// `arena`, appended by the set's first fill; `index[set]` is the run's
+/// offset + 1, 0 while the set has never been filled. `index` itself is
+/// allocated by the cache's first fill, so an untouched cache owns no
+/// storage. Slot `id = set * ways + way` is the `way`-th slot of its
+/// set's run, so IDs are those of a flat slot array.
 #[derive(Debug, Clone)]
 struct Slots {
     sets: usize,
     ways: usize,
-    /// Slots per page: `min(sets, PAGE_SETS) * ways`.
-    page_slots: usize,
-    pages: Vec<Option<Box<[Slot]>>>,
+    index: Vec<u32>,
+    arena: Vec<Slot>,
 }
 
 impl Slots {
     fn new(sets: usize, ways: usize) -> Slots {
+        assert!(
+            u32::try_from(sets * ways).is_ok(),
+            "a cache has fewer than 2^32 slots"
+        );
         Slots {
             sets,
             ways,
-            page_slots: sets.min(PAGE_SETS) * ways,
-            pages: vec![None; sets.div_ceil(PAGE_SETS)],
+            index: Vec::new(),
+            arena: Vec::new(),
         }
     }
 
-    /// The page of `addr`'s set, and the offset of the set's first way
-    /// in that page.
+    /// The set of `addr`.
     #[inline]
-    fn locate(&self, addr: LineAddr) -> (usize, usize) {
-        let set = (addr.0 as usize) & (self.sets - 1);
-        (set >> PAGE_SETS_SHIFT, (set & (PAGE_SETS - 1)) * self.ways)
+    fn set_of(&self, addr: LineAddr) -> usize {
+        (addr.0 as usize) & (self.sets - 1)
+    }
+
+    /// The slots of `set`; `None` while the set has never been filled.
+    #[inline]
+    fn set(&self, set: usize) -> Option<&[Slot]> {
+        let first = (*self.index.get(set)? as usize).checked_sub(1)?;
+        Some(&self.arena[first..first + self.ways])
+    }
+
+    #[inline]
+    fn set_mut(&mut self, set: usize) -> Option<&mut [Slot]> {
+        let first = (*self.index.get(set)? as usize).checked_sub(1)?;
+        Some(&mut self.arena[first..first + self.ways])
     }
 
     /// The slot holding `addr`, with its ID, if resident.
     #[inline]
     fn find(&self, addr: LineAddr) -> Option<(usize, &Slot)> {
-        let (page, first) = self.locate(addr);
-        let set = &self.pages[page].as_deref()?[first..first + self.ways];
-        let way = set.iter().position(|s| s.valid && s.addr == addr)?;
-        Some((page * self.page_slots + first + way, &set[way]))
+        let set = self.set_of(addr);
+        let slots = self.set(set)?;
+        let way = slots.iter().position(|s| s.valid && s.addr == addr)?;
+        Some((set * self.ways + way, &slots[way]))
     }
 
     #[inline]
     fn find_mut(&mut self, addr: LineAddr) -> Option<(usize, &mut Slot)> {
-        let (page, first) = self.locate(addr);
-        let set = &mut self.pages[page].as_deref_mut()?[first..first + self.ways];
-        let way = set.iter().position(|s| s.valid && s.addr == addr)?;
-        Some((page * self.page_slots + first + way, &mut set[way]))
+        let set = self.set_of(addr);
+        let ways = self.ways;
+        let slots = self.set_mut(set)?;
+        let way = slots.iter().position(|s| s.valid && s.addr == addr)?;
+        Some((set * ways + way, &mut slots[way]))
     }
 
     /// The slot a fill of `addr` takes: the one already holding it, else
     /// the set's first invalid way, else its least recently used one.
-    /// Allocates the page on first use.
+    /// Allocates the index on the cache's first fill and the set's slots
+    /// on the set's first fill.
     fn fill_slot(&mut self, addr: LineAddr) -> (usize, &mut Slot) {
-        let (page, first) = self.locate(addr);
-        let page_slots = self.page_slots;
-        let set = &mut self.pages[page]
-            .get_or_insert_with(|| vec![Slot::empty(); page_slots].into())
-            [first..first + self.ways];
-        let way = match set.iter().position(|s| s.valid && s.addr == addr) {
+        let set = self.set_of(addr);
+        if self.index.is_empty() {
+            self.index = vec![0; self.sets];
+        }
+        if self.index[set] == 0 {
+            self.index[set] = self.arena.len() as u32 + 1;
+            self.arena
+                .resize(self.arena.len() + self.ways, Slot::empty());
+        }
+        let ways = self.ways;
+        let slots = self.set_mut(set).expect("the set was just allocated");
+        let way = match slots.iter().position(|s| s.valid && s.addr == addr) {
             Some(way) => way,
-            None => set.iter().position(|s| !s.valid).unwrap_or_else(|| {
-                (0..set.len())
-                    .min_by_key(|&w| set[w].lru)
+            None => slots.iter().position(|s| !s.valid).unwrap_or_else(|| {
+                (0..slots.len())
+                    .min_by_key(|&w| slots[w].lru)
                     .expect("a set has at least one way")
             }),
         };
-        (page * page_slots + first + way, &mut set[way])
+        (set * ways + way, &mut slots[way])
     }
 
-    /// Slot `id`; `None` when its page is unallocated or `id` is out of
+    /// Slot `id`; `None` when its set was never filled or `id` is out of
     /// range.
     fn get(&self, id: usize) -> Option<&Slot> {
-        self.pages
-            .get(id / self.page_slots)?
-            .as_deref()?
-            .get(id % self.page_slots)
+        self.set(id / self.ways)?.get(id % self.ways)
     }
 
-    /// The slot a set bit of a slot bitmap names (its page is allocated).
+    /// The slot a set bit of a slot bitmap names (its set is allocated).
     fn by_bit(&self, id: usize) -> &Slot {
         self.get(id)
             .expect("a set bitmap bit names an allocated slot")
     }
 
-    /// Every slot of every allocated page, in ascending ID order.
+    /// Every slot of every filled set, in ascending ID order.
     fn iter(&self) -> impl Iterator<Item = &Slot> {
-        self.pages.iter().flatten().flat_map(|page| page.iter())
+        (0..self.index.len()).flat_map(|set| self.set(set).into_iter().flatten())
     }
 }
 
@@ -198,8 +215,8 @@ impl LookupResult {
 /// Set-associative write-back cache with LRU replacement and per-word
 /// dirty bits.
 ///
-/// Slot storage is paged: construction allocates no page, the first fill
-/// into a page's sets allocates it, and a lookup into an unallocated page
+/// Slot storage is per set: construction allocates none, the first fill
+/// into a set allocates its slots, and a lookup into a never-filled set
 /// is a miss.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -235,10 +252,11 @@ pub struct Cache {
     ckpt: Option<Box<CheckpointStore>>,
 }
 
-/// Even parity of a line's data: XOR-reduction of all its bits.
+/// Even parity of a line's data: XOR-reduction of all its bits. Parity
+/// is linear, so the words are XOR-folded first and counted once.
 #[inline]
 fn line_parity(data: &[Word; WORDS_PER_LINE]) -> bool {
-    data.iter().fold(0u32, |p, w| p ^ w.count_ones()) & 1 == 1
+    data.iter().fold(0, |p, w| p ^ w).count_ones() & 1 == 1
 }
 
 /// Set or clear bit `i` of a slot bitmap.
@@ -412,10 +430,10 @@ impl Cache {
         self.dirty_line_count
     }
 
-    /// Number of allocated pages of slot storage (each 64 sets, or the
-    /// whole cache when it has fewer).
-    pub fn pages_materialized(&self) -> usize {
-        self.slots.pages.iter().filter(|p| p.is_some()).count()
+    /// Number of sets whose slot storage has been allocated (the sets
+    /// filled at least once since construction or [`Cache::reset`]).
+    pub fn sets_materialized(&self) -> usize {
+        self.slots.arena.len() / self.slots.ways
     }
 
     /// The line ID the MEB stores: position of the line within the cache
@@ -642,8 +660,8 @@ impl Cache {
 
     /// Iterate over all valid lines (for WB ALL / INV ALL traversals).
     ///
-    /// Deliberately a raw slot sweep (over the allocated pages, in
-    /// ascending slot order) rather than a bitmap walk: this is the naive
+    /// Deliberately a raw slot sweep (over the filled sets, in ascending
+    /// slot order) rather than a bitmap walk: this is the naive
     /// reference the property tests compare the valid/dirty slot bitmaps
     /// against.
     pub fn valid_lines(&self) -> impl Iterator<Item = LineView<'_>> {
@@ -698,10 +716,10 @@ impl Cache {
         out
     }
 
-    /// Drop every line and every page (power-on reset; used between
+    /// Drop every line and all slot storage (power-on reset; used between
     /// experiment runs).
     pub fn reset(&mut self) {
-        self.slots.pages.fill(None);
+        self.slots = Slots::new(self.slots.sets, self.slots.ways);
         self.tick = 0;
         self.line_count_resident = 0;
         self.dirty_line_count = 0;
@@ -987,8 +1005,7 @@ mod tests {
         assert_eq!(c.read_word(LineAddr(1), 2), Some(502));
     }
 
-    /// One 4 MB, 8-way L3 bank of the inter-block machine: 8192 sets,
-    /// 128 pages.
+    /// One 4 MB, 8-way L3 bank of the inter-block machine: 8192 sets.
     fn l3_bank() -> Cache {
         Cache::new(CacheGeometry {
             size_bytes: 4 * 1024 * 1024,
@@ -1000,7 +1017,7 @@ mod tests {
     #[test]
     fn fresh_cache_allocates_no_page() {
         let c = l3_bank();
-        assert_eq!(c.pages_materialized(), 0);
+        assert_eq!(c.sets_materialized(), 0);
         let lines = 2 * c.capacity_lines() as u64;
         assert!((0..lines).all(|l| c.probe(LineAddr(l)) == LookupResult::Miss));
         assert!((0..c.capacity_lines()).all(|id| c.line_at_id(id).is_none()));
@@ -1008,29 +1025,30 @@ mod tests {
     }
 
     #[test]
-    fn a_fill_allocates_only_its_page() {
+    fn a_fill_allocates_only_its_set() {
         let mut c = l3_bank();
         c.fill(LineAddr(5), line_data(5), 0);
-        assert_eq!(c.pages_materialized(), 1);
-        // Lines 0..64 fill sets 0..64: still the first page.
-        for l in 0..64 {
+        assert_eq!(c.sets_materialized(), 1);
+        // Every fourth line, as one bank of a 4-bank L3 receives them:
+        // only the sets those lines map to get storage.
+        for l in (0..256).step_by(4) {
             c.fill(LineAddr(l), line_data(l as Word), 0);
         }
-        assert_eq!(c.pages_materialized(), 1);
-        // Set 64 starts the second page; line 8192 maps back to set 0.
-        c.fill(LineAddr(64), line_data(64), 0);
+        assert_eq!(c.sets_materialized(), 65);
+        // Line 8192 maps back to set 0, which already has its slots.
         c.fill(LineAddr(8192), line_data(8192), 0);
-        assert_eq!(c.pages_materialized(), 2);
+        assert_eq!(c.sets_materialized(), 65);
         assert_eq!(c.resident_lines(), 66);
         c.reset();
-        assert_eq!(c.pages_materialized(), 0);
+        assert_eq!(c.sets_materialized(), 0);
         assert!(!c.probe(LineAddr(5)).is_hit());
     }
 
     #[test]
     fn line_ids_are_flat_slot_indices() {
         let mut c = l3_bank();
-        // Set 4000 (page 62), first way; then the second way of set 0.
+        // Set 4000, first way, gets storage before set 0 does; then the
+        // second way of set 0.
         c.fill(LineAddr(4000), line_data(0), 0);
         c.fill(LineAddr(0), line_data(0), 0);
         c.fill(LineAddr(8192), line_data(0), 0);

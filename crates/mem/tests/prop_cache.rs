@@ -3,9 +3,9 @@
 //! written word is ever lost — the cache plus the backing store always
 //! holds the newest value of every word.
 //!
-//! Each property runs on a one-page cache and on one whose slot storage
-//! spans eight pages, and checks after every op that each resident line's
-//! MEB line ID maps back to it.
+//! Each property runs on a tiny cache and on one with 512 sets that the
+//! ops touch only 16 of, and checks after every op that each resident
+//! line's MEB line ID maps back to it.
 //!
 //! Randomized with the deterministic in-repo `SplitMix64` (fixed seeds).
 
@@ -30,21 +30,21 @@ enum OpKind {
 /// more lines per set than there are ways, so evictions are frequent.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
-    /// 4 sets x 2 ways, a single page: 24 lines, 6 per set.
+    /// 4 sets x 2 ways: 24 lines, 6 per set.
     Tiny,
-    /// 512 sets x 2 ways, 8 pages of 64 sets: 3 lines on each of the
-    /// first and last set of every page, so ops straddle every page
-    /// boundary and probe pages not yet allocated.
-    Paged,
+    /// 512 sets x 2 ways: 3 lines on each of the first and last set of
+    /// every 64-set block, so ops touch 16 scattered sets, in any order,
+    /// and probe sets not yet allocated.
+    Sparse,
 }
 
-const SHAPES: [Shape; 2] = [Shape::Tiny, Shape::Paged];
+const SHAPES: [Shape; 2] = [Shape::Tiny, Shape::Sparse];
 
 impl Shape {
     fn cache(self) -> Cache {
         let size_bytes = match self {
             Shape::Tiny => 512,
-            Shape::Paged => 512 * 2 * 64,
+            Shape::Sparse => 512 * 2 * 64,
         };
         Cache::new(CacheGeometry {
             size_bytes,
@@ -53,18 +53,18 @@ impl Shape {
         })
     }
 
-    /// Pages of slot storage the shape's lines fall in.
-    fn pages(self) -> usize {
+    /// Sets the shape's lines fall in.
+    fn sets(self) -> usize {
         match self {
-            Shape::Tiny => 1,
-            Shape::Paged => 8,
+            Shape::Tiny => 4,
+            Shape::Sparse => 16,
         }
     }
 
     fn line(self, rng: &mut SplitMix64) -> u64 {
         match self {
             Shape::Tiny => rng.below(24),
-            Shape::Paged => {
+            Shape::Sparse => {
                 let set = rng.below(8) * 64 + 63 * rng.below(2);
                 set + 512 * rng.below(3)
             }
@@ -116,7 +116,7 @@ fn spill(mem: &mut Memory, ev: hic_mem::cache::EvictedLine) {
 fn no_written_word_is_ever_lost() {
     for shape in SHAPES {
         let mut rng = SplitMix64::new(0xCAC4E);
-        let mut most_pages = 0;
+        let mut most_sets = 0;
         for case in 0..64 {
             let ops = gen_ops(&mut rng, shape, 200);
             let mut cache = shape.cache();
@@ -176,7 +176,7 @@ fn no_written_word_is_ever_lost() {
                 assert!(cache.resident_lines() <= cache.capacity_lines());
                 assert_line_ids_round_trip(&cache, &format!("{shape:?} case {case}"));
             }
-            most_pages = most_pages.max(cache.pages_materialized());
+            most_sets = most_sets.max(cache.sets_materialized());
 
             // Drain the cache: memory must now hold the model exactly.
             for la in cache.valid_line_addrs() {
@@ -192,8 +192,8 @@ fn no_written_word_is_ever_lost() {
                 );
             }
         }
-        // The generator reaches every page.
-        assert_eq!(most_pages, shape.pages(), "{shape:?}");
+        // The generator reaches every set it draws from.
+        assert_eq!(most_sets, shape.sets(), "{shape:?}");
     }
 }
 

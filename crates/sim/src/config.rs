@@ -317,6 +317,14 @@ impl Topology {
         block * self.l2_banks_per_block + (line as usize % self.l2_banks_per_block)
     }
 
+    /// Global indices of line `line`'s home L2 bank in every block, in
+    /// block order: the only L2 banks that can hold the line (its L3
+    /// bank is [`Topology::home_l3_bank`]).
+    pub fn home_banks(&self, line: u64) -> impl Iterator<Item = usize> + Clone {
+        let topo = *self;
+        (0..self.blocks).map(move |b| topo.home_bank(b, line))
+    }
+
     /// Mesh tile of global L2 bank `bank`: bank `b` of block `k` sits on
     /// the tile of the block's core `b`, which exists because validation
     /// keeps `l2_banks_per_block <= cores_per_block`.
@@ -335,6 +343,14 @@ impl Topology {
                 .l3
                 .expect("only hierarchical machines have an L3")
                 .banks
+    }
+
+    /// The only L3 bank that can hold line `line`: its
+    /// [`Topology::l3_bank`] on a hierarchical machine, `None` on a flat
+    /// one.
+    #[inline]
+    pub fn home_l3_bank(&self, line: u64) -> Option<usize> {
+        self.is_hierarchical().then(|| self.l3_bank(line))
     }
 
     /// Round trip of a local L3 bank access (0 on flat machines, which
