@@ -48,10 +48,13 @@ use hic_sim::{Json, MachineConfig, TopologyBuilder};
 
 fn micro_timings() -> Vec<Timing> {
     // A small, representative micro set: one communication-heavy kernel
-    // under the baseline config, measured end to end, and the per-run
-    // fixed cost — building the 4x8 inter-block machine, an empty run on
-    // a 2x2 machine, and a short run that first touches every L2 and L3
-    // bank of the 4x8 machine.
+    // under the baseline config, measured end to end (its ops mostly
+    // wait for the `(time, core)` order, so it times the yield path), one
+    // kernel whose ops after the first misses are all L1 hits (it times
+    // the path of ops that run at once), and the per-run fixed cost —
+    // building the 4x8 inter-block machine, an empty run on a 2x2
+    // machine, and a short run that first touches every L2 and L3 bank of
+    // the 4x8 machine.
     let cfg = IntraConfig::ALL[0];
     let inter = MachineConfig::inter_block();
     let base = Config::Inter(InterConfig::Base);
@@ -75,6 +78,23 @@ fn micro_timings() -> Vec<Timing> {
                         ctx.flag_clear(flag).await;
                     }
                     ctx.barrier(bar).await;
+                }
+            })
+        }),
+        bench("micro/private_ops_1x16", || {
+            // Thread t stores to 4 lines of its own, then loads each of
+            // them 64 times: after the 4 misses every op is an L1 hit.
+            let mut p = ProgramBuilder::new(Config::Intra(IntraConfig::Base));
+            let data = p.alloc(16 * 4 * 16);
+            p.run_tasks(16, async move |ctx| {
+                let own = |k: u64| (ctx.tid() as u64 * 4 + k) * 16;
+                for k in 0..4 {
+                    ctx.write(data, own(k), k as u32).await;
+                }
+                for _ in 0..64 {
+                    for k in 0..4 {
+                        ctx.read(data, own(k)).await;
+                    }
                 }
             })
         }),

@@ -281,6 +281,31 @@ impl std::ops::AddAssign for ResilienceStats {
     }
 }
 
+/// Divisibility by a fixed `d > 0` without a division (Lemire, Kaser &
+/// Kurz, "Faster remainder by direct computation", 2019): with
+/// `c = ⌈2^128 / d⌉`, `d` divides a 64-bit `x` exactly when
+/// `c·x mod 2^128 < c`, one 128-bit multiply. `c` does not fit for
+/// `d = 1`, which divides everything; it is stored as 0.
+#[derive(Debug, Clone, Copy)]
+struct Divisor(u128);
+
+impl Divisor {
+    fn new(d: u64) -> Divisor {
+        assert!(d > 0, "divisibility by zero");
+        Divisor(if d == 1 {
+            0
+        } else {
+            u128::MAX / u128::from(d) + 1
+        })
+    }
+
+    /// Does `d` divide `x`?
+    #[inline]
+    fn divides(self, x: u64) -> bool {
+        self.0 == 0 || self.0.wrapping_mul(u128::from(x)) < self.0
+    }
+}
+
 /// Per-component dynamic fault state: the plan plus event counters.
 /// Each consumer (the memory backend, the machine's sync controller)
 /// owns its own `FaultState` with a distinct `salt`, so their decision
@@ -289,6 +314,10 @@ impl std::ops::AddAssign for ResilienceStats {
 pub struct FaultState {
     plan: FaultPlan,
     salt: u64,
+    /// The flip period as a [`Divisor`] (`None` when flips are off):
+    /// the flip decision is taken on every L1 read, so it is made
+    /// without a division.
+    flip: Option<Divisor>,
     transfers: u64,
     acks: u64,
     reads: u64,
@@ -307,6 +336,7 @@ impl FaultState {
         FaultState {
             plan,
             salt,
+            flip: (plan.flip_period > 0).then(|| Divisor::new(plan.flip_period)),
             transfers: 0,
             acks: 0,
             reads: 0,
@@ -319,11 +349,16 @@ impl FaultState {
         &self.plan
     }
 
+    /// The pseudo-random draw of `stream`'s `event`-th decision.
+    #[inline]
+    fn draw(&self, stream: u64, event: u64) -> u64 {
+        mix64(self.plan.seed ^ self.salt ^ stream ^ event.wrapping_mul(0x9E37))
+    }
+
+    /// Does `stream`'s `event`-th decision fire, about one in `period`?
     #[inline]
     fn decide(&self, stream: u64, event: u64, period: u64) -> bool {
-        period > 0
-            && mix64(self.plan.seed ^ self.salt ^ stream ^ event.wrapping_mul(0x9E37))
-                .is_multiple_of(period)
+        period > 0 && self.draw(stream, event).is_multiple_of(period)
     }
 
     /// Account one memory-path transfer of `flits` flits. Returns
@@ -386,12 +421,10 @@ impl FaultState {
     /// onto the line) or `None`.
     #[inline]
     pub fn flip_decision(&mut self) -> Option<(usize, u32)> {
-        if self.plan.flip_period == 0 {
-            return None;
-        }
+        let period = self.flip?;
         let n = self.reads;
         self.reads += 1;
-        if !self.decide(0x666C70, n, self.plan.flip_period) {
+        if !period.divides(self.draw(0x666C70, n)) {
             return None;
         }
         let r = mix64(self.plan.seed ^ self.salt ^ 0x776264 ^ n);
@@ -566,6 +599,38 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// The multiply-and-compare test agrees with `%` on random `x`, for
+    /// divisors at the edges (1, `u64::MAX`), small ones, the canned flip
+    /// period, powers of two and random ones; `x` also takes multiples
+    /// of `d`, its neighbors and the extremes.
+    #[test]
+    fn divisor_matches_the_remainder() {
+        let mut rng = 0x5EED_u64;
+        let mut next = || {
+            rng = rng.wrapping_add(1);
+            mix64(rng)
+        };
+        let mut ds = vec![1, 2, 3, 5, 7, 400, 641, u64::MAX, u64::MAX - 1, 1 << 63];
+        ds.extend((1..63).map(|k| 1u64 << k));
+        ds.extend((0..64).map(|_| next().max(1)));
+        ds.extend((0..64).map(|_| (next() >> (next() % 64)).max(1)));
+        for d in ds {
+            let div = Divisor::new(d);
+            let k = next() % (u64::MAX / d).max(1);
+            let xs = [
+                0,
+                1,
+                u64::MAX,
+                d,
+                d.wrapping_mul(k),
+                d.wrapping_mul(k).wrapping_add(1),
+            ];
+            for x in xs.into_iter().chain((0..256).map(|_| next())) {
+                assert_eq!(div.divides(x), x % d == 0, "{x} % {d}");
+            }
+        }
     }
 
     #[test]

@@ -49,14 +49,24 @@ pub trait MemBackend: Send {
     /// Uncacheable store (see [`MemBackend::read_uncached`]).
     fn write_uncached(&mut self, c: CoreId, w: WordAddr, v: Word) -> u64;
 
-    /// Does core `c`'s load (`store == false`) or store of `w` touch only
-    /// the core's own private state right now? Such an access commutes
-    /// with every other core's op. A read-only probe that moves no LRU
-    /// state. `false` (the default) where an access can reach shared
-    /// state or another core's copy: the coherent hierarchies and the
-    /// flat reference store.
-    fn is_private_access(&self, _c: CoreId, _w: WordAddr, _store: bool) -> bool {
-        false
+    /// Core `c`'s load of `w`, executed only if it touches nothing but
+    /// the core's own private state right now, so that it commutes with
+    /// every other core's op: `(value, latency)`, as
+    /// [`MemBackend::read`] would return. Otherwise `None`, and nothing
+    /// changed: no LRU stamp, buffer or counter moved. Always `None` (the
+    /// default) where an access can reach shared state or another core's
+    /// copy: the coherent hierarchies and the flat reference store. The
+    /// machine calls it only while no sanitizer, fault plan or trace
+    /// observes the run.
+    fn read_private(&mut self, _c: CoreId, _w: WordAddr) -> Option<(Word, u64)> {
+        None
+    }
+
+    /// Core `c`'s store of `v` to `w` if it is private, as for
+    /// [`MemBackend::read_private`]: its latency, or `None` with nothing
+    /// changed.
+    fn write_private(&mut self, _c: CoreId, _w: WordAddr, _v: Word) -> Option<u64> {
+        None
     }
 
     /// Execute a WB/INV instruction; returns `(latency, is_wb)` so the
@@ -167,8 +177,12 @@ impl MemBackend for IncoherentSystem {
         lat
     }
 
-    fn is_private_access(&self, c: CoreId, w: WordAddr, store: bool) -> bool {
-        IncoherentSystem::is_private_access(self, c, w, store)
+    fn read_private(&mut self, c: CoreId, w: WordAddr) -> Option<(Word, u64)> {
+        IncoherentSystem::read_private(self, c, w)
+    }
+
+    fn write_private(&mut self, c: CoreId, w: WordAddr, v: Word) -> Option<u64> {
+        IncoherentSystem::write_private(self, c, w, v)
     }
 
     fn exec_coh(&mut self, c: CoreId, instr: CohInstr) -> (u64, bool) {

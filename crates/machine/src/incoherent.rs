@@ -454,46 +454,59 @@ impl IncoherentSystem {
                 }
             }
         }
-        if let Some(v) = self.l1[c.0].read_word(line, idx) {
-            return (v, scrub + self.cfg.l1_rt);
+        if let Some((v, lat)) = self.load_hit(c, line, idx) {
+            return (v, scrub + lat);
         }
         let lat = self.cfg.l1_rt + self.fetch_into_l1(c, line);
         let v = self.l1[c.0].read_word(line, idx).expect("just filled");
         (v, scrub + lat)
     }
 
+    /// The L1-hit part of a load: the word and the L1 round trip, or
+    /// `None` on a miss, with nothing changed.
+    #[inline]
+    fn load_hit(&mut self, c: CoreId, line: LineAddr, idx: usize) -> Option<(Word, u64)> {
+        let v = self.l1[c.0].read_word(line, idx)?;
+        Some((v, self.cfg.l1_rt))
+    }
+
+    /// Core `c`'s load of `w` if it touches only its own L1: a hit outside
+    /// an IEB epoch (inside one, a first read may refresh the line from
+    /// the shared cache). No other core's op ever changes this core's L1,
+    /// so the answer holds at the op's simulated time. `None`, with
+    /// nothing changed, otherwise. The caller guarantees that no fault
+    /// plan or sanitizer watches the read.
+    #[inline]
+    pub(crate) fn read_private(&mut self, c: CoreId, w: WordAddr) -> Option<(Word, u64)> {
+        if self.ieb[c.0].active() {
+            return None;
+        }
+        self.load_hit(c, w.line(), w.index_in_line())
+    }
+
     /// Incoherent store: write-allocate into the L1, set the word's dirty
     /// bit, and feed the MEB on clean->dirty transitions.
     pub fn write(&mut self, c: CoreId, w: WordAddr, v: Word) -> u64 {
-        let line = w.line();
-        let idx = w.index_in_line();
-        match self.l1[c.0].write_word(line, idx, v) {
-            Some(was_clean) => {
-                if was_clean {
-                    let id = self.l1[c.0].line_id(line).expect("resident");
-                    self.meb[c.0].on_clean_word_write(id);
-                }
-                self.cfg.l1_rt
-            }
-            None => {
-                let lat = self.cfg.l1_rt + self.fetch_into_l1(c, line);
-                let was_clean = self.l1[c.0].write_word(line, idx, v).expect("just filled");
-                debug_assert!(was_clean);
-                let id = self.l1[c.0].line_id(line).expect("resident");
-                self.meb[c.0].on_clean_word_write(id);
-                lat
-            }
+        if let Some(lat) = self.write_private(c, w, v) {
+            return lat;
         }
+        let lat = self.cfg.l1_rt + self.fetch_into_l1(c, w.line());
+        self.write_private(c, w, v).expect("just filled");
+        lat
     }
 
-    /// Does core `c`'s load or store of `w` touch only its own L1, MEB
-    /// and IEB? A store hit sets a dirty bit and may feed the MEB; a load
-    /// hit reads the L1, unless an active IEB epoch may refresh the line
-    /// from the shared cache. No other core's op ever changes this core's
-    /// L1, so the answer still holds at the op's simulated time. Probes
-    /// without moving LRU state.
-    pub(crate) fn is_private_access(&self, c: CoreId, w: WordAddr, store: bool) -> bool {
-        (store || !self.ieb[c.0].active()) && self.l1[c.0].probe(w.line()).is_hit()
+    /// The L1-hit part of a store, private to core `c`: set the word's
+    /// dirty bit, feed the MEB on a clean->dirty transition and return
+    /// the L1 round trip. `None` on a miss, with nothing changed.
+    #[inline]
+    pub(crate) fn write_private(&mut self, c: CoreId, w: WordAddr, v: Word) -> Option<u64> {
+        let line = w.line();
+        let was_clean = self.l1[c.0].write_word(line, w.index_in_line(), v)?;
+        if was_clean {
+            let id = self.l1[c.0].line_id(line).expect("resident");
+            self.meb[c.0].on_clean_word_write(id);
+        }
+        Some(self.cfg.l1_rt)
     }
 
     /// Uncacheable load: served by the globally shared level — the L3 on

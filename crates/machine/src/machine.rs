@@ -4,7 +4,7 @@
 //! The runtime (in `hic-runtime`) guarantees that `execute` is called in
 //! global simulated-time order across cores (conservative event ordering),
 //! so every memory-system transition happens at a well-defined time. The
-//! one exception is a private op ([`Machine::is_private`]): it touches
+//! one exception is a private op ([`Machine::try_private`]): it touches
 //! only its own core's state, commutes with every other core's op, and
 //! may run as soon as its core reaches it.
 //!
@@ -181,8 +181,17 @@ impl Machine {
     /// in `CheckMode::Strict`, the sanitizer's rendered fatal finding.
     /// The runtime engine polls this after every executed operation so
     /// the run stops at the faulty access, with the trace tail attached
-    /// when tracing is on.
+    /// when tracing is on. Without a fault plan or sanitizer the answer
+    /// is two inlined flag tests.
+    #[inline]
     pub fn take_fatal(&mut self) -> Option<RunError> {
+        if self.fault_plan.is_none() && !self.has_checker {
+            return None;
+        }
+        self.take_latched_fatal()
+    }
+
+    fn take_latched_fatal(&mut self) -> Option<RunError> {
         if self.fault_plan.is_some() {
             if let Some(detail) = self.backend.take_fault_fatal() {
                 return Some(RunError::CorruptDirtyLine {
@@ -331,29 +340,57 @@ impl Machine {
         my_end
     }
 
+    /// Are wakeups pending? An inlined emptiness test, so the runtime
+    /// drains them only after the ops that grant something.
+    #[inline]
+    pub fn has_wakeups(&self) -> bool {
+        !self.wakeups.is_empty()
+    }
+
     /// Drain pending wakeups (parked cores that may now resume).
     pub fn take_wakeups(&mut self) -> Vec<Wakeup> {
         std::mem::take(&mut self.wakeups)
     }
 
-    /// Is `op` private for core `c` right now: does it touch only state
-    /// that no other core's op reads or writes, so that it commutes with
-    /// every other core's op and may run ahead of the global `(time,
-    /// core)` order? A `Compute` is private on every backend, a load or
-    /// store when the backend says so ([`MemBackend::is_private_access`]).
-    /// Nothing is private once a sanitizer, fault plan or trace is
-    /// installed: those observe the global op order, and on such runs
-    /// the answer costs one branch.
+    /// Execute `op` for core `c` at `now` if it is private right now:
+    /// if it touches only state that no other core's op reads or writes,
+    /// so that it commutes with every other core's op and may run ahead
+    /// of the global `(time, core)` order. Returns what
+    /// [`Machine::execute`] would, or `None` and changes nothing when the
+    /// op is not private. A `Compute` is private on every backend, a load
+    /// or store when the backend serves it from the core's own state
+    /// ([`MemBackend::read_private`], [`MemBackend::write_private`]): on
+    /// the incoherent machine an L1 store hit, or an L1 load hit outside
+    /// an IEB epoch, looked up once. Nothing is private once a sanitizer,
+    /// fault plan or trace is installed: those observe the global op
+    /// order, and on such runs the answer costs one branch.
     #[inline]
-    pub fn is_private(&self, c: CoreId, op: &Op) -> bool {
+    pub fn try_private(&mut self, c: CoreId, op: &Op, now: Cycle) -> Option<Exec> {
         if self.observed {
-            return false;
+            return None;
         }
-        match *op {
-            Op::Compute(_) => true,
-            Op::Load(w) => self.backend.is_private_access(c, w, false),
-            Op::Store(w, _) => self.backend.is_private_access(c, w, true),
-            _ => false,
+        let (value, lat) = match *op {
+            Op::Compute(n) => (None, n),
+            Op::Load(w) => {
+                let (v, lat) = self.backend.read_private(c, w)?;
+                (Some(v), lat)
+            }
+            Op::Store(w, v) => (None, self.backend.write_private(c, w, v)?),
+            _ => return None,
+        };
+        debug_assert!(self.finished_at[c.0].is_none(), "op after Finish");
+        self.active[c.0] = true;
+        Some(self.rest(c, value, now, lat))
+    }
+
+    /// An op that completes after `lat` cycles, charged to the core's
+    /// `Rest` category.
+    #[inline]
+    fn rest(&mut self, c: CoreId, value: Option<Word>, now: Cycle, lat: u64) -> Exec {
+        self.ledgers[c.0].charge(StallCategory::Rest, lat);
+        Exec::Done {
+            value,
+            end: now + lat,
         }
     }
 
@@ -387,43 +424,21 @@ impl Machine {
         match *op {
             Op::Load(w) => {
                 let (v, lat) = self.backend.read(c, w);
-                self.ledgers[c.0].charge(StallCategory::Rest, lat);
-                Exec::Done {
-                    value: Some(v),
-                    end: now + lat,
-                }
+                self.rest(c, Some(v), now, lat)
             }
             Op::Store(w, v) => {
                 let lat = self.backend.write(c, w, v);
-                self.ledgers[c.0].charge(StallCategory::Rest, lat);
-                Exec::Done {
-                    value: None,
-                    end: now + lat,
-                }
+                self.rest(c, None, now, lat)
             }
             Op::LoadUnc(w) => {
                 let (v, lat) = self.backend.read_uncached(c, w);
-                self.ledgers[c.0].charge(StallCategory::Rest, lat);
-                Exec::Done {
-                    value: Some(v),
-                    end: now + lat,
-                }
+                self.rest(c, Some(v), now, lat)
             }
             Op::StoreUnc(w, v) => {
                 let lat = self.backend.write_uncached(c, w, v);
-                self.ledgers[c.0].charge(StallCategory::Rest, lat);
-                Exec::Done {
-                    value: None,
-                    end: now + lat,
-                }
+                self.rest(c, None, now, lat)
             }
-            Op::Compute(n) => {
-                self.ledgers[c.0].charge(StallCategory::Rest, n);
-                Exec::Done {
-                    value: None,
-                    end: now + n,
-                }
-            }
+            Op::Compute(n) => self.rest(c, None, now, n),
             Op::Coh(instr) => {
                 let (lat, is_wb) = self.backend.exec_coh(c, instr);
                 let cat = if is_wb {
@@ -899,30 +914,68 @@ mod tests {
         assert_eq!(stats.ledgers[2].rest, 77);
     }
 
+    /// Every field a machine's stats report so far.
+    fn stats(m: &Machine) -> impl PartialEq + std::fmt::Debug {
+        let s = m.finish_after_failure();
+        (
+            s.total_cycles,
+            s.ledgers,
+            s.traffic,
+            s.counters,
+            s.resilience,
+        )
+    }
+
     #[test]
-    fn private_ops_are_l1_hits_and_computes_until_observed() {
+    fn try_private_runs_l1_hits_and_computes_until_observed() {
         let (a, b) = (w(0x100), w(0x200));
+        let now = 300;
+        // Core 0 holds `a`'s line in its L1 after one store.
         let fresh = || {
             let mut m = intra_inc();
             m.execute(CoreId(0), &Op::Store(a, 1), 0);
             m
         };
-        let m = fresh();
-        let private = |m: &Machine, op: Op| m.is_private(CoreId(0), &op);
-        assert!(private(&m, Op::Compute(5)));
-        assert!(private(&m, Op::Load(a)) && private(&m, Op::Store(a, 2)));
-        assert!(!private(&m, Op::Load(b)) && !private(&m, Op::Store(b, 2)));
-        assert!(!m.is_private(CoreId(1), &Op::Load(a)), "another core's L1");
-        assert!(!private(&m, Op::Coh(CohInstr::wb_all())));
+        // A private op runs exactly as `execute` runs it on a twin.
+        let accepted = |setup: &dyn Fn() -> Machine, op: Op| {
+            let (mut m, mut twin) = (setup(), setup());
+            let got = m.try_private(CoreId(0), &op, now);
+            assert_eq!(got, Some(twin.execute(CoreId(0), &op, now)), "{op:?}");
+            assert_eq!(stats(&m), stats(&twin), "{op:?}");
+        };
+        // A refused attempt leaves the machine as it was: the op then
+        // executes exactly as on a twin that never saw the attempt.
+        let refused = |setup: &dyn Fn() -> Machine, c: usize, op: Op| {
+            let (mut m, mut twin) = (setup(), setup());
+            assert_eq!(m.try_private(CoreId(c), &op, now), None, "{op:?}");
+            let got = m.execute(CoreId(c), &op, now);
+            assert_eq!(got, twin.execute(CoreId(c), &op, now), "{op:?}");
+            assert_eq!(stats(&m), stats(&twin), "{op:?}");
+        };
+        accepted(&fresh, Op::Compute(5));
+        accepted(&fresh, Op::Load(a));
+        accepted(&fresh, Op::Store(a, 2));
+        refused(&fresh, 0, Op::Load(b));
+        refused(&fresh, 0, Op::Store(b, 2));
+        refused(&fresh, 1, Op::Load(a)); // another core's L1
+        refused(&fresh, 0, Op::Coh(CohInstr::wb_all()));
         // Inside an IEB epoch a load hit may refresh from the L2; a store
         // hit stays private.
-        let mut m = fresh();
-        m.execute(CoreId(0), &Op::IebBegin, 10);
-        assert!(!private(&m, Op::Load(a)) && private(&m, Op::Store(a, 2)));
+        let in_epoch = || {
+            let mut m = fresh();
+            m.execute(CoreId(0), &Op::IebBegin, 10);
+            m
+        };
+        refused(&in_epoch, 0, Op::Load(a));
+        accepted(&in_epoch, Op::Store(a, 2));
         // MESI: another core's write can take a line away.
-        let mut m = Machine::coherent(MachineConfig::intra_block());
-        m.execute(CoreId(0), &Op::Store(a, 1), 0);
-        assert!(private(&m, Op::Compute(5)) && !private(&m, Op::Load(a)));
+        let mesi = || {
+            let mut m = Machine::coherent(MachineConfig::intra_block());
+            m.execute(CoreId(0), &Op::Store(a, 1), 0);
+            m
+        };
+        accepted(&mesi, Op::Compute(5));
+        refused(&mesi, 0, Op::Load(a));
         // A sanitizer, a fault plan or a trace observes the global order.
         let observers: [fn(&mut Machine); 3] = [
             |m| assert!(m.enable_check(CheckMode::Report, Vec::new())),
@@ -930,9 +983,13 @@ mod tests {
             |m| m.enable_trace(8),
         ];
         for observe in observers {
-            let mut m = fresh();
-            observe(&mut m);
-            assert!(!private(&m, Op::Compute(5)) && !private(&m, Op::Load(a)));
+            let observed = || {
+                let mut m = fresh();
+                observe(&mut m);
+                m
+            };
+            refused(&observed, 0, Op::Compute(5));
+            refused(&observed, 0, Op::Load(a));
         }
     }
 

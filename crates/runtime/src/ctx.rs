@@ -22,17 +22,18 @@
 //! markers.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use hic_core::{CohInstr, Target};
 use hic_machine::Op;
-use hic_mem::{f32_to_word, word_to_f32, Region, Word, WordAddr};
+use hic_mem::{f32_to_word, Region, Word, WordAddr};
 use hic_sim::{Cycle, ThreadId};
 use hic_sync::SyncId;
 
 use crate::config::Config;
-use crate::engine::{Engine, Scheduler};
+use crate::engine::{Engine, OpFuture, Scheduler};
 use crate::plan::{EpochPlan, PlanOverrides};
 
 /// What data a synchronization operation moves on one side (the WB half
@@ -171,17 +172,20 @@ pub(crate) struct RtShared {
 
 /// The per-thread handle applications program against.
 ///
-/// Every operation that reaches the machine is an `async fn`: awaiting
+/// Every operation that reaches the machine returns a future: awaiting
 /// it hands the op to the run's executor, which executes it in global
-/// simulated-time order (see [`crate::engine`]). The queries
-/// ([`ThreadCtx::tid`], [`ThreadCtx::nthreads`], [`ThreadCtx::config`],
-/// [`ThreadCtx::thread`]) and [`ThreadCtx::tick`] stay synchronous.
+/// simulated-time order (see [`crate::engine`]). The single-op data
+/// accessors return the engine's op future itself; the operations that
+/// lower to several ops (synchronization, plans) are `async fn`s. The
+/// queries ([`ThreadCtx::tid`], [`ThreadCtx::nthreads`],
+/// [`ThreadCtx::config`], [`ThreadCtx::thread`]) and [`ThreadCtx::tick`]
+/// stay synchronous.
 pub struct ThreadCtx {
     tid: usize,
-    engine: Rc<Engine>,
+    pub(crate) engine: Rc<Engine>,
     /// Compute cycles accumulated by [`ThreadCtx::tick`], flushed as one
     /// `Op::Compute` before the next real operation.
-    pending_compute: Cell<u64>,
+    pub(crate) pending_compute: Cell<u64>,
     /// Number of [`ThreadCtx::plan_wb`] calls issued so far — the call
     /// *site* index plan overrides are keyed by.
     wb_sites: Cell<usize>,
@@ -223,13 +227,10 @@ impl ThreadCtx {
         self.shared().config.is_coherent()
     }
 
-    /// Issue one op in program order (preceded by any deferred compute).
-    async fn issue(&self, op: Op) -> Option<Word> {
-        let pending = self.pending_compute.replace(0);
-        if pending > 0 {
-            self.engine.exec(self.tid, Op::Compute(pending)).await;
-        }
-        self.engine.exec(self.tid, op).await
+    /// Issue one op in program order (preceded by any deferred compute),
+    /// discarding its value.
+    fn issue(&self, op: Op) -> OpFuture<'_, ()> {
+        OpFuture::new(self, op)
     }
 
     /// Issue each coherence instruction of a lowering, in order.
@@ -252,46 +253,44 @@ impl ThreadCtx {
     // ------------------------------------------------------------------
 
     /// Load a word.
-    pub async fn load(&self, w: WordAddr) -> Word {
-        self.issue(Op::Load(w)).await.expect("load returns a value")
+    pub fn load(&self, w: WordAddr) -> impl Future<Output = Word> + '_ {
+        OpFuture::new(self, Op::Load(w))
     }
 
     /// Store a word.
-    pub async fn store(&self, w: WordAddr, v: Word) {
-        self.issue(Op::Store(w, v)).await;
+    pub fn store(&self, w: WordAddr, v: Word) -> impl Future<Output = ()> + '_ {
+        self.issue(Op::Store(w, v))
     }
 
     /// Load element `i` of a region.
-    pub async fn read(&self, r: Region, i: u64) -> Word {
-        self.load(r.at(i)).await
+    pub fn read(&self, r: Region, i: u64) -> impl Future<Output = Word> + '_ {
+        self.load(r.at(i))
     }
 
     /// Store element `i` of a region.
-    pub async fn write(&self, r: Region, i: u64, v: Word) {
-        self.store(r.at(i), v).await
+    pub fn write(&self, r: Region, i: u64, v: Word) -> impl Future<Output = ()> + '_ {
+        self.store(r.at(i), v)
     }
 
     /// Load element `i` of a region as `f32`.
-    pub async fn read_f32(&self, r: Region, i: u64) -> f32 {
-        word_to_f32(self.read(r, i).await)
+    pub fn read_f32(&self, r: Region, i: u64) -> impl Future<Output = f32> + '_ {
+        OpFuture::new(self, Op::Load(r.at(i)))
     }
 
     /// Store element `i` of a region as `f32`.
-    pub async fn write_f32(&self, r: Region, i: u64, v: f32) {
-        self.write(r, i, f32_to_word(v)).await
+    pub fn write_f32(&self, r: Region, i: u64, v: f32) -> impl Future<Output = ()> + '_ {
+        self.write(r, i, f32_to_word(v))
     }
 
     /// Uncacheable load: served by the shared cache level, never
     /// allocated in the L1 (used by the MPI library, §IV).
-    pub async fn load_unc(&self, w: WordAddr) -> Word {
-        self.issue(Op::LoadUnc(w))
-            .await
-            .expect("load returns a value")
+    pub fn load_unc(&self, w: WordAddr) -> impl Future<Output = Word> + '_ {
+        OpFuture::new(self, Op::LoadUnc(w))
     }
 
     /// Uncacheable store (see [`ThreadCtx::load_unc`]).
-    pub async fn store_unc(&self, w: WordAddr, v: Word) {
-        self.issue(Op::StoreUnc(w, v)).await;
+    pub fn store_unc(&self, w: WordAddr, v: Word) -> impl Future<Output = ()> + '_ {
+        self.issue(Op::StoreUnc(w, v))
     }
 
     /// Model `cycles` of pure computation.
@@ -505,7 +504,7 @@ impl ThreadCtx {
         ThreadId(t)
     }
 
-    pub(crate) async fn finish(&self) {
-        self.issue(Op::Finish).await;
+    pub(crate) fn finish(&self) -> OpFuture<'_, ()> {
+        self.issue(Op::Finish)
     }
 }

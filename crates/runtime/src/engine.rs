@@ -4,10 +4,23 @@
 //! Every simulated thread is a task — a boxed future polled with a no-op
 //! waker — on one single-threaded executor. The engine's state (the
 //! machine, per-core clocks, the set of ready cores) lives in one
-//! `RefCell`; a task borrows it only between its own awaits, never
-//! across one. Machine transitions happen in global simulated-time
+//! `RefCell`; a task borrows it only inside one poll of an op, never
+//! across an await. Machine transitions happen in global simulated-time
 //! order: the ready core with the smallest `(local time, core id)` runs
 //! its next op first. Private ops are the one exception (below).
+//!
+//! # The op future
+//!
+//! Every op a kernel awaits is one hand-written future, `OpFuture`; the
+//! single-op data accessors of [`ThreadCtx`] return it as it is. Its
+//! first poll flushes the deferred compute of [`ThreadCtx::tick`] as an
+//! `Op::Compute` ahead of the op, then runs the op at once when the core
+//! may (below), so an op that runs at once costs one synchronous call.
+//! Otherwise the poll queues the core and returns `Pending`; the op runs
+//! when the loop polls the core again. An op that parks the core
+//! completes on the poll after its wakeup, and an op that latches the
+//! run's error never completes. The future is lazy: nothing runs, and no
+//! deferred compute is taken, before its first poll.
 //!
 //! # The loop
 //!
@@ -15,21 +28,24 @@
 //! core's key is exactly the time of its next op. A core about to issue
 //! an op compares its own key with the smallest key in the ready heap.
 //! If its key is smaller it is the global minimum: the core executes the
-//! op on the machine inline and keeps running. If not, the core asks the
-//! machine whether the op is private ([`Machine::is_private`]): an op
-//! that touches only state no other core's op reads or writes, such as
-//! an L1 hit on the incoherent hierarchy or a `Compute` on any backend.
-//! A private op commutes with every other core's op, so the core runs
-//! it inline too, ahead of the global order, and keeps running.
-//! Otherwise it pushes its key and yields; the loop pops the minimum key
-//! and polls that core, which then executes its op. A blocking op that
-//! parks the core (`Exec::Parked`) suspends it until a synchronization
-//! grant's `Wakeup` pushes it back at the resume time. Every op that is
-//! not private still runs at the minimum key, in the order of the
-//! reference loop — wait for every core's next op, then run the minimum
-//! — so every machine transition another core can observe happens in
-//! that order by construction. Nothing is private while a sanitizer,
-//! fault plan or trace is installed: each observes the global op order.
+//! op on the machine inline and keeps running. If not, it offers the op
+//! to the machine as a private op ([`Machine::try_private`]): an op that
+//! touches only state no other core's op reads or writes, such as an L1
+//! hit on the incoherent hierarchy or a `Compute` on any backend. A
+//! private op commutes with every other core's op, so the machine runs it
+//! at once, ahead of the global order, in the one lookup that decides
+//! it, and the core keeps running. Otherwise the core yields. The loop
+//! swaps its key into the heap's top, which it takes out in the same
+//! sift (the yielding core's key is above the top, so the top is still
+//! the minimum), and polls the core that held the top, which then
+//! executes its op. A blocking op that parks the core (`Exec::Parked`)
+//! suspends it until a synchronization grant's `Wakeup` pushes it back
+//! at the resume time. Every op that is not private still runs at the
+//! minimum key, in the order of the reference loop — wait for every
+//! core's next op, then run the minimum — so every machine transition
+//! another core can observe happens in that order by construction.
+//! Nothing is private while a sanitizer, fault plan or trace is
+//! installed: each observes the global op order.
 //!
 //! # The oracle
 //!
@@ -61,17 +77,18 @@
 //! watchdog can stop a kernel that loops in host code without issuing
 //! any op.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use hic_machine::{Exec, Machine, Op, RunError, RunStats};
-use hic_mem::Word;
+use hic_mem::{word_to_f32, Word};
 use hic_sim::{CoreId, Cycle, EngineStats};
 
 use crate::ctx::{RtShared, ThreadCtx};
@@ -127,8 +144,11 @@ struct State {
     linear: bool,
     /// Per-core local simulated time.
     time: Vec<Cycle>,
-    /// Ready cores keyed by `(time, core)` (the default scheduler).
-    heap: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// Ready cores by their [`key`] (the default scheduler).
+    heap: BinaryHeap<Reverse<u128>>,
+    /// The core that just yielded behind the heap top (the default
+    /// scheduler), not yet in the heap: the loop swaps it in for the top.
+    yielded: Option<usize>,
     /// Ready cores (the oracle's linear scan).
     ready: Vec<bool>,
     done: usize,
@@ -150,11 +170,14 @@ impl State {
         if self.linear {
             self.ready[c] = true;
         } else {
-            self.heap.push(Reverse((self.time[c], c)));
+            self.heap.push(Reverse(key(self.time[c], c)));
         }
     }
 
-    /// Take the ready core with the smallest `(time, core)`.
+    /// Take the ready core with the smallest `(time, core)`. A core that
+    /// just yielded enters the heap in the sift that takes the top out:
+    /// it yielded because its key is above the top, so the top is still
+    /// the smallest, and one sift replaces a push and a pop.
     fn pop_ready(&mut self) -> Option<usize> {
         if self.linear {
             let c = (0..self.ready.len())
@@ -163,28 +186,64 @@ impl State {
             self.ready[c] = false;
             return Some(c);
         }
-        let Reverse((t, c)) = self.heap.pop()?;
-        debug_assert_eq!(self.time[c], t, "ready entry out of date");
+        let Reverse(k) = match self.yielded.take() {
+            Some(y) => {
+                let mut top = self
+                    .heap
+                    .peek_mut()
+                    .expect("a core yields only behind a ready core");
+                debug_assert!(top.0 < key(self.time[y], y), "yielded below the top");
+                std::mem::replace(&mut *top, Reverse(key(self.time[y], y)))
+            }
+            None => self.heap.pop()?,
+        };
+        let c = k as u64 as usize;
+        debug_assert_eq!(key(self.time[c], c), k, "ready entry out of date");
         Some(c)
     }
 
-    /// May core `c` run `op` now, without suspending? Only the default
-    /// engine does, when the op precedes every ready core's or when it
-    /// is private (it commutes with every other core's op).
-    fn runs_inline(&self, c: usize, op: &Op) -> bool {
-        !self.linear
-            && (self
+    /// Run core `c`'s `op` at once if the core may, or queue the core and
+    /// return `None`. Only the default engine runs an op at once: when
+    /// the core holds the smallest key, or when the op is private
+    /// ([`Machine::try_private`]: it commutes with every other core's
+    /// op). A queued core is polled again when it is the one to run.
+    fn run_or_queue(&mut self, c: usize, op: &Op) -> Option<Step> {
+        if !self.linear {
+            let now = self.time[c];
+            let exec = if self
                 .heap
                 .peek()
-                .is_none_or(|&Reverse(top)| (self.time[c], c) < top)
-                || self.machine.is_private(CoreId(c), op))
+                .is_none_or(|&Reverse(top)| key(now, c) < top)
+            {
+                Some(self.machine.execute(CoreId(c), op, now))
+            } else {
+                self.machine.try_private(CoreId(c), op, now)
+            };
+            if let Some(exec) = exec {
+                self.stats.shard_local_ops += 1;
+                return Some(self.settle(c, op, exec));
+            }
+        }
+        self.stats.round_trips += 1;
+        if self.linear {
+            self.ready[c] = true;
+        } else {
+            self.yielded = Some(c);
+        }
+        None
     }
 
-    /// Execute core `c`'s op at its clock, push every core the op woke,
-    /// and run the fatal-error checks and both watchdogs.
+    /// Execute core `c`'s queued op at its clock.
     fn execute(&mut self, c: usize, op: &Op) -> Step {
+        let exec = self.machine.execute(CoreId(c), op, self.time[c]);
+        self.settle(c, op, exec)
+    }
+
+    /// Account core `c`'s executed op: advance its clock, push every core
+    /// the op woke, and run the fatal-error checks and both watchdogs.
+    fn settle(&mut self, c: usize, op: &Op, exec: Exec) -> Step {
         self.stats.ops_executed += 1;
-        let step = match self.machine.execute(CoreId(c), op, self.time[c]) {
+        let step = match exec {
             Exec::Done { value, end } => {
                 self.time[c] = end;
                 self.done += usize::from(matches!(op, Op::Finish));
@@ -196,12 +255,14 @@ impl State {
                 Step::Parked
             }
         };
-        for wk in self.machine.take_wakeups() {
-            let i = wk.core.0;
-            self.stats.wakeups += 1;
-            self.parked_now -= 1;
-            self.time[i] = wk.at;
-            self.push_ready(i);
+        if self.machine.has_wakeups() {
+            for wk in self.machine.take_wakeups() {
+                let i = wk.core.0;
+                self.stats.wakeups += 1;
+                self.parked_now -= 1;
+                self.time[i] = wk.at;
+                self.push_ready(i);
+            }
         }
         // Under CheckMode::Strict the sanitizer latches the first finding
         // (and fault injection latches unrecoverable corruption); surface
@@ -240,7 +301,16 @@ impl State {
     }
 }
 
+/// Core `c`'s place in the `(time, core)` order as one integer: the
+/// ready heap's sifts compare it in two instructions, where a tuple
+/// compares field by field.
+#[inline]
+fn key(time: Cycle, c: usize) -> u128 {
+    u128::from(time) << 64 | c as u128
+}
+
 /// The simulated-cycle watchdog: core `c` reached `now`.
+#[inline]
 fn over_budget(limit: Option<Cycle>, c: usize, now: Cycle) -> Option<RunError> {
     let limit = limit?;
     (now > limit).then(|| RunError::Hang {
@@ -252,6 +322,7 @@ fn over_budget(limit: Option<Cycle>, c: usize, now: Cycle) -> Option<RunError> {
 
 /// The host wall-clock watchdog, consulted every [`WALL_CHECK_PERIOD`]
 /// calls.
+#[inline]
 fn wall_expired(deadline: Option<Instant>, ops: &mut u32) -> Option<RunError> {
     let deadline = deadline?;
     *ops += 1;
@@ -264,17 +335,83 @@ fn wall_expired(deadline: Option<Instant>, ops: &mut u32) -> Option<RunError> {
     })
 }
 
-/// Pending exactly once: the core yields to the loop, which polls it
-/// again only when the core is the one to run.
-fn suspend() -> impl Future<Output = ()> {
-    let mut yielded = false;
-    std::future::poll_fn(move |_| {
-        if yielded {
-            return Poll::Ready(());
+/// Where an [`OpFuture`] stands between polls.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Not polled yet: the deferred compute is still the context's.
+    Start,
+    /// Queued with this many deferred compute cycles to run ahead of the
+    /// op.
+    Compute(u64),
+    /// Queued: the op runs on the next poll.
+    Queued,
+    /// Parked by the op: the next poll, after a wakeup, completes it.
+    Parked,
+    /// The op latched the run's error: it never completes.
+    Dead,
+}
+
+/// What an op's raw value becomes for the kernel that awaits it.
+pub(crate) trait OpValue {
+    fn from_value(value: Option<Word>) -> Self;
+}
+
+impl OpValue for () {
+    #[inline]
+    fn from_value(_: Option<Word>) {}
+}
+
+impl OpValue for Word {
+    #[inline]
+    fn from_value(value: Option<Word>) -> Word {
+        value.expect("a load returns a value")
+    }
+}
+
+impl OpValue for f32 {
+    #[inline]
+    fn from_value(value: Option<Word>) -> f32 {
+        word_to_f32(Word::from_value(value))
+    }
+}
+
+/// One op of one core, issued in program order: the future behind every
+/// [`ThreadCtx`] operation. It is lazy: its first poll flushes the
+/// context's deferred compute (as an `Op::Compute` ahead of the op) and
+/// runs the op at once when the core may, else queues the core and
+/// yields. A yielded core runs its op when the loop polls it next; a
+/// parked one completes when a wakeup brings it back; an op that killed
+/// the run never completes. `T` is what the op's value becomes.
+#[must_use = "an op runs only when awaited"]
+pub(crate) struct OpFuture<'a, T> {
+    ctx: &'a ThreadCtx,
+    op: Op,
+    stage: Stage,
+    value: PhantomData<fn() -> T>,
+}
+
+impl<'a, T> OpFuture<'a, T> {
+    pub(crate) fn new(ctx: &'a ThreadCtx, op: Op) -> OpFuture<'a, T> {
+        OpFuture {
+            ctx,
+            op,
+            stage: Stage::Start,
+            value: PhantomData,
         }
-        yielded = true;
-        Poll::Pending
-    })
+    }
+}
+
+impl<T: OpValue> Future for OpFuture<'_, T> {
+    type Output = T;
+
+    #[inline]
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<T> {
+        let f = Pin::get_mut(self);
+        f.ctx
+            .engine
+            .poll_op(f.ctx.tid(), &f.ctx.pending_compute, &f.op, &mut f.stage)
+            .map(T::from_value)
+    }
 }
 
 /// One simulated thread's kernel, as a task.
@@ -294,6 +431,7 @@ impl Engine {
             linear: shared.scheduler == Scheduler::Linear,
             time: vec![0; n],
             heap: BinaryHeap::with_capacity(n),
+            yielded: None,
             ready: vec![false; n],
             done: 0,
             parked_now: 0,
@@ -315,33 +453,43 @@ impl Engine {
         }
     }
 
-    /// Execute `op` for core `c` in global `(time, core)` order, or at
-    /// once when it is private, and return its value. An op that kills
-    /// the run never returns.
-    pub(crate) async fn exec(&self, c: usize, op: Op) -> Option<Word> {
-        let inline = {
-            let mut s = self.state.borrow_mut();
-            let inline = s.runs_inline(c, &op);
-            if inline {
-                s.stats.shard_local_ops += 1;
-            } else {
-                s.stats.round_trips += 1;
-                s.push_ready(c);
-            }
-            inline
+    /// Poll core `c`'s `op` from `stage`; `deferred` is the context's
+    /// deferred compute (see [`OpFuture`]).
+    fn poll_op(
+        &self,
+        c: usize,
+        deferred: &Cell<u64>,
+        op: &Op,
+        stage: &mut Stage,
+    ) -> Poll<Option<Word>> {
+        let mut s = self.state.borrow_mut();
+        let step = match *stage {
+            Stage::Start => match deferred.replace(0) {
+                0 => s.run_or_queue(c, op),
+                n => match s.run_or_queue(c, &Op::Compute(n)) {
+                    Some(Step::Dead) => Some(Step::Dead),
+                    Some(_) => s.run_or_queue(c, op),
+                    None => {
+                        *stage = Stage::Compute(n);
+                        return Poll::Pending;
+                    }
+                },
+            },
+            Stage::Compute(n) => match s.execute(c, &Op::Compute(n)) {
+                Step::Dead => Some(Step::Dead),
+                _ => s.run_or_queue(c, op),
+            },
+            Stage::Queued => Some(s.execute(c, op)),
+            Stage::Parked => return Poll::Ready(None),
+            Stage::Dead => return Poll::Pending,
         };
-        if !inline {
-            suspend().await;
-        }
-        let step = self.state.borrow_mut().execute(c, &op);
-        match step {
-            Step::Done(value) => value,
-            Step::Parked => {
-                suspend().await;
-                None
-            }
-            Step::Dead => std::future::pending().await,
-        }
+        *stage = match step {
+            Some(Step::Done(value)) => return Poll::Ready(value),
+            Some(Step::Parked) => Stage::Parked,
+            Some(Step::Dead) => Stage::Dead,
+            None => Stage::Queued,
+        };
+        Poll::Pending
     }
 
     /// Poll the ready core with the smallest key until every core has
@@ -349,16 +497,19 @@ impl Engine {
     fn drive(&self, tasks: &mut [Task<'_>]) -> Option<RunError> {
         let mut cx = Context::from_waker(Waker::noop());
         loop {
-            let next = self.state.borrow_mut().pop_ready();
+            let next = {
+                let mut s = self.state.borrow_mut();
+                if let Some(err) = s.fatal.take() {
+                    return Some(err);
+                }
+                s.pop_ready()
+            };
             let Some(c) = next else {
                 return self.state.borrow().stalled();
             };
             // A finished core is never ready again, so its completed
             // task is never polled twice.
             let _ = tasks[c].as_mut().poll(&mut cx);
-            if let Some(err) = self.state.borrow_mut().fatal.take() {
-                return Some(err);
-            }
         }
     }
 
@@ -649,6 +800,70 @@ mod tests {
         assert_eq!(linear.engine.round_trips, 18);
         assert_eq!(default.total_cycles, linear.total_cycles);
         assert_eq!(default.ledgers, linear.ledgers);
+    }
+
+    /// Every branch of an op's issue, against the oracle. Three threads
+    /// each store to and reload a line of their own (private after the
+    /// first miss), issue `WB ALL` (never private) and arrive at a
+    /// barrier, which parks the first two arrivals until the third, with
+    /// a `tick` deferred ahead of each of the three. Under `Default` the
+    /// reloads and the later computes run privately above the heap top;
+    /// under `Linear` every op queues; with a trace installed nothing is
+    /// private, so a deferred compute above the heap top queues ahead of
+    /// its op. All three runs agree on every simulated field; the pinned
+    /// `(suspensions, inline ops)` tell the branches apart.
+    #[test]
+    fn op_issue_branches_match_the_oracle() {
+        let run = |scheduler, trace: bool| {
+            let cfg = Config::Intra(IntraConfig::Base);
+            let mut m = machine(cfg);
+            if trace {
+                m.enable_trace(64);
+            }
+            let b = crate::ctx::BarrierId(m.alloc_barrier(3));
+            let (_, stats, err) = run_tasks(m, shared(3, cfg, scheduler, None), async |ctx| {
+                let t = ctx.tid() as u32;
+                let own = WordAddr(16 * (8 + u64::from(t)));
+                let tick = 5 + 3 * u64::from(t);
+                ctx.tick(tick);
+                ctx.store(own, 10 + t).await;
+                assert_eq!(ctx.load(own).await, 10 + t);
+                ctx.tick(tick);
+                ctx.coh(CohInstr::wb_all()).await;
+                ctx.tick(tick);
+                ctx.barrier_with(b, crate::ctx::BarrierOpts::none()).await;
+            });
+            assert!(err.is_none(), "{err:?}");
+            assert_ledger_invariant(&stats.engine, scheduler);
+            stats
+        };
+        let simulated = |s: &RunStats| {
+            (
+                s.total_cycles,
+                s.ledgers.clone(),
+                s.traffic,
+                s.counters,
+                s.resilience,
+                (
+                    s.engine.ops_executed,
+                    s.engine.wakeups,
+                    s.engine.peak_parked,
+                ),
+            )
+        };
+        let default = run(Scheduler::Default, false);
+        let linear = run(Scheduler::Linear, false);
+        let traced = run(Scheduler::Default, true);
+        assert_eq!(simulated(&default), simulated(&linear));
+        assert_eq!(simulated(&traced), simulated(&linear));
+        // Eight ops per thread: three computes, store, load, WB ALL,
+        // arrival and finish.
+        assert_eq!(linear.engine.ops_executed, 24);
+        assert_eq!((linear.engine.wakeups, linear.engine.peak_parked), (2, 2));
+        let split = |s: &RunStats| (s.engine.round_trips, s.engine.shard_local_ops);
+        assert_eq!(split(&default), (10, 14), "default {:?}", default.engine);
+        assert_eq!(split(&linear), (24, 0), "linear {:?}", linear.engine);
+        assert_eq!(split(&traced), (12, 12), "traced {:?}", traced.engine);
     }
 
     #[test]
